@@ -11,6 +11,7 @@ byte, row-major, most significant bit first.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,18 +20,12 @@ from .errors import SchemaViolation, SlimError
 from .lora import LowRankAdapter
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from .prune import SparsityMask, SparsityPattern
-from .quant import ChannelScaling, QuantizedTensor
+from .quant import ChannelScaling, QuantizedTensor, dequantize
 
 __all__ = ["serialize_compressed_layer", "deserialize_compressed_layer"]
 
 _ARTIFACT_KIND = "compressed-layer"
 _ARTIFACT_VERSION = 1
-
-
-def _pattern_to_json(p: SparsityPattern | None):
-    if p is None:
-        return None
-    return {"kind": p.kind, "ratio": p.ratio, "n": p.n, "m": p.m}
 
 
 def _pattern_from_json(raw) -> SparsityPattern | None:
@@ -44,23 +39,6 @@ def _pattern_from_json(raw) -> SparsityPattern | None:
         n=raw.get("n"),
         m=raw.get("m"),
     )
-
-
-def _config_to_json(cfg: LayerCompressionConfig) -> dict:
-    return {
-        "quant_method": cfg.quant_method,
-        "weight_bits": cfg.weight_bits,
-        "group_size": cfg.group_size,
-        "sparsity": _pattern_to_json(cfg.sparsity),
-        "prune_scores": cfg.prune_scores,
-        "adapter_method": cfg.adapter_method,
-        "rank_ratio": cfg.rank_ratio,
-        "quantize_adapters": cfg.quantize_adapters,
-        "input_fp8": cfg.input_fp8,
-        "channel_scaling": cfg.channel_scaling,
-        "scale_fraction": cfg.scale_fraction,
-        "scale_factor": cfg.scale_factor,
-    }
 
 
 def _config_from_json(raw: dict) -> LayerCompressionConfig:
@@ -89,13 +67,8 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
     meta = {
         "artifact": _ARTIFACT_KIND,
         "version": _ARTIFACT_VERSION,
-        "config": _config_to_json(layer.config),
-        "provenance": {
-            "rows": layer.provenance.rows,
-            "cols": layer.provenance.cols,
-            "alpha": layer.provenance.alpha,
-            "created_at": layer.provenance.created_at,
-        },
+        "config": asdict(layer.config),
+        "provenance": asdict(layer.provenance),
         "scaling": None,
         "weights": None,
         "adapter": None,
@@ -116,7 +89,8 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
 
     if layer.mask is not None:
         tensors["mask_packed"] = np.packbits(layer.mask.keep.reshape(-1))
-        meta["mask"] = {"rows": layer.mask.rows, "cols": layer.mask.cols}
+        rows, cols = layer.mask.keep.shape
+        meta["mask"] = {"rows": rows, "cols": cols}
 
     if layer.channel_scaling is not None:
         meta["scaling"] = {
@@ -190,7 +164,6 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
             rows=int(prov_raw["rows"]),
             cols=int(prov_raw["cols"]),
             alpha=prov_raw.get("alpha"),
-            created_at=prov_raw.get("created_at"),
         )
         winfo = meta["weights"]
         ainfo = meta.get("adapter")
@@ -221,6 +194,11 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
         mask = None
         if minfo is not None:
             rows, cols = int(minfo["rows"]), int(minfo["cols"])
+            if (rows, cols) != (prov.rows, prov.cols):
+                raise SchemaViolation(
+                    f"mask shape ({rows}, {cols}) does not match provenance "
+                    f"({prov.rows}, {prov.cols})"
+                )
             packed = _need(tensors, "mask_packed")
             if packed.dtype != np.uint8:
                 raise SchemaViolation("mask_packed must be a u8 tensor")
@@ -230,14 +208,12 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
                     f"mask_packed holds {packed.size} bytes, need {-(-total // 8)}"
                 )
             keep = np.unpackbits(packed.reshape(-1), count=total).astype(bool)
-            mask = SparsityMask(rows=rows, cols=cols, keep=keep.reshape(rows, cols))
+            mask = SparsityMask(keep.reshape(rows, cols))
 
         adapter = None
         if ainfo is not None:
             rank = int(ainfo["rank"])
             if ainfo.get("quantized"):
-                from .quant import dequantize
-
                 ql = _quantized_from(
                     tensors, "adapter_left_", int(ainfo["bits"]), ainfo.get("group_size")
                 )

@@ -14,7 +14,6 @@ Diagnostics go to stderr; the ``SLIM_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -29,9 +28,9 @@ from .budget import ArchConfig, SchemeConfig, flop_reduction, load_arch, load_pr
 from .calibration import compute_calibration, load_calibration, save_calibration
 from .errors import SlimError
 from .lora import SaliencyVector, saliency_vector
-from .pipeline import CompressedLayer, LayerCompressionConfig, compress_layer, error_report
+from .pipeline import LayerCompressionConfig, compress_layer, error_report, weight_space_report
 from .prune import SparsityPattern
-from .quant import estimate_error_batch, slimquant_search
+from .quant import estimate_error, slimquant_search
 from .container import read_container, write_container
 from .tensor import build_abs_histogram
 
@@ -103,19 +102,6 @@ def _single_tensor(tensors: dict, source: str, prefer: str | None = None) -> tup
     return next(iter(named.items()))
 
 
-def _weight_space_report(w: np.ndarray, layer: CompressedLayer, sal: SaliencyVector) -> dict:
-    w_eff = layer.corrected_weight()
-    diff = w_eff - np.asarray(w, dtype=np.float64)
-    weighted = sal.values[:, None] * diff
-    density = layer.mask.density if layer.mask is not None else 1.0
-    return {
-        "weight_mse": float(np.mean(diff**2)),
-        "weighted_weight_mse": float(np.mean(weighted**2)),
-        "density": density,
-        "alpha": layer.provenance.alpha,
-    }
-
-
 def _build_compress_config(args) -> LayerCompressionConfig:
     sparsity = SparsityPattern.parse(args.sparsity)
     return LayerCompressionConfig(
@@ -151,8 +137,7 @@ def cmd_compress(args) -> int:
 
     out_stem = Path(args.out)
     report: dict[str, dict] = {}
-
-    def one(name: str) -> tuple[str, dict]:
+    for name in names:
         layer = compress_layer(weights[name], stats, cfg)
         path = out_stem.parent / f"{out_stem.name}.{name}.slim"
         serialize_compressed_layer(layer, path)
@@ -160,21 +145,13 @@ def cmd_compress(args) -> int:
             sal = saliency_vector(stats)
         else:
             sal = SaliencyVector.constant(layer.shape[0])
-        entry = _weight_space_report(weights[name], layer, sal)
+        entry = weight_space_report(weights[name], layer, sal)
+        entry["alpha"] = layer.provenance.alpha
         entry["artifact"] = str(path)
-        entry["effective_bits_per_weight"] = _effective_bits_entry(layer)
-        return name, entry
+        report[name] = entry
+        del layer  # free its buffers before the next tensor's compress peaks
 
-    if args.jobs > 1 and len(names) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for name, entry in pool.map(one, names):
-                report[name] = entry
-    else:
-        for name in names:
-            report[name] = one(name)[1]
-
-    for name in names:
-        entry = report[name]
+    for name, entry in report.items():
         print(
             f"{name}: weight_mse={entry['weight_mse']:.6g} "
             f"weighted={entry['weighted_weight_mse']:.6g} "
@@ -184,12 +161,6 @@ def cmd_compress(args) -> int:
         Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
         logger.info("report written to %s", args.report)
     return EXIT_OK
-
-
-def _effective_bits_entry(layer: CompressedLayer) -> float:
-    from .pipeline import _effective_bits
-
-    return _effective_bits(layer)
 
 
 def cmd_eval(args) -> int:
@@ -249,7 +220,7 @@ def cmd_oracle_alpha(args) -> int:
         search_alpha, search_err = slimquant_search(hist, args.wbits)
     else:
         grid = m * np.arange(1, args.grid_points + 1, dtype=np.float64) / args.grid_points
-        errs = estimate_error_batch(hist, grid, args.wbits)
+        errs = estimate_error(hist, grid, args.wbits)
         k = int(np.argmin(errs))
         dense_alpha, dense_err = float(grid[k]), float(errs[k])
         search_alpha, search_err = slimquant_search(hist, args.wbits)
@@ -319,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adapter rank / min(dim) (default 0.1 when --lora is set)")
     p.add_argument("--quantize-lora", action="store_true", help="store adapters 4-bit grouped")
     p.add_argument("--input-fp8", action="store_true", help="snap inputs to 8-bit float at inference")
-    p.add_argument("--jobs", type=int, default=1, help="compress tensors in parallel")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_compress)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from . import prune as prune_mod
 from .calibration import CalibrationStats
 from .errors import ConfigInvalid, ShapeMismatch
 from .lora import (
+    DEFAULT_RANK_RATIO,
     LowRankAdapter,
     SaliencyVector,
     default_rank,
@@ -34,6 +35,9 @@ from .lora import (
 )
 from .prune import SparsityMask, SparsityPattern
 from .quant import (
+    DEFAULT_GROUP_SIZE,
+    DEFAULT_SCALE_FACTOR,
+    DEFAULT_SCALE_FRACTION,
     ChannelScaling,
     QuantizedTensor,
     absmax_alpha,
@@ -56,6 +60,7 @@ __all__ = [
     "ErrorReport",
     "compress_layer",
     "layer_output",
+    "weight_space_report",
     "error_report",
 ]
 
@@ -93,7 +98,7 @@ class LayerCompressionConfig:
 
     quant_method: str = "slim_quant"
     weight_bits: int = 4
-    group_size: int = 128
+    group_size: int = DEFAULT_GROUP_SIZE
     sparsity: SparsityPattern | None = None
     prune_scores: str = "wanda"
     adapter_method: str = "none"
@@ -101,8 +106,8 @@ class LayerCompressionConfig:
     quantize_adapters: bool = False
     input_fp8: bool = False
     channel_scaling: bool | None = None
-    scale_fraction: float = 0.01
-    scale_factor: float = 2.0
+    scale_fraction: float = DEFAULT_SCALE_FRACTION
+    scale_factor: float = DEFAULT_SCALE_FACTOR
 
     def __post_init__(self):
         if self.quant_method not in QUANT_METHODS:
@@ -131,8 +136,6 @@ class LayerCompressionConfig:
 
     @property
     def effective_rank_ratio(self) -> float:
-        from .lora import DEFAULT_RANK_RATIO
-
         if self.rank_ratio is not None:
             return float(self.rank_ratio)
         return DEFAULT_RANK_RATIO
@@ -154,16 +157,27 @@ class LayerCompressionConfig:
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where the artifact came from: source shape plus chosen scale.
-
-    ``created_at`` stays None unless the caller sets it, keeping artifacts
-    byte-identical across runs by default.
-    """
+    """Where the artifact came from: source shape plus chosen scale."""
 
     rows: int
     cols: int
     alpha: float | None = None
-    created_at: str | None = None
+
+
+def _dense(weights: QuantizedTensor | np.ndarray) -> np.ndarray:
+    """Float64 matrix of a stored weight representation."""
+    if isinstance(weights, QuantizedTensor):
+        return dequantize(weights)
+    return np.asarray(weights, dtype=np.float64)
+
+
+def _unscale(w: np.ndarray, scaling: ChannelScaling | None) -> np.ndarray:
+    """Map a stored-coordinate weight back to the caller's coordinates."""
+    if scaling is None or not scaling.channel_indices.size:
+        return w
+    w = w.copy()
+    w[scaling.channel_indices, :] /= scaling.factor
+    return w
 
 
 @dataclass(frozen=True)
@@ -181,20 +195,34 @@ class CompressedLayer:
     def shape(self) -> tuple[int, int]:
         return (self.provenance.rows, self.provenance.cols)
 
+    @property
+    def density(self) -> float:
+        """Kept-weight fraction; 1.0 when unpruned."""
+        return self.mask.density if self.mask is not None else 1.0
+
+    @property
+    def effective_bits_per_weight(self) -> float:
+        """Analytic storage cost per weight element.
+
+        Weight code bits times density plus the adapter bits spread over the
+        weight count; scales, mask and metadata are not charged.
+        """
+        cfg = self.config
+        d_in, d_out = self.shape
+        weight_bits = cfg.weight_bits if cfg.quant_method != "none" else DENSE_BITS
+        bits = weight_bits * self.density
+        if self.adapter is not None:
+            adapter_bits = 4 if cfg.quantize_adapters else DENSE_BITS
+            bits += adapter_bits * self.adapter.rank * (d_in + d_out) / (d_in * d_out)
+        return float(bits)
+
     def stored_weight(self) -> np.ndarray:
         """Dense weight in stored (possibly channel-scaled) coordinates."""
-        if isinstance(self.weights, QuantizedTensor):
-            return dequantize(self.weights)
-        return np.asarray(self.weights, dtype=np.float64)
+        return _dense(self.weights)
 
     def effective_weight(self) -> np.ndarray:
         """Dense compressed weight in the caller's coordinates (no adapter)."""
-        w = self.stored_weight()
-        scaling = self.channel_scaling
-        if scaling is not None and scaling.channel_indices.size:
-            w = w.copy()
-            w[scaling.channel_indices, :] /= scaling.factor
-        return w
+        return _unscale(self.stored_weight(), self.channel_scaling)
 
     def corrected_weight(self) -> np.ndarray:
         """effective_weight plus the adapter correction, if any."""
@@ -208,10 +236,9 @@ class CompressedLayer:
 class ErrorReport:
     """Reconstruction-quality summary for one compressed layer.
 
-    All mean-squared errors are normalized per element. ``density`` is the
-    kept-weight fraction; ``effective_bits_per_weight`` charges the weight
-    codes at their bit width times density plus the adapter storage spread
-    over the weight count.
+    All mean-squared errors are normalized per element; ``density`` and
+    ``effective_bits_per_weight`` are the layer's own (see
+    :class:`CompressedLayer`).
     """
 
     weight_mse: float
@@ -222,14 +249,7 @@ class ErrorReport:
     effective_bits_per_weight: float
 
     def to_dict(self) -> dict:
-        return {
-            "weight_mse": self.weight_mse,
-            "weighted_weight_mse": self.weighted_weight_mse,
-            "output_mse": self.output_mse,
-            "output_mse_no_adapter": self.output_mse_no_adapter,
-            "density": self.density,
-            "effective_bits_per_weight": self.effective_bits_per_weight,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -250,19 +270,6 @@ def _quantize_weights(w_s: np.ndarray, cfg: LayerCompressionConfig):
     alpha, err = slimquant_search(hist, cfg.weight_bits)
     logger.debug("scale search: alpha=%.6g expected_mse=%.6g", alpha, err)
     return quantize_symmetric(w_s, alpha, cfg.weight_bits), alpha
-
-
-def _mask_weights(stored, mask: SparsityMask):
-    """Zero dropped entries in the stored representation."""
-    if isinstance(stored, QuantizedTensor):
-        codes = np.where(mask.keep, stored.codes, np.int8(0)).astype(np.int8)
-        return QuantizedTensor(
-            codes=codes,
-            scales=stored.scales,
-            group_size=stored.group_size,
-            bits=stored.bits,
-        )
-    return np.where(mask.keep, stored, 0.0)
 
 
 def compress_layer(
@@ -308,31 +315,29 @@ def compress_layer(
     # 2. Quantize.
     stored, alpha = _quantize_weights(w_s, cfg)
 
-    # 3. Prune the quantized weight (scores see the caller-coordinate values).
+    # The quantized weight in the caller's coordinates, which both the
+    # pruning scores and the adapter fit read.
+    if cfg.sparsity is not None or cfg.adapter_method != "none":
+        w_c = _unscale(_dense(stored), scaling)
+
+    # 3. Prune the quantized weight.
     mask = None
     if cfg.sparsity is not None:
-        provisional = CompressedLayer(
-            weights=stored, mask=None, adapter=None,
-            channel_scaling=scaling, config=cfg,
-            provenance=Provenance(rows=d_in, cols=d_out, alpha=alpha),
-        )
-        w_q = provisional.effective_weight()
         if cfg.prune_scores == "wanda":
-            scores = prune_mod.wanda_scores(w_q, stats)
+            scores = prune_mod.wanda_scores(w_c, stats)
         else:
-            scores = prune_mod.magnitude_scores(w_q)
+            scores = prune_mod.magnitude_scores(w_c)
         mask = prune_mod.build_mask(scores, cfg.sparsity)
-        stored = _mask_weights(stored, mask)
-
-    layer = CompressedLayer(
-        weights=stored, mask=mask, adapter=None,
-        channel_scaling=scaling, config=cfg,
-        provenance=Provenance(rows=d_in, cols=d_out, alpha=alpha),
-    )
+        if isinstance(stored, QuantizedTensor):
+            stored = replace(stored, codes=prune_mod.apply_mask(stored.codes, mask))
+        else:
+            stored = prune_mod.apply_mask(stored, mask)
 
     # 4. Adapter against the total error left after steps 1-3.
+    adapter = None
     if cfg.adapter_method != "none":
-        w_c = layer.effective_weight()
+        if mask is not None:
+            w_c = prune_mod.apply_mask(w_c, mask)
         r = default_rank(d_in, d_out, cfg.effective_rank_ratio)
         if cfg.adapter_method == "slim":
             adapter = slim_lora(w0, w_c, saliency_vector(stats), r)
@@ -340,12 +345,11 @@ def compress_layer(
             adapter = naive_lora(w0, w_c, r)
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
-        layer = CompressedLayer(
-            weights=stored, mask=mask, adapter=adapter,
-            channel_scaling=scaling, config=cfg,
-            provenance=layer.provenance,
-        )
-    return layer
+    return CompressedLayer(
+        weights=stored, mask=mask, adapter=adapter,
+        channel_scaling=scaling, config=cfg,
+        provenance=Provenance(rows=d_in, cols=d_out, alpha=alpha),
+    )
 
 
 def layer_output(x, layer: CompressedLayer) -> np.ndarray:
@@ -373,18 +377,39 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     return y
 
 
-def _effective_bits(layer: CompressedLayer) -> float:
-    """Analytic storage cost per weight element (scales/metadata excluded)."""
-    cfg = layer.config
-    d_in, d_out = layer.shape
-    weight_bits = cfg.weight_bits if cfg.quant_method != "none" else DENSE_BITS
-    density = layer.mask.density if layer.mask is not None else 1.0
-    bits = weight_bits * density
-    if layer.adapter is not None:
-        adapter_bits = 4 if cfg.quantize_adapters else DENSE_BITS
-        r = layer.adapter.rank
-        bits += adapter_bits * r * (d_in + d_out) / (d_in * d_out)
-    return float(bits)
+def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np.ndarray:
+    w0 = as_matrix(w, "w")
+    if w0.shape != layer.shape:
+        raise ShapeMismatch(f"w shape {w0.shape} does not match layer {layer.shape}")
+    if len(x_saliency) != layer.shape[0]:
+        raise ShapeMismatch(f"saliency length {len(x_saliency)} != d_in {layer.shape[0]}")
+    return w0
+
+
+def _weight_space(w0, w_eff, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
+    diff = w_eff - w0
+    weight_mse = float(np.mean(diff**2))
+    diff *= x_saliency.values[:, None]  # in place: one weight-sized buffer fewer
+    return {
+        "weight_mse": weight_mse,
+        "weighted_weight_mse": float(np.mean(diff**2)),
+        "density": layer.density,
+        "effective_bits_per_weight": layer.effective_bits_per_weight,
+    }
+
+
+def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
+    """The fields of :func:`error_report` that need no evaluation inputs.
+
+    Returns ``weight_mse``, ``weighted_weight_mse``, ``density`` and
+    ``effective_bits_per_weight``, computed exactly as :func:`error_report`
+    computes them.
+
+    Raises:
+        ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
+    """
+    w0 = _checked_weight(w, layer, x_saliency)
+    return _weight_space(w0, layer.corrected_weight(), layer, x_saliency)
 
 
 def error_report(
@@ -404,32 +429,18 @@ def error_report(
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
     """
-    w0 = as_matrix(w, "w")
-    d_in, d_out = layer.shape
-    if w0.shape != (d_in, d_out):
-        raise ShapeMismatch(f"w shape {w0.shape} does not match layer {layer.shape}")
+    w0 = _checked_weight(w, layer, x_saliency)
+    d_in = layer.shape[0]
     xe = as_matrix(x_eval, "x_eval")
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
-    if len(x_saliency) != d_in:
-        raise ShapeMismatch(f"saliency length {len(x_saliency)} != d_in {d_in}")
 
     w_c = layer.effective_weight()
     w_eff = w_c if layer.adapter is None else w_c + layer.adapter.correction()
-    diff = w_eff - w0
-    weight_mse = float(np.mean(diff**2))
-    weighted = x_saliency.values[:, None] * diff
-    weighted_mse = float(np.mean(weighted**2))
-
+    weight_fields = _weight_space(w0, w_eff, layer, x_saliency)
     y_ref = xe @ w0
-    out_err = float(np.mean((xe @ w_eff - y_ref) ** 2))
-    out_err_no_adapter = float(np.mean((xe @ w_c - y_ref) ** 2))
-
     return ErrorReport(
-        weight_mse=weight_mse,
-        weighted_weight_mse=weighted_mse,
-        output_mse=out_err,
-        output_mse_no_adapter=out_err_no_adapter,
-        density=layer.mask.density if layer.mask is not None else 1.0,
-        effective_bits_per_weight=_effective_bits(layer),
+        output_mse=float(np.mean((xe @ w_eff - y_ref) ** 2)),
+        output_mse_no_adapter=float(np.mean((xe @ w_c - y_ref) ** 2)),
+        **weight_fields,
     )

@@ -94,17 +94,13 @@ class SparsityPattern:
 class SparsityMask:
     """Boolean keep/drop matrix produced by a masking rule."""
 
-    rows: int
-    cols: int
     keep: np.ndarray
 
     def __post_init__(self):
         keep = np.asarray(self.keep, dtype=bool)
         object.__setattr__(self, "keep", keep)
-        if keep.shape != (self.rows, self.cols):
-            raise ShapeMismatch(
-                f"mask shape {keep.shape} does not match ({self.rows}, {self.cols})"
-            )
+        if keep.ndim != 2:
+            raise ShapeMismatch(f"mask must be 2-D, got shape {keep.shape}")
 
     @property
     def density(self) -> float:
@@ -150,7 +146,7 @@ def unstructured_mask(scores, ratio: float) -> SparsityMask:
         order = np.argsort(-s, axis=0, kind="stable")
         top = order[:k, :]
         keep[top, np.arange(d_out)[None, :]] = True
-    return SparsityMask(rows=d_in, cols=d_out, keep=keep)
+    return SparsityMask(keep)
 
 
 def semistructured_mask(scores, n: int, m: int) -> SparsityMask:
@@ -175,21 +171,27 @@ def semistructured_mask(scores, n: int, m: int) -> SparsityMask:
     g_idx = np.arange(d_in // m)[:, None, None]
     o_idx = np.arange(d_out)[None, None, :]
     keep[g_idx, order[:, :n, :], o_idx] = True
-    return SparsityMask(rows=d_in, cols=d_out, keep=keep.reshape(d_in, d_out))
+    return SparsityMask(keep.reshape(d_in, d_out))
 
 
 def apply_mask(w, mask: SparsityMask) -> np.ndarray:
     """Zero the dropped entries of ``w``; kept entries pass through unchanged.
 
+    Integer input (quantized codes) keeps its dtype; any other input is
+    validated as a finite matrix and comes back as float64.
+
     Raises:
         ShapeMismatch: weight and mask shapes differ.
+        NonFinite: float input holds NaN or Inf.
     """
-    arr = as_matrix(w, "w")
-    if arr.shape != (mask.rows, mask.cols):
+    arr = np.asarray(w)
+    if not np.issubdtype(arr.dtype, np.integer):
+        arr = as_matrix(arr, "w")
+    if arr.shape != mask.keep.shape:
         raise ShapeMismatch(
-            f"weight shape {arr.shape} does not match mask ({mask.rows}, {mask.cols})"
+            f"weight shape {arr.shape} does not match mask {mask.keep.shape}"
         )
-    return np.where(mask.keep, arr, 0.0)
+    return np.where(mask.keep, arr, arr.dtype.type(0))
 
 
 def build_mask(scores, pattern: SparsityPattern) -> SparsityMask:

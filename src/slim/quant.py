@@ -40,7 +40,6 @@ __all__ = [
     "absmax_alpha",
     "group_absmax_quantize",
     "estimate_error",
-    "estimate_error_batch",
     "slimquant_search",
     "activation_aware_scale",
     "fp8_fake_quantize",
@@ -271,7 +270,7 @@ def _grid_error_terms(centers: np.ndarray, probs: np.ndarray, alphas: np.ndarray
     return err @ probs
 
 
-def estimate_error(h: AbsHistogram, alpha: float, q: int) -> float:
+def estimate_error(h: AbsHistogram, alpha, q: int):
     """Expected squared quantization error of scale ``alpha`` under ``h``.
 
     Midpoint numerical integration over the histogram bins: bin centers
@@ -279,28 +278,21 @@ def estimate_error(h: AbsHistogram, alpha: float, q: int) -> float:
     the step-``alpha * 2**(1-q)`` grid, and centers x > alpha accumulate
     p(x) * (alpha - x)**2.
 
+    ``alpha`` is a scalar, giving a float, or a 1-D array of candidate
+    scales, giving one error per entry.
+
     Raises:
-        NonPositiveAlpha: ``alpha`` is not a positive finite number.
+        NonPositiveAlpha: some ``alpha`` is not a positive finite number.
+        ShapeMismatch: ``alpha`` has more than one dimension.
     """
-    if not np.isfinite(alpha) or alpha <= 0:
+    a = np.asarray(alpha, dtype=np.float64)
+    if a.ndim > 1:
+        raise ShapeMismatch(f"alpha must be a scalar or 1-D, got shape {a.shape}")
+    if a.size and (not np.isfinite(a).all() or (a <= 0).any()):
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     q = _check_bits(q)
-    out = _grid_error_terms(h.bin_centers(), h.probabilities(), np.array([float(alpha)]), q)
-    return float(out[0])
-
-
-def estimate_error_batch(h: AbsHistogram, alphas, q: int) -> np.ndarray:
-    """Vectorized :func:`estimate_error` over many candidate scales.
-
-    Used by the dense-grid oracle tool; one error value per alpha.
-    """
-    q = _check_bits(q)
-    a = np.asarray(alphas, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeMismatch("alphas must be 1-D")
-    if a.size and (not np.isfinite(a).all() or (a <= 0).any()):
-        raise NonPositiveAlpha("all alphas must be positive and finite")
-    return _grid_error_terms(h.bin_centers(), h.probabilities(), a, q)
+    errs = _grid_error_terms(h.bin_centers(), h.probabilities(), a.reshape(-1), q)
+    return float(errs[0]) if a.ndim == 0 else errs
 
 
 def slimquant_search(

@@ -74,13 +74,13 @@ def dense_grid_alpha(hist, q: int, points: int = 5000):
     objective but minimizes it by brute force over ``points`` uniform
     scales spanning (0, max_abs].
     """
-    from slim.quant import estimate_error_batch
+    from slim.quant import estimate_error
 
     m = hist.max_abs
     if m == 0.0:
         return 1.0, 0.0
     grid = m * np.arange(1, points + 1, dtype=np.float64) / points
-    errs = estimate_error_batch(hist, grid, q)
+    errs = estimate_error(hist, grid, q)
     k = int(np.argmin(errs))
     return float(grid[k]), float(errs[k])
 

@@ -126,6 +126,14 @@ class TestRoundTrip:
         assert np.array_equal(back.weights.codes, layer.weights.codes)
         assert layer_to_bytes(back) == p.read_bytes()
 
+    def test_reads_legacy_created_at(self):
+        # Artifacts written before Provenance lost created_at carry it as null.
+        layer = compressed(CONFIGS[5])
+        legacy = edit_meta(layer_to_tensors(layer), lambda m: m["provenance"].update(created_at=None))
+        back = layer_from_tensors(legacy)
+        assert back.provenance == layer.provenance
+        assert layer_to_bytes(back) == layer_to_bytes(layer)
+
     def test_serialization_deterministic(self):
         cfg = LayerCompressionConfig(adapter_method="naive", rank_ratio=0.25)
         a = layer_to_bytes(compress_layer(W, STATS, cfg))
@@ -140,7 +148,7 @@ class TestMaskPacking:
         keep[3, 7] = True  # flat bit 31 -> LSB of byte 3
         layer = CompressedLayer(
             weights=np.zeros((4, 8)),
-            mask=SparsityMask(rows=4, cols=8, keep=keep),
+            mask=SparsityMask(keep),
             adapter=None,
             channel_scaling=None,
             config=LayerCompressionConfig(quant_method="none"),
@@ -155,7 +163,7 @@ class TestMaskPacking:
         keep = np.ones((5, 7), dtype=bool)  # 35 bits -> 5 bytes
         layer = CompressedLayer(
             weights=np.zeros((5, 7)),
-            mask=SparsityMask(rows=5, cols=7, keep=keep),
+            mask=SparsityMask(keep),
             adapter=None,
             channel_scaling=None,
             config=LayerCompressionConfig(quant_method="none"),
@@ -219,6 +227,12 @@ class TestSchemaViolations:
     def test_mask_byte_count_mismatch(self):
         t = valid_tensors()
         t["mask_packed"] = t["mask_packed"][:-1]
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    def test_mask_shape_provenance_mismatch(self):
+        # 16 x 12 transposed: same bit count, so only the shape check catches it.
+        t = edit_meta(valid_tensors(), lambda m: m["mask"].update(rows=12, cols=16))
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
 

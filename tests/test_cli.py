@@ -134,11 +134,25 @@ class TestCompress:
         assert code == 0
         assert "weights:" in stdout and "density=0.5000" in stdout
         entry = json.loads(report.read_text())["weights"]
-        assert set(entry) >= {
+        assert set(entry) == {
             "weight_mse", "weighted_weight_mse", "density", "alpha",
             "artifact", "effective_bits_per_weight",
         }
-        assert (out.parent / "full.weights.slim").exists()
+        artifact = out.parent / "full.weights.slim"
+        assert entry["artifact"] == str(artifact)
+        # The report describes the layer the CLI wrote; the library rebuilds
+        # it byte for byte (see test_artifact_bit_identical_to_library).
+        cfg = LayerCompressionConfig(
+            sparsity=SparsityPattern.semistructured(2, 4), adapter_method="slim", rank_ratio=0.25
+        )
+        w = read_container(workspace["weights"])["weights"]
+        x = read_container(workspace["acts"])["acts"]
+        stats = load_calibration(workspace["calib"])
+        layer = compress_layer(w, stats, cfg)
+        assert layer_to_bytes(layer) == artifact.read_bytes()
+        rep = error_report(w, layer, x, saliency_vector(stats))
+        for key in ("weight_mse", "weighted_weight_mse", "density", "effective_bits_per_weight"):
+            assert entry[key] == getattr(rep, key), key
 
     def test_artifact_bit_identical_to_library(self, workspace, capsys):
         out = workspace["dir"] / "lib"
@@ -179,23 +193,20 @@ class TestCompress:
             <= results["without"]["weighted_weight_mse"]
         )
 
-    def test_parallel_jobs_same_artifacts(self, tmp_path, capsys):
+    def test_multi_tensor_artifacts_match_library(self, tmp_path, capsys):
         weights = tmp_path / "multi.slim"
         rng = np.random.default_rng(15)
-        write_container(
-            weights,
-            {f"t{i}": rng.standard_normal((8, 8)).astype(np.float32) for i in range(4)},
-        )
-        outs = {}
-        for jobs in ("1", "3"):
-            out = tmp_path / f"j{jobs}"
-            code, _, _ = run(capsys, "compress", "--weights", str(weights),
-                             "--out", str(out), "--quant", "slim", "--jobs", jobs)
-            assert code == 0
-            outs[jobs] = [
-                (tmp_path / f"j{jobs}.t{i}.slim").read_bytes() for i in range(4)
-            ]
-        assert outs["1"] == outs["3"]
+        tensors = {f"t{i}": rng.standard_normal((8, 8)).astype(np.float32) for i in range(4)}
+        write_container(weights, tensors)
+        out = tmp_path / "multi"
+        code, stdout, _ = run(capsys, "compress", "--weights", str(weights),
+                              "--out", str(out), "--quant", "slim")
+        assert code == 0
+        assert [line.split(":")[0] for line in stdout.splitlines()] == list(tensors)
+        cfg = LayerCompressionConfig(quant_method="slim_quant")
+        for name, w in tensors.items():
+            expected = layer_to_bytes(compress_layer(w, None, cfg))
+            assert (tmp_path / f"multi.{name}.slim").read_bytes() == expected
 
     def test_missing_calib_usage_error(self, workspace, capsys):
         code, _, err = run(

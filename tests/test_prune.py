@@ -5,6 +5,7 @@ from slim import (
     CalibrationStats,
     ConfigInvalid,
     IndivisibleDimension,
+    NonFinite,
     ShapeMismatch,
     SparsityMask,
     SparsityPattern,
@@ -184,9 +185,23 @@ class TestApplyAndDispatch:
         assert np.all(out[~mask.keep] == 0.0)
 
     def test_apply_shape_mismatch(self):
-        mask = SparsityMask(rows=3, cols=3, keep=np.ones((3, 3), bool))
+        mask = SparsityMask(np.ones((3, 3), bool))
         with pytest.raises(ShapeMismatch):
             apply_mask(np.ones((4, 4)), mask)
+        with pytest.raises(ShapeMismatch):
+            apply_mask(np.ones((4, 4), np.int8), mask)
+
+    def test_apply_rejects_non_finite_floats(self):
+        mask = SparsityMask(np.ones((2, 2), bool))
+        with pytest.raises(NonFinite):
+            apply_mask(np.array([[1.0, np.nan], [0.0, 1.0]]), mask)
+
+    def test_apply_keeps_integer_codes(self):
+        codes = np.arange(-6, 6, dtype=np.int8).reshape(3, 4)
+        mask = semistructured_mask(np.abs(codes.astype(float)) + 1, 2, 3)
+        out = apply_mask(codes, mask)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, np.where(mask.keep, codes, 0))
 
     def test_build_mask_dispatch(self):
         rng = np.random.default_rng(48)
@@ -198,4 +213,6 @@ class TestApplyAndDispatch:
 
     def test_mask_shape_validation(self):
         with pytest.raises(ShapeMismatch):
-            SparsityMask(rows=2, cols=3, keep=np.ones((3, 2), bool))
+            SparsityMask(np.ones(6, bool))
+        with pytest.raises(ShapeMismatch):
+            SparsityMask(np.ones((2, 3, 1), bool))

@@ -18,7 +18,7 @@ from slim import (
     quantize_symmetric,
     slimquant_search,
 )
-from slim.quant import compensate_activations, estimate_error_batch
+from slim.quant import compensate_activations
 
 from oracles import (
     dense_grid_alpha,
@@ -193,22 +193,28 @@ class TestEstimateError:
         rng = np.random.default_rng(16)
         h = build_abs_histogram(rng.standard_normal((40, 40)), num_bins=256)
         alphas = np.linspace(1e-3, 2 * h.max_abs, 200)
-        errs = estimate_error_batch(h, alphas, 4)
+        errs = estimate_error(h, alphas, 4)
         assert np.all(errs >= 0.0)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(17)
         h = build_abs_histogram(rng.standard_normal((30, 30)), num_bins=128)
         alphas = np.array([0.3, 1.0, 2.2])
-        batch = estimate_error_batch(h, alphas, 4)
+        batch = estimate_error(h, alphas, 4)
         singles = [estimate_error(h, a, 4) for a in alphas]
-        # reduction order may differ between the batched and scalar matvec
+        assert all(isinstance(e, float) for e in singles)
+        assert batch.shape == (3,)
+        # reduction order may differ between the array and scalar matvec
         assert np.allclose(batch, singles, rtol=1e-12, atol=0)
 
     def test_bad_alpha(self):
         h = build_abs_histogram(np.ones((2, 2)), num_bins=4)
         with pytest.raises(NonPositiveAlpha):
             estimate_error(h, 0.0, 4)
+        with pytest.raises(NonPositiveAlpha):
+            estimate_error(h, np.array([1.0, np.nan]), 4)
+        with pytest.raises(ShapeMismatch):
+            estimate_error(h, np.ones((2, 2)), 4)
 
 
 class TestSlimquantSearch:
