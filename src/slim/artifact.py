@@ -3,21 +3,22 @@
 A compressed layer is stored as one tensor container holding the stored
 weight representation (integer codes plus scales, or a raw f32 matrix),
 the packed keep-mask, the adapter factors (raw or as codes plus scales),
-and a ``__config__`` tensor of canonical JSON bytes describing the
-configuration, provenance and channel scaling. Masks pack 8 entries per
-byte, row-major, most significant bit first.
+and a ``__config__`` tensor of canonical JSON bytes holding the
+configuration, provenance and channel scaling. The configuration alone
+decides which tensors exist and how they decode (see :func:`_layout`).
+Masks pack 8 entries per byte, row-major, most significant bit first.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .container import read_container, write_container, container_to_bytes, container_from_bytes
 from .errors import SchemaViolation, SlimError
-from .lora import LowRankAdapter
+from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from .prune import SparsityMask, SparsityPattern
 from .quant import ChannelScaling, QuantizedTensor, dequantize
@@ -25,123 +26,141 @@ from .quant import ChannelScaling, QuantizedTensor, dequantize
 __all__ = ["serialize_compressed_layer", "deserialize_compressed_layer"]
 
 _ARTIFACT_KIND = "compressed-layer"
-_ARTIFACT_VERSION = 1
+_ARTIFACT_VERSION = 2
+# Version 1 also wrote "weights", "adapter" and "mask" records restating the
+# config, and older files a "created_at" provenance field; both are ignored.
+_READ_VERSIONS = (1, 2)
+_PACKED = "packed"  # codec of the keep-mask
 
 
-def _pattern_from_json(raw) -> SparsityPattern | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise SchemaViolation("sparsity entry must be an object or null")
-    return SparsityPattern(
-        kind=raw.get("kind"),
-        ratio=raw.get("ratio"),
-        n=raw.get("n"),
-        m=raw.get("m"),
-    )
+def _layout(cfg: LayerCompressionConfig, rows: int, cols: int) -> dict:
+    """The parts a config stores for a rows x cols layer, in storage order.
+
+    Maps each part to ``(shape, codec)``. The codec is ``(bits,
+    group_size)`` for int8 codes plus f32 scales, None for a raw f32
+    matrix, and ``"packed"`` for the keep-mask bit-packed into u8.
+    """
+    w_codec = None
+    if cfg.quant_method != "none":
+        group = cfg.group_size if cfg.quant_method == "group_absmax" else None
+        w_codec = (cfg.weight_bits, group)
+    layout = {"weights": ((rows, cols), w_codec)}
+    if cfg.sparsity is not None:
+        layout["mask"] = ((rows, cols), _PACKED)
+    if cfg.adapter_method != "none":
+        rank = default_rank(rows, cols, cfg.effective_rank_ratio)
+        a_codec = (ADAPTER_QUANT_BITS, cfg.group_size) if cfg.quantize_adapters else None
+        layout["adapter_left"] = ((rows, rank), a_codec)
+        layout["adapter_right"] = ((rank, cols), a_codec)
+    return layout
 
 
-def _config_from_json(raw: dict) -> LayerCompressionConfig:
-    try:
-        return LayerCompressionConfig(
-            quant_method=raw["quant_method"],
-            weight_bits=raw["weight_bits"],
-            group_size=raw["group_size"],
-            sparsity=_pattern_from_json(raw.get("sparsity")),
-            prune_scores=raw["prune_scores"],
-            adapter_method=raw["adapter_method"],
-            rank_ratio=raw.get("rank_ratio"),
-            quantize_adapters=raw["quantize_adapters"],
-            input_fp8=raw["input_fp8"],
-            channel_scaling=raw.get("channel_scaling"),
-            scale_fraction=raw["scale_fraction"],
-            scale_factor=raw["scale_factor"],
-        )
-    except KeyError as exc:
-        raise SchemaViolation(f"artifact config is missing {exc}") from exc
+def _tensor_names(part: str, codec) -> tuple[str, ...]:
+    if codec is None:
+        return (part,)
+    if codec == _PACKED:
+        return (f"{part}_packed",)
+    prefix = "" if part == "weights" else f"{part}_"
+    return (f"{prefix}codes", f"{prefix}scales")
+
+
+def _describe(part) -> tuple:
+    """``(shape, codec)`` of a stored part, as :func:`_layout` states them."""
+    if isinstance(part, QuantizedTensor):
+        return part.shape, (part.bits, part.group_size)
+    if isinstance(part, SparsityMask):
+        return part.keep.shape, _PACKED
+    return np.shape(part), None
+
+
+def _checked_parts(layer: CompressedLayer) -> dict:
+    """The layer's stored parts by name, checked against its config.
+
+    Raises:
+        SchemaViolation: a part is missing or extra, or its shape, bit width
+            or group size is not what the config implies for the layer's
+            shape; or the channel scaling disagrees with the config's
+            switch or names a channel >= d_in.
+    """
+    parts = {"weights": layer.weights}
+    if layer.mask is not None:
+        parts["mask"] = layer.mask
+    adapter = layer.adapter
+    if adapter is not None:
+        factors = adapter.quantized or (adapter.left, adapter.right)
+        parts["adapter_left"], parts["adapter_right"] = factors
+    layout = _layout(layer.config, *layer.shape)
+    for name in sorted(parts.keys() | layout.keys()):
+        found = _describe(parts[name]) if name in parts else None
+        if found != layout.get(name):
+            raise SchemaViolation(
+                f"{name} is {found} as (shape, codec); the config implies {layout.get(name)}"
+            )
+    scaling = layer.channel_scaling
+    if (scaling is not None) != layer.config.scaling_enabled:
+        raise SchemaViolation("channel scaling does not match the config's scaling switch")
+    if scaling is not None and (scaling.channel_indices >= layer.shape[0]).any():
+        raise SchemaViolation(f"channel scaling names a channel >= d_in {layer.shape[0]}")
+    return parts
 
 
 def layer_to_tensors(layer: CompressedLayer) -> dict:
-    """Flatten a layer into the tensor mapping stored in the container."""
+    """Flatten a layer into the tensor mapping stored in the container.
+
+    Raises:
+        SchemaViolation: the layer's parts are not the ones its config
+            implies, so the reader would reject the artifact.
+    """
     tensors = {}
+    for name, part in _checked_parts(layer).items():
+        codec = _describe(part)[1]
+        names = _tensor_names(name, codec)
+        if codec is None:
+            tensors[name] = np.asarray(part, dtype=np.float32)
+        elif codec == _PACKED:
+            tensors[names[0]] = np.packbits(part.keep.reshape(-1))
+        else:
+            tensors[names[0]], tensors[names[1]] = part.codes, part.scales.astype(np.float32)
+    scaling = layer.channel_scaling
     meta = {
         "artifact": _ARTIFACT_KIND,
         "version": _ARTIFACT_VERSION,
         "config": asdict(layer.config),
         "provenance": asdict(layer.provenance),
-        "scaling": None,
-        "weights": None,
-        "adapter": None,
+        "scaling": None if scaling is None else {
+            "indices": [int(i) for i in scaling.channel_indices],
+            "factor": scaling.factor,
+        },
     }
-
-    if isinstance(layer.weights, QuantizedTensor):
-        qt = layer.weights
-        tensors["codes"] = qt.codes
-        tensors["scales"] = qt.scales.astype(np.float32)
-        meta["weights"] = {
-            "kind": "quantized",
-            "bits": qt.bits,
-            "group_size": qt.group_size,
-        }
-    else:
-        tensors["weights"] = np.asarray(layer.weights, dtype=np.float32)
-        meta["weights"] = {"kind": "raw"}
-
-    if layer.mask is not None:
-        tensors["mask_packed"] = np.packbits(layer.mask.keep.reshape(-1))
-        rows, cols = layer.mask.keep.shape
-        meta["mask"] = {"rows": rows, "cols": cols}
-
-    if layer.channel_scaling is not None:
-        meta["scaling"] = {
-            "indices": [int(i) for i in layer.channel_scaling.channel_indices],
-            "factor": layer.channel_scaling.factor,
-        }
-
-    adapter = layer.adapter
-    if adapter is not None:
-        if adapter.quantized is not None:
-            ql, qr = adapter.quantized
-            tensors["adapter_left_codes"] = ql.codes
-            tensors["adapter_left_scales"] = ql.scales.astype(np.float32)
-            tensors["adapter_right_codes"] = qr.codes
-            tensors["adapter_right_scales"] = qr.scales.astype(np.float32)
-            meta["adapter"] = {
-                "rank": adapter.rank,
-                "quantized": True,
-                "bits": ql.bits,
-                "group_size": ql.group_size,
-            }
-        else:
-            tensors["adapter_left"] = adapter.left.astype(np.float32)
-            tensors["adapter_right"] = adapter.right.astype(np.float32)
-            meta["adapter"] = {"rank": adapter.rank, "quantized": False}
-
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors["__config__"] = np.frombuffer(blob, dtype=np.uint8)
     return tensors
 
 
-def _need(tensors: dict, name: str) -> np.ndarray:
-    if name not in tensors:
-        raise SchemaViolation(f"artifact is missing tensor {name!r}")
-    return tensors[name]
+def _from_fields(cls, raw, ignored=(), **values):
+    """``cls`` built from a JSON object holding exactly its fields, apart from
+    ``ignored`` keys; ``values`` replace decoded entries."""
+    names = {f.name for f in fields(cls)}
+    if not isinstance(raw, dict) or set(raw) - set(ignored) != names:
+        raise SchemaViolation(f"{cls.__name__} record must hold exactly the keys {sorted(names)}")
+    return cls(**{**{n: raw[n] for n in names}, **values})
 
 
-def _quantized_from(tensors: dict, prefix: str, bits: int, group_size) -> QuantizedTensor:
-    codes = _need(tensors, f"{prefix}codes")
-    scales = _need(tensors, f"{prefix}scales")
-    if codes.dtype != np.int8 or codes.ndim != 2:
-        raise SchemaViolation(f"{prefix}codes must be a 2-D i8 tensor")
-    try:
-        return QuantizedTensor(
-            codes=codes,
-            scales=np.asarray(scales, dtype=np.float64).reshape(-1),
-            group_size=group_size,
-            bits=bits,
-        )
-    except SlimError as exc:
-        raise SchemaViolation(f"artifact holds inconsistent {prefix}tensors: {exc}") from exc
+def _decode(tensors: dict, name: str, shape: tuple, codec):
+    """One part from its container tensors; its shape is checked later."""
+    names = _tensor_names(name, codec)
+    first = tensors[names[0]]
+    if codec is None:
+        return np.asarray(first, dtype=np.float64)
+    if first.dtype != (np.uint8 if codec == _PACKED else np.int8):
+        raise SchemaViolation(f"{names[0]} has the wrong dtype {first.dtype}")
+    if codec != _PACKED:
+        scales = tensors[names[1]].reshape(-1)
+        return QuantizedTensor(first, scales, group_size=codec[1], bits=codec[0])
+    total = shape[0] * shape[1]
+    if first.shape != (-(-total // 8),):
+        raise SchemaViolation(f"{names[0]} holds {first.size} bytes, need {-(-total // 8)}")
+    return SparsityMask(np.unpackbits(first, count=total).astype(bool).reshape(shape))
 
 
 def layer_from_tensors(tensors: dict) -> CompressedLayer:
@@ -154,98 +173,45 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
         raise SchemaViolation(f"__config__ is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("artifact") != _ARTIFACT_KIND:
         raise SchemaViolation("container does not describe a compressed layer")
-    if meta.get("version") != _ARTIFACT_VERSION:
+    if meta.get("version") not in _READ_VERSIONS:
         raise SchemaViolation(f"unsupported artifact version {meta.get('version')!r}")
 
     try:
-        cfg = _config_from_json(meta["config"])
-        prov_raw = meta["provenance"]
-        prov = Provenance(
-            rows=int(prov_raw["rows"]),
-            cols=int(prov_raw["cols"]),
-            alpha=prov_raw.get("alpha"),
-        )
-        winfo = meta["weights"]
-        ainfo = meta.get("adapter")
-        sinfo = meta.get("scaling")
-        minfo = meta.get("mask")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaViolation(f"artifact metadata malformed: {exc}") from exc
-    except SlimError as exc:
-        raise SchemaViolation(f"artifact config invalid: {exc}") from exc
-
-    try:
-        if not isinstance(winfo, dict):
-            raise SchemaViolation("weights metadata missing")
-        if winfo.get("kind") == "quantized":
-            weights = _quantized_from(tensors, "", int(winfo["bits"]), winfo.get("group_size"))
-        elif winfo.get("kind") == "raw":
-            weights = np.asarray(_need(tensors, "weights"), dtype=np.float64)
-            if weights.ndim != 2:
-                raise SchemaViolation("raw weights tensor must be 2-D")
-        else:
-            raise SchemaViolation(f"unknown weight kind {winfo.get('kind')!r}")
-        if weights.shape != (prov.rows, prov.cols):
+        raw = meta["config"]
+        sparsity = raw.get("sparsity") if isinstance(raw, dict) else None
+        if sparsity is not None:
+            sparsity = _from_fields(SparsityPattern, sparsity)
+        cfg = _from_fields(LayerCompressionConfig, raw, sparsity=sparsity)
+        prov = _from_fields(Provenance, meta["provenance"], ignored=("created_at",))
+        layout = _layout(cfg, prov.rows, prov.cols)
+        expected = {"__config__"}.union(*(_tensor_names(n, c) for n, (_, c) in layout.items()))
+        if set(tensors) != expected:
             raise SchemaViolation(
-                f"weight shape {weights.shape} does not match provenance "
-                f"({prov.rows}, {prov.cols})"
+                f"the config names tensors {sorted(expected)}, not {sorted(tensors)}"
             )
-
-        mask = None
-        if minfo is not None:
-            rows, cols = int(minfo["rows"]), int(minfo["cols"])
-            if (rows, cols) != (prov.rows, prov.cols):
-                raise SchemaViolation(
-                    f"mask shape ({rows}, {cols}) does not match provenance "
-                    f"({prov.rows}, {prov.cols})"
-                )
-            packed = _need(tensors, "mask_packed")
-            if packed.dtype != np.uint8:
-                raise SchemaViolation("mask_packed must be a u8 tensor")
-            total = rows * cols
-            if packed.size != -(-total // 8):
-                raise SchemaViolation(
-                    f"mask_packed holds {packed.size} bytes, need {-(-total // 8)}"
-                )
-            keep = np.unpackbits(packed.reshape(-1), count=total).astype(bool)
-            mask = SparsityMask(keep.reshape(rows, cols))
+        parts = {n: _decode(tensors, n, shape, codec) for n, (shape, codec) in layout.items()}
 
         adapter = None
-        if ainfo is not None:
-            rank = int(ainfo["rank"])
-            if ainfo.get("quantized"):
-                ql = _quantized_from(
-                    tensors, "adapter_left_", int(ainfo["bits"]), ainfo.get("group_size")
-                )
-                qr = _quantized_from(
-                    tensors, "adapter_right_", int(ainfo["bits"]), ainfo.get("group_size")
-                )
-                adapter = LowRankAdapter(
-                    left=dequantize(ql), right=dequantize(qr), rank=rank, quantized=(ql, qr)
-                )
-            else:
-                adapter = LowRankAdapter(
-                    left=np.asarray(_need(tensors, "adapter_left"), dtype=np.float64),
-                    right=np.asarray(_need(tensors, "adapter_right"), dtype=np.float64),
-                    rank=rank,
-                    quantized=None,
-                )
-
+        if "adapter_left" in parts:
+            factors = (parts["adapter_left"], parts["adapter_right"])
+            quantized = isinstance(factors[0], QuantizedTensor)
+            left, right = map(dequantize, factors) if quantized else factors
+            rank = layout["adapter_left"][0][1]  # factor shapes are checked below
+            adapter = LowRankAdapter(left, right, rank, factors if quantized else None)
+        s = meta["scaling"]
         scaling = None
-        if sinfo is not None:
-            scaling = ChannelScaling(
-                channel_indices=np.asarray(sinfo["indices"], dtype=np.int64),
-                factor=float(sinfo["factor"]),
-            )
-
-        return CompressedLayer(
-            weights=weights,
-            mask=mask,
+        if s is not None:
+            scaling = ChannelScaling(np.asarray(s["indices"], dtype=np.int64), float(s["factor"]))
+        layer = CompressedLayer(
+            weights=parts["weights"],
+            mask=parts.get("mask"),
             adapter=adapter,
             channel_scaling=scaling,
             config=cfg,
             provenance=prov,
         )
+        _checked_parts(layer)
+        return layer
     except SchemaViolation:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -255,7 +221,12 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
 
 
 def serialize_compressed_layer(layer: CompressedLayer, path) -> None:
-    """Write a layer artifact to ``path``; byte-deterministic per layer."""
+    """Write a layer artifact to ``path``; byte-deterministic per layer.
+
+    Raises:
+        SchemaViolation: the layer's parts are not the ones its config
+            implies; nothing is written.
+    """
     write_container(path, layer_to_tensors(layer))
 
 
@@ -264,7 +235,8 @@ def deserialize_compressed_layer(path) -> CompressedLayer:
 
     Raises:
         SchemaViolation: the container is valid but does not describe a
-            compressed layer (missing tensors, inconsistent metadata).
+            compressed layer (a tensor missing or not named by the config,
+            metadata inconsistent with the config or the layer shape).
         BadMagic / UnsupportedVersion / CorruptHeader / TruncatedData:
             propagated from the container reader.
     """

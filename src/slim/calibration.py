@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
 
 __all__ = [
@@ -111,8 +112,6 @@ def save_calibration(path, stats: CalibrationStats) -> None:
     Layout: f32 tensors "mean_abs" and "l2_norm" plus a "__meta__" tensor
     of UTF-8 JSON bytes holding ``d_in`` and ``token_count``.
     """
-    from .container import write_container
-
     meta = json.dumps(
         {"d_in": stats.d_in, "token_count": stats.token_count}, sort_keys=True
     ).encode("utf-8")
@@ -133,8 +132,6 @@ def load_calibration(path) -> CalibrationStats:
         SchemaViolation: the container lacks the expected tensors or the
             metadata is inconsistent with them.
     """
-    from .container import read_container
-
     tensors = read_container(path)
     for name in ("mean_abs", "l2_norm", "__meta__"):
         if name not in tensors:

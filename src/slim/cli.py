@@ -134,6 +134,7 @@ def cmd_compress(args) -> int:
     if not names:
         raise SlimError(f"{args.weights} holds no weight tensors")
     stats = load_calibration(args.calib) if args.calib is not None else None
+    sal = saliency_vector(stats) if stats is not None else None
 
     out_stem = Path(args.out)
     report: dict[str, dict] = {}
@@ -141,11 +142,9 @@ def cmd_compress(args) -> int:
         layer = compress_layer(weights[name], stats, cfg)
         path = out_stem.parent / f"{out_stem.name}.{name}.slim"
         serialize_compressed_layer(layer, path)
-        if stats is not None:
-            sal = saliency_vector(stats)
-        else:
-            sal = SaliencyVector.constant(layer.shape[0])
-        entry = weight_space_report(weights[name], layer, sal)
+        entry = weight_space_report(
+            weights[name], layer, sal if sal is not None else SaliencyVector.constant(layer.shape[0])
+        )
         entry["alpha"] = layer.provenance.alpha
         entry["artifact"] = str(path)
         report[name] = entry

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -127,12 +128,14 @@ class TestRoundTrip:
         assert layer_to_bytes(back) == p.read_bytes()
 
     def test_reads_legacy_created_at(self):
-        # Artifacts written before Provenance lost created_at carry it as null.
-        layer = compressed(CONFIGS[5])
-        legacy = edit_meta(layer_to_tensors(layer), lambda m: m["provenance"].update(created_at=None))
-        back = layer_from_tensors(legacy)
-        assert back.provenance == layer.provenance
-        assert layer_to_bytes(back) == layer_to_bytes(layer)
+        # Version 1 restated the config in weights/adapter/mask records, and
+        # older files carry a null created_at; both are ignored on reading.
+        for cfg in CONFIGS:
+            layer = compressed(cfg)
+            back = layer_from_tensors(as_version_1(layer))
+            assert back.config == layer.config
+            assert back.provenance == layer.provenance
+            assert layer_to_bytes(back) == layer_to_bytes(layer)
 
     def test_serialization_deterministic(self):
         cfg = LayerCompressionConfig(adapter_method="naive", rank_ratio=0.25)
@@ -151,7 +154,9 @@ class TestMaskPacking:
             mask=SparsityMask(keep),
             adapter=None,
             channel_scaling=None,
-            config=LayerCompressionConfig(quant_method="none"),
+            config=LayerCompressionConfig(
+                quant_method="none", sparsity=SparsityPattern.unstructured(0.5)
+            ),
             provenance=Provenance(rows=4, cols=8),
         )
         tensors = layer_to_tensors(layer)
@@ -166,13 +171,35 @@ class TestMaskPacking:
             mask=SparsityMask(keep),
             adapter=None,
             channel_scaling=None,
-            config=LayerCompressionConfig(quant_method="none"),
+            config=LayerCompressionConfig(
+                quant_method="none", sparsity=SparsityPattern.unstructured(0.5)
+            ),
             provenance=Provenance(rows=5, cols=7),
         )
         tensors = layer_to_tensors(layer)
         assert tensors["mask_packed"].shape == (5,)
         back = layer_from_tensors(tensors)
         assert np.array_equal(back.mask.keep, keep)
+
+
+def as_version_1(layer):
+    """The tensors a version-1 writer produced for ``layer``."""
+    def downgrade(meta):
+        meta["version"] = 1
+        meta["provenance"]["created_at"] = None
+        w, a = layer.weights, layer.adapter
+        if isinstance(w, QuantizedTensor):
+            meta["weights"] = {"kind": "quantized", "bits": w.bits, "group_size": w.group_size}
+        else:
+            meta["weights"] = {"kind": "raw"}
+        meta["adapter"] = None if a is None else {"rank": a.rank, "quantized": False}
+        if a is not None and a.quantized is not None:
+            q = a.quantized[0]
+            meta["adapter"].update(quantized=True, bits=q.bits, group_size=q.group_size)
+        if layer.mask is not None:
+            meta["mask"] = {"rows": layer.shape[0], "cols": layer.shape[1]}
+
+    return edit_meta(layer_to_tensors(layer), downgrade)
 
 
 def valid_tensors():
@@ -230,9 +257,44 @@ class TestSchemaViolations:
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
 
-    def test_mask_shape_provenance_mismatch(self):
-        # 16 x 12 transposed: same bit count, so only the shape check catches it.
-        t = edit_meta(valid_tensors(), lambda m: m["mask"].update(rows=12, cols=16))
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m["config"].update(quantize_adapters=True),
+        lambda m: m["config"].update(sparsity=None),
+        lambda m: m["config"].update(adapter_method="none", rank_ratio=None),
+        lambda m: m["config"].update(quant_method="none"),
+        lambda m: m["config"].update(weight_bits=2),
+        lambda m: m["config"].update(rank_ratio=0.5),
+    ], ids=["quantize_adapters", "sparsity", "adapter_method", "quant_method",
+            "weight_bits", "rank_ratio"])
+    def test_config_contradicting_tensors(self, mutate):
+        # The config alone decides which tensors exist and how they decode.
+        cfg = LayerCompressionConfig(
+            sparsity=SparsityPattern.semistructured(2, 4), adapter_method="slim", rank_ratio=0.25
+        )
+        t = edit_meta(layer_to_tensors(compressed(cfg)), mutate)
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    def test_tensor_not_named_by_config(self):
+        t = valid_tensors()
+        t["adapter_left"] = np.zeros((16, 2), dtype=np.float32)
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    def test_adapter_rows_differ_from_d_in(self):
+        t = layer_to_tensors(compressed(CONFIGS[7]))
+        t["adapter_left"] = t["adapter_left"][:-4]  # same rank, 12 rows for d_in 16
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    def test_scaling_index_beyond_d_in(self):
+        t = layer_to_tensors(compressed(CONFIGS[4]))
+        t = edit_meta(t, lambda m: m["scaling"].update(indices=[3, 40]))
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    def test_scaling_against_config_switch(self):
+        t = edit_meta(valid_tensors(), lambda m: m.update(scaling={"indices": [3], "factor": 2.0}))
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
 
@@ -252,6 +314,13 @@ class TestSchemaViolations:
         t = edit_meta(valid_tensors(), lambda m: m["config"].pop("weight_bits"))
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
+
+    def test_writer_refuses_parts_the_config_does_not_imply(self, tmp_path):
+        layer = compressed(CONFIGS[7])
+        path = tmp_path / "layer.slim"
+        with pytest.raises(SchemaViolation):
+            serialize_compressed_layer(dataclasses.replace(layer, adapter=None), path)
+        assert not path.exists()
 
     def test_plain_container_is_not_a_layer(self):
         payload = container_to_bytes({"x": np.zeros((2, 2), dtype=np.float32)})

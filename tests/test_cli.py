@@ -305,6 +305,30 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("defect", ["adapter_rows", "scaling_index"])
+    def test_artifact_inconsistent_with_shape_data_error(self, workspace, capsys, defect):
+        out = workspace["dir"] / "bad"
+        main(["compress", "--weights", str(workspace["weights"]),
+              "--calib", str(workspace["calib"]), "--out", str(out),
+              "--quant", "slim-o", "--lora", "slim", "--rank-ratio", "0.25"])
+        artifact = out.parent / "bad.weights.slim"
+        tensors = read_container(artifact)
+        if defect == "adapter_rows":
+            tensors["adapter_left"] = tensors["adapter_left"][:-4]  # 12 rows, d_in 16
+        else:
+            meta = json.loads(tensors["__config__"].tobytes())
+            meta["scaling"]["indices"] = [3, 40]
+            blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+            tensors["__config__"] = np.frombuffer(blob, dtype=np.uint8)
+        write_container(artifact, tensors)
+        capsys.readouterr()
+        code, _, err = run(
+            capsys, "eval", "--original", str(workspace["weights"]),
+            "--compressed", str(artifact), "--inputs", str(workspace["acts"]),
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_multi_tensor_needs_selector(self, workspace, tmp_path, capsys):
         multi = tmp_path / "multi.slim"
         rng = np.random.default_rng(16)
