@@ -133,17 +133,58 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
         },
     }
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    _records(json.loads(blob))  # refuse metadata the reader would reject
     tensors["__config__"] = np.frombuffer(blob, dtype=np.uint8)
     return tensors
 
 
+# JSON types for each field annotation. bool is a subclass of int in Python,
+# so a bool matches only "bool": `true` is neither a count nor a version.
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
+def _json_typed(value, annotation: str) -> bool:
+    """Whether ``value`` has a JSON type the writer emits for ``annotation``."""
+    names = annotation.split(" | ")
+    if isinstance(value, bool):
+        return "bool" in names
+    return isinstance(value, tuple(_JSON_TYPES[n] for n in names))
+
+
 def _from_fields(cls, raw, ignored=(), **values):
     """``cls`` built from a JSON object holding exactly its fields, apart from
-    ``ignored`` keys; ``values`` replace decoded entries."""
+    ``ignored`` keys, each of its field's JSON type; ``values`` replace
+    decoded entries."""
     names = {f.name for f in fields(cls)}
     if not isinstance(raw, dict) or set(raw) - set(ignored) != names:
         raise SchemaViolation(f"{cls.__name__} record must hold exactly the keys {sorted(names)}")
+    for f in fields(cls):
+        if f.name not in values and not _json_typed(raw[f.name], f.type):
+            raise SchemaViolation(f"{cls.__name__}.{f.name} must be {f.type}, got {raw[f.name]!r}")
     return cls(**{**{n: raw[n] for n in names}, **values})
+
+
+def _records(meta) -> tuple:
+    """``(config, provenance, channel scaling or None)`` of a parsed ``__config__``."""
+    if not isinstance(meta, dict) or meta.get("artifact") != _ARTIFACT_KIND:
+        raise SchemaViolation("container does not describe a compressed layer")
+    version = meta.get("version")
+    if isinstance(version, bool) or version not in _READ_VERSIONS:
+        raise SchemaViolation(f"unsupported artifact version {version!r}")
+    raw = meta["config"]
+    sparsity = raw.get("sparsity") if isinstance(raw, dict) else None
+    if sparsity is not None:
+        sparsity = _from_fields(SparsityPattern, sparsity)
+    cfg = _from_fields(LayerCompressionConfig, raw, sparsity=sparsity)
+    prov = _from_fields(Provenance, meta["provenance"], ignored=("created_at",))
+    s = meta["scaling"]
+    if s is None:
+        return cfg, prov, None
+    indices, factor = s["indices"], s["factor"]
+    if not (isinstance(indices, list) and all(_json_typed(i, "int") for i in indices)
+            and _json_typed(factor, "float")):
+        raise SchemaViolation("scaling must hold a list of int indices and a number factor")
+    return cfg, prov, ChannelScaling(np.asarray(indices, dtype=np.int64), float(factor))
 
 
 def _decode(tensors: dict, name: str, shape: tuple, codec):
@@ -171,18 +212,8 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
         meta = json.loads(bytes(tensors["__config__"].tobytes()).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise SchemaViolation(f"__config__ is not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("artifact") != _ARTIFACT_KIND:
-        raise SchemaViolation("container does not describe a compressed layer")
-    if meta.get("version") not in _READ_VERSIONS:
-        raise SchemaViolation(f"unsupported artifact version {meta.get('version')!r}")
-
     try:
-        raw = meta["config"]
-        sparsity = raw.get("sparsity") if isinstance(raw, dict) else None
-        if sparsity is not None:
-            sparsity = _from_fields(SparsityPattern, sparsity)
-        cfg = _from_fields(LayerCompressionConfig, raw, sparsity=sparsity)
-        prov = _from_fields(Provenance, meta["provenance"], ignored=("created_at",))
+        cfg, prov, scaling = _records(meta)
         layout = _layout(cfg, prov.rows, prov.cols)
         expected = {"__config__"}.union(*(_tensor_names(n, c) for n, (_, c) in layout.items()))
         if set(tensors) != expected:
@@ -198,10 +229,6 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
             left, right = map(dequantize, factors) if quantized else factors
             rank = layout["adapter_left"][0][1]  # factor shapes are checked below
             adapter = LowRankAdapter(left, right, rank, factors if quantized else None)
-        s = meta["scaling"]
-        scaling = None
-        if s is not None:
-            scaling = ChannelScaling(np.asarray(s["indices"], dtype=np.int64), float(s["factor"]))
         layer = CompressedLayer(
             weights=parts["weights"],
             mask=parts.get("mask"),

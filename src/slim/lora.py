@@ -6,8 +6,10 @@ weight w. The naive variant minimizes the plain Frobenius norm of the
 residual; the saliency-weighted variant minimizes the residual with each
 input row weighted by the channel's average activation magnitude, which
 spends the limited rank budget on the channels that actually carry signal.
-Both reduce to a truncated SVD, so optimality in the respective norm is
-inherited from the SVD itself.
+Both reduce to an exact truncated factorization of the (weighted) error
+(:func:`slim.tensor.svd_truncated`, which takes the leading singular
+subspace from the smaller-side Gram matrix), so optimality in the
+respective norm is the Eckart-Young optimum of that factorization.
 """
 
 from __future__ import annotations
@@ -164,8 +166,9 @@ def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
     if xv.size != a.shape[0]:
         raise ShapeMismatch(f"saliency length {xv.size} != d_in {a.shape[0]}")
     e_c = b - a
-    left_w, right = svd_truncated(xv[:, None] * e_c, r)
-    left = -(left_w / xv[:, None])
+    e_c *= xv[:, None]  # weight in place: one d_in x d_out temporary, not two
+    left, right = svd_truncated(e_c, r)
+    left /= -xv[:, None]
     return LowRankAdapter(left=left, right=right, rank=r)
 
 

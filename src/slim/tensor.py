@@ -27,6 +27,11 @@ MIN_BINS = 512
 MAX_BINS = 20000
 ELEMENTS_PER_BIN = 1000
 
+# svd_truncated forms a Gram matrix from entries up to 2**GRAM_SAFE_EXPONENT
+# in magnitude (and no smaller than its inverse), so sums of squared entries
+# stay well inside float64's normal range (about 2**+-1022).
+GRAM_SAFE_EXPONENT = 400
+
 
 def as_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
     """Validate and normalize input to a 2-D float64 array.
@@ -158,6 +163,18 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     is fixed so the first nonzero entry of each right-factor row is
     non-negative.
 
+    Method: the top-r eigenvectors of the Gram matrix on the smaller side
+    (``m.T @ m`` when cols <= rows, else ``m @ m.T``) span the leading
+    singular subspace, so projecting ``m`` onto them is the exact
+    Eckart-Young optimum without computing all min(rows, cols) singular
+    triplets. For a tall or square ``m`` with right singular vectors V,
+    ``right = V.T`` and ``left = m @ V``. For a wide ``m`` with left
+    singular vectors U, ``m.T @ U = Q R`` gives ``right = Q.T`` and
+    ``left = U @ R.T``; no singular value is divided by, so the right rows
+    stay orthonormal even when ``m`` is rank-deficient or zero. The cost
+    is one rows*cols*k Gram product and one k x k symmetric
+    eigendecomposition, k = min(rows, cols).
+
     Args:
         m: Matrix to approximate.
         r: Target rank, 1 <= r <= min(rows, cols).
@@ -170,18 +187,26 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = arr.shape
     if not (1 <= r <= min(rows, cols)):
         raise RankOutOfRange(f"rank {r} not in [1, {min(rows, cols)}]")
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    u = u[:, :r]
-    s = s[:r]
-    vt = vt[:r, :]
+    # The Gram matrix squares the entries: outside a safe exponent range,
+    # rescale by a power of two so it neither overflows nor underflows.
+    exp = int(np.frexp(max(arr.max(), -arr.min()))[1])
+    if abs(exp) > GRAM_SAFE_EXPONENT:
+        left, right = svd_truncated(np.ldexp(arr, -exp), r)
+        return np.ldexp(left, exp), right
+    if cols <= rows:
+        # eigh sorts eigenvalues ascending: the last r columns, reversed.
+        v = np.linalg.eigh(arr.T @ arr)[1][:, : -r - 1 : -1]
+        right = np.ascontiguousarray(v.T)
+        left = arr @ v
+    else:
+        u = np.linalg.eigh(arr @ arr.T)[1][:, : -r - 1 : -1]
+        q, rt = np.linalg.qr(arr.T @ u)
+        right = np.ascontiguousarray(q.T)
+        left = u @ rt.T
     # Sign canonicalization: flip each component so the first nonzero
     # entry of its right-factor row is positive.
-    for k in range(r):
-        row = vt[k]
-        nz = np.flatnonzero(row)
-        if nz.size and row[nz[0]] < 0:
-            vt[k] = -row
-            u[:, k] = -u[:, k]
-    left = u * s
-    right = vt
+    first = right[np.arange(r), np.argmax(right != 0, axis=1)]
+    flip = first < 0
+    right[flip] *= -1.0
+    left[:, flip] *= -1.0
     return left, right

@@ -275,6 +275,26 @@ class TestSchemaViolations:
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m["config"].update(input_fp8=1),
+        lambda m: m["provenance"].update(rows=16.0),
+        lambda m: m.update(version=True),
+        lambda m: m["scaling"].update(indices=[float(i) for i in m["scaling"]["indices"]]),
+    ], ids=["bool_as_int", "int_as_float", "version_as_bool", "scaling_index_as_float"])
+    def test_mistyped_config_value(self, mutate):
+        # Each edit used to be accepted and written back in its wrong type.
+        t = edit_meta(layer_to_tensors(compressed(CONFIGS[4])), mutate)
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    def test_writer_refuses_mistyped_config(self, tmp_path):
+        layer = compressed(CONFIGS[4])
+        layer = dataclasses.replace(layer, config=dataclasses.replace(layer.config, weight_bits=4.0))
+        path = tmp_path / "layer.slim"
+        with pytest.raises(SchemaViolation):
+            serialize_compressed_layer(layer, path)
+        assert not path.exists()
+
     def test_tensor_not_named_by_config(self):
         t = valid_tensors()
         t["adapter_left"] = np.zeros((16, 2), dtype=np.float32)

@@ -17,3 +17,4 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not list(tmp_path.glob("slim-demo-*")), "demo left its work directory behind"

@@ -143,14 +143,16 @@ class TestSlimLora:
 
     def test_weighted_residual_matches_eigen_oracle(self):
         rng = np.random.default_rng(57)
-        w = rng.standard_normal((14, 10))
-        w_c = rng.standard_normal((14, 10))
-        xv = rng.uniform(0.2, 3.0, 14)
-        for r in (1, 4):
-            a = slim_lora(w, w_c, SaliencyVector(xv), r)
-            res = np.linalg.norm(xv[:, None] * (w - w_c - a.correction()), "fro")
-            expected = best_rank_r_residual(xv[:, None] * (w - w_c), r)
-            assert res == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        # d_in > d_out, and d_in < d_out as in an fc1 projection
+        for d_in, d_out in ((14, 10), (10, 40)):
+            w = rng.standard_normal((d_in, d_out))
+            w_c = rng.standard_normal((d_in, d_out))
+            xv = rng.uniform(0.2, 3.0, d_in)
+            for r in (1, 4):
+                a = slim_lora(w, w_c, SaliencyVector(xv), r)
+                res = np.linalg.norm(xv[:, None] * (w - w_c - a.correction()), "fro")
+                expected = best_rank_r_residual(xv[:, None] * (w - w_c), r)
+                assert res == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_beats_competitors_in_weighted_norm(self):
         rng = np.random.default_rng(58)

@@ -80,11 +80,19 @@ class TestSvdTruncated:
 
     def test_residual_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(2)
-        m = rng.standard_normal((6, 4))
-        left, right = svd_truncated(m, 2)
-        resid = np.linalg.norm(m - left @ right)
-        expected = best_rank_r_residual(m, 2)
-        assert resid == pytest.approx(expected, rel=1e-4)
+        # tall, wide and square; the 40x90 and 90x40 cases have the nearly
+        # flat spectrum of compression error (uniform rounding noise)
+        cases = [
+            (rng.standard_normal((6, 4)), 2),
+            (rng.standard_normal((4, 6)), 2),
+            (rng.standard_normal((30, 30)), 3),
+            (rng.uniform(-0.5, 0.5, (40, 90)), 4),
+            (rng.uniform(-0.5, 0.5, (90, 40)), 4),
+        ]
+        for m, r in cases:
+            left, right = svd_truncated(m, r)
+            resid = np.linalg.norm(m - left @ right)
+            assert resid == pytest.approx(best_rank_r_residual(m, r), rel=1e-9)
 
     def test_singular_values_fold_into_left(self):
         rng = np.random.default_rng(3)
@@ -97,8 +105,8 @@ class TestSvdTruncated:
 
     def test_sign_convention_first_nonzero_right_entry(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            m = rng.standard_normal((5, 6))
+        for k in range(20):
+            m = rng.standard_normal((5, 6) if k % 2 else (6, 5))
             _, right = svd_truncated(m, 3)
             for row in right:
                 nz = row[np.flatnonzero(row)]
@@ -152,5 +160,43 @@ class TestSvdTruncated:
             svd_truncated(m, 1)
 
     def test_zero_matrix(self):
-        left, right = svd_truncated(np.zeros((4, 3)), 2)
-        assert np.allclose(left @ right, 0.0)
+        for shape in ((4, 3), (3, 4)):
+            left, right = svd_truncated(np.zeros(shape), 2)
+            assert np.array_equal(left @ right, np.zeros(shape))
+            assert np.allclose(right @ right.T, np.eye(2), atol=1e-12)
+
+    def test_rank_deficient_orthonormal_and_exact(self):
+        # rank 2 in both orientations; asking for rank 4 must still give
+        # orthonormal right rows and reproduce the matrix
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 14))
+        for m in (base, base.T):
+            left, right = svd_truncated(m, 4)
+            assert np.allclose(right @ right.T, np.eye(4), atol=1e-10)
+            assert np.allclose(left @ right, m, atol=1e-10 * np.linalg.norm(m))
+
+    def test_extreme_magnitudes(self):
+        # squares of these entries overflow or underflow float64
+        rng = np.random.default_rng(10)
+        for scale in (1e200, 1e-200):
+            for shape in ((9, 6), (6, 9)):
+                m = rng.standard_normal(shape)
+                left, right = svd_truncated(m * scale, 3)
+                resid = np.linalg.norm(m - left @ right / scale)
+                assert resid == pytest.approx(best_rank_r_residual(m, 3), rel=1e-9)
+                assert np.allclose(right @ right.T, np.eye(3), atol=1e-12)
+
+    def test_eigendecomposition_on_smaller_side(self, monkeypatch):
+        # the Gram matrix is min(rows, cols) square whichever side is longer
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            seen.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        rng = np.random.default_rng(9)
+        for shape in ((60, 8), (8, 60)):
+            svd_truncated(rng.standard_normal(shape), 3)
+        assert seen == [(8, 8), (8, 8)]
