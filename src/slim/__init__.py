@@ -6,161 +6,23 @@ unstructured or n:m pattern using activation-aware saliency, then fit a
 saliency-weighted low-rank adapter to cancel the remaining error.
 Includes analytic memory/FLOP budget calculators and a bit-exact binary
 container for all artifacts.
+
+Every module's public names (its ``__all__``) are re-exported here.
 """
 
-from .errors import (
-    BadMagic,
-    ConfigInvalid,
-    CorruptHeader,
-    EmptyInput,
-    EmptyStats,
-    EmptyTensor,
-    IndivisibleDimension,
-    IoError,
-    NonFinite,
-    NonPositiveAlpha,
-    NonPositiveSaliency,
-    RankOutOfRange,
-    SchemaViolation,
-    ShapeMismatch,
-    SlimError,
-    TruncatedData,
-    UnsupportedBitwidth,
-    UnsupportedVersion,
-)
-from .tensor import AbsHistogram, build_abs_histogram, default_num_bins, svd_truncated
-from .calibration import (
-    CalibrationStats,
-    compute_calibration,
-    load_calibration,
-    save_calibration,
-)
-from .quant import (
-    E4M3,
-    E5M2,
-    ChannelScaling,
-    Fp8Format,
-    QuantizedTensor,
-    absmax_alpha,
-    activation_aware_scale,
-    dequantize,
-    estimate_error,
-    fp8_fake_quantize,
-    group_absmax_quantize,
-    quantize_symmetric,
-    slimquant_search,
-)
-from .prune import (
-    SparsityMask,
-    SparsityPattern,
-    apply_mask,
-    magnitude_scores,
-    semistructured_mask,
-    unstructured_mask,
-    wanda_scores,
-)
-from .lora import (
-    LowRankAdapter,
-    SaliencyVector,
-    default_rank,
-    naive_lora,
-    quantize_adapter,
-    saliency_vector,
-    slim_lora,
-)
-from .pipeline import (
-    CompressedLayer,
-    ErrorReport,
-    LayerCompressionConfig,
-    Provenance,
-    compress_layer,
-    error_report,
-    layer_output,
-)
-from .budget import (
-    ArchConfig,
-    SchemeConfig,
-    flop_reduction,
-    load_arch,
-    load_preset,
-    memory_reduction,
-    preset_names,
-)
-from .container import read_container, write_container
-from .artifact import deserialize_compressed_layer, serialize_compressed_layer
+from . import artifact, budget, calibration, container, errors, lora, pipeline, prune, quant, tensor
+from .errors import *
+from .tensor import *
+from .calibration import *
+from .quant import *
+from .prune import *
+from .lora import *
+from .pipeline import *
+from .budget import *
+from .container import *
+from .artifact import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsHistogram",
-    "ArchConfig",
-    "BadMagic",
-    "CalibrationStats",
-    "ChannelScaling",
-    "CompressedLayer",
-    "ConfigInvalid",
-    "CorruptHeader",
-    "E4M3",
-    "E5M2",
-    "EmptyInput",
-    "EmptyStats",
-    "EmptyTensor",
-    "ErrorReport",
-    "Fp8Format",
-    "IndivisibleDimension",
-    "IoError",
-    "LayerCompressionConfig",
-    "LowRankAdapter",
-    "NonFinite",
-    "NonPositiveAlpha",
-    "NonPositiveSaliency",
-    "Provenance",
-    "QuantizedTensor",
-    "RankOutOfRange",
-    "SaliencyVector",
-    "SchemaViolation",
-    "SchemeConfig",
-    "ShapeMismatch",
-    "SlimError",
-    "SparsityMask",
-    "SparsityPattern",
-    "TruncatedData",
-    "UnsupportedBitwidth",
-    "UnsupportedVersion",
-    "absmax_alpha",
-    "activation_aware_scale",
-    "apply_mask",
-    "build_abs_histogram",
-    "compress_layer",
-    "compute_calibration",
-    "default_num_bins",
-    "default_rank",
-    "dequantize",
-    "deserialize_compressed_layer",
-    "error_report",
-    "estimate_error",
-    "flop_reduction",
-    "fp8_fake_quantize",
-    "group_absmax_quantize",
-    "layer_output",
-    "load_arch",
-    "load_calibration",
-    "load_preset",
-    "magnitude_scores",
-    "memory_reduction",
-    "naive_lora",
-    "preset_names",
-    "quantize_adapter",
-    "quantize_symmetric",
-    "read_container",
-    "saliency_vector",
-    "save_calibration",
-    "semistructured_mask",
-    "serialize_compressed_layer",
-    "slim_lora",
-    "slimquant_search",
-    "svd_truncated",
-    "unstructured_mask",
-    "wanda_scores",
-    "write_container",
-]
+_MODULES = (errors, tensor, calibration, quant, prune, lora, pipeline, budget, container, artifact)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -12,11 +12,12 @@ Masks pack 8 entries per byte, row-major, most significant bit first.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
-from .container import read_container, write_container, container_to_bytes, container_from_bytes
+from .container import (_from_fields, _json_typed, container_from_bytes, container_to_bytes,
+                        read_container, write_container)
 from .errors import SchemaViolation, SlimError
 from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
@@ -79,7 +80,8 @@ def _checked_parts(layer: CompressedLayer) -> dict:
     Raises:
         SchemaViolation: a part is missing or extra, or its shape, bit width
             or group size is not what the config implies for the layer's
-            shape; or the channel scaling disagrees with the config's
+            shape; a stored code or raw weight is nonzero where the mask
+            drops it; or the channel scaling disagrees with the config's
             switch or names a channel >= d_in.
     """
     parts = {"weights": layer.weights}
@@ -96,6 +98,12 @@ def _checked_parts(layer: CompressedLayer) -> dict:
             raise SchemaViolation(
                 f"{name} is {found} as (shape, codec); the config implies {layout.get(name)}"
             )
+    if layer.mask is not None:
+        w = layer.weights
+        stored = w.codes if isinstance(w, QuantizedTensor) else w
+        dropped = ~layer.mask.keep
+        if np.logical_and(dropped, stored, out=dropped).any():  # one temporary, not two
+            raise SchemaViolation("stored weights are nonzero where the mask drops them")
     scaling = layer.channel_scaling
     if (scaling is not None) != layer.config.scaling_enabled:
         raise SchemaViolation("channel scaling does not match the config's scaling switch")
@@ -138,32 +146,6 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
     return tensors
 
 
-# JSON types for each field annotation. bool is a subclass of int in Python,
-# so a bool matches only "bool": `true` is neither a count nor a version.
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "None": type(None)}
-
-
-def _json_typed(value, annotation: str) -> bool:
-    """Whether ``value`` has a JSON type the writer emits for ``annotation``."""
-    names = annotation.split(" | ")
-    if isinstance(value, bool):
-        return "bool" in names
-    return isinstance(value, tuple(_JSON_TYPES[n] for n in names))
-
-
-def _from_fields(cls, raw, ignored=(), **values):
-    """``cls`` built from a JSON object holding exactly its fields, apart from
-    ``ignored`` keys, each of its field's JSON type; ``values`` replace
-    decoded entries."""
-    names = {f.name for f in fields(cls)}
-    if not isinstance(raw, dict) or set(raw) - set(ignored) != names:
-        raise SchemaViolation(f"{cls.__name__} record must hold exactly the keys {sorted(names)}")
-    for f in fields(cls):
-        if f.name not in values and not _json_typed(raw[f.name], f.type):
-            raise SchemaViolation(f"{cls.__name__}.{f.name} must be {f.type}, got {raw[f.name]!r}")
-    return cls(**{**{n: raw[n] for n in names}, **values})
-
-
 def _records(meta) -> tuple:
     """``(config, provenance, channel scaling or None)`` of a parsed ``__config__``."""
     if not isinstance(meta, dict) or meta.get("artifact") != _ARTIFACT_KIND:
@@ -172,10 +154,10 @@ def _records(meta) -> tuple:
     if isinstance(version, bool) or version not in _READ_VERSIONS:
         raise SchemaViolation(f"unsupported artifact version {version!r}")
     raw = meta["config"]
-    sparsity = raw.get("sparsity") if isinstance(raw, dict) else None
+    sparsity = raw["sparsity"] if isinstance(raw, dict) else None  # required; read on its own
     if sparsity is not None:
         sparsity = _from_fields(SparsityPattern, sparsity)
-    cfg = _from_fields(LayerCompressionConfig, raw, sparsity=sparsity)
+    cfg = _from_fields(LayerCompressionConfig, raw, ignored=("sparsity",), sparsity=sparsity)
     prov = _from_fields(Provenance, meta["provenance"], ignored=("created_at",))
     s = meta["scaling"]
     if s is None:
@@ -227,8 +209,7 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
             factors = (parts["adapter_left"], parts["adapter_right"])
             quantized = isinstance(factors[0], QuantizedTensor)
             left, right = map(dequantize, factors) if quantized else factors
-            rank = layout["adapter_left"][0][1]  # factor shapes are checked below
-            adapter = LowRankAdapter(left, right, rank, factors if quantized else None)
+            adapter = LowRankAdapter(left, right, factors if quantized else None)
         layer = CompressedLayer(
             weights=parts["weights"],
             mask=parts.get("mask"),

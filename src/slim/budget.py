@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigInvalid
+from .container import _from_fields
+from .errors import ConfigInvalid, SchemaViolation
 
 __all__ = [
     "ArchConfig",
@@ -131,28 +132,25 @@ def flop_reduction(arch: ArchConfig, scheme: SchemeConfig) -> float:
     return dense / compressed
 
 
-def _arch_from_dict(raw: dict, source: str) -> ArchConfig:
+def _read_arch(file, source: str) -> ArchConfig:
+    """ArchConfig from a UTF-8 JSON file holding exactly its four fields."""
     try:
-        return ArchConfig(
-            d=int(raw["d"]),
-            n=int(raw["n"]),
-            vocab=int(raw["vocab"]),
-            ffn_ratio=float(raw["ffn_ratio"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return _from_fields(ArchConfig, json.loads(file.read_text(encoding="utf-8")))
+    except (ValueError, SchemaViolation) as exc:
         raise ConfigInvalid(f"bad architecture description in {source}: {exc}") from exc
 
 
 def load_arch(path) -> ArchConfig:
-    """Read an architecture JSON file: {"d", "n", "vocab", "ffn_ratio"}."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"{path} must hold a JSON object")
-    return _arch_from_dict(raw, str(path))
+    """Read an architecture JSON file: {"d", "n", "vocab", "ffn_ratio"}.
+
+    ``d``, ``n`` and ``vocab`` must be JSON integers and ``ffn_ratio`` a
+    number; any other key is refused.
+
+    Raises:
+        ConfigInvalid: the file is not UTF-8 JSON, or does not describe a
+            valid architecture.
+    """
+    return _read_arch(Path(path), str(path))
 
 
 def preset_names() -> list[str]:
@@ -164,10 +162,6 @@ def preset_names() -> list[str]:
 def load_preset(name: str) -> ArchConfig:
     """Load a bundled preset by name (see :func:`preset_names`)."""
     res = resources.files("slim").joinpath("presets").joinpath(f"{name}.json")
-    try:
-        raw = json.loads(res.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigInvalid(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-    return _arch_from_dict(raw, f"preset {name}")
+    if not res.is_file():
+        raise ConfigInvalid(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return _read_arch(res, f"preset {name}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import _from_fields, read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
 
 __all__ = [
@@ -129,8 +129,9 @@ def load_calibration(path) -> CalibrationStats:
     """Inverse of :func:`save_calibration`.
 
     Raises:
-        SchemaViolation: the container lacks the expected tensors or the
-            metadata is inconsistent with them.
+        SchemaViolation: the container lacks the expected tensors, the
+            metadata does not hold exactly an int ``d_in`` and an int
+            ``token_count``, or it is inconsistent with the tensors.
     """
     tensors = read_container(path)
     for name in ("mean_abs", "l2_norm", "__meta__"):
@@ -138,19 +139,11 @@ def load_calibration(path) -> CalibrationStats:
             raise SchemaViolation(f"calibration container is missing {name!r}")
     try:
         meta = json.loads(bytes(tensors["__meta__"].tobytes()).decode("utf-8"))
-        d_in = int(meta["d_in"])
-        token_count = int(meta["token_count"])
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise SchemaViolation(f"bad calibration metadata: {exc}") from exc
     mean_abs = np.asarray(tensors["mean_abs"], dtype=np.float64).reshape(-1)
     l2_norm = np.asarray(tensors["l2_norm"], dtype=np.float64).reshape(-1)
-    if mean_abs.size != d_in or l2_norm.size != d_in:
-        raise SchemaViolation(
-            f"calibration tensors have length {mean_abs.size}/{l2_norm.size}, meta says {d_in}"
-        )
     try:
-        return CalibrationStats(
-            d_in=d_in, mean_abs=mean_abs, l2_norm=l2_norm, token_count=token_count
-        )
+        return _from_fields(CalibrationStats, meta, mean_abs=mean_abs, l2_norm=l2_norm)
     except (EmptyInput, ShapeMismatch, NonFinite) as exc:
         raise SchemaViolation(f"calibration container invalid: {exc}") from exc

@@ -138,17 +138,28 @@ def cmd_compress(args) -> int:
 
     out_stem = Path(args.out)
     report: dict[str, dict] = {}
-    for name in names:
-        layer = compress_layer(weights[name], stats, cfg)
-        path = out_stem.parent / f"{out_stem.name}.{name}.slim"
-        serialize_compressed_layer(layer, path)
-        entry = weight_space_report(
-            weights[name], layer, sal if sal is not None else SaliencyVector.constant(layer.shape[0])
-        )
-        entry["alpha"] = layer.provenance.alpha
-        entry["artifact"] = str(path)
-        report[name] = entry
-        del layer  # free its buffers before the next tensor's compress peaks
+    written: list[Path] = []
+    try:
+        for name in names:
+            layer = compress_layer(weights[name], stats, cfg)
+            path = out_stem.parent / f"{out_stem.name}.{name}.slim"
+            written.append(path)
+            serialize_compressed_layer(layer, path)
+            entry = weight_space_report(
+                weights[name], layer,
+                sal if sal is not None else SaliencyVector.constant(layer.shape[0]),
+            )
+            entry["alpha"] = layer.provenance.alpha
+            entry["artifact"] = str(path)
+            report[name] = entry
+            del layer  # free its buffers before the next tensor's compress peaks
+        if args.report is not None:
+            Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
+            logger.info("report written to %s", args.report)
+    except BaseException:
+        for path in written:  # a failed run leaves no artifact behind
+            path.unlink(missing_ok=True)
+        raise
 
     for name, entry in report.items():
         print(
@@ -156,9 +167,6 @@ def cmd_compress(args) -> int:
             f"weighted={entry['weighted_weight_mse']:.6g} "
             f"density={entry['density']:.4f} -> {entry['artifact']}"
         )
-    if args.report is not None:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
-        logger.info("report written to %s", args.report)
     return EXIT_OK
 
 

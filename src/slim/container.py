@@ -18,12 +18,18 @@ dtypes: ``f32``, ``i8``, ``u8``. Readers reject bad magic, unknown
 versions, malformed or self-inconsistent headers, and data sections
 shorter than the header promises, each with a dedicated error type; no
 malformed input may escalate past those errors.
+
+JSON records stored alongside the tensors (artifact and calibration
+metadata) and architecture files are read with :func:`_from_fields`, which
+accepts exactly a dataclass's fields, each of the JSON type the writer
+emits for it.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +203,36 @@ def container_from_bytes(payload: bytes) -> dict:
     # return in data-section order so a parse/serialize round trip assigns
     # the same offsets and reproduces the payload bit for bit
     return {name: tensors[name] for _, _, name in spans}
+
+
+# JSON types for each field annotation. bool is a subclass of int in Python,
+# so a bool matches only "bool": `true` is neither a count nor a version.
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
+def _json_typed(value, annotation: str) -> bool:
+    """Whether ``value`` has a JSON type the writer emits for ``annotation``."""
+    names = annotation.split(" | ")
+    if isinstance(value, bool):
+        return "bool" in names
+    return isinstance(value, tuple(_JSON_TYPES[n] for n in names))
+
+
+def _from_fields(cls, raw, ignored=(), **values):
+    """``cls`` built from a JSON object holding exactly the fields of ``cls``
+    that ``values`` does not give, each of its field's JSON type; the
+    object may also hold ``ignored`` keys.
+
+    Raises:
+        SchemaViolation: ``raw`` is not such an object.
+    """
+    names = {f.name for f in fields(cls)} - set(values)
+    if not isinstance(raw, dict) or set(raw) - set(ignored) != names:
+        raise SchemaViolation(f"{cls.__name__} record must hold exactly the keys {sorted(names)}")
+    for f in fields(cls):
+        if f.name in names and not _json_typed(raw[f.name], f.type):
+            raise SchemaViolation(f"{cls.__name__}.{f.name} must be {f.type}, got {raw[f.name]!r}")
+    return cls(**{n: raw[n] for n in names}, **values)
 
 
 def write_container(path, tensors: dict) -> None:

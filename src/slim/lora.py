@@ -72,7 +72,6 @@ class LowRankAdapter:
 
     left: np.ndarray
     right: np.ndarray
-    rank: int
     quantized: tuple[QuantizedTensor, QuantizedTensor] | None = None
 
     def __post_init__(self):
@@ -80,22 +79,17 @@ class LowRankAdapter:
         right = as_matrix(self.right, "right", allow_empty=True)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        if left.shape[1] != self.rank or right.shape[0] != self.rank:
-            raise ShapeMismatch(
-                f"factor shapes {left.shape} x {right.shape} do not match rank {self.rank}"
-            )
+        if left.shape[1] != right.shape[0]:
+            raise ShapeMismatch(f"factor shapes {left.shape} x {right.shape} do not chain")
         if self.quantized is not None:
             ql, qr = self.quantized
             if ql.shape != left.shape or qr.shape != right.shape:
                 raise ShapeMismatch("quantized factor shapes do not match factors")
 
     @property
-    def d_in(self) -> int:
-        return self.left.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.right.shape[1]
+    def rank(self) -> int:
+        """Columns of ``left``, which are the rows of ``right``."""
+        return self.left.shape[1]
 
     def correction(self) -> np.ndarray:
         """Dense left @ right product."""
@@ -145,7 +139,7 @@ def naive_lora(w, w_c, r: int) -> LowRankAdapter:
     """
     a, b = _check_pair(w, w_c)
     left, right = svd_truncated(a - b, r)
-    return LowRankAdapter(left=left, right=right, rank=r)
+    return LowRankAdapter(left, right)
 
 
 def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
@@ -169,7 +163,7 @@ def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
     e_c *= xv[:, None]  # weight in place: one d_in x d_out temporary, not two
     left, right = svd_truncated(e_c, r)
     left /= -xv[:, None]
-    return LowRankAdapter(left=left, right=right, rank=r)
+    return LowRankAdapter(left, right)
 
 
 def quantize_adapter(
@@ -186,9 +180,4 @@ def quantize_adapter(
     """
     ql = group_absmax_quantize(a.left, group_size, q)
     qr = group_absmax_quantize(a.right, group_size, q)
-    return LowRankAdapter(
-        left=dequantize(ql),
-        right=dequantize(qr),
-        rank=a.rank,
-        quantized=(ql, qr),
-    )
+    return LowRankAdapter(dequantize(ql), dequantize(qr), quantized=(ql, qr))

@@ -35,6 +35,8 @@ __all__ = [
     "QuantizedTensor",
     "ChannelScaling",
     "Fp8Format",
+    "E4M3",
+    "E5M2",
     "quantize_symmetric",
     "dequantize",
     "absmax_alpha",

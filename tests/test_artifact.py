@@ -335,6 +335,30 @@ class TestSchemaViolations:
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
 
+    def test_missing_sparsity_key(self):
+        t = edit_meta(valid_tensors(), lambda m: m["config"].pop("sparsity"))
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    @pytest.mark.parametrize("quant_method, tensor", [("slim_quant", "codes"), ("none", "weights")])
+    def test_stored_weight_where_mask_drops(self, quant_method, tensor, tmp_path):
+        # layer_output applies the stored weights as they are, so one nonzero
+        # value at a dropped position would contradict the mask's density.
+        layer = compressed(LayerCompressionConfig(
+            quant_method=quant_method, sparsity=SparsityPattern.semistructured(2, 4)))
+        t = layer_to_tensors(layer)
+        stored = t[tensor].copy()
+        stored.reshape(-1)[np.flatnonzero(~layer.mask.keep)[-1]] = 3
+        t[tensor] = stored
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+        w = layer.weights
+        bad = dataclasses.replace(w, codes=stored) if tensor == "codes" else stored
+        path = tmp_path / "layer.slim"
+        with pytest.raises(SchemaViolation):
+            serialize_compressed_layer(dataclasses.replace(layer, weights=bad), path)
+        assert not path.exists()
+
     def test_writer_refuses_parts_the_config_does_not_imply(self, tmp_path):
         layer = compressed(CONFIGS[7])
         path = tmp_path / "layer.slim"

@@ -178,3 +178,51 @@ class TestLoading:
         p.write_text("[1, 2, 3]")
         with pytest.raises(ConfigInvalid):
             load_arch(p)
+
+    @pytest.mark.parametrize("edit", [
+        {"d": 768.0},
+        {"d": 768.7},
+        {"d": True},
+        {"d": "768"},
+        {"n": 12.0},
+        {"vocab": True},
+        {"ffn_ratio": "4.0"},
+        {"ffn_ratio": True},
+        {"layers": 12},
+    ], ids=["d_float", "d_fraction", "d_bool", "d_string", "n_float", "vocab_bool",
+            "ffn_ratio_string", "ffn_ratio_bool", "unknown_key"])
+    def test_load_arch_mistyped(self, tmp_path, edit):
+        # exact keys and exact JSON types; nothing is truncated or coerced
+        p = tmp_path / "arch.json"
+        p.write_text(json.dumps({"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4.0, **edit}))
+        with pytest.raises(ConfigInvalid):
+            load_arch(p)
+
+    def test_load_arch_integer_ffn_ratio(self, tmp_path):
+        p = tmp_path / "arch.json"
+        p.write_text(json.dumps({"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4}))
+        assert load_arch(p) == load_preset("opt-125m")
+
+    def test_load_arch_not_utf8(self, tmp_path):
+        p = tmp_path / "arch.json"
+        p.write_bytes(b'{"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4.0, "x": "\xff"}')
+        with pytest.raises(ConfigInvalid):
+            load_arch(p)
+
+    def test_presets_load_unchanged(self):
+        expected = {
+            "opt-125m": (768, 12, 50272, 4.0),
+            "opt-350m": (1024, 16, 50272, 4.0),
+            "opt-1.3b": (2048, 12, 50272, 4.0),
+            "opt-2.7b": (2560, 32, 50272, 4.0),
+            "opt-6.7b": (4096, 32, 50272, 4.0),
+            "opt-13b": (5120, 40, 50272, 4.0),
+            "llama-2-7b": (4096, 32, 32000, 2.6875),
+            "llama-2-13b": (5120, 40, 32000, 2.7),
+        }
+        assert sorted(preset_names()) == sorted(expected)
+        for name, values in expected.items():
+            arch = load_preset(name)
+            got = (arch.d, arch.n, arch.vocab, arch.ffn_ratio)
+            assert got == values, name
+            assert [type(v) for v in got] == [int, int, int, float], name

@@ -133,3 +133,27 @@ class TestSaveLoad:
         write_container(p2, tensors)
         with pytest.raises(SchemaViolation):
             load_calibration(p2)
+
+    @pytest.mark.parametrize("meta", [
+        {"d_in": 3.0, "token_count": 4},
+        {"d_in": 3.9, "token_count": 4},
+        {"d_in": "3", "token_count": 4},
+        {"d_in": 3, "token_count": True},
+        {"d_in": 3, "token_count": 4, "extra": 1},
+        {"d_in": 3},
+        [3, 4],
+    ], ids=["d_in_float", "d_in_fraction", "d_in_string", "token_count_bool", "extra_key",
+            "missing_key", "not_an_object"])
+    def test_mistyped_meta_rejected(self, tmp_path, meta):
+        # metadata holds exactly an int d_in and an int token_count
+        import json
+
+        from slim import read_container, write_container
+
+        p = tmp_path / "calib.slim"
+        save_calibration(p, compute_calibration([np.ones((4, 3))]))
+        tensors = dict(read_container(p))
+        tensors["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        write_container(p, tensors)
+        with pytest.raises(SchemaViolation):
+            load_calibration(p)

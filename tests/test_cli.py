@@ -238,6 +238,30 @@ class TestCompress:
         )
         assert code == 2
 
+    def test_failed_run_leaves_no_artifacts(self, workspace, tmp_path, capsys):
+        # "a" (16 rows) is written before "b" (32 rows) fails against the
+        # 16-channel stats; the failed run must not leave "a" behind.
+        weights = tmp_path / "mixed.slim"
+        rng = np.random.default_rng(17)
+        write_container(weights, {"a": rng.standard_normal((16, 12)).astype(np.float32),
+                                  "b": rng.standard_normal((32, 12)).astype(np.float32)})
+        code, out, err = run(capsys, "compress", "--weights", str(weights),
+                             "--calib", str(workspace["calib"]),
+                             "--out", str(tmp_path / "OUT"), "--quant", "slim-o")
+        assert code == 2
+        assert out == ""
+        assert err == "error: stats cover 16 channels, weight has 32 rows\n"
+        assert sorted(tmp_path.glob("OUT*")) == []
+
+    def test_failed_report_leaves_no_artifacts(self, workspace, capsys):
+        out = workspace["dir"] / "OUT"
+        code, stdout, _ = run(capsys, "compress", "--weights", str(workspace["weights"]),
+                              "--out", str(out), "--quant", "absmax",
+                              "--report", str(workspace["dir"] / "absent" / "report.json"))
+        assert code == 2
+        assert stdout == ""
+        assert sorted(workspace["dir"].glob("OUT*")) == []
+
     def test_missing_weights_file_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "compress", "--weights",
                          str(tmp_path / "absent.slim"), "--out", str(tmp_path / "x"))
@@ -393,6 +417,14 @@ class TestBudget:
                            "--density", "0.5", "--wbits", "4", "--json")
         assert code == 0
         assert json.loads(out)["memory_reduction"] == pytest.approx(0.40, abs=0.005)
+
+    def test_arch_file_not_utf8_data_error(self, tmp_path, capsys):
+        p = tmp_path / "arch.json"
+        p.write_bytes(b'{"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4.0, "note": "\xff"}')
+        code, out, err = run(capsys, "budget", "--arch", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad architecture description in {p}")
 
     def test_unknown_preset_data_error(self, capsys):
         code, _, _ = run(capsys, "budget", "--arch", "opt-9000t")

@@ -208,12 +208,14 @@ class TestAdapterAlgebra:
         assert np.allclose(a.correction(), err, atol=1e-9)
 
     def test_adapter_shape_properties(self):
-        a = LowRankAdapter(left=np.ones((6, 2)), right=np.ones((2, 9)), rank=2)
-        assert (a.d_in, a.d_out) == (6, 9)
+        a = LowRankAdapter(left=np.ones((6, 2)), right=np.ones((2, 9)))
+        assert a.rank == a.left.shape[1] == 2
+        assert a.correction().shape == (6, 9)
 
     def test_rank_field_validation(self):
+        # factors that do not chain (2 columns, 3 rows) name no rank
         with pytest.raises(ShapeMismatch):
-            LowRankAdapter(left=np.ones((6, 2)), right=np.ones((3, 9)), rank=2)
+            LowRankAdapter(left=np.ones((6, 2)), right=np.ones((3, 9)))
 
 
 class TestQuantizeAdapter:
