@@ -1,12 +1,18 @@
-"""Persistence of compressed-layer artifacts.
+"""Persistence of compressed-layer artifacts, artifact version 3.
 
-A compressed layer is stored as one tensor container holding the stored
-weight representation (integer codes plus scales, or a raw f32 matrix),
-the packed keep-mask, the adapter factors (raw or as codes plus scales),
-and a ``__config__`` tensor of canonical JSON bytes holding the
-configuration, provenance and channel scaling. The configuration alone
-decides which tensors exist and how they decode (see :func:`_layout`).
-Masks pack 8 entries per byte, row-major, most significant bit first.
+A compressed layer is stored as one tensor container holding the packed
+keep-mask, the stored weight (integer codes plus scales, or raw f32
+values), the adapter factors (raw, or codes plus scales), and a
+``__config__`` tensor of canonical JSON bytes holding the configuration,
+provenance and channel scaling. The configuration alone decides which
+tensors exist and how they decode (see :func:`_layout`).
+
+Every part is stored flat, row-major; its shape follows from the config.
+Codes are two's-complement bit fields of :func:`~slim.quant.code_field_bits`
+width (2, 4 or 8 bits), packed into u8 low field first. A pruned weight
+stores only the entries its mask keeps; their count is the mask's
+popcount. The mask packs 8 entries per byte, most significant bit first.
+Only version 3 is read.
 """
 
 from __future__ import annotations
@@ -16,38 +22,38 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .container import (_from_fields, _json_typed, container_from_bytes, container_to_bytes,
-                        read_container, write_container)
+from .container import (_from_fields, _json_typed, _parse_json, container_from_bytes,
+                        container_to_bytes, read_container, write_container)
 from .errors import SchemaViolation, SlimError
 from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from .prune import SparsityMask, SparsityPattern
-from .quant import ChannelScaling, QuantizedTensor, dequantize
+from .quant import ChannelScaling, QuantizedTensor, code_field_bits, dequantize
 
 __all__ = ["serialize_compressed_layer", "deserialize_compressed_layer"]
 
 _ARTIFACT_KIND = "compressed-layer"
-_ARTIFACT_VERSION = 2
-# Version 1 also wrote "weights", "adapter" and "mask" records restating the
-# config, and older files a "created_at" provenance field; both are ignored.
-_READ_VERSIONS = (1, 2)
+_ARTIFACT_VERSION = 3
 _PACKED = "packed"  # codec of the keep-mask
+_SCATTER_CHUNK = 1 << 16  # mask entries indexed at once when decoding kept entries
 
 
 def _layout(cfg: LayerCompressionConfig, rows: int, cols: int) -> dict:
     """The parts a config stores for a rows x cols layer, in storage order.
 
     Maps each part to ``(shape, codec)``. The codec is ``(bits,
-    group_size)`` for int8 codes plus f32 scales, None for a raw f32
-    matrix, and ``"packed"`` for the keep-mask bit-packed into u8.
+    group_size)`` for packed codes plus f32 scales, None for raw f32
+    values, and ``"packed"`` for the keep-mask bit-packed into u8. The mask
+    comes first: a pruned weight stores only the entries it keeps.
     """
+    layout = {}
+    if cfg.sparsity is not None:
+        layout["mask"] = ((rows, cols), _PACKED)
     w_codec = None
     if cfg.quant_method != "none":
         group = cfg.group_size if cfg.quant_method == "group_absmax" else None
         w_codec = (cfg.weight_bits, group)
-    layout = {"weights": ((rows, cols), w_codec)}
-    if cfg.sparsity is not None:
-        layout["mask"] = ((rows, cols), _PACKED)
+    layout["weights"] = ((rows, cols), w_codec)
     if cfg.adapter_method != "none":
         rank = default_rank(rows, cols, cfg.effective_rank_ratio)
         a_codec = (ADAPTER_QUANT_BITS, cfg.group_size) if cfg.quantize_adapters else None
@@ -75,18 +81,17 @@ def _describe(part) -> tuple:
 
 
 def _checked_parts(layer: CompressedLayer) -> dict:
-    """The layer's stored parts by name, checked against its config.
+    """The layer's stored parts by name, in storage order, checked against
+    its config.
 
     Raises:
         SchemaViolation: a part is missing or extra, or its shape, bit width
             or group size is not what the config implies for the layer's
-            shape; a stored code or raw weight is nonzero where the mask
-            drops it; or the channel scaling disagrees with the config's
+            shape; or the channel scaling disagrees with the config's
             switch or names a channel >= d_in.
     """
-    parts = {"weights": layer.weights}
-    if layer.mask is not None:
-        parts["mask"] = layer.mask
+    parts = {} if layer.mask is None else {"mask": layer.mask}
+    parts["weights"] = layer.weights
     adapter = layer.adapter
     if adapter is not None:
         factors = adapter.quantized or (adapter.left, adapter.right)
@@ -98,12 +103,6 @@ def _checked_parts(layer: CompressedLayer) -> dict:
             raise SchemaViolation(
                 f"{name} is {found} as (shape, codec); the config implies {layout.get(name)}"
             )
-    if layer.mask is not None:
-        w = layer.weights
-        stored = w.codes if isinstance(w, QuantizedTensor) else w
-        dropped = ~layer.mask.keep
-        if np.logical_and(dropped, stored, out=dropped).any():  # one temporary, not two
-            raise SchemaViolation("stored weights are nonzero where the mask drops them")
     scaling = layer.channel_scaling
     if (scaling is not None) != layer.config.scaling_enabled:
         raise SchemaViolation("channel scaling does not match the config's scaling switch")
@@ -112,23 +111,84 @@ def _checked_parts(layer: CompressedLayer) -> dict:
     return parts
 
 
+def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``codes`` (any shape, row-major) as two's-complement fields of
+    ``code_field_bits(bits)`` width, packed into u8 low field first."""
+    width = code_field_bits(bits)
+    per_byte = 8 // width
+    fields = codes.reshape(-1).astype(np.uint8)  # two's complement of int8
+    fields &= (1 << width) - 1
+    fields = np.concatenate([fields, np.zeros(-fields.size % per_byte, np.uint8)])
+    fields = fields.reshape(-1, per_byte)
+    packed = fields[:, 0].copy()
+    for j in range(1, per_byte):
+        packed |= fields[:, j] << (j * width)
+    return packed
+
+
+def _unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """The first ``count`` int8 codes of :func:`_pack_codes` output."""
+    width = code_field_bits(bits)
+    per_byte = 8 // width
+    codes = np.empty((packed.size, per_byte), np.int8)
+    for j in range(per_byte):
+        # field j to the top of the byte, then back down with sign extension
+        codes[:, j] = (packed << (8 - width * (j + 1))).view(np.int8) >> (8 - width)
+    return codes.reshape(-1)[:count]
+
+
+def _kept(stored: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of ``stored`` that ``keep`` keeps, row-major.
+
+    Raises:
+        SchemaViolation: an entry the mask drops is nonzero, so storing the
+            kept entries only would lose it.
+    """
+    kept = np.compress(keep.reshape(-1), stored.reshape(-1))  # ~3x faster than stored[keep]
+    if np.count_nonzero(kept) != np.count_nonzero(stored):
+        raise SchemaViolation("stored weights are nonzero where the mask drops them")
+    return kept
+
+
+def _scatter(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Zeros shaped like ``keep`` with ``values`` at its kept entries,
+    row-major; inverse of :func:`_kept`.
+
+    Indexes the mask a chunk at a time, so no index array as large as the
+    weight is built; several times faster than ``out[keep] = values``.
+    """
+    out = np.zeros(keep.size, values.dtype)
+    flat, done = keep.reshape(-1), 0
+    for lo in range(0, flat.size, _SCATTER_CHUNK):
+        idx = np.flatnonzero(flat[lo:lo + _SCATTER_CHUNK])
+        out[lo:lo + _SCATTER_CHUNK][idx] = values[done:done + idx.size]
+        done += idx.size
+    return out.reshape(keep.shape)
+
+
 def layer_to_tensors(layer: CompressedLayer) -> dict:
     """Flatten a layer into the tensor mapping stored in the container.
 
     Raises:
         SchemaViolation: the layer's parts are not the ones its config
-            implies, so the reader would reject the artifact.
+            implies, or it stores a nonzero weight where its mask drops
+            one, so the reader would not rebuild it.
     """
     tensors = {}
     for name, part in _checked_parts(layer).items():
         codec = _describe(part)[1]
         names = _tensor_names(name, codec)
-        if codec is None:
-            tensors[name] = np.asarray(part, dtype=np.float32)
-        elif codec == _PACKED:
+        if codec == _PACKED:
             tensors[names[0]] = np.packbits(part.keep.reshape(-1))
+            continue
+        values = part if codec is None else part.codes
+        if name == "weights" and layer.mask is not None:
+            values = _kept(values, layer.mask.keep)
+        if codec is None:
+            tensors[name] = np.asarray(values, dtype=np.float32).reshape(-1)
         else:
-            tensors[names[0]], tensors[names[1]] = part.codes, part.scales.astype(np.float32)
+            tensors[names[0]] = _pack_codes(values, part.bits)
+            tensors[names[1]] = part.scales.astype(np.float32)
     scaling = layer.channel_scaling
     meta = {
         "artifact": _ARTIFACT_KIND,
@@ -141,7 +201,7 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
         },
     }
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    _records(json.loads(blob))  # refuse metadata the reader would reject
+    _records(_parse_json(blob, SchemaViolation, "__config__"))  # refuse what the reader would
     tensors["__config__"] = np.frombuffer(blob, dtype=np.uint8)
     return tensors
 
@@ -151,14 +211,16 @@ def _records(meta) -> tuple:
     if not isinstance(meta, dict) or meta.get("artifact") != _ARTIFACT_KIND:
         raise SchemaViolation("container does not describe a compressed layer")
     version = meta.get("version")
-    if isinstance(version, bool) or version not in _READ_VERSIONS:
-        raise SchemaViolation(f"unsupported artifact version {version!r}")
+    if isinstance(version, bool) or version != _ARTIFACT_VERSION:
+        raise SchemaViolation(
+            f"unsupported artifact version {version!r}; only {_ARTIFACT_VERSION} is read"
+        )
     raw = meta["config"]
     sparsity = raw["sparsity"] if isinstance(raw, dict) else None  # required; read on its own
     if sparsity is not None:
         sparsity = _from_fields(SparsityPattern, sparsity)
     cfg = _from_fields(LayerCompressionConfig, raw, ignored=("sparsity",), sparsity=sparsity)
-    prov = _from_fields(Provenance, meta["provenance"], ignored=("created_at",))
+    prov = _from_fields(Provenance, meta["provenance"])
     s = meta["scaling"]
     if s is None:
         return cfg, prov, None
@@ -169,31 +231,44 @@ def _records(meta) -> tuple:
     return cfg, prov, ChannelScaling(np.asarray(indices, dtype=np.int64), float(factor))
 
 
-def _decode(tensors: dict, name: str, shape: tuple, codec):
-    """One part from its container tensors; its shape is checked later."""
+def _tensor(tensors: dict, name: str, dtype, size: int | None = None) -> np.ndarray:
+    """``tensors[name]``, checked to be of ``dtype`` and, given ``size``,
+    to hold that many entries in one dimension."""
+    arr = tensors[name]
+    if arr.dtype != dtype:
+        raise SchemaViolation(f"{name} has dtype {arr.dtype}, not {np.dtype(dtype)}")
+    if size is not None and arr.shape != (size,):
+        raise SchemaViolation(f"{name} has shape {arr.shape}, need ({size},)")
+    return arr
+
+
+def _decode(tensors: dict, name: str, shape: tuple, codec, keep: np.ndarray | None):
+    """One part from its flat container tensors. ``keep`` is the decoded
+    mask when the part stores only the entries it keeps."""
     names = _tensor_names(name, codec)
-    first = tensors[names[0]]
-    if codec is None:
-        return np.asarray(first, dtype=np.float64)
-    if first.dtype != (np.uint8 if codec == _PACKED else np.int8):
-        raise SchemaViolation(f"{names[0]} has the wrong dtype {first.dtype}")
-    if codec != _PACKED:
-        scales = tensors[names[1]].reshape(-1)
-        return QuantizedTensor(first, scales, group_size=codec[1], bits=codec[0])
     total = shape[0] * shape[1]
-    if first.shape != (-(-total // 8),):
-        raise SchemaViolation(f"{names[0]} holds {first.size} bytes, need {-(-total // 8)}")
-    return SparsityMask(np.unpackbits(first, count=total).astype(bool).reshape(shape))
+    if codec == _PACKED:
+        packed = _tensor(tensors, names[0], np.uint8, -(-total // 8))
+        return SparsityMask(np.unpackbits(packed, count=total).astype(bool).reshape(shape))
+    count = total if keep is None else int(np.count_nonzero(keep))
+    if codec is None:
+        values = _tensor(tensors, names[0], np.float32, count).astype(np.float64)
+    else:
+        bits, group_size = codec
+        packed = _tensor(tensors, names[0], np.uint8, -(-count * code_field_bits(bits) // 8))
+        values = _unpack_codes(packed, bits, count)
+    values = values.reshape(shape) if keep is None else _scatter(values, keep)
+    if codec is None:
+        return values
+    scales = _tensor(tensors, names[1], np.float32).reshape(-1)
+    return QuantizedTensor(values, scales, group_size=group_size, bits=bits)
 
 
 def layer_from_tensors(tensors: dict) -> CompressedLayer:
     """Rebuild a layer from a container's tensor mapping."""
     if "__config__" not in tensors:
         raise SchemaViolation("artifact is missing the __config__ tensor")
-    try:
-        meta = json.loads(bytes(tensors["__config__"].tobytes()).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SchemaViolation(f"__config__ is not valid JSON: {exc}") from exc
+    meta = _parse_json(tensors["__config__"].tobytes(), SchemaViolation, "__config__")
     try:
         cfg, prov, scaling = _records(meta)
         layout = _layout(cfg, prov.rows, prov.cols)
@@ -202,7 +277,10 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
             raise SchemaViolation(
                 f"the config names tensors {sorted(expected)}, not {sorted(tensors)}"
             )
-        parts = {n: _decode(tensors, n, shape, codec) for n, (shape, codec) in layout.items()}
+        parts = {}
+        for name, (shape, codec) in layout.items():  # the mask decodes first
+            keep = parts["mask"].keep if name == "weights" and "mask" in parts else None
+            parts[name] = _decode(tensors, name, shape, codec, keep)
 
         adapter = None
         if "adapter_left" in parts:

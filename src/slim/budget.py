@@ -16,12 +16,11 @@ matter there.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .container import _from_fields
+from .container import _from_fields, _parse_json
 from .errors import ConfigInvalid, SchemaViolation
 
 __all__ = [
@@ -134,10 +133,11 @@ def flop_reduction(arch: ArchConfig, scheme: SchemeConfig) -> float:
 
 def _read_arch(file, source: str) -> ArchConfig:
     """ArchConfig from a UTF-8 JSON file holding exactly its four fields."""
+    what = f"architecture description in {source}"
     try:
-        return _from_fields(ArchConfig, json.loads(file.read_text(encoding="utf-8")))
-    except (ValueError, SchemaViolation) as exc:
-        raise ConfigInvalid(f"bad architecture description in {source}: {exc}") from exc
+        return _from_fields(ArchConfig, _parse_json(file.read_bytes(), ConfigInvalid, what))
+    except SchemaViolation as exc:
+        raise ConfigInvalid(f"bad {what}: {exc}") from exc
 
 
 def load_arch(path) -> ArchConfig:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import _from_fields, read_container, write_container
+from .container import _from_fields, _parse_json, read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
 
 __all__ = [
@@ -137,10 +137,7 @@ def load_calibration(path) -> CalibrationStats:
     for name in ("mean_abs", "l2_norm", "__meta__"):
         if name not in tensors:
             raise SchemaViolation(f"calibration container is missing {name!r}")
-    try:
-        meta = json.loads(bytes(tensors["__meta__"].tobytes()).decode("utf-8"))
-    except ValueError as exc:
-        raise SchemaViolation(f"bad calibration metadata: {exc}") from exc
+    meta = _parse_json(tensors["__meta__"].tobytes(), SchemaViolation, "calibration metadata")
     mean_abs = np.asarray(tensors["mean_abs"], dtype=np.float64).reshape(-1)
     l2_norm = np.asarray(tensors["l2_norm"], dtype=np.float64).reshape(-1)
     try:

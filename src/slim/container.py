@@ -19,10 +19,11 @@ versions, malformed or self-inconsistent headers, and data sections
 shorter than the header promises, each with a dedicated error type; no
 malformed input may escalate past those errors.
 
-JSON records stored alongside the tensors (artifact and calibration
-metadata) and architecture files are read with :func:`_from_fields`, which
-accepts exactly a dataclass's fields, each of the JSON type the writer
-emits for it.
+The header, the JSON records stored alongside the tensors (artifact and
+calibration metadata) and architecture files are parsed by
+:func:`_parse_json` and read with :func:`_from_fields`, which accepts
+exactly a dataclass's fields, each of the JSON type the writer emits for
+it.
 """
 
 from __future__ import annotations
@@ -126,22 +127,7 @@ def _parse_header(payload: bytes) -> tuple[dict, bytes]:
         raise CorruptHeader(
             f"header claims {header_len} bytes, only {len(payload) - start} available"
         )
-    raw = payload[start:end]
-
-    def reject_dupes(pairs):
-        d = {}
-        for k, v in pairs:
-            if k in d:
-                raise CorruptHeader(f"duplicate tensor name {k!r}")
-            d[k] = v
-        return d
-
-    try:
-        header = json.loads(raw.decode("utf-8"), object_pairs_hook=reject_dupes)
-    except CorruptHeader:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
-        raise CorruptHeader(f"header is not valid UTF-8 JSON: {exc}") from exc
+    header = _parse_json(payload[start:end], CorruptHeader, "header")
     if not isinstance(header, dict):
         raise CorruptHeader("header must be a JSON object")
     return header, payload[end:]
@@ -216,6 +202,29 @@ def _json_typed(value, annotation: str) -> bool:
     if isinstance(value, bool):
         return "bool" in names
     return isinstance(value, tuple(_JSON_TYPES[n] for n in names))
+
+
+def _parse_json(raw: bytes, error: type[Exception], what: str):
+    """The JSON document in the UTF-8 bytes ``raw``; an object may not
+    repeat a key.
+
+    Raises:
+        error: ``raw`` is not UTF-8 or not JSON, repeats a key, or nests
+            deeper than the parser's recursion limit; the message starts
+            ``bad {what}:``.
+    """
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return json.loads(bytes(raw).decode("utf-8"), object_pairs_hook=unique)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"bad {what}: {exc}") from exc
 
 
 def _from_fields(cls, raw, ignored=(), **values):

@@ -42,6 +42,7 @@ from .quant import (
     QuantizedTensor,
     absmax_alpha,
     activation_aware_scale,
+    code_field_bits,
     compensate_activations,
     dequantize,
     fp8_fake_quantize,
@@ -68,8 +69,8 @@ QUANT_METHODS = ("absmax", "group_absmax", "slim_quant", "slim_quant_o", "none")
 SCORE_METHODS = ("wanda", "magnitude")
 ADAPTER_METHODS = ("naive", "slim", "none")
 
-#: Bit width assumed for uncompressed storage in effective-bit accounting.
-DENSE_BITS = 16
+#: Bits of one stored raw value or scale (f32).
+F32_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,10 @@ class LayerCompressionConfig:
             raise ConfigInvalid(f"unknown prune_scores {self.prune_scores!r}")
         if self.adapter_method not in ADAPTER_METHODS:
             raise ConfigInvalid(f"unknown adapter_method {self.adapter_method!r}")
-        if self.quant_method != "none" and not (2 <= int(self.weight_bits) <= 8):
-            raise ConfigInvalid(f"weight_bits {self.weight_bits} not in [2, 8]")
+        if self.quant_method != "none":
+            bits = self.weight_bits
+            if not isinstance(bits, int) or isinstance(bits, bool) or not 2 <= bits <= 8:
+                raise ConfigInvalid(f"weight_bits must be an int in [2, 8], got {bits!r}")
         if self.group_size < 1:
             raise ConfigInvalid(f"group_size must be >= 1, got {self.group_size}")
         if self.adapter_method == "none":
@@ -171,6 +174,14 @@ def _dense(weights: QuantizedTensor | np.ndarray) -> np.ndarray:
     return np.asarray(weights, dtype=np.float64)
 
 
+def _stored_bits(part: QuantizedTensor | np.ndarray, entries: int) -> int:
+    """Bits a stored part takes for ``entries`` values: packed codes plus
+    f32 scales, or f32 values."""
+    if isinstance(part, QuantizedTensor):
+        return code_field_bits(part.bits) * entries + F32_BITS * part.scales.size
+    return F32_BITS * entries
+
+
 def _unscale(w: np.ndarray, scaling: ChannelScaling | None) -> np.ndarray:
     """Map a stored-coordinate weight back to the caller's coordinates."""
     if scaling is None or not scaling.channel_indices.size:
@@ -202,19 +213,22 @@ class CompressedLayer:
 
     @property
     def effective_bits_per_weight(self) -> float:
-        """Analytic storage cost per weight element.
+        """Bits per weight element of the tensors the artifact stores.
 
-        Weight code bits times density plus the adapter bits spread over the
-        weight count; scales, mask and metadata are not charged.
+        A code costs its packed field width (:func:`code_field_bits`), a raw
+        value or a scale 32 bits. A pruned weight stores only its kept
+        entries plus a 1-bit keep mask per element. The ``__config__``
+        record and each tensor's padding to whole bytes are not charged.
         """
-        cfg = self.config
         d_in, d_out = self.shape
-        weight_bits = cfg.weight_bits if cfg.quant_method != "none" else DENSE_BITS
-        bits = weight_bits * self.density
+        kept = d_in * d_out if self.mask is None else int(np.count_nonzero(self.mask.keep))
+        bits = _stored_bits(self.weights, kept)
+        if self.mask is not None:
+            bits += d_in * d_out
         if self.adapter is not None:
-            adapter_bits = 4 if cfg.quantize_adapters else DENSE_BITS
-            bits += adapter_bits * self.adapter.rank * (d_in + d_out) / (d_in * d_out)
-        return float(bits)
+            for factor in self.adapter.quantized or (self.adapter.left, self.adapter.right):
+                bits += _stored_bits(factor, int(np.prod(factor.shape)))
+        return bits / (d_in * d_out)
 
     def stored_weight(self) -> np.ndarray:
         """Dense weight in stored (possibly channel-scaled) coordinates."""

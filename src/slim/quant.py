@@ -39,6 +39,7 @@ __all__ = [
     "E5M2",
     "quantize_symmetric",
     "dequantize",
+    "code_field_bits",
     "absmax_alpha",
     "group_absmax_quantize",
     "estimate_error",
@@ -65,6 +66,17 @@ def _check_bits(q: int) -> int:
     if not (MIN_BITS <= q <= MAX_BITS):
         raise UnsupportedBitwidth(f"bit width {q} not in [{MIN_BITS}, {MAX_BITS}]")
     return int(q)
+
+
+def code_field_bits(bits: int) -> int:
+    """Width of the bit field that stores one ``bits``-bit code: the
+    smallest of 2, 4 or 8 that holds it, so fields never straddle a byte.
+
+    Raises:
+        UnsupportedBitwidth: ``bits`` is not an integer in [2, 8].
+    """
+    q = _check_bits(bits)
+    return 2 if q <= 2 else 4 if q <= 4 else 8
 
 
 def _round_half_away(v: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim import (
     CompressedLayer,
@@ -12,6 +14,7 @@ from slim import (
     SchemaViolation,
     SparsityMask,
     SparsityPattern,
+    code_field_bits,
     compress_layer,
     compute_calibration,
     deserialize_compressed_layer,
@@ -127,15 +130,13 @@ class TestRoundTrip:
         assert np.array_equal(back.weights.codes, layer.weights.codes)
         assert layer_to_bytes(back) == p.read_bytes()
 
-    def test_reads_legacy_created_at(self):
-        # Version 1 restated the config in weights/adapter/mask records, and
-        # older files carry a null created_at; both are ignored on reading.
+    def test_legacy_versions_refused(self):
+        # Versions 1 and 2 stored one int8 byte per code and explicit zeros
+        # for pruned weights; they are no longer read.
         for cfg in CONFIGS:
-            layer = compressed(cfg)
-            back = layer_from_tensors(as_version_1(layer))
-            assert back.config == layer.config
-            assert back.provenance == layer.provenance
-            assert layer_to_bytes(back) == layer_to_bytes(layer)
+            for version in (1, 2):
+                with pytest.raises(SchemaViolation, match="unsupported artifact version"):
+                    layer_from_tensors(legacy_tensors(compressed(cfg), version))
 
     def test_serialization_deterministic(self):
         cfg = LayerCompressionConfig(adapter_method="naive", rank_ratio=0.25)
@@ -182,24 +183,98 @@ class TestMaskPacking:
         assert np.array_equal(back.mask.keep, keep)
 
 
-def as_version_1(layer):
-    """The tensors a version-1 writer produced for ``layer``."""
-    def downgrade(meta):
-        meta["version"] = 1
-        meta["provenance"]["created_at"] = None
-        w, a = layer.weights, layer.adapter
-        if isinstance(w, QuantizedTensor):
-            meta["weights"] = {"kind": "quantized", "bits": w.bits, "group_size": w.group_size}
+class TestPackedCodes:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        bits=st.integers(2, 8),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 9),
+        kept=st.sampled_from(["random", "all", "none", "unpruned"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(bits=4, rows=1, cols=3, kept="all", seed=0)  # 3 nibbles: half a last byte
+    @example(bits=2, rows=5, cols=1, kept="all", seed=0)  # 5 2-bit fields: 1 in the last byte
+    @example(bits=3, rows=3, cols=3, kept="unpruned", seed=0)
+    def test_pack_unpack_round_trip(self, bits, rows, cols, kept, seed):
+        rng = np.random.default_rng(seed)
+        keep = {
+            "random": rng.random((rows, cols)) < 0.5,
+            "none": np.zeros((rows, cols), dtype=bool),
+        }.get(kept, np.ones((rows, cols), dtype=bool))
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        codes = np.where(keep, rng.integers(lo, hi + 1, (rows, cols)), 0).astype(np.int8)
+        pruned = kept != "unpruned"
+        layer = CompressedLayer(
+            weights=QuantizedTensor(codes, np.array([0.5]), group_size=None, bits=bits),
+            mask=SparsityMask(keep) if pruned else None,
+            adapter=None,
+            channel_scaling=None,
+            config=LayerCompressionConfig(
+                quant_method="absmax", weight_bits=bits,
+                sparsity=SparsityPattern.unstructured(0.5) if pruned else None,
+            ),
+            provenance=Provenance(rows=rows, cols=cols),
+        )
+        tensors = layer_to_tensors(layer)
+        count = int(keep.sum())
+        assert tensors["codes"].dtype == np.uint8
+        assert tensors["codes"].shape == (-(-count * code_field_bits(bits) // 8),)
+        back = layer_from_tensors(tensors)
+        assert np.array_equal(back.weights.codes, codes)
+        if pruned:
+            assert np.array_equal(back.mask.keep, keep)
         else:
-            meta["weights"] = {"kind": "raw"}
-        meta["adapter"] = None if a is None else {"rank": a.rank, "quantized": False}
-        if a is not None and a.quantized is not None:
-            q = a.quantized[0]
-            meta["adapter"].update(quantized=True, bits=q.bits, group_size=q.group_size)
-        if layer.mask is not None:
-            meta["mask"] = {"rows": layer.shape[0], "cols": layer.shape[1]}
+            assert back.mask is None
 
-    return edit_meta(layer_to_tensors(layer), downgrade)
+    @pytest.mark.parametrize("bits, codes, packed", [
+        (4, [1, -2, 7], [0xE1, 0x07]),  # low nibble first; -2 is 0b1110
+        (2, [1, -1, 0, -2, 1], [0b10_00_11_01, 0b01]),
+        (8, [-128, 127], [0x80, 0x7F]),
+    ])
+    def test_field_layout(self, bits, codes, packed):
+        layer = CompressedLayer(
+            weights=QuantizedTensor(np.array([codes]), np.array([1.0]), group_size=None,
+                                    bits=bits),
+            mask=None,
+            adapter=None,
+            channel_scaling=None,
+            config=LayerCompressionConfig(quant_method="absmax", weight_bits=bits),
+            provenance=Provenance(rows=1, cols=len(codes)),
+        )
+        assert layer_to_tensors(layer)["codes"].tolist() == packed
+
+
+class TestEffectiveBits:
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))
+    def test_report_matches_stored_bytes(self, cfg):
+        # the report charges every stored tensor but __config__; each tensor
+        # rounds up to whole bytes
+        layer = compressed(cfg)
+        stored = [t for name, t in layer_to_tensors(layer).items() if name != "__config__"]
+        on_disk = 8 * sum(t.nbytes for t in stored) / W.size
+        padding = on_disk - layer.effective_bits_per_weight
+        assert 0 <= padding < 8 * len(stored) / W.size
+
+
+def legacy_tensors(layer, version):
+    """The tensors a version-1 or version-2 writer produced for ``layer``:
+    int8 codes and raw f32 values in full, pruned entries included."""
+    tensors = {}
+    parts = {"weights": layer.weights}
+    if layer.adapter is not None:
+        a = layer.adapter
+        parts["adapter_left"], parts["adapter_right"] = a.quantized or (a.left, a.right)
+    for name, part in parts.items():
+        if isinstance(part, QuantizedTensor):
+            prefix = "" if name == "weights" else f"{name}_"
+            tensors[f"{prefix}codes"] = part.codes
+            tensors[f"{prefix}scales"] = part.scales.astype(np.float32)
+        else:
+            tensors[name] = part.astype(np.float32)
+    if layer.mask is not None:
+        tensors["mask_packed"] = np.packbits(layer.mask.keep.reshape(-1))
+    tensors["__config__"] = layer_to_tensors(layer)["__config__"]
+    return edit_meta(tensors, lambda m: m.update(version=version))
 
 
 def valid_tensors():
@@ -246,8 +321,29 @@ class TestSchemaViolations:
             layer_from_tensors(t)
 
     def test_codes_wrong_dtype(self):
+        # packed codes are u8; an i8 tensor is a version-2 layout
         t = valid_tensors()
-        t["codes"] = t["codes"].astype(np.uint8)
+        t["codes"] = t["codes"].view(np.int8)
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    @pytest.mark.parametrize("quant_method, tensor", [
+        ("slim_quant", "codes"), ("none", "weights")])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_kept_tensor_length(self, quant_method, tensor, change):
+        # a pruned weight stores exactly the mask's popcount of entries, in
+        # whole bytes for packed codes
+        layer = compressed(LayerCompressionConfig(
+            quant_method=quant_method, sparsity=SparsityPattern.semistructured(2, 4)))
+        t = layer_to_tensors(layer)
+        stored = t[tensor]
+        t[tensor] = stored[:-1] if change < 0 else np.append(stored, stored[:1])
+        with pytest.raises(SchemaViolation):
+            layer_from_tensors(t)
+
+    def test_config_deeply_nested(self):
+        t = valid_tensors()
+        t["__config__"] = np.frombuffer(b"[" * 100_000, dtype=np.uint8)
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
 
@@ -288,7 +384,9 @@ class TestSchemaViolations:
             layer_from_tensors(t)
 
     def test_writer_refuses_mistyped_config(self, tmp_path):
-        layer = compressed(CONFIGS[4])
+        # a quantizing config refuses weight_bits=4.0 itself; one that does
+        # not quantize leaves it to the writer
+        layer = compressed(CONFIGS[0])
         layer = dataclasses.replace(layer, config=dataclasses.replace(layer.config, weight_bits=4.0))
         path = tmp_path / "layer.slim"
         with pytest.raises(SchemaViolation):
@@ -303,7 +401,7 @@ class TestSchemaViolations:
 
     def test_adapter_rows_differ_from_d_in(self):
         t = layer_to_tensors(compressed(CONFIGS[7]))
-        t["adapter_left"] = t["adapter_left"][:-4]  # same rank, 12 rows for d_in 16
+        t["adapter_left"] = t["adapter_left"][: 12 * 3]  # rank 3, 12 rows for d_in 16
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
 
@@ -342,17 +440,14 @@ class TestSchemaViolations:
 
     @pytest.mark.parametrize("quant_method, tensor", [("slim_quant", "codes"), ("none", "weights")])
     def test_stored_weight_where_mask_drops(self, quant_method, tensor, tmp_path):
-        # layer_output applies the stored weights as they are, so one nonzero
-        # value at a dropped position would contradict the mask's density.
+        # Only the kept entries are stored, so a nonzero value at a dropped
+        # position would be lost: the writer refuses it. (A reader cannot
+        # meet one; see test_kept_tensor_length.)
         layer = compressed(LayerCompressionConfig(
             quant_method=quant_method, sparsity=SparsityPattern.semistructured(2, 4)))
-        t = layer_to_tensors(layer)
-        stored = t[tensor].copy()
-        stored.reshape(-1)[np.flatnonzero(~layer.mask.keep)[-1]] = 3
-        t[tensor] = stored
-        with pytest.raises(SchemaViolation):
-            layer_from_tensors(t)
         w = layer.weights
+        stored = (w.codes if tensor == "codes" else w).copy()
+        stored.reshape(-1)[np.flatnonzero(~layer.mask.keep)[-1]] = 3
         bad = dataclasses.replace(w, codes=stored) if tensor == "codes" else stored
         path = tmp_path / "layer.slim"
         with pytest.raises(SchemaViolation):

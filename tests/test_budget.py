@@ -203,6 +203,16 @@ class TestLoading:
         p.write_text(json.dumps({"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4}))
         assert load_arch(p) == load_preset("opt-125m")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4.0, "d": 1024}',
+    ], ids=["deeply_nested", "duplicate_key"])
+    def test_load_arch_unparsable(self, tmp_path, text):
+        p = tmp_path / "arch.json"
+        p.write_text(text)
+        with pytest.raises(ConfigInvalid):
+            load_arch(p)
+
     def test_load_arch_not_utf8(self, tmp_path):
         p = tmp_path / "arch.json"
         p.write_bytes(b'{"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4.0, "x": "\xff"}')

@@ -134,6 +134,19 @@ class TestSaveLoad:
         with pytest.raises(SchemaViolation):
             load_calibration(p2)
 
+    @pytest.mark.parametrize("blob", [b"[" * 100_000, b'{"d_in": 3, "d_in": 3, "token_count": 4}'],
+                             ids=["deeply_nested", "duplicate_key"])
+    def test_unparsable_meta_rejected(self, tmp_path, blob):
+        from slim import read_container, write_container
+
+        p = tmp_path / "calib.slim"
+        save_calibration(p, compute_calibration([np.ones((4, 3))]))
+        tensors = dict(read_container(p))
+        tensors["__meta__"] = np.frombuffer(blob, dtype=np.uint8)
+        write_container(p, tensors)
+        with pytest.raises(SchemaViolation):
+            load_calibration(p)
+
     @pytest.mark.parametrize("meta", [
         {"d_in": 3.0, "token_count": 4},
         {"d_in": 3.9, "token_count": 4},

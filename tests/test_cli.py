@@ -338,7 +338,7 @@ class TestEval:
         artifact = out.parent / "bad.weights.slim"
         tensors = read_container(artifact)
         if defect == "adapter_rows":
-            tensors["adapter_left"] = tensors["adapter_left"][:-4]  # 12 rows, d_in 16
+            tensors["adapter_left"] = tensors["adapter_left"][: 12 * 3]  # rank 3, 12 rows, d_in 16
         else:
             meta = json.loads(tensors["__config__"].tobytes())
             meta["scaling"]["indices"] = [3, 40]
@@ -352,6 +352,28 @@ class TestEval:
         )
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_version_2_artifact_data_error(self, workspace, capsys):
+        # version 2 stored one int8 byte per code; it is no longer read
+        out = workspace["dir"] / "v2"
+        main(["compress", "--weights", str(workspace["weights"]), "--out", str(out)])
+        artifact = out.parent / "v2.weights.slim"
+        layer = deserialize_compressed_layer(artifact)
+        meta = json.loads(read_container(artifact)["__config__"].tobytes())
+        meta["version"] = 2
+        blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        write_container(artifact, {
+            "codes": layer.weights.codes,
+            "scales": layer.weights.scales.astype(np.float32),
+            "__config__": np.frombuffer(blob, dtype=np.uint8),
+        })
+        capsys.readouterr()
+        code, _, err = run(
+            capsys, "eval", "--original", str(workspace["weights"]),
+            "--compressed", str(artifact), "--inputs", str(workspace["acts"]),
+        )
+        assert code == 2
+        assert "unsupported artifact version 2" in err
 
     def test_multi_tensor_needs_selector(self, workspace, tmp_path, capsys):
         multi = tmp_path / "multi.slim"
@@ -421,6 +443,14 @@ class TestBudget:
     def test_arch_file_not_utf8_data_error(self, tmp_path, capsys):
         p = tmp_path / "arch.json"
         p.write_bytes(b'{"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": 4.0, "note": "\xff"}')
+        code, out, err = run(capsys, "budget", "--arch", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad architecture description in {p}")
+
+    def test_arch_file_deeply_nested_data_error(self, tmp_path, capsys):
+        p = tmp_path / "arch.json"
+        p.write_text("[" * 100_000)
         code, out, err = run(capsys, "budget", "--arch", str(p))
         assert code == 2
         assert out == ""

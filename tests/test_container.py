@@ -177,6 +177,10 @@ class TestTypedErrors:
         with pytest.raises(CorruptHeader):
             container_from_bytes(raw_payload(None, b"", header_bytes=b"[1,2]"))
 
+    def test_header_deeply_nested(self):
+        with pytest.raises(CorruptHeader):
+            container_from_bytes(raw_payload(None, b"", header_bytes=b"[" * 100_000))
+
     def test_duplicate_tensor_names(self):
         dup = b'{"a":{"dtype":"u8","shape":[1],"offset":0,"nbytes":1},' \
               b'"a":{"dtype":"u8","shape":[1],"offset":0,"nbytes":1}}'

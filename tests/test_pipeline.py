@@ -54,6 +54,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             LayerCompressionConfig(**kwargs)
 
+    @pytest.mark.parametrize("bits", [4.5, 4.0, True, "4", np.int64(4)])
+    def test_weight_bits_must_be_an_int(self, bits):
+        # the packed code width follows from weight_bits, and __config__
+        # stores it as a JSON integer
+        with pytest.raises(ConfigInvalid):
+            LayerCompressionConfig(weight_bits=bits)
+
     def test_effective_rank_ratio_default(self):
         cfg = LayerCompressionConfig(adapter_method="slim")
         assert cfg.rank_ratio is None
@@ -285,7 +292,8 @@ class TestErrorReport:
         layer, rep = self.make()
         r = layer.adapter.rank  # ceil(0.1 * 24) = 3
         assert r == 3
-        expected = 4 * 0.5 + 16 * r * (32 + 24) / (32 * 24)
+        # kept 4-bit codes, one f32 scale, the 1-bit mask, f32 adapter factors
+        expected = 4 * 0.5 + (32 + 32 * 24 + 32 * r * (32 + 24)) / (32 * 24)
         assert rep.effective_bits_per_weight == pytest.approx(expected, rel=1e-12)
 
     def test_effective_bits_quantized_adapter(self):
@@ -295,15 +303,17 @@ class TestErrorReport:
         )
         layer = compress_layer(W, STATS, cfg)
         rep = error_report(W, layer, X, saliency_vector(STATS))
-        expected = 4.0 + 4 * layer.adapter.rank * (32 + 24) / (32 * 24)
-        assert rep.effective_bits_per_weight == pytest.approx(expected)
+        r = layer.adapter.rank  # 3: 96 + 72 codes in 12 + 9 groups of 8
+        assert r == 3
+        expected = 4.0 + (32 + 4 * r * (32 + 24) + 32 * (12 + 9)) / (32 * 24)
+        assert rep.effective_bits_per_weight == pytest.approx(expected, rel=1e-12)
 
     def test_dense_layer_reports_zero_error(self):
         layer = compress_layer(W, None, LayerCompressionConfig(quant_method="none"))
         rep = error_report(W, layer, X, saliency_vector(STATS))
         assert rep.weight_mse == 0.0
         assert rep.output_mse == 0.0
-        assert rep.effective_bits_per_weight == 16.0
+        assert rep.effective_bits_per_weight == 32.0  # raw f32 values
 
     def test_json_round_trip(self):
         import json
