@@ -29,6 +29,7 @@ it.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -247,13 +248,25 @@ def _from_fields(cls, raw, ignored=(), **values):
 def write_container(path, tensors: dict) -> None:
     """Write tensors to ``path`` in the container format.
 
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename: a write that fails or is interrupted
+    leaves ``path`` as it was and no temporary file behind.
+
     Raises:
         IoError: the underlying file operation failed.
         SchemaViolation: a tensor has an unsupported dtype or bad name.
     """
     payload = container_to_bytes(tensors)
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
     try:
-        Path(path).write_bytes(payload)
+        try:
+            with open(tmp, "xb") as f:  # created under the umask, as the target would be
+                f.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

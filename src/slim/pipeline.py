@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import prune as prune_mod
 from .calibration import CalibrationStats
+from .container import _json_typed
 from .errors import ConfigInvalid, ShapeMismatch
 from .lora import (
     DEFAULT_RANK_RATIO,
@@ -95,6 +96,10 @@ class LayerCompressionConfig:
             slim_quant_o, off otherwise".
         scale_fraction: Fraction of input channels boosted by scaling.
         scale_factor: Boost multiplier (> 1).
+
+    Every field but ``sparsity`` must hold a value of its annotated type,
+    the type ``__config__`` stores it as: an int field refuses a float or a
+    bool, a bool field refuses an int, and a float field refuses a bool.
     """
 
     quant_method: str = "slim_quant"
@@ -111,16 +116,18 @@ class LayerCompressionConfig:
     scale_factor: float = DEFAULT_SCALE_FACTOR
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "sparsity" and not _json_typed(value, f.type):
+                raise ConfigInvalid(f"{f.name} must be {f.type}, got {value!r}")
         if self.quant_method not in QUANT_METHODS:
             raise ConfigInvalid(f"unknown quant_method {self.quant_method!r}")
         if self.prune_scores not in SCORE_METHODS:
             raise ConfigInvalid(f"unknown prune_scores {self.prune_scores!r}")
         if self.adapter_method not in ADAPTER_METHODS:
             raise ConfigInvalid(f"unknown adapter_method {self.adapter_method!r}")
-        if self.quant_method != "none":
-            bits = self.weight_bits
-            if not isinstance(bits, int) or isinstance(bits, bool) or not 2 <= bits <= 8:
-                raise ConfigInvalid(f"weight_bits must be an int in [2, 8], got {bits!r}")
+        if self.quant_method != "none" and not 2 <= self.weight_bits <= 8:
+            raise ConfigInvalid(f"weight_bits must be in [2, 8], got {self.weight_bits}")
         if self.group_size < 1:
             raise ConfigInvalid(f"group_size must be >= 1, got {self.group_size}")
         if self.adapter_method == "none":
@@ -341,7 +348,10 @@ def compress_layer(
             scores = prune_mod.wanda_scores(w_c, stats)
         else:
             scores = prune_mod.magnitude_scores(w_c)
+        if cfg.adapter_method == "none":
+            del w_c  # free it before the mask's buffers peak
         mask = prune_mod.build_mask(scores, cfg.sparsity)
+        del scores
         if isinstance(stored, QuantizedTensor):
             stored = replace(stored, codes=prune_mod.apply_mask(stored.codes, mask))
         else:

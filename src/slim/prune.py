@@ -119,7 +119,9 @@ def wanda_scores(w, stats: CalibrationStats) -> np.ndarray:
         raise ShapeMismatch(
             f"stats cover {stats.d_in} channels, weight has {arr.shape[0]} rows"
         )
-    return np.abs(arr) * stats.l2_norm[:, None]
+    scores = np.abs(arr)
+    scores *= stats.l2_norm[:, None]
+    return scores
 
 
 def magnitude_scores(w) -> np.ndarray:
@@ -130,7 +132,11 @@ def magnitude_scores(w) -> np.ndarray:
 def unstructured_mask(scores, ratio: float) -> SparsityMask:
     """Keep the top ``ceil((1 - ratio) * d_in)`` scores in every output column.
 
-    Ties break toward the lower input index. ``ratio`` = 0 keeps everything.
+    Selection, not sorting: a partition of each column finds its k-th
+    largest score, every score above it is kept, and the scores equal to it
+    fill the remaining places. Ties break toward the lower input index, so
+    the mask is the first k entries of a stable descending sort. ``ratio``
+    = 0 keeps everything.
 
     Raises:
         ConfigInvalid: ``ratio`` outside [0, 1).
@@ -140,20 +146,36 @@ def unstructured_mask(scores, ratio: float) -> SparsityMask:
         raise ConfigInvalid(f"ratio must be in [0, 1), got {ratio}")
     d_in, d_out = s.shape
     k = int(np.ceil((1.0 - ratio) * d_in))
-    keep = np.zeros((d_in, d_out), dtype=bool)
-    if k > 0:
-        # Stable sort on negated scores: equal scores keep ascending index order.
-        order = np.argsort(-s, axis=0, kind="stable")
-        top = order[:k, :]
-        keep[top, np.arange(d_out)[None, :]] = True
+    if k == d_in:  # k >= 1: d_in >= 1 and ratio < 1
+        return SparsityMask(np.ones((d_in, d_out), dtype=bool))
+    # Partition a private C-ordered copy, one column per row, so that each
+    # column is contiguous and the caller's scores are never reordered.
+    cols = s.T.copy()
+    cols.partition(d_in - k, axis=1)
+    kth = cols[:, d_in - k].copy()
+    del cols
+    keep = s > kth
+    tied = s == kth
+    need = k - np.count_nonzero(keep, axis=0)
+    # Columns with more ties than places keep their first ``need`` ties.
+    over = np.flatnonzero(np.count_nonzero(tied, axis=0) > need)
+    if over.size:
+        sub = tied[:, over]
+        sub &= np.cumsum(sub, axis=0, dtype=np.min_scalar_type(d_in)) <= need[over]
+        tied[:, over] = sub
+    keep |= tied
     return SparsityMask(keep)
 
 
 def semistructured_mask(scores, n: int, m: int) -> SparsityMask:
     """Keep exactly ``n`` of every aligned ``m`` consecutive input weights.
 
-    Groups run along the input dimension at fixed output index. Ties break
-    toward the lower input index.
+    Groups run along the input dimension at fixed output index. Each entry
+    is ranked within its group by pairwise comparison: entry i is beaten by
+    every earlier entry with a score >= its own and every later entry with a
+    strictly greater score, and it is kept when fewer than ``n`` beat it.
+    That rank is its position in a stable descending sort of the group, so
+    ties break toward the lower input index.
 
     Raises:
         ConfigInvalid: not 0 < n < m.
@@ -166,12 +188,13 @@ def semistructured_mask(scores, n: int, m: int) -> SparsityMask:
     if d_in % m != 0:
         raise IndivisibleDimension(f"input dim {d_in} not divisible by m = {m}")
     grouped = s.reshape(d_in // m, m, d_out)
-    order = np.argsort(-grouped, axis=1, kind="stable")
-    keep = np.zeros_like(grouped, dtype=bool)
-    g_idx = np.arange(d_in // m)[:, None, None]
-    o_idx = np.arange(d_out)[None, None, :]
-    keep[g_idx, order[:, :n, :], o_idx] = True
-    return SparsityMask(keep.reshape(d_in, d_out))
+    rank = np.zeros(grouped.shape, dtype=np.min_scalar_type(m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            later_wins = grouped[:, j] > grouped[:, i]
+            rank[:, i] += later_wins
+            rank[:, j] += ~later_wins
+    return SparsityMask((rank < n).reshape(d_in, d_out))
 
 
 def apply_mask(w, mask: SparsityMask) -> np.ndarray:

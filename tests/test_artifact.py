@@ -384,10 +384,12 @@ class TestSchemaViolations:
             layer_from_tensors(t)
 
     def test_writer_refuses_mistyped_config(self, tmp_path):
-        # a quantizing config refuses weight_bits=4.0 itself; one that does
-        # not quantize leaves it to the writer
+        # the config refuses weight_bits=4.0 itself, so the writer's own
+        # check is reached only by going round the constructor
         layer = compressed(CONFIGS[0])
-        layer = dataclasses.replace(layer, config=dataclasses.replace(layer.config, weight_bits=4.0))
+        cfg = dataclasses.replace(layer.config)
+        object.__setattr__(cfg, "weight_bits", 4.0)
+        layer = dataclasses.replace(layer, config=cfg)
         path = tmp_path / "layer.slim"
         with pytest.raises(SchemaViolation):
             serialize_compressed_layer(layer, path)

@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 
@@ -16,6 +17,7 @@ from slim import (
     read_container,
     write_container,
 )
+from slim import container
 from slim.container import MAGIC, VERSION, container_from_bytes, container_to_bytes
 
 PREFIX = struct.Struct("<8sIQ")
@@ -280,6 +282,27 @@ class TestFileIo:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoError):
             write_container(tmp_path / "no" / "such" / "dir.slim", {})
+
+    @pytest.mark.parametrize("existing", [True, False])
+    @pytest.mark.parametrize(
+        "error, raised", [(OSError(28, "No space left on device"), IoError),
+                          (KeyboardInterrupt(), KeyboardInterrupt)]
+    )
+    def test_interrupted_write_leaves_nothing(self, tmp_path, monkeypatch, existing, error, raised):
+        p = tmp_path / "t.slim"
+        if existing:
+            write_container(p, {"x": np.arange(4, dtype=np.float32)})
+        before = sorted(tmp_path.iterdir()), p.read_bytes() if existing else None
+
+        class HalfWrite(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                raise error
+
+        monkeypatch.setattr(container, "open", HalfWrite, raising=False)
+        with pytest.raises(raised):
+            write_container(p, {"y": np.ones(1000, dtype=np.float32)})
+        assert (sorted(tmp_path.iterdir()), p.read_bytes() if existing else None) == before
 
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(SchemaViolation):

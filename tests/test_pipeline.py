@@ -17,6 +17,7 @@ from slim import (
     layer_output,
     saliency_vector,
 )
+from slim import prune
 from slim.artifact import layer_to_bytes
 
 
@@ -60,6 +61,25 @@ class TestConfigValidation:
         # stores it as a JSON integer
         with pytest.raises(ConfigInvalid):
             LayerCompressionConfig(weight_bits=bits)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"quant_method": "group_absmax", "group_size": 8.0},
+            {"quant_method": "group_absmax", "group_size": True},
+            {"quant_method": "none", "weight_bits": 4.0},
+            {"adapter_method": "naive", "rank_ratio": True},
+            {"input_fp8": 1},
+            {"quantize_adapters": 0},
+            {"channel_scaling": 0},
+            {"scale_fraction": "0.1"},
+        ],
+    )
+    def test_fields_must_have_their_annotated_type(self, kwargs):
+        # accepted, each would fail only later: inside numpy, in the
+        # artifact writer, or as a bare TypeError
+        with pytest.raises(ConfigInvalid):
+            LayerCompressionConfig(**kwargs)
 
     def test_effective_rank_ratio_default(self):
         cfg = LayerCompressionConfig(adapter_method="slim")
@@ -228,6 +248,30 @@ class TestCompressLayer:
         a = layer_to_bytes(compress_layer(W, STATS, cfg))
         b = layer_to_bytes(compress_layer(W.copy(), STATS, cfg))
         assert a == b
+
+
+class TestCallerArraysUntouched:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_scores_masks_and_compress_leave_inputs_bit_identical(self, order):
+        # every buffer the pipeline reuses in place must be its own, never
+        # the caller's weight, statistics or scores
+        w = np.array(W, order=order)
+        w[0, :3] = [-0.0, 0.0, -0.0]
+        stats = compute_calibration([X])
+        scores = prune.wanda_scores(w, stats)
+        caller = [w, stats.l2_norm, stats.mean_abs, scores, np.asfortranarray(scores)]
+        before = [a.tobytes() for a in caller]
+        for pattern in (SparsityPattern.unstructured(0.5), SparsityPattern.semistructured(2, 4)):
+            for s in caller[3:]:
+                prune.build_mask(s, pattern)
+            for cfg in (
+                LayerCompressionConfig(quant_method="none", sparsity=pattern),
+                LayerCompressionConfig(quant_method="slim_quant_o", sparsity=pattern),
+                LayerCompressionConfig(sparsity=pattern, prune_scores="magnitude"),
+            ):
+                compress_layer(w, stats, cfg)
+        prune.wanda_scores(w, stats)
+        assert [a.tobytes() for a in caller] == before
 
 
 class TestLayerOutput:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim import (
     CalibrationStats,
@@ -79,6 +81,57 @@ class TestScores:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             wanda_scores(np.ones((3, 2)), stats_with_l2([1.0, 1.0]))
+
+
+SCORE_KINDS = ("random", "all_equal", "signed_zeros", "mostly_zero", "few_values")
+
+
+def scores_of_kind(kind, shape, seed):
+    """Score matrices that stress the tie rule: equal columns, -0.0 next to
+    0.0, more than half zeros, and only a few distinct values."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random(shape)
+    if kind == "all_equal":
+        return np.full(shape, rng.random())
+    if kind == "signed_zeros":
+        return rng.choice([-0.0, 0.0, 1.0], shape)
+    if kind == "mostly_zero":
+        return np.where(rng.random(shape) < 0.7, 0.0, rng.integers(1, 4, shape))
+    return rng.integers(0, 3, shape).astype(float)
+
+
+class TestMaskParity:
+    """The selection masks against the sorting and enumerating oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d_in=st.integers(1, 24),
+        d_out=st.integers(1, 6),
+        kind=st.sampled_from(SCORE_KINDS),
+        ratio=st.one_of(st.sampled_from([0.0, 0.5, 0.99]), st.floats(0.0, 0.99)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d_in=1, d_out=3, kind="random", ratio=0.5, seed=0)  # d_in = 1
+    @example(d_in=9, d_out=4, kind="all_equal", ratio=0.0, seed=0)  # k = d_in
+    @example(d_in=9, d_out=4, kind="all_equal", ratio=0.99, seed=0)  # k = 1
+    @example(d_in=16, d_out=5, kind="signed_zeros", ratio=0.5, seed=1)
+    @example(d_in=20, d_out=5, kind="mostly_zero", ratio=0.5, seed=2)
+    def test_unstructured_matches_sort_oracle(self, d_in, d_out, kind, ratio, seed):
+        s = scores_of_kind(kind, (d_in, d_out), seed)
+        assert np.array_equal(unstructured_mask(s, ratio).keep, topk_column_mask(s, ratio))
+
+    @pytest.mark.parametrize("n, m", [(n, m) for m in (4, 8) for n in range(1, m)])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        groups=st.integers(1, 4),
+        d_out=st.integers(1, 4),
+        kind=st.sampled_from(SCORE_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_semistructured_matches_exhaustive_oracle(self, n, m, groups, d_out, kind, seed):
+        s = scores_of_kind(kind, (groups * m, d_out), seed)
+        assert np.array_equal(semistructured_mask(s, n, m).keep, nm_group_mask(s, n, m))
 
 
 class TestUnstructuredMask:
