@@ -89,17 +89,20 @@ def _parse_shape(text: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _single_tensor(tensors: dict, source: str, prefer: str | None = None) -> tuple[str, np.ndarray]:
+def _single_tensor(path, prefer: str | None = None) -> np.ndarray:
+    """The tensor ``prefer`` of the container at ``path``, reading no other;
+    without ``prefer``, the container's only tensor not named ``__*``."""
     if prefer is not None:
+        tensors = read_container(path, [prefer])
         if prefer not in tensors:
-            raise SlimError(f"{source} has no tensor named {prefer!r}")
-        return prefer, tensors[prefer]
-    named = {k: v for k, v in tensors.items() if not k.startswith("__")}
+            raise SlimError(f"{path} has no tensor named {prefer!r}")
+        return tensors[prefer]
+    named = {k: v for k, v in read_container(path).items() if not k.startswith("__")}
     if len(named) != 1:
         raise SlimError(
-            f"{source} holds {len(named)} tensors; pass --tensor to pick one"
+            f"{path} holds {len(named)} tensors; pass --tensor to pick one"
         )
-    return next(iter(named.items()))
+    return next(iter(named.values()))
 
 
 def _build_compress_config(args) -> LayerCompressionConfig:
@@ -171,11 +174,9 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    originals = read_container(args.original)
-    _, w = _single_tensor(originals, args.original, args.tensor)
+    w = _single_tensor(args.original, args.tensor)
     layer = deserialize_compressed_layer(args.compressed)
-    inputs = read_container(args.inputs)
-    _, x_eval = _single_tensor(inputs, args.inputs)
+    x_eval = _single_tensor(args.inputs)
     sal = saliency_vector(compute_calibration([x_eval]))
     rep = error_report(w, layer, x_eval, sal)
     if args.report is not None:
@@ -218,8 +219,7 @@ def cmd_budget(args) -> int:
 def cmd_oracle_alpha(args) -> int:
     if args.grid_points < 100:
         raise UsageError(f"--grid-points must be >= 100, got {args.grid_points}")
-    tensors = read_container(args.weights)
-    _, w = _single_tensor(tensors, args.weights, args.tensor)
+    w = _single_tensor(args.weights, args.tensor)
     hist = build_abs_histogram(np.asarray(w, dtype=np.float64), args.bins)
     m = hist.max_abs
     if m == 0.0:

@@ -17,7 +17,9 @@ where ``offset`` is relative to the start of the data section. Supported
 dtypes: ``f32``, ``i8``, ``u8``. Readers reject bad magic, unknown
 versions, malformed or self-inconsistent headers, and data sections
 shorter than the header promises, each with a dedicated error type; no
-malformed input may escalate past those errors.
+malformed input may escalate past those errors. A reader checks every
+header entry, then reads only the tensors it was asked for, each straight
+into its own array.
 
 The header, the JSON records stored alongside the tensors (artifact and
 calibration metadata) and architecture files are parsed by
@@ -28,6 +30,7 @@ it.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
@@ -114,43 +117,27 @@ def container_to_bytes(tensors: dict) -> bytes:
     return bytes(out)
 
 
-def _parse_header(payload: bytes) -> tuple[dict, bytes]:
-    if len(payload) < _HEADER_PREFIX.size:
-        raise BadMagic("file too short for container prefix")
-    magic, version, header_len = _HEADER_PREFIX.unpack_from(payload, 0)
-    if magic != MAGIC:
-        raise BadMagic(f"bad magic bytes {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersion(f"container version {version}, reader supports {VERSION}")
-    start = _HEADER_PREFIX.size
-    end = start + header_len
-    if header_len > len(payload) - start:
-        raise CorruptHeader(
-            f"header claims {header_len} bytes, only {len(payload) - start} available"
-        )
-    header = _parse_json(payload[start:end], CorruptHeader, "header")
-    if not isinstance(header, dict):
-        raise CorruptHeader("header must be a JSON object")
-    return header, payload[end:]
+def _read_exact(f, buf, what: str) -> None:
+    """Fill ``buf`` from ``f``, resuming short reads; TruncatedData if ``f`` ends first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        n = f.readinto(view)
+        if not n:
+            raise TruncatedData(f"stream ended inside {what}")
+        view = view[n:]
 
 
 def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def container_from_bytes(payload: bytes) -> dict:
-    """Parse container bytes back into a name-to-array mapping.
-
-    Raises:
-        BadMagic: wrong magic bytes (or input too short to hold them).
-        UnsupportedVersion: version field is not 1.
-        CorruptHeader: header malformed, or entries are self-inconsistent
-            (bad dtype/shape/offset, size mismatch, overlapping ranges).
-        TruncatedData: data section shorter than the header describes.
-    """
-    header, data = _parse_header(bytes(payload))
-    tensors = {}
-    spans = []
+def _checked_entries(header, data_len: int) -> list[tuple]:
+    """``(offset, nbytes, name, dtype, shape)`` of every header entry, in
+    data-section order, each checked against a data section of
+    ``data_len`` bytes and against the others."""
+    if not isinstance(header, dict):
+        raise CorruptHeader("header must be a JSON object")
+    entries = []
     for name, entry in header.items():
         if not isinstance(entry, dict):
             raise CorruptHeader(f"entry for {name!r} is not an object")
@@ -175,21 +162,72 @@ def container_from_bytes(payload: bytes) -> dict:
             raise CorruptHeader(
                 f"entry for {name!r}: nbytes {nbytes} != shape product {count} * {dtype.itemsize}"
             )
-        if offset + nbytes > len(data):
+        if offset + nbytes > data_len:
             raise TruncatedData(
                 f"tensor {name!r} needs bytes [{offset}, {offset + nbytes}), "
-                f"data section has {len(data)}"
+                f"data section has {data_len}"
             )
-        spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(data[offset : offset + nbytes], dtype=dtype)
-        tensors[name] = arr.reshape(shape).copy()
-    spans.sort()
-    for (a0, a1, an), (b0, b1, bn) in zip(spans, spans[1:]):
-        if b0 < a1:
+        entries.append((offset, nbytes, name, dtype, shape))
+    entries.sort(key=lambda e: e[:3])
+    for (a0, a_n, an, *_), (b0, _, bn, *_) in zip(entries, entries[1:]):
+        if b0 < a0 + a_n:
             raise CorruptHeader(f"tensors {an!r} and {bn!r} overlap in the data section")
-    # return in data-section order so a parse/serialize round trip assigns
-    # the same offsets and reproduces the payload bit for bit
-    return {name: tensors[name] for _, _, name in spans}
+    return entries
+
+
+def _read_tensors(f, names) -> dict:
+    """Tensors of the container in the seekable binary stream ``f``.
+
+    The whole header is checked before any tensor is read; then only the
+    tensors in ``names`` (all when None) are read, each straight into its
+    own array.
+    """
+    size = f.seek(0, os.SEEK_END)
+    if size < _HEADER_PREFIX.size:
+        raise BadMagic("file too short for container prefix")
+    f.seek(0)
+    prefix = bytearray(_HEADER_PREFIX.size)
+    _read_exact(f, prefix, "the prefix")
+    magic, version, header_len = _HEADER_PREFIX.unpack(prefix)
+    if magic != MAGIC:
+        raise BadMagic(f"bad magic bytes {magic!r}")
+    if version != VERSION:
+        raise UnsupportedVersion(f"container version {version}, reader supports {VERSION}")
+    data_start = _HEADER_PREFIX.size + header_len
+    if data_start > size:
+        raise CorruptHeader(
+            f"header claims {header_len} bytes, only {size - _HEADER_PREFIX.size} available"
+        )
+    raw = bytearray(header_len)
+    _read_exact(f, raw, "the header")
+    entries = _checked_entries(_parse_json(raw, CorruptHeader, "header"), size - data_start)
+    wanted = None if names is None else set(names)
+    tensors = {}
+    # data-section order, so a read/serialize round trip assigns the same
+    # offsets and reproduces the payload bit for bit
+    for offset, _, name, dtype, shape in entries:
+        if wanted is None or name in wanted:
+            arr = np.empty(shape, dtype)
+            f.seek(data_start + offset)
+            _read_exact(f, arr.reshape(-1).view(np.uint8), f"tensor {name!r}")
+            tensors[name] = arr
+    return tensors
+
+
+def container_from_bytes(payload, names=None) -> dict:
+    """Parse container bytes back into a name-to-array mapping.
+
+    Reads exactly as :func:`read_container` does, from a bytes-like
+    ``payload`` instead of a file.
+
+    Raises:
+        BadMagic: wrong magic bytes (or input too short to hold them).
+        UnsupportedVersion: version field is not 1.
+        CorruptHeader: header malformed, or entries are self-inconsistent
+            (bad dtype/shape/offset, size mismatch, overlapping ranges).
+        TruncatedData: data section shorter than the header describes.
+    """
+    return _read_tensors(io.BytesIO(payload), names)
 
 
 # JSON types for each field annotation. bool is a subclass of int in Python,
@@ -271,8 +309,13 @@ def write_container(path, tensors: dict) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_container(path) -> dict:
+def read_container(path, names=None) -> dict:
     """Read a container file; inverse of :func:`write_container`.
+
+    Every header entry is validated against the file, selected or not,
+    but only the tensors in ``names`` (all when None) are read, in
+    data-section order. A name the container does not hold is absent
+    from the result.
 
     Raises:
         IoError: the file cannot be read.
@@ -280,7 +323,7 @@ def read_container(path) -> dict:
             the file is not a valid container.
     """
     try:
-        payload = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            return _read_tensors(f, names)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return container_from_bytes(payload)

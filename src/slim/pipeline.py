@@ -174,13 +174,6 @@ class Provenance:
     alpha: float | None = None
 
 
-def _dense(weights: QuantizedTensor | np.ndarray) -> np.ndarray:
-    """Float64 matrix of a stored weight representation."""
-    if isinstance(weights, QuantizedTensor):
-        return dequantize(weights)
-    return np.asarray(weights, dtype=np.float64)
-
-
 def _stored_bits(part: QuantizedTensor | np.ndarray, entries: int) -> int:
     """Bits a stored part takes for ``entries`` values: packed codes plus
     f32 scales, or f32 values."""
@@ -189,12 +182,21 @@ def _stored_bits(part: QuantizedTensor | np.ndarray, entries: int) -> int:
     return F32_BITS * entries
 
 
-def _unscale(w: np.ndarray, scaling: ChannelScaling | None) -> np.ndarray:
-    """Map a stored-coordinate weight back to the caller's coordinates."""
-    if scaling is None or not scaling.channel_indices.size:
-        return w
-    w = w.copy()
-    w[scaling.channel_indices, :] /= scaling.factor
+def _dense(weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None = None,
+           copy: bool = False) -> np.ndarray:
+    """Float64 matrix of a stored weight, mapped back to the caller's
+    coordinates when ``scaling`` is given. It is a new buffer when the
+    weight is quantized or channel-scaled, or when ``copy`` is set;
+    otherwise it may be the stored array itself."""
+    scaled = scaling is not None and scaling.channel_indices.size
+    if isinstance(weights, QuantizedTensor):
+        w = dequantize(weights)
+    elif copy or scaled:
+        w = np.array(weights, dtype=np.float64)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+    if scaled:
+        w[scaling.channel_indices, :] /= scaling.factor
     return w
 
 
@@ -243,7 +245,7 @@ class CompressedLayer:
 
     def effective_weight(self) -> np.ndarray:
         """Dense compressed weight in the caller's coordinates (no adapter)."""
-        return _unscale(self.stored_weight(), self.channel_scaling)
+        return _dense(self.weights, self.channel_scaling)
 
     def corrected_weight(self) -> np.ndarray:
         """effective_weight plus the adapter correction, if any."""
@@ -339,7 +341,7 @@ def compress_layer(
     # The quantized weight in the caller's coordinates, which both the
     # pruning scores and the adapter fit read.
     if cfg.sparsity is not None or cfg.adapter_method != "none":
-        w_c = _unscale(_dense(stored), scaling)
+        w_c = _dense(stored, scaling)
 
     # 3. Prune the quantized weight.
     mask = None
@@ -410,13 +412,24 @@ def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np
     return w0
 
 
-def _weight_space(w0, w_eff, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
-    diff = w_eff - w0
-    weight_mse = float(np.mean(diff**2))
-    diff *= x_saliency.values[:, None]  # in place: one weight-sized buffer fewer
+def _difference(w0: np.ndarray, layer: CompressedLayer) -> np.ndarray:
+    """``layer.corrected_weight() - w0``, built in a buffer of its own."""
+    d = _dense(layer.weights, layer.channel_scaling, copy=True)
+    if layer.adapter is not None:
+        d += layer.adapter.correction()
+    d -= w0
+    return d
+
+
+def _mean_square(a: np.ndarray) -> float:
+    return float(np.einsum("ij,ij->", a, a) / a.size)
+
+
+def _weight_space(d, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
+    rows = np.einsum("ij,ij->i", d, d)  # no weight-sized temporary
     return {
-        "weight_mse": weight_mse,
-        "weighted_weight_mse": float(np.mean(diff**2)),
+        "weight_mse": float(rows.sum() / d.size),
+        "weighted_weight_mse": float(rows @ np.square(x_saliency.values) / d.size),
         "density": layer.density,
         "effective_bits_per_weight": layer.effective_bits_per_weight,
     }
@@ -433,7 +446,7 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
     w0 = _checked_weight(w, layer, x_saliency)
-    return _weight_space(w0, layer.corrected_weight(), layer, x_saliency)
+    return _weight_space(_difference(w0, layer), layer, x_saliency)
 
 
 def error_report(
@@ -444,11 +457,15 @@ def error_report(
 ) -> ErrorReport:
     """Compare a compressed layer against the original weight.
 
-    ``weight_mse`` and ``weighted_weight_mse`` measure the dense
-    reconstruction (with adapter) per element, the weighted variant scaling
-    each input row by ``x_saliency``. ``output_mse`` is the per-element
-    squared difference between ``x_eval @ W_reconstructed`` and
-    ``x_eval @ w``; ``output_mse_no_adapter`` drops the adapter term.
+    Every field but ``density`` and ``effective_bits_per_weight`` comes
+    from one difference ``D = corrected_weight - w``. ``weight_mse`` is the
+    mean of ``D**2``; ``weighted_weight_mse`` scales each input row of D by
+    ``x_saliency`` first. ``output_mse`` is the mean of ``R**2`` for
+    ``R = x_eval @ D``, the per-element squared difference between
+    ``x_eval @ W_reconstructed`` and ``x_eval @ w``.
+    ``output_mse_no_adapter`` drops the adapter term from R, as
+    ``R - (x_eval @ left) @ right``; without an adapter it equals
+    ``output_mse``. The layer's arrays are left as they were.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -459,12 +476,16 @@ def error_report(
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
 
-    w_c = layer.effective_weight()
-    w_eff = w_c if layer.adapter is None else w_c + layer.adapter.correction()
-    weight_fields = _weight_space(w0, w_eff, layer, x_saliency)
-    y_ref = xe @ w0
+    d = _difference(w0, layer)
+    weight_fields = _weight_space(d, layer, x_saliency)
+    r = xe @ d
+    output_mse = _mean_square(r)
+    no_adapter = output_mse
+    if layer.adapter is not None:
+        r -= (xe @ layer.adapter.left) @ layer.adapter.right
+        no_adapter = _mean_square(r)
     return ErrorReport(
-        output_mse=float(np.mean((xe @ w_eff - y_ref) ** 2)),
-        output_mse_no_adapter=float(np.mean((xe @ w_c - y_ref) ** 2)),
+        output_mse=output_mse,
+        output_mse_no_adapter=no_adapter,
         **weight_fields,
     )

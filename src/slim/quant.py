@@ -219,12 +219,15 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     multiplied by its group's ``scale / (2**(q-1) - 1)``.
     """
     q = t.bits
+    # the products run in place on the new float64 buffer astype returns
     if t.group_size is None:
-        return t.codes.astype(np.float64) * (float(t.scales[0]) * 2.0 ** (1 - q))
+        out = t.codes.astype(np.float64)
+        out *= float(t.scales[0]) * 2.0 ** (1 - q)
+        return out
     qmax = float((1 << (q - 1)) - 1)
-    flat = t.codes.astype(np.float64).ravel()
-    per_elem = np.repeat(t.scales / qmax, t.group_size)[: flat.size]
-    return (flat * per_elem).reshape(t.codes.shape)
+    flat = t.codes.astype(np.float64, order="C").ravel()
+    flat *= np.repeat(t.scales / qmax, t.group_size)[: flat.size]
+    return flat.reshape(t.codes.shape)
 
 
 def absmax_alpha(w) -> float:

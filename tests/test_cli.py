@@ -23,6 +23,7 @@ from slim import (
     SchemeConfig,
 )
 from slim.artifact import layer_to_bytes
+from slim import cli
 from slim.cli import main
 
 
@@ -30,6 +31,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_reads(monkeypatch) -> list:
+    """The sorted tensor names each container read of the CLI returns, in order."""
+    returned = []
+
+    def recording_read(path, names=None):
+        tensors = read_container(path, names)
+        returned.append(sorted(tensors))
+        return tensors
+
+    monkeypatch.setattr(cli, "read_container", recording_read)
+    return returned
 
 
 @pytest.fixture
@@ -397,6 +411,32 @@ class TestEval:
                          "--tensor", "a")
         assert code == 0
 
+    def test_missing_tensor_data_error(self, workspace, capsys):
+        out = workspace["dir"] / "mt"
+        main(["compress", "--weights", str(workspace["weights"]), "--out", str(out),
+              "--quant", "none"])
+        capsys.readouterr()
+        code, _, err = run(capsys, "eval", "--original", str(workspace["weights"]),
+                           "--compressed", str(out.parent / "mt.weights.slim"),
+                           "--inputs", str(workspace["acts"]), "--tensor", "fc1")
+        assert code == 2
+        assert f"{workspace['weights']} has no tensor named 'fc1'" in err
+
+    def test_reads_only_the_selected_tensor(self, workspace, tmp_path, capsys, monkeypatch):
+        multi = tmp_path / "multi.slim"
+        rng = np.random.default_rng(17)
+        write_container(multi, {n: rng.standard_normal((16, 12)).astype(np.float32)
+                                for n in ("a", "b", "c")})
+        main(["compress", "--weights", str(multi), "--out", str(tmp_path / "sel"),
+              "--quant", "none"])
+        capsys.readouterr()
+        returned = record_reads(monkeypatch)
+        code, _, _ = run(capsys, "eval", "--original", str(multi),
+                         "--compressed", str(tmp_path / "sel.b.slim"),
+                         "--inputs", str(workspace["acts"]), "--tensor", "b")
+        assert code == 0
+        assert returned == [["b"], ["acts"]]
+
 
 class TestBudget:
     def test_opt125m_reference_values(self, capsys):
@@ -510,6 +550,18 @@ class TestOracleAlpha:
         code, _, _ = run(capsys, "oracle-alpha", "--weights", str(w),
                          "--grid-points", "99")
         assert code == 1
+
+    def test_missing_tensor_data_error(self, tmp_path, capsys, monkeypatch):
+        w = tmp_path / "g3.slim"
+        write_container(w, {"weights": np.ones((10, 10), dtype=np.float32),
+                            "other": np.ones((10, 10), dtype=np.float32)})
+        code, _, err = run(capsys, "oracle-alpha", "--weights", str(w), "--tensor", "fc1")
+        assert code == 2
+        assert f"{w} has no tensor named 'fc1'" in err
+        returned = record_reads(monkeypatch)
+        code, _, _ = run(capsys, "oracle-alpha", "--weights", str(w), "--tensor", "other")
+        assert code == 0
+        assert returned == [["other"]]
 
 
 class TestCalib:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import struct
 
@@ -313,3 +314,204 @@ class TestFileIo:
             container_to_bytes({"": np.zeros(1, dtype=np.uint8)})
         with pytest.raises(SchemaViolation):
             container_to_bytes({7: np.zeros(1, dtype=np.uint8)})
+
+
+# ---------------------------------------------------------------------------
+# One reader for bytes and files, with and without a tensor selection
+
+
+def _malformed_cases() -> dict:
+    """Every malformed input of TestTypedErrors, with the error it must raise."""
+    good = container_to_bytes({"x": np.zeros(2, dtype=np.uint8)})
+    u8 = entry("u8", [1], 0, 1)
+    cases = {
+        "bad_magic": (raw_payload({}, b"", magic=b"NOTMAGIC"), BadMagic),
+        "short_prefix": (b"SLIM", BadMagic),
+        "empty": (b"", BadMagic),
+        "version_2": (raw_payload({}, b"", version=2), UnsupportedVersion),
+        "version_0": (raw_payload({}, b"", version=0), UnsupportedVersion),
+        "header_past_end": (good[:12] + struct.pack("<Q", 10**6) + good[20:], CorruptHeader),
+        "header_not_json": (raw_payload(None, b"", header_bytes=b"{nope"), CorruptHeader),
+        "header_not_utf8": (raw_payload(None, b"", header_bytes=b"\xff\xfe{}"), CorruptHeader),
+        "header_not_object": (raw_payload(None, b"", header_bytes=b"[1,2]"), CorruptHeader),
+        "header_deeply_nested": (raw_payload(None, b"", header_bytes=b"[" * 100_000),
+                                 CorruptHeader),
+        "duplicate_names": (raw_payload(None, b"\x00", header_bytes=(
+            b'{"a":{"dtype":"u8","shape":[1],"offset":0,"nbytes":1},'
+            b'"a":{"dtype":"u8","shape":[1],"offset":0,"nbytes":1}}')), CorruptHeader),
+        "entry_not_object": (raw_payload({"a": 7}, b""), CorruptHeader),
+        "entry_missing_fields": (raw_payload({"a": {"dtype": "u8"}}, b""), CorruptHeader),
+        "unknown_dtype": (raw_payload({"a": entry("f64", [1], 0, 8)}, b"\x00" * 8),
+                          CorruptHeader),
+        "nbytes_shape_mismatch": (raw_payload({"a": entry("f32", [2, 2], 0, 15)}, b"\x00" * 16),
+                                  CorruptHeader),
+        "truncated_data": (raw_payload({"a": entry("f32", [4], 0, 16)}, b"\x00" * 15),
+                           TruncatedData),
+        "truncating_valid_payload": (
+            container_to_bytes({"x": np.zeros((8, 8), dtype=np.float32)})[:-1], TruncatedData),
+        "overlapping": (raw_payload({"a": entry("u8", [4], 0, 4), "b": entry("u8", [4], 2, 4)},
+                                    b"\x00" * 6), CorruptHeader),
+        "shared_offset": (raw_payload({"a": entry("u8", [4], 0, 4), "b": entry("u8", [4], 0, 4)},
+                                      b"\x00" * 4), CorruptHeader),
+        # a valid entry beside a bad one that a selection of "ok" skips
+        "unselected_truncated": (raw_payload({"ok": u8, "a": entry("u8", [4], 1, 4)},
+                                             b"\x00" * 4), TruncatedData),
+        "unselected_bad_dtype": (raw_payload({"ok": u8, "a": entry("f16", [1], 1, 2)},
+                                             b"\x00" * 3), CorruptHeader),
+        "unselected_overlap": (raw_payload({"ok": u8, "a": entry("u8", [2], 1, 2),
+                                            "b": entry("u8", [2], 2, 2)}, b"\x00" * 4),
+                               CorruptHeader),
+    }
+    for i, shape in enumerate([[-1], [1.5], [True], "nope", [[1]], {"x": 1}]):
+        cases[f"bad_shape_{i}"] = (raw_payload({"a": entry("u8", shape, 0, 1)}, b"\x00" * 4),
+                                   CorruptHeader)
+    for i, offset in enumerate([-1, 0.5, True, "0", None]):
+        cases[f"bad_offset_{i}"] = (raw_payload({"a": entry("u8", [1], offset, 1)}, b"\x00" * 4),
+                                    CorruptHeader)
+    return cases
+
+
+MALFORMED = _malformed_cases()
+SELECTIONS = [None, [], ["ok"], ["a"], ["absent"]]
+
+
+def read_via(reader: str, payload: bytes, names, tmp_path) -> dict:
+    """Read ``payload`` with ``container_from_bytes`` (from bytes or a
+    memoryview) or with ``read_container`` on a written file."""
+    if reader == "file":
+        p = tmp_path / "c.slim"
+        p.write_bytes(payload)
+        return read_container(p, names)
+    if reader == "memoryview":
+        payload = memoryview(bytearray(payload))
+    return container_from_bytes(payload, names)
+
+
+READERS = ["bytes", "memoryview", "file"]
+
+
+def unbuffered(file_class):
+    """An ``open`` that returns an unbuffered ``file_class`` object."""
+    def opener(file, mode="r", buffering=-1):
+        assert buffering == 0
+        return file_class(file, mode)
+    return opener
+
+
+class CountingFile(io.FileIO):
+    """A raw file that records the byte span of every read."""
+
+    spans: list = []
+
+    def readinto(self, buf):
+        start = self.tell()
+        n = super().readinto(buf)
+        CountingFile.spans.append((start, start + (n or 0)))
+        return n
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_typed_error(self, case, reader, tmp_path):
+        payload, error = MALFORMED[case]
+        for names in SELECTIONS:
+            with pytest.raises(error):
+                read_via(reader, payload, names, tmp_path)
+
+    @pytest.mark.parametrize("reader", ["memoryview", "file"])
+    def test_fuzz_smoke_agrees_with_bytes_reader(self, reader, tmp_path):
+        rng = np.random.default_rng(83)
+        base = bytearray(
+            container_to_bytes(
+                {
+                    "w": rng.standard_normal((4, 4)).astype(np.float32),
+                    "m": rng.integers(0, 2, 16, dtype=np.uint8),
+                }
+            )
+        )
+        typed = (BadMagic, UnsupportedVersion, CorruptHeader, TruncatedData)
+        for i in range(300):
+            mutated = bytearray(base)
+            for _ in range(rng.integers(1, 8)):
+                mutated[rng.integers(0, len(mutated))] = rng.integers(0, 256)
+            names = [None, [], ["w"], ["m"], ["absent"]][i % 5]
+            outcomes = []
+            for how in ("bytes", reader):
+                try:
+                    outcomes.append(read_via(how, bytes(mutated), names, tmp_path))
+                except typed as exc:
+                    outcomes.append(type(exc))
+            expected, got = outcomes
+            if isinstance(expected, dict):
+                assert list(got) == list(expected)
+                assert all(np.array_equal(got[k], expected[k], equal_nan=True)
+                           and got[k].dtype == expected[k].dtype for k in expected)
+            else:
+                assert got is expected
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_selection_equals_full_read(self, reader, tmp_path):
+        rng = np.random.default_rng(84)
+        tensors = {
+            "z": rng.standard_normal((5, 3)).astype(np.float32),
+            "a": rng.integers(-128, 128, (2, 7), dtype=np.int8),
+            "empty": np.zeros((0, 4), dtype=np.float32),
+            "s": np.float32(1.5),
+            "u": rng.integers(0, 256, 9, dtype=np.uint8),
+        }
+        payload = container_to_bytes(tensors)
+        full = read_via(reader, payload, None, tmp_path)
+        assert list(full) == list(tensors)  # data-section order
+        for k in range(len(tensors) + 1):
+            for subset in itertools.combinations(sorted(tensors), k):
+                got = read_via(reader, payload, list(subset) + ["absent"], tmp_path)
+                assert list(got) == [n for n in full if n in subset]
+                for name in got:
+                    assert got[name].dtype == full[name].dtype
+                    assert got[name].shape == full[name].shape
+                    assert np.array_equal(got[name], full[name])
+
+    def test_unselected_data_never_read(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(85)
+        p = tmp_path / "c.slim"
+        write_container(p, {n: rng.standard_normal((64, 32)).astype(np.float32)
+                            for n in ("q", "k", "v")})
+        _, header_len = struct.unpack_from("<IQ", p.read_bytes(), 8)
+        data_start = PREFIX.size + header_len
+        CountingFile.spans = []
+        monkeypatch.setattr(container, "open", unbuffered(CountingFile), raising=False)
+        got = read_container(p, ["k"])
+        nbytes = 64 * 32 * 4
+        assert list(got) == ["k"]
+        selected = (data_start + nbytes, data_start + 2 * nbytes)
+        read = sum(b - a for a, b in CountingFile.spans)
+        assert read == data_start + nbytes
+        for a, b in CountingFile.spans:
+            assert b <= data_start or (selected[0] <= a and b <= selected[1])
+
+    def test_short_reads_are_resumed(self, tmp_path, monkeypatch):
+        class Trickle(io.FileIO):
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf)[:7])
+
+        tensors = {"w": np.arange(50, dtype=np.float32).reshape(5, 10),
+                   "m": np.arange(13, dtype=np.uint8)}
+        p = tmp_path / "c.slim"
+        write_container(p, tensors)
+        monkeypatch.setattr(container, "open", unbuffered(Trickle), raising=False)
+        got = read_container(p)
+        assert all(np.array_equal(got[n], tensors[n]) for n in tensors)
+
+    def test_file_shrinking_mid_read_is_truncated_data(self, tmp_path, monkeypatch):
+        class Ends(io.FileIO):
+            def readinto(self, buf):
+                if self.tell() >= 40:
+                    return 0
+                return super().readinto(buf)
+
+        p = tmp_path / "c.slim"
+        write_container(p, {"w": np.ones((8, 8), dtype=np.float32)})
+        monkeypatch.setattr(container, "open", unbuffered(Ends), raising=False)
+        with pytest.raises(TruncatedData):
+            read_container(p)

@@ -16,6 +16,7 @@ from slim import (
     fp8_fake_quantize,
     layer_output,
     saliency_vector,
+    weight_space_report,
 )
 from slim import prune
 from slim.artifact import layer_to_bytes
@@ -25,6 +26,17 @@ RNG = np.random.default_rng(100)
 W = RNG.standard_normal((32, 24))
 X = RNG.standard_normal((64, 32))
 STATS = compute_calibration([X])
+
+
+def layer_arrays(obj) -> list:
+    """Every array a layer holds, through its dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in layer_arrays(getattr(obj, f.name))]
+    if isinstance(obj, tuple):
+        return [a for part in obj for a in layer_arrays(part)]
+    return []
 
 
 class TestConfigValidation:
@@ -364,6 +376,54 @@ class TestErrorReport:
 
         _, rep = self.make()
         assert json.loads(rep.to_json()) == rep.to_dict()
+
+    @pytest.mark.parametrize("cfg", [
+        LayerCompressionConfig(weight_bits=4, sparsity=SparsityPattern.semistructured(2, 4),
+                               adapter_method="slim", rank_ratio=0.1),
+        LayerCompressionConfig(quant_method="slim_quant_o", adapter_method="naive",
+                               rank_ratio=0.2, quantize_adapters=True, group_size=8),
+        LayerCompressionConfig(quant_method="none", channel_scaling=True,
+                               sparsity=SparsityPattern.unstructured(0.5),
+                               adapter_method="naive", rank_ratio=0.1),
+    ])
+    def test_no_adapter_output_matches_manual_formula(self, cfg):
+        layer = compress_layer(W, STATS, cfg)
+        rep = error_report(W, layer, X, saliency_vector(STATS))
+        assert rep.output_mse_no_adapter == pytest.approx(
+            np.mean((X @ layer.effective_weight() - X @ W) ** 2), rel=1e-12
+        )
+        assert rep.output_mse_no_adapter > rep.output_mse
+
+    @pytest.mark.parametrize("quant", ["absmax", "group_absmax", "slim_quant", "slim_quant_o"])
+    @pytest.mark.parametrize("sparsity", [None, SparsityPattern.unstructured(0.5)])
+    def test_without_adapter_both_output_fields_are_one_number(self, quant, sparsity):
+        cfg = LayerCompressionConfig(quant_method=quant, sparsity=sparsity, group_size=8)
+        rep = error_report(W, compress_layer(W, STATS, cfg), X, saliency_vector(STATS))
+        assert rep.output_mse > 0.0
+        assert rep.output_mse == rep.output_mse_no_adapter
+
+    @pytest.mark.parametrize("quant", ["absmax", "group_absmax", "slim_quant", "slim_quant_o",
+                                       "none"])
+    @pytest.mark.parametrize("adapter", [{}, {"adapter_method": "naive", "rank_ratio": 0.1},
+                                         {"adapter_method": "slim", "rank_ratio": 0.1},
+                                         {"adapter_method": "slim", "rank_ratio": 0.2,
+                                          "quantize_adapters": True}])
+    @pytest.mark.parametrize("sparsity", [None, SparsityPattern.semistructured(2, 4)])
+    def test_weight_space_report_and_layer_arrays(self, quant, adapter, sparsity):
+        # weight_space_report is error_report's weight half, exactly; and
+        # neither report writes into the layer or the caller's arrays
+        cfg = LayerCompressionConfig(quant_method=quant, sparsity=sparsity, group_size=8,
+                                     **adapter)
+        layer = compress_layer(W, STATS, cfg)
+        sal = saliency_vector(STATS)
+        arrays = [W, X, sal.values, *layer_arrays(layer)]
+        before = [a.tobytes() for a in arrays]
+        rep = error_report(W, layer, X, sal)
+        weight = weight_space_report(W, layer, sal)
+        assert weight == {k: getattr(rep, k) for k in weight}
+        assert set(weight) == {"weight_mse", "weighted_weight_mse", "density",
+                               "effective_bits_per_weight"}
+        assert [a.tobytes() for a in arrays] == before
 
     def test_shape_checks(self):
         layer, _ = self.make()

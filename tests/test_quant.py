@@ -7,6 +7,7 @@ from slim import (
     ConfigInvalid,
     EmptyTensor,
     NonPositiveAlpha,
+    QuantizedTensor,
     ShapeMismatch,
     UnsupportedBitwidth,
     absmax_alpha,
@@ -110,6 +111,25 @@ class TestDequantize:
         assert np.array_equal(dequantize(t), [[1.0, -7.0, 3.0, 0.0]])
         # the max-magnitude element is always exact
         assert dequantize(t)[0, 1] == -7.0
+
+    @pytest.mark.parametrize("group_size", [None, 1, 5, 12, 64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("q", [2, 4, 8])
+    def test_bit_identical_to_out_of_place_products(self, group_size, order, q):
+        rng = np.random.default_rng(96 + q)
+        codes = np.asarray(rng.integers(-(1 << (q - 1)), 1 << (q - 1), (12, 9)), np.int8, order=order)
+        n = 1 if group_size is None else -(-codes.size // group_size)
+        t = QuantizedTensor(codes, rng.uniform(0.01, 3.0, n), group_size, q)
+        if group_size is None:
+            old = codes.astype(np.float64) * (float(t.scales[0]) * 2.0 ** (1 - q))
+        else:
+            flat = codes.astype(np.float64).ravel()
+            per_elem = np.repeat(t.scales / float((1 << (q - 1)) - 1), group_size)[: flat.size]
+            old = (flat * per_elem).reshape(codes.shape)
+        new = dequantize(t)
+        assert new.dtype == np.float64 and new.shape == codes.shape
+        assert np.array_equal(new, old) and new.tobytes("A") == old.tobytes("A")
+        assert np.array_equal(t.codes, codes)
 
 
 class TestAbsMax:
