@@ -220,7 +220,7 @@ def cmd_oracle_alpha(args) -> int:
     if args.grid_points < 100:
         raise UsageError(f"--grid-points must be >= 100, got {args.grid_points}")
     w = _single_tensor(args.weights, args.tensor)
-    hist = build_abs_histogram(np.asarray(w, dtype=np.float64), args.bins)
+    hist = build_abs_histogram(w, args.bins)
     m = hist.max_abs
     if m == 0.0:
         dense_alpha, dense_err = 1.0, 0.0

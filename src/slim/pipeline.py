@@ -51,7 +51,7 @@ from .quant import (
     quantize_symmetric,
     slimquant_search,
 )
-from .tensor import as_matrix, build_abs_histogram
+from .tensor import as_float_matrix, as_matrix, build_abs_histogram
 
 logger = logging.getLogger(__name__)
 
@@ -317,7 +317,7 @@ def compress_layer(
         ConfigInvalid: required statistics missing.
         ShapeMismatch: statistics do not match the weight's input dimension.
     """
-    w0 = as_matrix(w, "w")
+    w0 = as_float_matrix(w, "w")  # an f32 weight stays f32
     d_in, d_out = w0.shape
     if stats is not None and stats.d_in != d_in:
         raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {d_in} rows")
@@ -404,7 +404,7 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
 
 
 def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np.ndarray:
-    w0 = as_matrix(w, "w")
+    w0 = as_float_matrix(w, "w")
     if w0.shape != layer.shape:
         raise ShapeMismatch(f"w shape {w0.shape} does not match layer {layer.shape}")
     if len(x_saliency) != layer.shape[0]:
@@ -413,7 +413,9 @@ def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np
 
 
 def _difference(w0: np.ndarray, layer: CompressedLayer) -> np.ndarray:
-    """``layer.corrected_weight() - w0``, built in a buffer of its own."""
+    """``layer.corrected_weight() - w0``, built in a buffer of its own.
+    An f32 ``w0`` is widened element by element inside the subtraction,
+    which gives the bits of subtracting its float64 copy."""
     d = _dense(layer.weights, layer.channel_scaling, copy=True)
     if layer.adapter is not None:
         d += layer.adapter.correction()

@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedBitwidth,
 )
-from .tensor import AbsHistogram, as_matrix
+from .tensor import AbsHistogram, as_float_matrix, as_matrix, row_blocks
 
 __all__ = [
     "QuantizedTensor",
@@ -196,19 +196,26 @@ def quantize_symmetric(w, alpha: float, q: int) -> QuantizedTensor:
     """Quantize onto the symmetric integer grid of step ``alpha * 2**(1-q)``.
 
     Codes are round-half-away-from-zero of ``w / step`` clamped to
-    [-2**(q-1), 2**(q-1) - 1]; a single scale ``alpha`` is stored.
+    [-2**(q-1), 2**(q-1) - 1]; a single scale ``alpha`` is stored. The
+    source is read in row blocks, each widened to float64 before the
+    division, so an f32 ``w`` gives the codes of its float64 copy.
 
     Raises:
         NonPositiveAlpha: ``alpha`` is not a positive finite number.
         UnsupportedBitwidth: ``q`` outside [2, 8].
     """
-    arr = as_matrix(w, "w")
+    arr = as_float_matrix(w, "w")
     q = _check_bits(q)
     if not np.isfinite(alpha) or alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     step = alpha * 2.0 ** (1 - q)
     lo, hi = -(1 << (q - 1)), (1 << (q - 1)) - 1
-    codes = np.clip(_round_half_away(arr / step), lo, hi).astype(np.int8)
+    codes = np.empty(arr.shape, dtype=np.int8)
+    for rows in row_blocks(arr):
+        # float32 / step would divide in float32 (NEP 50): widen first
+        block = arr[rows].astype(np.float64)
+        block /= step
+        codes[rows] = np.clip(_round_half_away(block), lo, hi)
     return QuantizedTensor(codes=codes, scales=np.array([alpha]), group_size=None, bits=q)
 
 
@@ -406,7 +413,8 @@ def activation_aware_scale(
     k = int(np.ceil(fraction * d_in))
     order = np.argsort(-saliency, kind="stable")
     idx = np.sort(order[:k])
-    w_scaled = arr.copy()
+    # as_matrix widened a non-float64 w into a buffer of its own already
+    w_scaled = arr.copy() if np.may_share_memory(arr, w) else arr
     w_scaled[idx, :] *= s
     return w_scaled, ChannelScaling(channel_indices=idx, factor=float(s))
 

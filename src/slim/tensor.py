@@ -3,6 +3,13 @@
 A "matrix" throughout this package is simply a 2-D :class:`numpy.ndarray`
 of finite floats. Internal arithmetic is done in float64; persisted
 artifacts store float32 (see :mod:`slim.container`).
+
+The magnitude histogram and the uniform quantizer, the two passes of
+SLiM-Quant that touch every weight, read an f32 (or f16) source in row
+blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each
+widened to float64 before any arithmetic. They give the bits of the
+source's float64 copy without making that copy or any other whole-matrix
+temporary: :func:`as_float_matrix` validates a source without widening it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from .errors import EmptyTensor, NonFinite, RankOutOfRange, ShapeMismatch
 __all__ = [
     "AbsHistogram",
     "as_matrix",
+    "as_float_matrix",
+    "row_blocks",
     "default_num_bins",
     "build_abs_histogram",
     "svd_truncated",
@@ -31,6 +40,19 @@ ELEMENTS_PER_BIN = 1000
 # in magnitude (and no smaller than its inverse), so sums of squared entries
 # stay well inside float64's normal range (about 2**+-1022).
 GRAM_SAFE_EXPONENT = 400
+
+# Row-blocked passes read about this many source elements at a time (at
+# least one row), so their float64 working copies stay near 512 KiB
+# whatever the size of the matrix.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def row_blocks(arr: np.ndarray):
+    """Yield slices that cover the rows of a 2-D ``arr`` in order, each
+    spanning about :data:`BLOCK_ELEMENTS` elements and at least one row."""
+    step = max(1, BLOCK_ELEMENTS // max(arr.shape[1], 1))
+    for start in range(0, arr.shape[0], step):
+        yield slice(start, start + step)
 
 
 def as_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
@@ -56,6 +78,33 @@ def as_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
         raise EmptyTensor(f"{name} has zero elements")
     if arr.size and not np.isfinite(arr).all():
         raise NonFinite(f"{name} contains NaN or Inf")
+    return arr
+
+
+def as_float_matrix(w, name: str = "matrix") -> np.ndarray:
+    """Validate a non-empty 2-D source matrix without widening a float one.
+
+    The checks are those of :func:`as_matrix` (2-D, non-empty, finite);
+    finiteness is checked one row block at a time. A float16, float32 or
+    float64 source keeps its dtype and buffer; any other input is
+    converted to float64 as :func:`as_matrix` converts it. Callers widen
+    each block to float64 before any arithmetic on it.
+
+    Raises:
+        ShapeMismatch: If the input is not 2-D.
+        EmptyTensor: If the input has zero elements.
+        NonFinite: If any entry is NaN or infinite.
+    """
+    arr = np.asarray(w)
+    if arr.dtype.kind != "f" or arr.dtype.itemsize > 8:
+        arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise EmptyTensor(f"{name} has zero elements")
+    for rows in row_blocks(arr):
+        if not np.isfinite(arr[rows]).all():
+            raise NonFinite(f"{name} contains NaN or Inf")
     return arr
 
 
@@ -123,7 +172,8 @@ def build_abs_histogram(w, num_bins: int | None = None) -> AbsHistogram:
     """Histogram the magnitudes of a matrix.
 
     Args:
-        w: Source matrix, any shape with at least one element.
+        w: Source matrix, 2-D with at least one element. A float source
+            is read in row blocks, each widened to float64.
         num_bins: Bin count; defaults to :func:`default_num_bins` of the
             element count.
 
@@ -134,23 +184,28 @@ def build_abs_histogram(w, num_bins: int | None = None) -> AbsHistogram:
     Raises:
         EmptyTensor: If ``w`` has no elements.
     """
-    arr = as_matrix(w, "w")
+    arr = as_float_matrix(w, "w")
     if num_bins is None:
         num_bins = default_num_bins(arr.size)
     if num_bins < 1:
         raise ShapeMismatch(f"num_bins must be >= 1, got {num_bins}")
-    mags = np.abs(arr).ravel()
-    max_abs = float(mags.max())
+    max_abs = float(max(arr.max(), -arr.min()))
+    counts = np.zeros(num_bins, dtype=np.int64)
     if max_abs == 0.0:
-        counts = np.zeros(num_bins, dtype=np.int64)
-        counts[0] = mags.size
-        return AbsHistogram(0.0, num_bins, counts, mags.size)
+        counts[0] = arr.size
+        return AbsHistogram(0.0, num_bins, counts, arr.size)
     # Right-closed bins: bin k covers ((k * M / B), ((k+1) * M / B)] with
     # zero assigned to bin 0, so the maximum always lands in the last bin.
-    idx = np.ceil(mags * (num_bins / max_abs)).astype(np.int64) - 1
-    np.clip(idx, 0, num_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=num_bins)
-    return AbsHistogram(max_abs, num_bins, counts, mags.size)
+    per_unit = num_bins / max_abs
+    for rows in row_blocks(arr):
+        mags = arr[rows].astype(np.float64)
+        np.abs(mags, out=mags)
+        mags *= per_unit
+        idx = np.ceil(mags, out=mags).astype(np.int64)
+        idx -= 1
+        np.clip(idx, 0, num_bins - 1, out=idx)
+        counts += np.bincount(idx.ravel(), minlength=num_bins)
+    return AbsHistogram(max_abs, num_bins, counts, arr.size)
 
 
 def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
