@@ -11,7 +11,9 @@ against resolution, instead of AbsMax's clip-nothing choice alpha = max|w|.
 Also here: the AbsMax and grouped-AbsMax baselines, activation-aware
 channel scaling (pre-quantization outlier damping that inference undoes on
 the activation side), and 8-bit floating-point fake quantization for
-inputs.
+inputs. The FP8 snap picks its format from the input's max and min and
+rounds the input one row block (:func:`~slim.tensor.row_blocks`) at a time
+into a single output buffer, so its only whole-matrix array is the result.
 """
 
 from __future__ import annotations
@@ -243,8 +245,8 @@ def absmax_alpha(w) -> float:
     Raises:
         EmptyTensor: ``w`` has no elements.
     """
-    arr = as_matrix(w, "w")
-    m = float(np.abs(arr).max())
+    arr = as_float_matrix(w, "w")
+    m = float(max(arr.max(), -arr.min()))
     return m if m > 0.0 else 1.0
 
 
@@ -389,12 +391,14 @@ def activation_aware_scale(
     channels have their weight rows multiplied by ``s``; the returned
     :class:`ChannelScaling` tells inference to divide those activation
     channels by ``s``, which restores the original product exactly.
+    The scaled weight is a new float64 array, the only weight-sized one
+    made here: the row means read ``w`` one widened row block at a time.
 
     Raises:
         ShapeMismatch: ``stats.d_in`` differs from the weight row count.
         ConfigInvalid: ``fraction`` outside (0, 1] or ``s`` <= 1.
     """
-    arr = as_matrix(w, "w")
+    arr = as_float_matrix(w, "w")
     d_in = arr.shape[0]
     if stats.d_in != d_in:
         raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {d_in} rows")
@@ -404,7 +408,9 @@ def activation_aware_scale(
         raise ConfigInvalid(f"s must be > 1, got {s}")
 
     act = stats.mean_abs.copy()
-    wmag = np.abs(arr).mean(axis=1)
+    wmag = np.empty(d_in)
+    for rows in row_blocks(arr):
+        wmag[rows] = np.abs(arr[rows].astype(np.float64)).mean(axis=1)
     for v in (act, wmag):
         peak = v.max()
         if peak > 0:
@@ -413,8 +419,7 @@ def activation_aware_scale(
     k = int(np.ceil(fraction * d_in))
     order = np.argsort(-saliency, kind="stable")
     idx = np.sort(order[:k])
-    # as_matrix widened a non-float64 w into a buffer of its own already
-    w_scaled = arr.copy() if np.may_share_memory(arr, w) else arr
+    w_scaled = arr.astype(np.float64)
     w_scaled[idx, :] *= s
     return w_scaled, ChannelScaling(channel_indices=idx, factor=float(s))
 
@@ -433,16 +438,22 @@ def _fp8_snap(x: np.ndarray, fmt: Fp8Format) -> np.ndarray:
 
     Ties round to the value with even integer mantissa, matching IEEE
     round-to-nearest-even on the format's grid. Magnitudes beyond the
-    format maximum clamp to the maximum.
+    format maximum clamp to the maximum. Rows are snapped one block at a
+    time, in place in the output.
     """
     mbits = fmt.mantissa_bits
     emin = fmt.min_normal_exponent
-    clamped = np.clip(x, -fmt.max_value, fmt.max_value)
-    _, e = np.frexp(clamped)
-    # frexp yields x = m * 2**e with m in [0.5, 1); unbiased exponent e-1.
-    scale_exp = np.maximum(e - 1, emin) - mbits
-    scale = np.ldexp(1.0, scale_exp)
-    return np.rint(clamped / scale) * scale
+    out = np.empty_like(x)
+    for rows in row_blocks(x):
+        b = out[rows]
+        np.clip(x[rows], -fmt.max_value, fmt.max_value, out=b)
+        _, e = np.frexp(b)
+        # frexp yields x = m * 2**e with m in [0.5, 1); unbiased exponent e-1.
+        scale = np.ldexp(1.0, np.maximum(e - 1, emin) - mbits)
+        b /= scale
+        np.rint(b, out=b)
+        b *= scale
+    return out
 
 
 def fp8_fake_quantize(x) -> tuple[np.ndarray, Fp8Format]:
@@ -458,5 +469,6 @@ def fp8_fake_quantize(x) -> tuple[np.ndarray, Fp8Format]:
         NonFinite: ``x`` has NaN/Inf entries.
     """
     arr = as_matrix(x, "x", allow_empty=True)
-    fmt = E4M3 if (arr.size == 0 or float(np.abs(arr).max()) <= E4M3.max_value) else E5M2
+    small = arr.size == 0 or max(arr.max(), -arr.min()) <= E4M3.max_value
+    fmt = E4M3 if small else E5M2
     return _fp8_snap(arr, fmt), fmt
