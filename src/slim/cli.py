@@ -224,13 +224,12 @@ def cmd_oracle_alpha(args) -> int:
     m = hist.max_abs
     if m == 0.0:
         dense_alpha, dense_err = 1.0, 0.0
-        search_alpha, search_err = slimquant_search(hist, args.wbits)
     else:
         grid = m * np.arange(1, args.grid_points + 1, dtype=np.float64) / args.grid_points
         errs = estimate_error(hist, grid, args.wbits)
         k = int(np.argmin(errs))
         dense_alpha, dense_err = float(grid[k]), float(errs[k])
-        search_alpha, search_err = slimquant_search(hist, args.wbits)
+    search_alpha, search_err = slimquant_search(hist, args.wbits)
     if dense_err > 0.0:
         ratio = search_err / dense_err
     else:

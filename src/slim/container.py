@@ -19,7 +19,8 @@ versions, malformed or self-inconsistent headers, and data sections
 shorter than the header promises, each with a dedicated error type; no
 malformed input may escalate past those errors. A reader checks every
 header entry, then reads only the tensors it was asked for, each straight
-into its own array.
+into its own array. Files and bytes in memory share one writer, which
+streams each tensor from its own buffer, and one reader.
 
 The header, the JSON records stored alongside the tensors (artifact and
 calibration metadata) and architecture files are parsed by
@@ -71,16 +72,34 @@ _DTYPES = {
 
 
 def _tag_for(arr: np.ndarray) -> str:
-    kind = arr.dtype.kind, arr.dtype.itemsize
     if arr.dtype.kind == "f":
         return "f32"
-    if kind == ("i", 1):
-        return "i8"
-    if kind == ("u", 1):
-        return "u8"
-    raise SchemaViolation(
-        f"unsupported dtype {arr.dtype}; containers hold f32, i8 or u8"
-    )
+    if arr.dtype.kind in "iu" and arr.dtype.itemsize == 1:
+        return arr.dtype.kind + "8"
+    raise SchemaViolation(f"unsupported dtype {arr.dtype}; containers hold f32, i8 or u8")
+
+
+def _write_tensors(f, tensors: dict) -> None:
+    """Write the container of ``tensors`` to the binary stream ``f``: the
+    header, once every name and dtype is checked, then each tensor from its
+    own buffer (or its one copy in the stored dtype)."""
+    header = {}
+    stored = []
+    offset = 0
+    for name, value in tensors.items():
+        if not isinstance(name, str) or not name:
+            raise SchemaViolation(f"tensor name must be a non-empty string, got {name!r}")
+        arr = np.asarray(value)
+        tag = _tag_for(arr)
+        nbytes = arr.size * _DTYPES[tag].itemsize
+        header[name] = {"dtype": tag, "shape": list(arr.shape), "offset": offset, "nbytes": nbytes}
+        stored.append((arr, _DTYPES[tag]))
+        offset += nbytes
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    f.write(_HEADER_PREFIX.pack(MAGIC, VERSION, len(header_bytes)))
+    f.write(header_bytes)
+    for arr, dtype in stored:
+        f.write(np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8))
 
 
 def container_to_bytes(tensors: dict) -> bytes:
@@ -89,32 +108,11 @@ def container_to_bytes(tensors: dict) -> bytes:
     Float arrays of any width are stored as f32; int8/uint8 pass through.
     Insertion order of the mapping determines data layout, and the header
     JSON is emitted with sorted keys and no whitespace, so equal inputs
-    always produce identical bytes.
+    always produce identical bytes, those :func:`write_container` writes.
     """
-    header = {}
-    blobs = []
-    offset = 0
-    for name, value in tensors.items():
-        if not isinstance(name, str) or not name:
-            raise SchemaViolation(f"tensor name must be a non-empty string, got {name!r}")
-        arr = np.asarray(value)
-        tag = _tag_for(arr)
-        data = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
-        header[name] = {
-            "dtype": tag,
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": len(data),
-        }
-        blobs.append(data)
-        offset += len(data)
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = bytearray()
-    out += _HEADER_PREFIX.pack(MAGIC, VERSION, len(header_bytes))
-    out += header_bytes
-    for blob in blobs:
-        out += blob
-    return bytes(out)
+    buf = io.BytesIO()
+    _write_tensors(buf, tensors)
+    return buf.getvalue()
 
 
 def _read_exact(f, buf, what: str) -> None:
@@ -286,21 +284,21 @@ def _from_fields(cls, raw, ignored=(), **values):
 def write_container(path, tensors: dict) -> None:
     """Write tensors to ``path`` in the container format.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path`` in one rename: a write that fails or is interrupted
-    leaves ``path`` as it was and no temporary file behind.
+    The bytes stream, one tensor at a time, to a temporary file in the
+    same directory, which then replaces ``path`` in one rename: a write
+    that fails or is interrupted leaves ``path`` as it was and no
+    temporary file behind.
 
     Raises:
         IoError: the underlying file operation failed.
         SchemaViolation: a tensor has an unsupported dtype or bad name.
     """
-    payload = container_to_bytes(tensors)
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
     try:
         try:
             with open(tmp, "xb") as f:  # created under the umask, as the target would be
-                f.write(payload)
+                _write_tensors(f, tensors)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

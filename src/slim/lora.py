@@ -108,12 +108,7 @@ def saliency_vector(stats: CalibrationStats) -> SaliencyVector:
     relative epsilon so the result is strictly positive (and therefore
     invertible as a diagonal weighting) even when some channels were
     silent during calibration.
-
-    Raises:
-        EmptyStats: statistics cover zero channels.
     """
-    if stats.d_in == 0:
-        raise EmptyStats("statistics cover zero channels")
     x_tilde = stats.mean_abs
     eps = 1e-8 * (float(x_tilde.max()) + 1.0)
     return SaliencyVector(x_tilde + float(x_tilde.min()) + eps)

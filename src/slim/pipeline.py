@@ -23,7 +23,7 @@ import numpy as np
 from . import prune as prune_mod
 from .calibration import CalibrationStats
 from .container import _json_typed
-from .errors import ConfigInvalid, ShapeMismatch
+from .errors import ConfigInvalid, EmptyTensor, ShapeMismatch
 from .lora import (
     DEFAULT_RANK_RATIO,
     LowRankAdapter,
@@ -182,20 +182,14 @@ def _stored_bits(part: QuantizedTensor | np.ndarray, entries: int) -> int:
     return F32_BITS * entries
 
 
-def _dense(weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None = None,
-           copy: bool = False) -> np.ndarray:
-    """Float64 matrix of a stored weight, mapped back to the caller's
-    coordinates when ``scaling`` is given. It is a new buffer when the
-    weight is quantized or channel-scaled, or when ``copy`` is set;
-    otherwise it may be the stored array itself."""
-    scaled = scaling is not None and scaling.channel_indices.size
+def _dense(weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None = None) -> np.ndarray:
+    """Float64 matrix of a stored weight in a new buffer of its own, mapped
+    back to the caller's coordinates when ``scaling`` is given."""
     if isinstance(weights, QuantizedTensor):
         w = dequantize(weights)
-    elif copy or scaled:
-        w = np.array(weights, dtype=np.float64)
     else:
-        w = np.asarray(weights, dtype=np.float64)
-    if scaled:
+        w = np.array(weights, dtype=np.float64)
+    if scaling is not None and scaling.channel_indices.size:
         w[scaling.channel_indices, :] /= scaling.factor
     return w
 
@@ -251,7 +245,7 @@ class CompressedLayer:
         """effective_weight plus the adapter correction, if any."""
         w = self.effective_weight()
         if self.adapter is not None:
-            w = w + self.adapter.correction()
+            w += self.adapter.correction()
         return w
 
 
@@ -388,14 +382,16 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     L @ R is never materialized here.
 
     Raises:
-        ShapeMismatch: ``x`` column count differs from the layer's input dim.
+        EmptyTensor / NonFinite: ``x`` has no elements, or NaN or Inf.
+        ShapeMismatch: ``x`` is not 2-D or not d_in columns wide.
     """
-    xa = as_matrix(x, "x")
+    fp8 = layer.config.input_fp8  # the snap validates x as as_matrix does
+    xa = fp8_fake_quantize(x)[0] if fp8 else as_matrix(x, "x", allow_empty=True)
+    if xa.size == 0:
+        raise EmptyTensor("x has zero elements")
     d_in, _ = layer.shape
     if xa.shape[1] != d_in:
         raise ShapeMismatch(f"x has {xa.shape[1]} columns, layer expects {d_in}")
-    if layer.config.input_fp8:
-        xa, _ = fp8_fake_quantize(xa)
     x_main = compensate_activations(xa, layer.channel_scaling)
     y = x_main @ layer.stored_weight()
     if layer.adapter is not None:
@@ -410,17 +406,6 @@ def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np
     if len(x_saliency) != layer.shape[0]:
         raise ShapeMismatch(f"saliency length {len(x_saliency)} != d_in {layer.shape[0]}")
     return w0
-
-
-def _difference(w0: np.ndarray, layer: CompressedLayer) -> np.ndarray:
-    """``layer.corrected_weight() - w0``, built in a buffer of its own.
-    An f32 ``w0`` is widened element by element inside the subtraction,
-    which gives the bits of subtracting its float64 copy."""
-    d = _dense(layer.weights, layer.channel_scaling, copy=True)
-    if layer.adapter is not None:
-        d += layer.adapter.correction()
-    d -= w0
-    return d
 
 
 def _mean_square(a: np.ndarray) -> float:
@@ -448,7 +433,9 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
     w0 = _checked_weight(w, layer, x_saliency)
-    return _weight_space(_difference(w0, layer), layer, x_saliency)
+    d = layer.corrected_weight()
+    d -= w0  # an f32 w0 widens element by element: the bits of its float64 copy
+    return _weight_space(d, layer, x_saliency)
 
 
 def error_report(
@@ -478,7 +465,8 @@ def error_report(
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
 
-    d = _difference(w0, layer)
+    d = layer.corrected_weight()
+    d -= w0
     weight_fields = _weight_space(d, layer, x_saliency)
     r = xe @ d
     output_mse = _mean_square(r)

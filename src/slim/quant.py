@@ -11,22 +11,20 @@ against resolution, instead of AbsMax's clip-nothing choice alpha = max|w|.
 Also here: the AbsMax and grouped-AbsMax baselines, activation-aware
 channel scaling (pre-quantization outlier damping that inference undoes on
 the activation side), and 8-bit floating-point fake quantization for
-inputs. The FP8 snap picks its format from the input's max and min and
-rounds the input one row block (:func:`~slim.tensor.row_blocks`) at a time
-into a single output buffer, so its only whole-matrix array is the result.
+inputs. The quantizers and the FP8 snap (whose format comes from the
+input's max and min) read their input one row block
+(:func:`~slim.tensor.row_blocks`) at a time into a single output array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import CalibrationStats
 from .errors import (
     ConfigInvalid,
-    EmptyTensor,
-    NonFinite,
     NonPositiveAlpha,
     ShapeMismatch,
     UnsupportedBitwidth,
@@ -225,7 +223,8 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     """Map codes back to float values.
 
     Whole-tensor: ``code * scale * 2**(1 - q)``. Grouped: each code is
-    multiplied by its group's ``scale / (2**(q-1) - 1)``.
+    multiplied by its group's ``scale / (2**(q-1) - 1)``, broadcast over a
+    (groups, group_size) view of the result, the only weight-sized array.
     """
     q = t.bits
     # the products run in place on the new float64 buffer astype returns
@@ -233,10 +232,16 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
         out = t.codes.astype(np.float64)
         out *= float(t.scales[0]) * 2.0 ** (1 - q)
         return out
-    qmax = float((1 << (q - 1)) - 1)
-    flat = t.codes.astype(np.float64, order="C").ravel()
-    flat *= np.repeat(t.scales / qmax, t.group_size)[: flat.size]
-    return flat.reshape(t.codes.shape)
+    g = t.group_size
+    steps = t.scales / float((1 << (q - 1)) - 1)
+    out = t.codes.astype(np.float64, order="C")
+    flat = out.reshape(-1)
+    full = flat.size // g * g
+    groups = flat[:full].reshape(-1, g)  # a view of the whole groups
+    groups *= steps[: full // g, None]
+    if full < flat.size:
+        flat[full:] *= steps[-1]
+    return out
 
 
 def absmax_alpha(w) -> float:
@@ -257,26 +262,33 @@ def group_absmax_quantize(w, group_size: int = DEFAULT_GROUP_SIZE, q: int = 4) -
     (1.0 for an all-zero group) and codes
     ``clamp(round(v * (2**(q-1) - 1) / scale))`` on the symmetric grid with
     2**(q-1) - 1 positive levels, so the group's extreme value is always
-    reconstructed exactly.
+    reconstructed exactly. Row blocks of whole groups are each widened to
+    float64, so an f32 ``w`` gives the codes of its float64 copy.
 
     Raises:
         UnsupportedBitwidth: ``q`` outside [2, 8].
         ConfigInvalid: ``group_size`` < 1.
     """
-    arr = as_matrix(w, "w")
+    arr = as_float_matrix(w, "w")
     q = _check_bits(q)
     if group_size < 1:
         raise ConfigInvalid(f"group_size must be >= 1, got {group_size}")
     qmax = (1 << (q - 1)) - 1
-    flat = arr.ravel()
-    n_groups = -(-flat.size // group_size)
-    padded = np.zeros(n_groups * group_size, dtype=np.float64)
-    padded[: flat.size] = np.abs(flat)
-    scales = padded.reshape(n_groups, group_size).max(axis=1)
-    scales[scales == 0.0] = 1.0
-    per_elem = np.repeat(scales, group_size)[: flat.size]
-    codes = np.clip(_round_half_away(flat * qmax / per_elem), -qmax, qmax)
-    codes = codes.astype(np.int8).reshape(arr.shape)
+    codes = np.empty(arr.shape, dtype=np.int8)
+    scales = np.empty(-(-arr.size // group_size))
+    for rows in row_blocks(arr, group_size):
+        v = arr[rows].astype(np.float64, order="C").reshape(-1)
+        start = rows.start * arr.shape[1]  # a multiple of group_size
+        s = np.maximum.reduceat(np.abs(v), np.arange(0, v.size, group_size))
+        s[s == 0.0] = 1.0
+        scales[start // group_size: start // group_size + s.size] = s
+        v *= qmax
+        full = v.size // group_size * group_size
+        groups = v[:full].reshape(-1, group_size)  # a view of the whole groups
+        groups /= s[: full // group_size, None]
+        if full < v.size:
+            v[full:] /= s[-1]
+        codes.reshape(-1)[start: start + v.size] = np.clip(_round_half_away(v), -qmax, qmax)
     return QuantizedTensor(codes=codes, scales=scales, group_size=group_size, bits=q)
 
 

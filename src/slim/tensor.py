@@ -4,8 +4,8 @@ A "matrix" throughout this package is simply a 2-D :class:`numpy.ndarray`
 of finite floats. Internal arithmetic is done in float64; persisted
 artifacts store float32 (see :mod:`slim.container`).
 
-The magnitude histogram and the uniform quantizer, the two passes of
-SLiM-Quant that touch every weight, read an f32 (or f16) source in row
+The magnitude histogram and the quantizers (uniform and grouped AbsMax),
+the passes that touch every weight, read an f32 (or f16) source in row
 blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each
 widened to float64 before any arithmetic. They give the bits of the
 source's float64 copy without making that copy or any other whole-matrix
@@ -47,10 +47,14 @@ GRAM_SAFE_EXPONENT = 400
 BLOCK_ELEMENTS = 1 << 16
 
 
-def row_blocks(arr: np.ndarray):
+def row_blocks(arr: np.ndarray, align: int = 1):
     """Yield slices that cover the rows of a 2-D ``arr`` in order, each
-    spanning about :data:`BLOCK_ELEMENTS` elements and at least one row."""
-    step = max(1, BLOCK_ELEMENTS // max(arr.shape[1], 1))
+    spanning about :data:`BLOCK_ELEMENTS` elements and at least one row.
+    Blocks advance by a multiple of ``align // gcd(cols, align)`` rows, so
+    all but the last hold a whole number of ``align``-element runs."""
+    cols = arr.shape[1]
+    unit = align // int(np.gcd(cols, align))
+    step = max(unit, BLOCK_ELEMENTS // max(cols, 1) // unit * unit)
     for start in range(0, arr.shape[0], step):
         yield slice(start, start + step)
 

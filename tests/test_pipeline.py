@@ -5,7 +5,9 @@ import pytest
 
 from slim import (
     ConfigInvalid,
+    EmptyTensor,
     LayerCompressionConfig,
+    NonFinite,
     QuantizedTensor,
     ShapeMismatch,
     SparsityPattern,
@@ -18,7 +20,7 @@ from slim import (
     saliency_vector,
     weight_space_report,
 )
-from slim import prune
+from slim import pipeline, prune, quant
 from slim.artifact import layer_to_bytes
 
 
@@ -319,6 +321,38 @@ class TestLayerOutput:
         with pytest.raises(ShapeMismatch):
             layer_output(np.ones((3, 31)), layer)
 
+    @pytest.mark.parametrize("input_fp8", [False, True])
+    @pytest.mark.parametrize("x, error", [
+        (np.zeros((0, 32)), EmptyTensor),
+        (np.zeros((4, 0)), EmptyTensor),
+        (np.full((4, 32), np.nan), NonFinite),
+        (np.ones((4, 31)), ShapeMismatch),
+        (np.ones(32), ShapeMismatch),
+    ], ids=["no-rows", "no-columns", "nan", "width", "1-d"])
+    def test_invalid_inputs_raise_typed_errors(self, input_fp8, x, error):
+        layer = compress_layer(W, None, LayerCompressionConfig(input_fp8=input_fp8))
+        with pytest.raises(error):
+            layer_output(x, layer)
+
+    @pytest.mark.parametrize("input_fp8", [False, True])
+    def test_input_is_validated_once(self, input_fp8, monkeypatch):
+        calls = []
+
+        def counting(as_matrix):
+            def wrapped(*args, **kwargs):
+                calls.append(args[1:])
+                return as_matrix(*args, **kwargs)
+            return wrapped
+
+        for module in (pipeline, quant):
+            monkeypatch.setattr(module, "as_matrix", counting(module.as_matrix))
+        layer = compress_layer(W, None, LayerCompressionConfig(input_fp8=input_fp8))
+        calls.clear()
+        out = layer_output(X, layer)
+        assert calls == [("x",)]
+        xq = fp8_fake_quantize(X)[0] if input_fp8 else X
+        assert np.array_equal(out, xq @ layer.stored_weight())
+
 
 class TestErrorReport:
     def make(self, cfg=None):
@@ -363,6 +397,16 @@ class TestErrorReport:
         assert r == 3
         expected = 4.0 + (32 + 4 * r * (32 + 24) + 32 * (12 + 9)) / (32 * 24)
         assert rep.effective_bits_per_weight == pytest.approx(expected, rel=1e-12)
+
+    def test_corrected_weight_never_aliases_the_stored_weight(self):
+        cfg = LayerCompressionConfig(quant_method="none", adapter_method="naive", rank_ratio=0.1)
+        layer = compress_layer(W, None, cfg)
+        stored = layer.weights.copy()
+        first, second = layer.corrected_weight(), layer.corrected_weight()
+        assert np.array_equal(layer.weights, stored)
+        assert np.array_equal(first, second)
+        for a in (first, second, layer.effective_weight(), layer.stored_weight()):
+            assert not np.may_share_memory(a, layer.weights)
 
     def test_dense_layer_reports_zero_error(self):
         layer = compress_layer(W, None, LayerCompressionConfig(quant_method="none"))

@@ -1,9 +1,10 @@
 """Row-blocked passes: bit parity with the whole-matrix formulas, and memory.
 
 An f32 (or f16, int, bool) source must give the histogram, codes, AbsMax
-scale and channel scaling of its float64 copy, and the FP8 input snap must
-give the bits of the whole-matrix snap, however the rows fall into blocks.
-No pass may hold a matrix-sized temporary besides its result.
+scale, grouped-AbsMax codes and scales, and channel scaling of its float64
+copy, and the FP8 input snap must give the bits of the whole-matrix snap,
+however the rows fall into blocks. No pass may hold a matrix-sized
+temporary besides its result.
 """
 
 import tracemalloc
@@ -19,14 +20,17 @@ from slim import (
     E5M2,
     LayerCompressionConfig,
     NonFinite,
+    QuantizedTensor,
     SparsityPattern,
     absmax_alpha,
     activation_aware_scale,
     build_abs_histogram,
     compress_layer,
     compute_calibration,
+    dequantize,
     error_report,
     fp8_fake_quantize,
+    group_absmax_quantize,
     quantize_symmetric,
     saliency_vector,
     weight_space_report,
@@ -65,6 +69,27 @@ def reference_codes(w64: np.ndarray, alpha: float, q: int) -> np.ndarray:
     v = w64 / (alpha * 2.0 ** (1 - q))
     lo, hi = -(1 << (q - 1)), (1 << (q - 1)) - 1
     return np.clip(np.trunc(v + np.copysign(0.5, v)), lo, hi).astype(np.int8)
+
+
+def reference_group_absmax(w64: np.ndarray, group_size: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole-array grouped AbsMax the blocked pass replaces: codes, scales."""
+    qmax = (1 << (q - 1)) - 1
+    flat = w64.ravel()
+    n_groups = -(-flat.size // group_size)
+    padded = np.zeros(n_groups * group_size)
+    padded[: flat.size] = np.abs(flat)
+    scales = padded.reshape(n_groups, group_size).max(axis=1)
+    scales[scales == 0.0] = 1.0
+    v = flat * qmax / np.repeat(scales, group_size)[: flat.size]
+    codes = np.clip(np.trunc(v + np.copysign(0.5, v)), -qmax, qmax)
+    return codes.astype(np.int8).reshape(w64.shape), scales
+
+
+def reference_group_dequantize(t: QuantizedTensor) -> np.ndarray:
+    """The whole-array grouped dequantize the broadcast product replaces."""
+    flat = t.codes.astype(np.float64, order="C").ravel()
+    flat *= np.repeat(t.scales / ((1 << (t.bits - 1)) - 1), t.group_size)[: flat.size]
+    return flat.reshape(t.codes.shape)
 
 
 def reference_fp8_snap(x: np.ndarray, fmt) -> np.ndarray:
@@ -313,6 +338,98 @@ class TestFp8FormatChoice:
         assert out.tolist() == [[-448.0, 1.0, 448.0]]
 
 
+GROUP_LAYOUTS = ["float64", "float32", "float16", "int32", "fortran", "transposed", "strided"]
+GROUP_KINDS = ["normal", "zero_groups", "half_steps"]
+
+
+def group_source(kind: str, shape: tuple, layout: str, seed: int) -> np.ndarray:
+    """A grouped-AbsMax source of ``shape`` in one dtype or memory layout."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(0.0, 0.1, shape)
+    if kind == "zero_groups":  # runs of signed zeros, so whole groups are zero
+        v[rng.random(shape) < 0.8] = 0.0
+        v[rng.random(shape) < 0.5] *= -1.0
+        v.reshape(-1)[: v.size // 2] = -0.0
+    elif kind == "half_steps":  # v * 7 / 7 lands on k + 1/2 where a group holds 7
+        v = rng.integers(-7, 7, shape) + 0.5
+        v.reshape(-1)[::3] = 7.0
+    if layout == "int32":
+        return (v * 100).astype(np.int32)
+    if layout == "fortran":
+        return np.asfortranarray(v)
+    if layout == "transposed":
+        return np.ascontiguousarray(v.T).T
+    if layout == "strided":
+        return np.repeat(v, 2, axis=1)[:, ::2]
+    return v.astype(layout)
+
+
+def assert_group_parity(w: np.ndarray, group_size: int, q: int) -> None:
+    w64 = np.array(w, dtype=np.float64)
+    ref_codes, ref_scales = reference_group_absmax(w64, group_size, q)
+    for src in (w, w64):
+        t = group_absmax_quantize(src, group_size, q)
+        assert t.codes.dtype == np.int8 and t.codes.shape == w.shape
+        assert np.array_equal(t.codes, ref_codes)
+        assert np.array_equal(t.scales.view(np.uint64), ref_scales.view(np.uint64))
+        ref_values = reference_group_dequantize(t)
+        assert np.array_equal(dequantize(t).view(np.uint64), ref_values.view(np.uint64))
+
+
+class TestGroupAbsmax:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 30),
+        cols=st.integers(1, 30),
+        group_size=st.one_of(st.integers(1, 40), st.sampled_from([64, 128, 1000, 100000])),
+        q=st.integers(2, 8),
+        layout=st.sampled_from(GROUP_LAYOUTS),
+        kind=st.sampled_from(GROUP_KINDS),
+        block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=13, cols=5, group_size=3, q=4, layout="float32", kind="normal", block=7, seed=0)
+    @example(rows=4, cols=4, group_size=1000, q=4, layout="float64", kind="normal", block=1, seed=1)
+    @example(rows=9, cols=7, group_size=4, q=4, layout="float64", kind="zero_groups", block=7, seed=2)
+    @example(rows=6, cols=9, group_size=6, q=4, layout="fortran", kind="half_steps", block=1, seed=3)
+    def test_matches_whole_array_formula(self, rows, cols, group_size, q, layout, kind, block, seed):
+        w = group_source(kind, (rows, cols), layout, seed)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            assert_group_parity(w, group_size, q)
+
+    def test_negative_zero_group_gets_scale_one(self):
+        w = np.array([[-0.0, 0.0, -0.0, 1.5]])
+        t = group_absmax_quantize(w, 3, 4)
+        assert t.scales.tolist() == [1.0, 1.5]
+        assert t.codes.tolist() == [[0, 0, 0, 7]]
+        assert_group_parity(w, 3, 4)
+
+    def test_blocks_of_whole_groups_over_many_rows(self):
+        # 1000 columns and groups of 128: blocks advance 16 rows at a time
+        w = group_source("normal", (150, 1000), "float32", 4)
+        slices = list(row_blocks(w, 128))
+        assert len(slices) > 1 and all(s.start * 1000 % 128 == 0 for s in slices)
+        assert_group_parity(w, 128, 4)
+
+    def test_dequantize_tail_group(self):
+        codes = np.arange(-7, 7, dtype=np.int8).reshape(2, 7)  # three groups of 4, a tail of 2
+        t = QuantizedTensor(codes=codes, scales=[1.0, 2.0, 3.0, 7.0], group_size=4, bits=4)
+        out = dequantize(t)
+        assert np.array_equal(out.view(np.uint64), reference_group_dequantize(t).view(np.uint64))
+        assert out[1, 5:].tolist() == [5.0, 6.0]
+
+    def test_dequantize_row_major_groups_of_fortran_codes(self):
+        codes = np.asfortranarray(np.arange(-6, 6, dtype=np.int8).reshape(3, 4))
+        t = QuantizedTensor(codes=codes, scales=[7.0, 14.0, 21.0], group_size=4, bits=4)
+        assert dequantize(t).tolist() == (codes * np.array([[1.0], [2.0], [3.0]])).tolist()
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_dequantize_empty_codes(self, shape):
+        t = QuantizedTensor(codes=np.zeros(shape, np.int8), scales=np.zeros(0), group_size=4, bits=4)
+        out = dequantize(t)
+        assert out.shape == shape and out.dtype == np.float64
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("shape", [(1, 1), (150, 1000), (65, 1000), (3, 0), (0, 4)])
     def test_blocks_cover_the_rows_in_order(self, shape):
@@ -321,6 +438,20 @@ class TestRowBlocks:
         assert [r for s in slices for r in range(shape[0])[s]] == list(range(shape[0]))
         assert all(s.stop - s.start == max(1, BLOCK_ELEMENTS // max(shape[1], 1))
                    for s in slices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(0, 300),
+        cols=st.integers(0, 300),
+        align=st.integers(1, 400),
+        block=st.sampled_from([1, 7, 64, 1000, BLOCK_ELEMENTS]),
+    )
+    def test_aligned_blocks_hold_whole_multiples(self, rows, cols, align, block):
+        arr = np.empty((rows, cols))
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            slices = list(row_blocks(arr, align))
+        assert [r for s in slices for r in range(rows)[s]] == list(range(rows))
+        assert all(len(range(rows)[s]) * cols % align == 0 for s in slices[:-1])
 
     def test_float_sources_keep_their_buffer(self):
         for dtype in ("float16", "float32", "float64"):
@@ -383,6 +514,24 @@ class TestMemory:
         # about 1.2x: the output, as_matrix's finiteness mask and one
         # block's temporaries; one whole-matrix float64 temporary fails
         assert peak <= out.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("shape", [(256, 2048), (1024, 2048), (1000, 1000)])
+    def test_group_absmax_peak_is_the_codes_plus_8_mib(self, shape):
+        w = source("normal", shape, "float32", 17)
+        qt, peak = traced_peak(lambda: group_absmax_quantize(w, 128, 4))
+        assert peak <= qt.codes.nbytes + qt.scales.nbytes + 8 * 2**20
+
+    def test_grouped_dequantize_peak_is_its_output_plus_8_mib(self):
+        qt = group_absmax_quantize(source("normal", (1024, 2048), "float32", 18), 128, 4)
+        out, peak = traced_peak(lambda: dequantize(qt))
+        # a weight-sized np.repeat of the group steps would double it
+        assert peak <= out.nbytes + 8 * 2**20
+
+    def test_compress_layer_group_absmax_holds_no_float64_weight(self):
+        w = source("normal", (1024, 2048), "float32", 19)
+        cfg = LayerCompressionConfig(quant_method="group_absmax")
+        layer, peak = traced_peak(lambda: compress_layer(w, None, cfg))
+        assert peak <= layer.weights.codes.nbytes + layer.weights.scales.nbytes + 8 * 2**20
 
     @pytest.mark.parametrize("shape", [(256, 2048), (1024, 2048)])
     def test_absmax_alpha_peak_does_not_grow_with_the_shape(self, shape):
