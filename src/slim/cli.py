@@ -26,12 +26,12 @@ from . import __version__
 from .artifact import deserialize_compressed_layer, serialize_compressed_layer
 from .budget import ArchConfig, SchemeConfig, flop_reduction, load_arch, load_preset, memory_reduction, preset_names
 from .calibration import compute_calibration, load_calibration, save_calibration
-from .errors import SlimError
+from .errors import EmptyTensor, ShapeMismatch, SlimError
 from .lora import SaliencyVector, saliency_vector
 from .pipeline import LayerCompressionConfig, compress_layer, error_report, weight_space_report
 from .prune import SparsityPattern
 from .quant import estimate_error, slimquant_search
-from .container import read_container, write_container
+from .container import read_container, read_shapes, write_container
 from .tensor import build_abs_histogram
 
 logger = logging.getLogger(__name__)
@@ -132,30 +132,36 @@ def cmd_compress(args) -> int:
             "--lora slim, or --quant slim-o"
         )
 
-    weights = read_container(args.weights)
-    names = [n for n in weights if not n.startswith("__")]
-    if not names:
+    shapes = {n: s for n, s in read_shapes(args.weights).items() if not n.startswith("__")}
+    if not shapes:
         raise SlimError(f"{args.weights} holds no weight tensors")
     stats = load_calibration(args.calib) if args.calib is not None else None
+    for name, shape in shapes.items():  # every tensor, before any is read
+        if len(shape) != 2:
+            raise ShapeMismatch(f"tensor {name!r} must be 2-D, got shape {shape}")
+        if 0 in shape:
+            raise EmptyTensor(f"tensor {name!r} has zero elements")
+        if stats is not None and stats.d_in != shape[0]:
+            raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {shape[0]} rows")
     sal = saliency_vector(stats) if stats is not None else None
 
     out_stem = Path(args.out)
     report: dict[str, dict] = {}
     written: list[Path] = []
     try:
-        for name in names:
-            layer = compress_layer(weights[name], stats, cfg)
+        for name in shapes:  # one tensor resident at a time
+            w = read_container(args.weights, [name])[name]
+            layer = compress_layer(w, stats, cfg)
             path = out_stem.parent / f"{out_stem.name}.{name}.slim"
             written.append(path)
             serialize_compressed_layer(layer, path)
             entry = weight_space_report(
-                weights[name], layer,
-                sal if sal is not None else SaliencyVector.constant(layer.shape[0]),
+                w, layer, sal if sal is not None else SaliencyVector.constant(layer.shape[0]),
             )
             entry["alpha"] = layer.provenance.alpha
             entry["artifact"] = str(path)
             report[name] = entry
-            del layer  # free its buffers before the next tensor's compress peaks
+            del w, layer  # free both before the next tensor is read
         if args.report is not None:
             Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
             logger.info("report written to %s", args.report)
@@ -241,14 +247,10 @@ def cmd_oracle_alpha(args) -> int:
 
 
 def cmd_calib(args) -> int:
-    batches = []
-    for path in args.inputs:
-        tensors = read_container(path)
-        for name, value in tensors.items():
-            if name.startswith("__"):
-                continue
-            batches.append(np.asarray(value, dtype=np.float64))
-    stats = compute_calibration(batches)
+    stats = compute_calibration(  # a generator: one container read at a time
+        value for path in args.inputs
+        for name, value in read_container(path).items() if not name.startswith("__")
+    )
     save_calibration(args.out, stats)
     print(f"{stats.token_count} tokens x {stats.d_in} channels -> {args.out}")
     return EXIT_OK

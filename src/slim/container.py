@@ -56,6 +56,7 @@ __all__ = [
     "container_from_bytes",
     "write_container",
     "read_container",
+    "read_shapes",
 ]
 
 MAGIC = b"SLIMTNSR"
@@ -173,13 +174,8 @@ def _checked_entries(header, data_len: int) -> list[tuple]:
     return entries
 
 
-def _read_tensors(f, names) -> dict:
-    """Tensors of the container in the seekable binary stream ``f``.
-
-    The whole header is checked before any tensor is read; then only the
-    tensors in ``names`` (all when None) are read, each straight into its
-    own array.
-    """
+def _checked_header(f) -> tuple[int, list[tuple]]:
+    """Data start and checked entries of the container in the stream ``f``."""
     size = f.seek(0, os.SEEK_END)
     if size < _HEADER_PREFIX.size:
         raise BadMagic("file too short for container prefix")
@@ -198,7 +194,18 @@ def _read_tensors(f, names) -> dict:
         )
     raw = bytearray(header_len)
     _read_exact(f, raw, "the header")
-    entries = _checked_entries(_parse_json(raw, CorruptHeader, "header"), size - data_start)
+    header = _parse_json(raw, CorruptHeader, "header")
+    return data_start, _checked_entries(header, size - data_start)
+
+
+def _read_tensors(f, names) -> dict:
+    """Tensors of the container in the seekable binary stream ``f``.
+
+    The whole header is checked before any tensor is read; then only the
+    tensors in ``names`` (all when None) are read, each straight into its
+    own array.
+    """
+    data_start, entries = _checked_header(f)
     wanted = None if names is None else set(names)
     tensors = {}
     # data-section order, so a read/serialize round trip assigns the same
@@ -323,5 +330,16 @@ def read_container(path, names=None) -> dict:
     try:
         with open(path, "rb", buffering=0) as f:
             return _read_tensors(f, names)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def read_shapes(path) -> dict:
+    """Name to shape tuple of every tensor of a container file, in
+    data-section order. The header is validated, and errors raised, as by
+    :func:`read_container`; no tensor is read."""
+    try:
+        with open(path, "rb", buffering=0) as f:
+            return {name: tuple(shape) for *_, name, _, shape in _checked_header(f)[1]}
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

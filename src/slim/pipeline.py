@@ -34,7 +34,7 @@ from .lora import (
     saliency_vector,
     slim_lora,
 )
-from .prune import SparsityMask, SparsityPattern
+from .prune import SparsityMask, SparsityPattern, _scores_by_rows
 from .quant import (
     DEFAULT_GROUP_SIZE,
     DEFAULT_SCALE_FACTOR,
@@ -182,15 +182,17 @@ def _stored_bits(part: QuantizedTensor | np.ndarray, entries: int) -> int:
     return F32_BITS * entries
 
 
-def _dense(weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None = None) -> np.ndarray:
-    """Float64 matrix of a stored weight in a new buffer of its own, mapped
+def _dense(weights, scaling: ChannelScaling | None = None, rows=slice(None)) -> np.ndarray:
+    """Float64 matrix of a stored weight's row window ``rows`` (all by
+    default; see :func:`dequantize`) in a new buffer of its own, mapped
     back to the caller's coordinates when ``scaling`` is given."""
     if isinstance(weights, QuantizedTensor):
-        w = dequantize(weights)
+        w = dequantize(weights, rows)
     else:
-        w = np.array(weights, dtype=np.float64)
+        w = np.array(weights[rows], dtype=np.float64)
     if scaling is not None and scaling.channel_indices.size:
-        w[scaling.channel_indices, :] /= scaling.factor
+        idx = scaling.channel_indices - rows.indices(weights.shape[0])[0]
+        w[idx[(idx >= 0) & (idx < len(w))], :] /= scaling.factor
     return w
 
 
@@ -300,6 +302,10 @@ def compress_layer(
     quantized weight, adapter fit against the total remaining error
     (in the caller's coordinates), optional adapter quantization.
 
+    The pruning scores are built from the stored weight one row block at
+    a time, so before the mask they are the only float64 weight-sized
+    array; an adapter reads the pruned weight, dequantized after the mask.
+
     Args:
         w: Weight matrix, input channels as rows.
         stats: Calibration statistics; required whenever the configuration
@@ -331,33 +337,25 @@ def compress_layer(
 
     # 2. Quantize.
     stored, alpha = _quantize_weights(w_s, cfg)
+    del w_s  # free a channel-scaled copy before the scores
 
-    # The quantized weight in the caller's coordinates, which both the
-    # pruning scores and the adapter fit read.
-    if cfg.sparsity is not None or cfg.adapter_method != "none":
-        w_c = _dense(stored, scaling)
-
-    # 3. Prune the quantized weight.
+    # 3. Prune the quantized weight, scored in the caller's coordinates.
     mask = None
     if cfg.sparsity is not None:
-        if cfg.prune_scores == "wanda":
-            scores = prune_mod.wanda_scores(w_c, stats)
-        else:
-            scores = prune_mod.magnitude_scores(w_c)
-        if cfg.adapter_method == "none":
-            del w_c  # free it before the mask's buffers peak
+        norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
+        quantized = isinstance(stored, QuantizedTensor)
+        values = stored.codes if quantized else stored
+        align = (stored.group_size or 1) if quantized else 1  # whole groups per block
+        scores = _scores_by_rows(lambda r: _dense(stored, scaling, r), values, norms, align)
         mask = prune_mod.build_mask(scores, cfg.sparsity)
         del scores
-        if isinstance(stored, QuantizedTensor):
-            stored = replace(stored, codes=prune_mod.apply_mask(stored.codes, mask))
-        else:
-            stored = prune_mod.apply_mask(stored, mask)
+        values = prune_mod.apply_mask(values, mask)
+        stored = replace(stored, codes=values) if quantized else values
 
     # 4. Adapter against the total error left after steps 1-3.
     adapter = None
     if cfg.adapter_method != "none":
-        if mask is not None:
-            w_c = prune_mod.apply_mask(w_c, mask)
+        w_c = _dense(stored, scaling)  # the pruned weight, caller coordinates
         r = default_rank(d_in, d_out, cfg.effective_rank_ratio)
         if cfg.adapter_method == "slim":
             adapter = slim_lora(w0, w_c, saliency_vector(stats), r)

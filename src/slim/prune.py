@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .calibration import CalibrationStats
 from .errors import ConfigInvalid, IndivisibleDimension, ShapeMismatch
-from .tensor import as_matrix
+from .tensor import as_matrix, row_blocks
 
 __all__ = [
     "SparsityPattern",
@@ -119,24 +120,35 @@ def wanda_scores(w, stats: CalibrationStats) -> np.ndarray:
         raise ShapeMismatch(
             f"stats cover {stats.d_in} channels, weight has {arr.shape[0]} rows"
         )
-    scores = np.abs(arr)
-    scores *= stats.l2_norm[:, None]
-    return scores
+    return _scores_by_rows(lambda rows: arr[rows], arr, stats.l2_norm)
 
 
 def magnitude_scores(w) -> np.ndarray:
     """Elementwise |w|."""
-    return np.abs(as_matrix(w, "w", allow_empty=True))
+    arr = as_matrix(w, "w", allow_empty=True)
+    return _scores_by_rows(lambda rows: arr[rows], arr)
+
+
+def _scores_by_rows(rows_of, like: np.ndarray, norms=None, align: int = 1) -> np.ndarray:
+    """Scores ``|w|`` (times ``norms[i]`` on row i when given) in an array shaped
+    and laid out like ``like``, built one ``row_blocks(like, align)`` window at
+    a time from ``rows_of(rows)``, the float64 rows of w."""
+    scores = np.empty_like(like, dtype=np.float64)
+    for rows in row_blocks(scores, align):
+        block = np.abs(rows_of(rows), out=scores[rows])
+        if norms is not None:
+            block *= norms[rows, None]
+    return scores
 
 
 def unstructured_mask(scores, ratio: float) -> SparsityMask:
     """Keep the top ``ceil((1 - ratio) * d_in)`` scores in every output column.
 
-    Selection, not sorting: a partition of each column finds its k-th
-    largest score, every score above it is kept, and the scores equal to it
-    fill the remaining places. Ties break toward the lower input index, so
-    the mask is the first k entries of a stable descending sort. ``ratio``
-    = 0 keeps everything.
+    Selection, not sorting: a partition finds each column's k-th largest
+    score, every score above it is kept, and the scores equal to it fill the
+    remaining places, lowest input index first: the first k entries of a
+    stable descending sort. Both steps work on blocks of columns of about
+    :data:`~slim.tensor.BLOCK_ELEMENTS` scores. ``ratio`` = 0 keeps everything.
 
     Raises:
         ConfigInvalid: ``ratio`` outside [0, 1).
@@ -148,21 +160,23 @@ def unstructured_mask(scores, ratio: float) -> SparsityMask:
     k = int(np.ceil((1.0 - ratio) * d_in))
     if k == d_in:  # k >= 1: d_in >= 1 and ratio < 1
         return SparsityMask(np.ones((d_in, d_out), dtype=bool))
-    # Partition a private C-ordered copy, one column per row, so that each
-    # column is contiguous and the caller's scores are never reordered.
-    cols = s.T.copy()
-    cols.partition(d_in - k, axis=1)
-    kth = cols[:, d_in - k].copy()
-    del cols
+    width = max(1, tensor.BLOCK_ELEMENTS // d_in)
+    kth = np.empty(d_out)
+    for c0 in range(0, d_out, width):
+        part = s[:, c0:c0 + width].T.copy()  # contiguous columns; s is never reordered
+        part.partition(d_in - k, axis=1)
+        kth[c0:c0 + width] = part[:, d_in - k]
+    del part
     keep = s > kth
     tied = s == kth
     need = k - np.count_nonzero(keep, axis=0)
     # Columns with more ties than places keep their first ``need`` ties.
     over = np.flatnonzero(np.count_nonzero(tied, axis=0) > need)
-    if over.size:
-        sub = tied[:, over]
-        sub &= np.cumsum(sub, axis=0, dtype=np.min_scalar_type(d_in)) <= need[over]
-        tied[:, over] = sub
+    for j in range(0, over.size, width):
+        cols = over[j:j + width]
+        sub = tied[:, cols]
+        sub &= np.cumsum(sub, axis=0, dtype=np.min_scalar_type(d_in)) <= need[cols]
+        tied[:, cols] = sub
     keep |= tied
     return SparsityMask(keep)
 

@@ -26,6 +26,8 @@ from slim.artifact import layer_to_bytes
 from slim import cli
 from slim.cli import main
 
+from oracles import calib_by_concatenation
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -253,8 +255,8 @@ class TestCompress:
         assert code == 2
 
     def test_failed_run_leaves_no_artifacts(self, workspace, tmp_path, capsys):
-        # "a" (16 rows) is written before "b" (32 rows) fails against the
-        # 16-channel stats; the failed run must not leave "a" behind.
+        # "b" (32 rows) does not match the 16-channel stats; the failed run
+        # must leave no artifact, for "a" (16 rows) or any other tensor.
         weights = tmp_path / "mixed.slim"
         rng = np.random.default_rng(17)
         write_container(weights, {"a": rng.standard_normal((16, 12)).astype(np.float32),
@@ -266,6 +268,61 @@ class TestCompress:
         assert out == ""
         assert err == "error: stats cover 16 channels, weight has 32 rows\n"
         assert sorted(tmp_path.glob("OUT*")) == []
+
+    def test_every_shape_checked_before_any_tensor_is_read(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # "b" (20 rows) does not match the 16-channel stats: the run fails
+        # before it reads or compresses "a", which comes first
+        weights = tmp_path / "mixed.slim"
+        rng = np.random.default_rng(18)
+        write_container(weights, {"a": rng.standard_normal((16, 12)).astype(np.float32),
+                                  "b": rng.standard_normal((20, 12)).astype(np.float32)})
+        returned = record_reads(monkeypatch)
+        code, out, err = run(capsys, "compress", "--weights", str(weights),
+                             "--calib", str(workspace["calib"]),
+                             "--out", str(tmp_path / "OUT"), "--quant", "slim-o")
+        assert code == 2
+        assert out == ""
+        assert err == "error: stats cover 16 channels, weight has 20 rows\n"
+        assert returned == []
+        assert sorted(tmp_path.glob("OUT*")) == []
+
+    @pytest.mark.parametrize("shape, error", [
+        ((16,), "tensor 'b' must be 2-D, got shape (16,)"),
+        ((2, 8, 6), "tensor 'b' must be 2-D, got shape (2, 8, 6)"),
+        ((0, 12), "tensor 'b' has zero elements"),
+    ])
+    def test_bad_shape_fails_before_any_tensor_is_read(
+        self, tmp_path, capsys, monkeypatch, shape, error
+    ):
+        weights = tmp_path / "bad.slim"
+        write_container(weights, {"a": np.ones((16, 12), np.float32),
+                                  "b": np.ones(shape, np.float32)})
+        returned = record_reads(monkeypatch)
+        code, _, err = run(capsys, "compress", "--weights", str(weights),
+                           "--out", str(tmp_path / "OUT"), "--quant", "slim")
+        assert code == 2
+        assert err == f"error: {error}\n"
+        assert returned == []
+        assert sorted(tmp_path.glob("OUT*")) == []
+
+    def test_reads_one_tensor_at_a_time(self, tmp_path, capsys, monkeypatch):
+        weights = tmp_path / "three.slim"
+        rng = np.random.default_rng(19)
+        tensors = {n: rng.standard_normal((16, 12)).astype(np.float32) for n in ("a", "b", "c")}
+        write_container(weights, tensors)
+        returned = record_reads(monkeypatch)
+        code, _, _ = run(capsys, "compress", "--weights", str(weights),
+                         "--out", str(tmp_path / "one"), "--sparsity", "unstructured:0.5",
+                         "--scores", "magnitude")
+        assert code == 0
+        assert returned == [["a"], ["b"], ["c"]]
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.unstructured(0.5),
+                                     prune_scores="magnitude")
+        for name, w in tensors.items():
+            expected = layer_to_bytes(compress_layer(w, None, cfg))
+            assert (tmp_path / f"one.{name}.slim").read_bytes() == expected
 
     def test_failed_report_leaves_no_artifacts(self, workspace, capsys):
         out = workspace["dir"] / "OUT"
@@ -582,6 +639,36 @@ class TestCalib:
         st = load_calibration(out)
         ref = compute_calibration(arrays)
         assert np.allclose(st.mean_abs, ref.mean_abs, rtol=1e-6)
+
+    def test_streams_the_batches(self, tmp_path, capsys, monkeypatch):
+        arrays = []
+        rng = np.random.default_rng(24)
+        paths = []
+        for i in range(3):
+            p = tmp_path / f"act{i}.slim"
+            tensors = {f"x{j}": rng.standard_normal((5 + i + j, 6)).astype(np.float32)
+                       for j in range(2)}
+            write_container(p, {**tensors, "__note__": np.zeros(3, np.uint8)})
+            paths.append(str(p))
+            arrays += [np.float64(t) for t in tensors.values()]
+        computed = []
+
+        def recording_compute(batches):
+            assert not isinstance(batches, (list, tuple))  # a generator, read lazily
+            computed.append(compute_calibration(batches))
+            return computed[-1]
+
+        monkeypatch.setattr(cli, "compute_calibration", recording_compute)
+        code, _, _ = run(capsys, "calib", "--inputs", *paths, "--out", str(tmp_path / "c.slim"))
+        assert code == 0
+        (st,) = computed
+        ref = compute_calibration(arrays)
+        assert st.token_count == ref.token_count == 39
+        assert np.array_equal(st.mean_abs.view(np.uint64), ref.mean_abs.view(np.uint64))
+        assert np.array_equal(st.l2_norm.view(np.uint64), ref.l2_norm.view(np.uint64))
+        concat = calib_by_concatenation(arrays)
+        assert np.allclose(st.mean_abs, concat["mean_abs"], rtol=1e-12)
+        assert np.allclose(st.l2_norm, concat["l2_norm"], rtol=1e-12)
 
     def test_no_usable_tensors_data_error(self, tmp_path, capsys):
         p = tmp_path / "e.slim"

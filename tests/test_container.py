@@ -17,6 +17,7 @@ from slim import (
     TruncatedData,
     UnsupportedVersion,
     read_container,
+    read_shapes,
     write_container,
 )
 from slim import container
@@ -526,6 +527,35 @@ class TestOneReader:
         assert read == data_start + nbytes
         for a, b in CountingFile.spans:
             assert b <= data_start or (selected[0] <= a and b <= selected[1])
+
+    def test_shapes_come_from_the_header_alone(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(86)
+        tensors = {
+            "z": rng.standard_normal((5, 3)).astype(np.float32),
+            "empty": np.zeros((0, 4), dtype=np.float32),
+            "s": np.float32(1.5),
+            "u": rng.integers(0, 256, 9, dtype=np.uint8),
+        }
+        p = tmp_path / "c.slim"
+        write_container(p, tensors)
+        _, header_len = struct.unpack_from("<IQ", p.read_bytes(), 8)
+        CountingFile.spans = []
+        monkeypatch.setattr(container, "open", unbuffered(CountingFile), raising=False)
+        shapes = read_shapes(p)
+        assert list(shapes.items()) == [(n, t.shape) for n, t in tensors.items()]
+        assert max(b for _, b in CountingFile.spans) == PREFIX.size + header_len
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_shapes_of_malformed_input_typed_error(self, case, tmp_path):
+        payload, error = MALFORMED[case]
+        p = tmp_path / "c.slim"
+        p.write_bytes(payload)
+        with pytest.raises(error):
+            read_shapes(p)
+
+    def test_shapes_of_missing_file_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            read_shapes(tmp_path / "absent.slim")
 
     def test_short_reads_are_resumed(self, tmp_path, monkeypatch):
         class Trickle(io.FileIO):
