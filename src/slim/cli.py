@@ -26,12 +26,14 @@ from . import __version__
 from .artifact import deserialize_compressed_layer, serialize_compressed_layer
 from .budget import ArchConfig, SchemeConfig, flop_reduction, load_arch, load_preset, memory_reduction, preset_names
 from .calibration import compute_calibration, load_calibration, save_calibration
-from .errors import EmptyTensor, ShapeMismatch, SlimError
+from .errors import SlimError
 from .lora import SaliencyVector, saliency_vector
-from .pipeline import LayerCompressionConfig, compress_layer, error_report, weight_space_report
+from .pipeline import (
+    LayerCompressionConfig, _check_weight_shape, compress_layer, error_report, weight_space_report,
+)
 from .prune import SparsityPattern
 from .quant import estimate_error, slimquant_search
-from .container import read_container, read_shapes, write_container
+from .container import _read_shapes, read_container, write_container
 from .tensor import build_abs_histogram
 
 logger = logging.getLogger(__name__)
@@ -132,17 +134,12 @@ def cmd_compress(args) -> int:
             "--lora slim, or --quant slim-o"
         )
 
-    shapes = {n: s for n, s in read_shapes(args.weights).items() if not n.startswith("__")}
+    shapes = {n: s for n, s in _read_shapes(args.weights).items() if not n.startswith("__")}
     if not shapes:
         raise SlimError(f"{args.weights} holds no weight tensors")
     stats = load_calibration(args.calib) if args.calib is not None else None
     for name, shape in shapes.items():  # every tensor, before any is read
-        if len(shape) != 2:
-            raise ShapeMismatch(f"tensor {name!r} must be 2-D, got shape {shape}")
-        if 0 in shape:
-            raise EmptyTensor(f"tensor {name!r} has zero elements")
-        if stats is not None and stats.d_in != shape[0]:
-            raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {shape[0]} rows")
+        _check_weight_shape(shape, stats, f"tensor {name!r}")
     sal = saliency_vector(stats) if stats is not None else None
 
     out_stem = Path(args.out)

@@ -56,7 +56,6 @@ __all__ = [
     "container_from_bytes",
     "write_container",
     "read_container",
-    "read_shapes",
 ]
 
 MAGIC = b"SLIMTNSR"
@@ -334,7 +333,7 @@ def read_container(path, names=None) -> dict:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def read_shapes(path) -> dict:
+def _read_shapes(path) -> dict:
     """Name to shape tuple of every tensor of a container file, in
     data-section order. The header is validated, and errors raised, as by
     :func:`read_container`; no tensor is read."""

@@ -34,7 +34,7 @@ from .lora import (
     saliency_vector,
     slim_lora,
 )
-from .prune import SparsityMask, SparsityPattern, _scores_by_rows
+from .prune import SparsityMask, SparsityPattern, _scores
 from .quant import (
     DEFAULT_GROUP_SIZE,
     DEFAULT_SCALE_FACTOR,
@@ -182,17 +182,15 @@ def _stored_bits(part: QuantizedTensor | np.ndarray, entries: int) -> int:
     return F32_BITS * entries
 
 
-def _dense(weights, scaling: ChannelScaling | None = None, rows=slice(None)) -> np.ndarray:
-    """Float64 matrix of a stored weight's row window ``rows`` (all by
-    default; see :func:`dequantize`) in a new buffer of its own, mapped
+def _dense(weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None = None) -> np.ndarray:
+    """Float64 matrix of a stored weight in a new buffer of its own, mapped
     back to the caller's coordinates when ``scaling`` is given."""
     if isinstance(weights, QuantizedTensor):
-        w = dequantize(weights, rows)
+        w = dequantize(weights)
     else:
-        w = np.array(weights[rows], dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)
     if scaling is not None and scaling.channel_indices.size:
-        idx = scaling.channel_indices - rows.indices(weights.shape[0])[0]
-        w[idx[(idx >= 0) & (idx < len(w))], :] /= scaling.factor
+        w[scaling.channel_indices, :] /= scaling.factor
     return w
 
 
@@ -291,6 +289,17 @@ def _quantize_weights(w_s: np.ndarray, cfg: LayerCompressionConfig):
     return quantize_symmetric(w_s, alpha, cfg.weight_bits), alpha
 
 
+def _check_weight_shape(shape: tuple, stats: CalibrationStats | None, name: str = "w") -> None:
+    """Raise unless a weight of this shape can be compressed with ``stats``:
+    2-D, non-empty, and one row per calibrated channel."""
+    if len(shape) != 2:
+        raise ShapeMismatch(f"{name} must be 2-D, got shape {shape}")
+    if 0 in shape:
+        raise EmptyTensor(f"{name} has zero elements")
+    if stats is not None and stats.d_in != shape[0]:
+        raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {shape[0]} rows")
+
+
 def compress_layer(
     w,
     stats: CalibrationStats | None,
@@ -302,9 +311,9 @@ def compress_layer(
     quantized weight, adapter fit against the total remaining error
     (in the caller's coordinates), optional adapter quantization.
 
-    The pruning scores are built from the stored weight one row block at
-    a time, so before the mask they are the only float64 weight-sized
-    array; an adapter reads the pruned weight, dequantized after the mask.
+    The pruning scores are made in place from the dequantized weight, so
+    before the mask they are the only float64 weight-sized array; an
+    adapter reads the pruned weight, dequantized after the mask.
 
     Args:
         w: Weight matrix, input channels as rows.
@@ -319,8 +328,7 @@ def compress_layer(
     """
     w0 = as_float_matrix(w, "w")  # an f32 weight stays f32
     d_in, d_out = w0.shape
-    if stats is not None and stats.d_in != d_in:
-        raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {d_in} rows")
+    _check_weight_shape(w0.shape, stats)
     if stats is None and cfg.needs_stats():
         raise ConfigInvalid(
             "calibration statistics are required by this configuration "
@@ -343,14 +351,13 @@ def compress_layer(
     mask = None
     if cfg.sparsity is not None:
         norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
-        quantized = isinstance(stored, QuantizedTensor)
-        values = stored.codes if quantized else stored
-        align = (stored.group_size or 1) if quantized else 1  # whole groups per block
-        scores = _scores_by_rows(lambda r: _dense(stored, scaling, r), values, norms, align)
-        mask = prune_mod.build_mask(scores, cfg.sparsity)
-        del scores
-        values = prune_mod.apply_mask(values, mask)
-        stored = replace(stored, codes=values) if quantized else values
+        w_c = _dense(stored, scaling)  # turned into the scores in place
+        mask = prune_mod.build_mask(_scores(w_c, norms, out=w_c), cfg.sparsity)
+        del w_c
+        if isinstance(stored, QuantizedTensor):
+            stored = replace(stored, codes=prune_mod.apply_mask(stored.codes, mask))
+        else:
+            stored = prune_mod.apply_mask(stored, mask)
 
     # 4. Adapter against the total error left after steps 1-3.
     adapter = None

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor
 from .calibration import CalibrationStats
 from .errors import ConfigInvalid, IndivisibleDimension, ShapeMismatch
-from .tensor import as_matrix, row_blocks
+from .tensor import as_matrix
 
 __all__ = [
     "SparsityPattern",
@@ -120,24 +120,20 @@ def wanda_scores(w, stats: CalibrationStats) -> np.ndarray:
         raise ShapeMismatch(
             f"stats cover {stats.d_in} channels, weight has {arr.shape[0]} rows"
         )
-    return _scores_by_rows(lambda rows: arr[rows], arr, stats.l2_norm)
+    return _scores(arr, stats.l2_norm)
 
 
 def magnitude_scores(w) -> np.ndarray:
     """Elementwise |w|."""
-    arr = as_matrix(w, "w", allow_empty=True)
-    return _scores_by_rows(lambda rows: arr[rows], arr)
+    return _scores(as_matrix(w, "w", allow_empty=True))
 
 
-def _scores_by_rows(rows_of, like: np.ndarray, norms=None, align: int = 1) -> np.ndarray:
-    """Scores ``|w|`` (times ``norms[i]`` on row i when given) in an array shaped
-    and laid out like ``like``, built one ``row_blocks(like, align)`` window at
-    a time from ``rows_of(rows)``, the float64 rows of w."""
-    scores = np.empty_like(like, dtype=np.float64)
-    for rows in row_blocks(scores, align):
-        block = np.abs(rows_of(rows), out=scores[rows])
-        if norms is not None:
-            block *= norms[rows, None]
+def _scores(w: np.ndarray, norms=None, out=None) -> np.ndarray:
+    """``|w|``, times ``norms[i]`` on row i when given; ``out=w`` turns a
+    float64 ``w`` into its own scores."""
+    scores = np.abs(w, out=out)
+    if norms is not None:
+        scores *= norms[:, None]
     return scores
 
 

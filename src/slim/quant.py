@@ -219,29 +219,23 @@ def quantize_symmetric(w, alpha: float, q: int) -> QuantizedTensor:
     return QuantizedTensor(codes=codes, scales=np.array([alpha]), group_size=None, bits=q)
 
 
-def dequantize(t: QuantizedTensor, rows: slice = slice(None)) -> np.ndarray:
-    """Map the codes of the row window ``rows`` (all by default) back to
-    float values, the bits of those rows of the whole result.
+def dequantize(t: QuantizedTensor) -> np.ndarray:
+    """Map codes back to float values.
 
     Whole-tensor: ``code * scale * 2**(1 - q)``. Grouped: each code is
     multiplied by its group's ``scale / (2**(q-1) - 1)``, broadcast over a
-    (groups, group_size) view of the result, the only weight-sized array;
-    a grouped window must start on a group boundary (ConfigInvalid if not),
-    as each ``row_blocks(codes, group_size)`` block does.
+    (groups, group_size) view of the result, the only weight-sized array.
     """
     q = t.bits
     # the products run in place on the new float64 buffer astype returns
     if t.group_size is None:
-        out = t.codes[rows].astype(np.float64)
+        out = t.codes.astype(np.float64)
         out *= float(t.scales[0]) * 2.0 ** (1 - q)
         return out
     g = t.group_size
-    first, rest = divmod(rows.indices(t.shape[0])[0] * t.shape[1], g)
-    if rest:
-        raise ConfigInvalid(f"rows {rows} start inside a group of {g}")
-    out = t.codes[rows].astype(np.float64, order="C")
+    steps = t.scales / float((1 << (q - 1)) - 1)
+    out = t.codes.astype(np.float64, order="C")
     flat = out.reshape(-1)
-    steps = t.scales[first: first + -(-flat.size // g)] / float((1 << (q - 1)) - 1)
     full = flat.size // g * g
     groups = flat[:full].reshape(-1, g)  # a view of the whole groups
     groups *= steps[: full // g, None]

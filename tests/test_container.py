@@ -17,7 +17,6 @@ from slim import (
     TruncatedData,
     UnsupportedVersion,
     read_container,
-    read_shapes,
     write_container,
 )
 from slim import container
@@ -541,7 +540,7 @@ class TestOneReader:
         _, header_len = struct.unpack_from("<IQ", p.read_bytes(), 8)
         CountingFile.spans = []
         monkeypatch.setattr(container, "open", unbuffered(CountingFile), raising=False)
-        shapes = read_shapes(p)
+        shapes = container._read_shapes(p)
         assert list(shapes.items()) == [(n, t.shape) for n, t in tensors.items()]
         assert max(b for _, b in CountingFile.spans) == PREFIX.size + header_len
 
@@ -551,11 +550,11 @@ class TestOneReader:
         p = tmp_path / "c.slim"
         p.write_bytes(payload)
         with pytest.raises(error):
-            read_shapes(p)
+            container._read_shapes(p)
 
     def test_shapes_of_missing_file_io_error(self, tmp_path):
         with pytest.raises(IoError):
-            read_shapes(tmp_path / "absent.slim")
+            container._read_shapes(tmp_path / "absent.slim")
 
     def test_short_reads_are_resumed(self, tmp_path, monkeypatch):
         class Trickle(io.FileIO):

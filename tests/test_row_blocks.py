@@ -22,7 +22,6 @@ from slim import (
     E4M3,
     E5M2,
     ChannelScaling,
-    ConfigInvalid,
     LayerCompressionConfig,
     NonFinite,
     QuantizedTensor,
@@ -49,7 +48,7 @@ from slim import (
 from slim import tensor
 from slim.artifact import layer_to_bytes
 from slim.pipeline import _dense
-from slim.prune import _scores_by_rows, build_mask
+from slim.prune import _scores, build_mask
 from slim.quant import _fp8_snap
 from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, row_blocks
 
@@ -477,24 +476,9 @@ class TestRowBlocks:
             assert as_float_matrix(w).dtype == np.float64
 
 
-def reference_dense(stored, scaling) -> np.ndarray:
-    """The whole-matrix dequantize and channel-scaling divide that the
-    row windows replace."""
-    if isinstance(stored, np.ndarray):
-        w = np.array(stored, dtype=np.float64)
-    elif stored.group_size is None:
-        w = stored.codes.astype(np.float64)
-        w *= float(stored.scales[0]) * 2.0 ** (1 - stored.bits)
-    else:
-        w = reference_group_dequantize(stored)
-    if scaling is not None:
-        w[scaling.channel_indices, :] /= scaling.factor
-    return w
-
-
 def reference_scores(stored, scaling, norms) -> np.ndarray:
-    """The whole-matrix wanda (``norms``) or magnitude scores."""
-    scores = np.abs(reference_dense(stored, scaling))
+    """The wanda (``norms``) or magnitude scores in a new array."""
+    scores = np.abs(_dense(stored, scaling))
     if norms is not None:
         scores *= norms[:, None]
     return scores
@@ -506,7 +490,7 @@ def reference_layer(w, stats, cfg: LayerCompressionConfig):
     plain = replace(cfg, sparsity=None, adapter_method="none", rank_ratio=None,
                     quantize_adapters=False)
     base = compress_layer(w, stats, plain)
-    w_c = reference_dense(base.weights, base.channel_scaling)
+    w_c = _dense(base.weights, base.channel_scaling)
     norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
     mask = build_mask(reference_scores(base.weights, base.channel_scaling, norms), cfg.sparsity)
     if isinstance(base.weights, QuantizedTensor):
@@ -557,29 +541,20 @@ class TestBlockedScoresAndMasks:
         group_size=st.one_of(st.integers(1, 40), st.sampled_from([128, 100000])),
         scaled=st.booleans(),
         wanda=st.booleans(),
-        block=st.sampled_from([1, 7, 64]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(rows=13, cols=5, kind="grouped", group_size=3, scaled=True, wanda=True, block=7, seed=0)
-    @example(rows=30, cols=7, kind="grouped", group_size=4, scaled=True, wanda=False, block=1, seed=1)
-    def test_scores_from_row_windows(self, rows, cols, kind, group_size, scaled, wanda, block, seed):
+    @example(rows=13, cols=5, kind="grouped", group_size=3, scaled=True, wanda=True, seed=0)
+    def test_scores_in_place(self, rows, cols, kind, group_size, scaled, wanda, seed):
         stored = stored_weight(kind, (rows, cols), group_size, seed)
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(rows, rng.integers(0, rows + 1), replace=False))
         scaling = ChannelScaling(idx, 2.0) if scaled else None
         norms = rng.random(rows) if wanda else None
-        align = group_size if kind == "grouped" else 1
-        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
-            like = np.empty((rows, cols), np.int8)
-            got = _scores_by_rows(lambda r: _dense(stored, scaling, r), like, norms, align)
+        w = _dense(stored, scaling)
+        got = _scores(w, norms, out=w)
+        assert got is w
         ref = reference_scores(stored, scaling, norms)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-    def test_grouped_window_must_start_on_a_group(self):
-        t = group_absmax_quantize(source("normal", (6, 5), "float64", 2), 4, Q)
-        assert np.array_equal(dequantize(t, slice(4, 6)), dequantize(t)[4:])
-        with pytest.raises(ConfigInvalid):
-            dequantize(t, slice(1, 3))
 
     @settings(max_examples=150, deadline=None)
     @given(
