@@ -3,10 +3,10 @@
 An f32 (or f16, int, bool) source must give the histogram, codes, AbsMax
 scale, grouped-AbsMax codes and scales, and channel scaling of its float64
 copy, and the FP8 input snap must give the bits of the whole-matrix snap,
-however the rows fall into blocks. The pruning scores built from the
-stored weight's row windows, the column-blocked unstructured mask and the
-layers built from them must give the bits of the whole-matrix order. No
-pass may hold a matrix-sized temporary besides its result.
+however the rows fall into blocks. The pruning scores made in place, the
+column-blocked unstructured mask and the layers built from them must give
+the bits of the earlier whole-matrix order. No pass may hold a
+matrix-sized temporary besides its result.
 """
 
 import tracemalloc
