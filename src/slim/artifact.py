@@ -22,20 +22,20 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import tensor
 from .container import (_from_fields, _json_typed, _parse_json, container_from_bytes,
                         container_to_bytes, read_container, write_container)
 from .errors import SchemaViolation, SlimError
 from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from .prune import SparsityMask, SparsityPattern
-from .quant import ChannelScaling, QuantizedTensor, code_field_bits, dequantize
+from .quant import ChannelScaling, QuantizedTensor, code_field_bits
 
 __all__ = ["serialize_compressed_layer", "deserialize_compressed_layer"]
 
 _ARTIFACT_KIND = "compressed-layer"
 _ARTIFACT_VERSION = 3
 _PACKED = "packed"  # codec of the keep-mask
-_SCATTER_CHUNK = 1 << 16  # mask entries indexed at once when decoding kept entries
 
 
 def _layout(cfg: LayerCompressionConfig, rows: int, cols: int) -> dict:
@@ -154,14 +154,14 @@ def _scatter(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Zeros shaped like ``keep`` with ``values`` at its kept entries,
     row-major; inverse of :func:`_kept`.
 
-    Indexes the mask a chunk at a time, so no index array as large as the
-    weight is built; several times faster than ``out[keep] = values``.
+    Indexes the mask a :data:`~slim.tensor.BLOCK_ELEMENTS` chunk at a time, so
+    no weight-sized index array is built; several times faster than ``out[keep] = values``.
     """
     out = np.zeros(keep.size, values.dtype)
-    flat, done = keep.reshape(-1), 0
-    for lo in range(0, flat.size, _SCATTER_CHUNK):
-        idx = np.flatnonzero(flat[lo:lo + _SCATTER_CHUNK])
-        out[lo:lo + _SCATTER_CHUNK][idx] = values[done:done + idx.size]
+    flat, done, chunk = keep.reshape(-1), 0, tensor.BLOCK_ELEMENTS
+    for lo in range(0, flat.size, chunk):
+        idx = np.flatnonzero(flat[lo:lo + chunk])
+        out[lo:lo + chunk][idx] = values[done:done + idx.size]
         done += idx.size
     return out.reshape(keep.shape)
 
@@ -284,10 +284,7 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
 
         adapter = None
         if "adapter_left" in parts:
-            factors = (parts["adapter_left"], parts["adapter_right"])
-            quantized = isinstance(factors[0], QuantizedTensor)
-            left, right = map(dequantize, factors) if quantized else factors
-            adapter = LowRankAdapter(left, right, factors if quantized else None)
+            adapter = LowRankAdapter(parts["adapter_left"], parts["adapter_right"])
         layer = CompressedLayer(
             weights=parts["weights"],
             mask=parts.get("mask"),

@@ -18,6 +18,7 @@ import numpy as np
 
 from .container import _from_fields, _parse_json, read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
+from .tensor import as_matrix
 
 __all__ = [
     "CalibrationStats",
@@ -78,11 +79,7 @@ def compute_calibration(x_batches) -> CalibrationStats:
     d_in = None
     tokens = 0
     for batch in x_batches:
-        arr = np.asarray(batch, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeMismatch(f"batch must be 2-D, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFinite("activation batch contains NaN or Inf")
+        arr = as_matrix(batch, "activation batch", allow_empty=True)
         if d_in is None:
             d_in = arr.shape[1]
             sum_abs = np.zeros(d_in, dtype=np.float64)

@@ -326,19 +326,20 @@ def read_container(path, names=None) -> dict:
         BadMagic / UnsupportedVersion / CorruptHeader / TruncatedData:
             the file is not a valid container.
     """
-    try:
-        with open(path, "rb", buffering=0) as f:
-            return _read_tensors(f, names)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    return _reading(path, lambda f: _read_tensors(f, names))
 
 
 def _read_shapes(path) -> dict:
     """Name to shape tuple of every tensor of a container file, in
     data-section order. The header is validated, and errors raised, as by
     :func:`read_container`; no tensor is read."""
+    return _reading(path, lambda f: {n: tuple(s) for *_, n, _, s in _checked_header(f)[1]})
+
+
+def _reading(path, read):
+    """``read(f)`` for ``path`` opened unbuffered; any ``OSError`` becomes an :class:`IoError`."""
     try:
         with open(path, "rb", buffering=0) as f:
-            return {name: tuple(shape) for *_, name, _, shape in _checked_header(f)[1]}
+            return read(f)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

@@ -2,26 +2,26 @@
 
 After quantization and pruning leave a compressed weight w_c, a rank-r
 factor pair (L, R) is fitted so that w_c + L @ R approximates the original
-weight w. The naive variant minimizes the plain Frobenius norm of the
-residual; the saliency-weighted variant minimizes the residual with each
-input row weighted by the channel's average activation magnitude, which
-spends the limited rank budget on the channels that actually carry signal.
-Both reduce to an exact truncated factorization of the (weighted) error
+weight w. The saliency-weighted fit minimizes the residual with each input
+row weighted by the channel's average activation magnitude, which spends
+the limited rank budget on the channels that actually carry signal; the
+naive fit is the same fit at unit saliency, the plain Frobenius norm. It is
+an exact truncated factorization of the weighted error
 (:func:`slim.tensor.svd_truncated`, which takes the leading singular
 subspace from the smaller-side Gram matrix), so optimality in the
-respective norm is the Eckart-Young optimum of that factorization.
+weighted norm is the Eckart-Young optimum of that factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import CalibrationStats
-from .errors import EmptyStats, NonPositiveSaliency, ShapeMismatch
+from .errors import ConfigInvalid, EmptyStats, NonFinite, NonPositiveSaliency, ShapeMismatch
 from .quant import DEFAULT_GROUP_SIZE, QuantizedTensor, dequantize, group_absmax_quantize
-from .tensor import as_matrix, as_vector, svd_truncated
+from .tensor import as_matrix, svd_truncated
 
 __all__ = [
     "SaliencyVector",
@@ -46,8 +46,12 @@ class SaliencyVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = as_vector(self.values, "saliency")
+        v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
+        if v.ndim != 1:
+            raise ShapeMismatch(f"saliency must be 1-D, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise NonFinite("saliency contains NaN or Inf")
         if v.size == 0:
             raise EmptyStats("saliency vector is empty")
         if (v <= 0).any():
@@ -65,26 +69,30 @@ class SaliencyVector:
 class LowRankAdapter:
     """Factor pair correcting compression error: w ~ w_c + left @ right.
 
-    When ``quantized`` is present it holds the grouped-AbsMax codes of both
-    factors and ``left``/``right`` are their dequantized values, so all
-    evaluation math automatically reflects the quantized storage.
+    Each factor is given once, both as matrices or both as the grouped-AbsMax
+    codes that store them (else ConfigInvalid). Given codes, ``quantized``
+    holds them and ``left``/``right`` are their dequantized values, so all
+    evaluation math reflects the quantized storage.
     """
 
     left: np.ndarray
     right: np.ndarray
-    quantized: tuple[QuantizedTensor, QuantizedTensor] | None = None
+    quantized: tuple[QuantizedTensor, QuantizedTensor] | None = field(init=False, default=None)
 
     def __post_init__(self):
-        left = as_matrix(self.left, "left", allow_empty=True)
-        right = as_matrix(self.right, "right", allow_empty=True)
+        factors = (self.left, self.right)
+        coded = sum(isinstance(f, QuantizedTensor) for f in factors)
+        if coded == 1:
+            raise ConfigInvalid("adapter factors must both be codes or both be matrices")
+        if coded:
+            object.__setattr__(self, "quantized", factors)
+        left, right = map(dequantize, factors) if coded else factors
+        left = as_matrix(left, "left", allow_empty=True)
+        right = as_matrix(right, "right", allow_empty=True)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         if left.shape[1] != right.shape[0]:
             raise ShapeMismatch(f"factor shapes {left.shape} x {right.shape} do not chain")
-        if self.quantized is not None:
-            ql, qr = self.quantized
-            if ql.shape != left.shape or qr.shape != right.shape:
-                raise ShapeMismatch("quantized factor shapes do not match factors")
 
     @property
     def rank(self) -> int:
@@ -114,16 +122,9 @@ def saliency_vector(stats: CalibrationStats) -> SaliencyVector:
     return SaliencyVector(x_tilde + float(x_tilde.min()) + eps)
 
 
-def _check_pair(w, w_c) -> tuple[np.ndarray, np.ndarray]:
-    a = as_matrix(w, "w")
-    b = as_matrix(w_c, "w_c")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"w shape {a.shape} != w_c shape {b.shape}")
-    return a, b
-
-
 def naive_lora(w, w_c, r: int) -> LowRankAdapter:
-    """Best rank-r correction in the unweighted Frobenius norm.
+    """Best rank-r correction in the unweighted Frobenius norm:
+    :func:`slim_lora` at unit saliency.
 
     Truncated SVD of the compression error w - w_c; minimizes
     ``||(w - w_c) - L @ R||_F`` over all rank-r pairs.
@@ -132,47 +133,44 @@ def naive_lora(w, w_c, r: int) -> LowRankAdapter:
         ShapeMismatch: operand shapes differ.
         RankOutOfRange: invalid ``r``.
     """
-    a, b = _check_pair(w, w_c)
-    left, right = svd_truncated(a - b, r)
-    return LowRankAdapter(left, right)
+    a = as_matrix(w, "w")
+    return slim_lora(a, w_c, SaliencyVector.constant(a.shape[0]), r)
 
 
 def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
     """Best rank-r correction in the saliency-weighted Frobenius norm.
 
-    Factors the row-weighted error diag(x) @ (w_c - w) by truncated SVD and
-    unweights the left factor, flipping its sign so the correction adds
-    back toward w. Minimizes ``||diag(x) @ (w - w_c - L @ R)||_F`` over all
-    rank-r pairs; channels with large x are corrected preferentially.
+    Factors the row-weighted error diag(x) @ (w - w_c) by truncated SVD and
+    unweights the left factor. Minimizes ``||diag(x) @ (w - w_c - L @ R)||_F``
+    over all rank-r pairs; channels with large x are corrected
+    preferentially.
 
     Raises:
         ShapeMismatch: operand shapes differ or x length is not d_in.
         RankOutOfRange: invalid ``r``.
         NonPositiveSaliency: propagated from a non-positive ``x``.
     """
-    a, b = _check_pair(w, w_c)
+    a = as_matrix(w, "w")
+    b = as_matrix(w_c, "w_c")
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"w shape {a.shape} != w_c shape {b.shape}")
     xv = x.values
     if xv.size != a.shape[0]:
         raise ShapeMismatch(f"saliency length {xv.size} != d_in {a.shape[0]}")
-    e_c = b - a
-    e_c *= xv[:, None]  # weight in place: one d_in x d_out temporary, not two
-    left, right = svd_truncated(e_c, r)
-    left /= -xv[:, None]
+    e = a - b
+    e *= xv[:, None]  # weight in place: one d_in x d_out temporary, not two
+    left, right = svd_truncated(e, r)
+    left /= xv[:, None]
     return LowRankAdapter(left, right)
 
 
-def quantize_adapter(
-    a: LowRankAdapter,
-    group_size: int = DEFAULT_GROUP_SIZE,
-    q: int = ADAPTER_QUANT_BITS,
-) -> LowRankAdapter:
-    """Group-AbsMax quantize both factors; subsequent math uses the
+def quantize_adapter(a: LowRankAdapter, group_size: int = DEFAULT_GROUP_SIZE) -> LowRankAdapter:
+    """Group-AbsMax quantize both factors to :data:`ADAPTER_QUANT_BITS`
+    bits, the width the artifact stores; subsequent math uses the
     dequantized values.
 
     Raises:
-        UnsupportedBitwidth / ConfigInvalid: propagated from the grouped
-            quantizer.
+        ConfigInvalid: propagated from the grouped quantizer.
     """
-    ql = group_absmax_quantize(a.left, group_size, q)
-    qr = group_absmax_quantize(a.right, group_size, q)
-    return LowRankAdapter(dequantize(ql), dequantize(qr), quantized=(ql, qr))
+    return LowRankAdapter(*(group_absmax_quantize(f, group_size, ADAPTER_QUANT_BITS)
+                            for f in (a.left, a.right)))

@@ -29,7 +29,6 @@ from .lora import (
     LowRankAdapter,
     SaliencyVector,
     default_rank,
-    naive_lora,
     quantize_adapter,
     saliency_vector,
     slim_lora,
@@ -364,10 +363,8 @@ def compress_layer(
     if cfg.adapter_method != "none":
         w_c = _dense(stored, scaling)  # the pruned weight, caller coordinates
         r = default_rank(d_in, d_out, cfg.effective_rank_ratio)
-        if cfg.adapter_method == "slim":
-            adapter = slim_lora(w0, w_c, saliency_vector(stats), r)
-        else:
-            adapter = naive_lora(w0, w_c, r)
+        x = saliency_vector(stats) if cfg.adapter_method == "slim" else SaliencyVector.constant(d_in)
+        adapter = slim_lora(w0, w_c, x, r)
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
     return CompressedLayer(

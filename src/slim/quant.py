@@ -333,37 +333,24 @@ def estimate_error(h: AbsHistogram, alpha, q: int):
     return float(errs[0]) if a.ndim == 0 else errs
 
 
-def slimquant_search(
-    h: AbsHistogram,
-    q: int,
-    coarse_points: int = DEFAULT_COARSE_POINTS,
-    eta_high: float | None = None,
-) -> tuple[float, float]:
+def slimquant_search(h: AbsHistogram, q: int) -> tuple[float, float]:
     """Coarse-to-fine minimization of :func:`estimate_error` over alpha.
 
-    Evaluates ``coarse_points`` uniform samples over (0, M] (M = h.max_abs,
-    always included, so the result can never be worse than AbsMax), then
-    repeatedly refines around the incumbent within plus or minus one step
-    of the previous level, dividing the step by ``coarse_points`` each
-    level, until the step reaches ``eta_high`` (default M / 1000).
+    Evaluates :data:`DEFAULT_COARSE_POINTS` uniform samples over (0, M]
+    (M = h.max_abs, always included, so the result can never be worse than
+    AbsMax), then repeatedly refines around the incumbent within plus or
+    minus one step of the previous level, dividing the step by
+    :data:`DEFAULT_COARSE_POINTS` each level, until the step reaches
+    M / 1000.
 
     Returns:
         ``(alpha_star, error)`` for the best scale seen. An all-zero
         histogram (M = 0) returns ``(1.0, 0.0)``.
-
-    Raises:
-        ConfigInvalid: fewer than 2 coarse points or non-positive eta_high.
     """
     q = _check_bits(q)
-    if coarse_points < 2:
-        raise ConfigInvalid(f"coarse_points must be >= 2, got {coarse_points}")
     m = float(h.max_abs)
     if m == 0.0:
         return 1.0, 0.0
-    if eta_high is None:
-        eta_high = m / 1000.0
-    if not (eta_high > 0):
-        raise ConfigInvalid(f"eta_high must be > 0, got {eta_high}")
 
     centers = h.bin_centers()
     probs = h.probabilities()
@@ -375,13 +362,13 @@ def slimquant_search(
             return float(cands[k]), float(errs[k])
         return cur_alpha, cur_err
 
-    step = m / coarse_points
-    coarse = step * np.arange(1, coarse_points + 1, dtype=np.float64)
+    step = m / DEFAULT_COARSE_POINTS
+    coarse = step * np.arange(1, DEFAULT_COARSE_POINTS + 1, dtype=np.float64)
     best_alpha, best_err = best_of(coarse, coarse[-1], np.inf)
 
-    while step > eta_high:
-        step /= coarse_points
-        offsets = np.arange(-coarse_points, coarse_points + 1, dtype=np.float64)
+    while step > m / 1000.0:
+        step /= DEFAULT_COARSE_POINTS
+        offsets = np.arange(-DEFAULT_COARSE_POINTS, DEFAULT_COARSE_POINTS + 1, dtype=np.float64)
         cands = best_alpha + offsets * step
         cands = cands[(cands > 0.0) & (cands <= m)]
         if cands.size:

@@ -112,16 +112,6 @@ def as_float_matrix(w, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Like :func:`as_matrix` but for 1-D float data."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise NonFinite(f"{name} contains NaN or Inf")
-    return arr
-
-
 @dataclass(frozen=True)
 class AbsHistogram:
     """Histogram of absolute values over [0, max_abs].

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from slim import (
     CompressedLayer,
     LayerCompressionConfig,
+    LowRankAdapter,
     Provenance,
     QuantizedTensor,
     SchemaViolation,
@@ -17,7 +18,9 @@ from slim import (
     code_field_bits,
     compress_layer,
     compute_calibration,
+    default_rank,
     deserialize_compressed_layer,
+    quantize_adapter,
     serialize_compressed_layer,
 )
 from slim.artifact import (
@@ -137,6 +140,42 @@ class TestRoundTrip:
             for version in (1, 2):
                 with pytest.raises(SchemaViolation, match="unsupported artifact version"):
                     layer_from_tensors(legacy_tensors(compressed(cfg), version))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d_in=st.integers(1, 12),
+        d_out=st.integers(1, 12),
+        rank_ratio=st.sampled_from([0.05, 0.3, 1.0]),
+        group_size=st.integers(1, 40),
+        magnitude=st.sampled_from([0.0, 1e-30, 1.0, 1e30]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_quantized_adapter_writes_and_round_trips(
+        self, d_in, d_out, rank_ratio, group_size, magnitude, seed
+    ):
+        # whatever quantize_adapter returns is what a quantize_adapters
+        # layer stores: the writer takes it and the reader rebuilds it
+        rng = np.random.default_rng(seed)
+        r = default_rank(d_in, d_out, rank_ratio)
+        adapter = quantize_adapter(LowRankAdapter(
+            rng.standard_normal((d_in, r)) * magnitude, rng.standard_normal((r, d_out)) * magnitude,
+        ), group_size)
+        layer = CompressedLayer(
+            weights=np.zeros((d_in, d_out)),
+            mask=None, adapter=adapter, channel_scaling=None,
+            config=LayerCompressionConfig(
+                quant_method="none", adapter_method="naive", rank_ratio=rank_ratio,
+                quantize_adapters=True, group_size=group_size,
+            ),
+            provenance=Provenance(rows=d_in, cols=d_out),
+        )
+        payload = layer_to_bytes(layer)
+        back = layer_from_bytes(payload).adapter
+        for got, stored in zip(back.quantized, adapter.quantized):
+            assert np.array_equal(got.codes, stored.codes)
+            assert np.array_equal(got.scales, stored.scales.astype(np.float32))
+            assert (got.bits, got.group_size) == (stored.bits, stored.group_size)
+        assert layer_to_bytes(layer_from_bytes(payload)) == payload
 
     def test_serialization_deterministic(self):
         cfg = LayerCompressionConfig(adapter_method="naive", rank_ratio=0.25)

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim import (
     CalibrationStats,
+    ConfigInvalid,
     EmptyStats,
+    EmptyTensor,
     LowRankAdapter,
+    NonFinite,
     NonPositiveSaliency,
     RankOutOfRange,
     SaliencyVector,
     ShapeMismatch,
     default_rank,
+    dequantize,
+    group_absmax_quantize,
     naive_lora,
     quantize_adapter,
     saliency_vector,
     slim_lora,
+    svd_truncated,
 )
 
 from oracles import best_rank_r_residual
@@ -123,12 +131,59 @@ class TestNaiveLora:
             assert res <= other + 1e-9
 
     def test_shape_and_rank_errors(self):
-        with pytest.raises(ShapeMismatch):
-            naive_lora(np.ones((3, 3)), np.ones((4, 3)), 1)
+        for w, w_c, error in [
+            (np.ones((3, 3)), np.ones((4, 3)), ShapeMismatch),
+            (np.float64(1.0), np.ones((1, 1)), ShapeMismatch),  # 0-D
+            (np.ones(3), np.ones((3, 1)), ShapeMismatch),
+            (np.ones((3, 3)), np.ones(3), ShapeMismatch),
+            (np.ones((0, 3)), np.ones((0, 3)), EmptyTensor),
+            (np.ones((3, 3)), np.full((3, 3), np.nan), NonFinite),
+        ]:
+            with pytest.raises(error):
+                naive_lora(w, w_c, 1)
         with pytest.raises(RankOutOfRange):
             naive_lora(np.ones((3, 3)), np.zeros((3, 3)), 0)
         with pytest.raises(RankOutOfRange):
             naive_lora(np.ones((3, 3)), np.zeros((3, 3)), 4)
+
+
+def parent_naive_lora(w, w_c, r):
+    """The naive fit written out on its own, the truncated SVD of w - w_c:
+    the reference naive_lora (slim_lora at unit saliency) must reproduce."""
+    return svd_truncated(np.asarray(w, np.float64) - np.asarray(w_c, np.float64), r)
+
+
+class TestOneFitPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 10),
+        cols=st.integers(1, 10),
+        dtype=st.sampled_from(["float32", "float64"]),
+        error=st.sampled_from(["dense", "zero", "zero_rows"]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the explicit examples (tall, wide, square) fit at full rank
+    @example(rows=9, cols=4, dtype="float32", error="dense", data=None, seed=0)
+    @example(rows=4, cols=9, dtype="float64", error="zero_rows", data=None, seed=1)
+    @example(rows=6, cols=6, dtype="float64", error="zero", data=None, seed=2)
+    def test_naive_is_the_parent_formula_bit_for_bit(self, rows, cols, dtype, error, data, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows, cols)).astype(dtype)
+        other = rng.standard_normal((rows, cols)).astype(dtype)
+        w_c = {
+            "dense": other,
+            "zero": w.copy(),
+            "zero_rows": np.where(rng.random((rows, 1)) < 0.5, w, other),
+        }[error]
+        k = min(rows, cols)
+        r = k if data is None else data.draw(st.integers(1, k), label="rank")
+        a = naive_lora(w, w_c, r)
+        left, right = parent_naive_lora(w, w_c, r)
+        assert a.left.dtype == a.right.dtype == np.float64
+        # bytes, not values: the sign of a zero entry is kept too
+        assert a.left.tobytes() == left.tobytes()
+        assert a.right.tobytes() == right.tobytes()
 
 
 class TestSlimLora:
@@ -218,11 +273,44 @@ class TestAdapterAlgebra:
             LowRankAdapter(left=np.ones((6, 2)), right=np.ones((3, 9)))
 
 
+class TestAdapterFromCodes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d_in=st.integers(1, 9),
+        d_out=st.integers(1, 9),
+        rank=st.integers(1, 4),
+        group_size=st.integers(1, 20),
+        bits=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factors_are_their_codes_dequantized(self, d_in, d_out, rank, group_size, bits, seed):
+        rng = np.random.default_rng(seed)
+        ql = group_absmax_quantize(rng.standard_normal((d_in, rank)), group_size, bits)
+        qr = group_absmax_quantize(rng.standard_normal((rank, d_out)), group_size, bits)
+        a = LowRankAdapter(ql, qr)
+        assert a.quantized[0] is ql and a.quantized[1] is qr
+        assert a.left.tobytes() == dequantize(ql).tobytes()
+        assert a.right.tobytes() == dequantize(qr).tobytes()
+        assert a.rank == rank
+
+    def test_each_factor_is_given_once(self):
+        ql = group_absmax_quantize(np.ones((4, 2)), 4, 4)
+        qr = group_absmax_quantize(np.ones((2, 3)), 4, 4)
+        # codes beside factors they may disagree with are not accepted
+        with pytest.raises(TypeError):
+            LowRankAdapter(np.zeros((4, 2)), np.zeros((2, 3)), quantized=(ql, qr))
+        with pytest.raises(ConfigInvalid):
+            LowRankAdapter(ql, np.ones((2, 3)))
+        with pytest.raises(ShapeMismatch):
+            LowRankAdapter(ql, group_absmax_quantize(np.ones((3, 3)), 4, 4))
+        assert LowRankAdapter(np.ones((4, 2)), np.ones((2, 3))).quantized is None
+
+
 class TestQuantizeAdapter:
     def test_round_trip_error_bounded(self):
         rng = np.random.default_rng(62)
         base = naive_lora(rng.standard_normal((32, 32)), np.zeros((32, 32)), 4)
-        q = quantize_adapter(base, group_size=16, q=4)
+        q = quantize_adapter(base, group_size=16)
         assert q.quantized is not None
         # per-element error of each factor is at most scale / (2 * qmax)
         for orig, deq, qt in [
@@ -238,7 +326,7 @@ class TestQuantizeAdapter:
 
         rng = np.random.default_rng(63)
         base = naive_lora(rng.standard_normal((8, 8)), np.zeros((8, 8)), 2)
-        q = quantize_adapter(base, group_size=4, q=4)
+        q = quantize_adapter(base, group_size=4)
         assert np.array_equal(q.left, dequantize(q.quantized[0]))
         assert np.array_equal(q.right, dequantize(q.quantized[1]))
         assert q.rank == base.rank

@@ -269,13 +269,6 @@ class TestSlimquantSearch:
             absmax_err = estimate_error(h, absmax_alpha(w), 4)
             assert err <= absmax_err + 1e-15
 
-    def test_bad_config(self):
-        h = build_abs_histogram(np.ones((2, 2)), num_bins=4)
-        with pytest.raises(ConfigInvalid):
-            slimquant_search(h, 4, coarse_points=1)
-        with pytest.raises(ConfigInvalid):
-            slimquant_search(h, 4, eta_high=0.0)
-
 
 class TestActivationAwareScale:
     def test_full_fraction_identity_after_compensation(self):
