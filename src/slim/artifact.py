@@ -29,7 +29,7 @@ from .errors import SchemaViolation, SlimError
 from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from .prune import SparsityMask, SparsityPattern
-from .quant import ChannelScaling, QuantizedTensor, code_field_bits
+from .quant import ChannelScaling, QuantizedTensor, _scaled_channel_count, code_field_bits
 
 __all__ = ["serialize_compressed_layer", "deserialize_compressed_layer"]
 
@@ -88,7 +88,7 @@ def _checked_parts(layer: CompressedLayer) -> dict:
         SchemaViolation: a part is missing or extra, or its shape, bit width
             or group size is not what the config implies for the layer's
             shape; or the channel scaling disagrees with the config's
-            switch or names a channel >= d_in.
+            switch, scale_factor or scale_fraction, or names a channel >= d_in.
     """
     parts = {} if layer.mask is None else {"mask": layer.mask}
     parts["weights"] = layer.weights
@@ -103,11 +103,13 @@ def _checked_parts(layer: CompressedLayer) -> dict:
             raise SchemaViolation(
                 f"{name} is {found} as (shape, codec); the config implies {layout.get(name)}"
             )
-    scaling = layer.channel_scaling
-    if (scaling is not None) != layer.config.scaling_enabled:
+    scaling, cfg, rows = layer.channel_scaling, layer.config, layer.shape[0]
+    if (scaling is not None) != cfg.scaling_enabled:
         raise SchemaViolation("channel scaling does not match the config's scaling switch")
-    if scaling is not None and (scaling.channel_indices >= layer.shape[0]).any():
-        raise SchemaViolation(f"channel scaling names a channel >= d_in {layer.shape[0]}")
+    count = _scaled_channel_count(cfg.scale_fraction, rows)
+    if scaling is not None and ((scaling.channel_indices >= rows).any() or (
+            scaling.channel_indices.size, scaling.factor) != (count, cfg.scale_factor)):
+        raise SchemaViolation(f"channel scaling must boost {count} of {rows} rows by {cfg.scale_factor}")
     return parts
 
 
@@ -252,7 +254,7 @@ def _decode(tensors: dict, name: str, shape: tuple, codec, keep: np.ndarray | No
         return SparsityMask(np.unpackbits(packed, count=total).astype(bool).reshape(shape))
     count = total if keep is None else int(np.count_nonzero(keep))
     if codec is None:
-        values = _tensor(tensors, names[0], np.float32, count).astype(np.float64)
+        values = _tensor(tensors, names[0], np.float32, count)  # the layer widens it
     else:
         bits, group_size = codec
         packed = _tensor(tensors, names[0], np.uint8, -(-count * code_field_bits(bits) // 8))

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifact import deserialize_compressed_layer, layer_from_tensors, layer_to_tensors
+from .artifact import deserialize_compressed_layer, layer_to_tensors
 from .budget import ArchConfig, SchemeConfig, flop_reduction, load_arch, load_preset, memory_reduction, preset_names
 from .calibration import compute_calibration, load_calibration, save_calibration
 from .errors import SlimError
@@ -148,12 +148,10 @@ def cmd_compress(args) -> int:
     try:
         for name in shapes:  # one tensor resident at a time
             w = read_container(args.weights, [name])[name]
-            tensors = layer_to_tensors(compress_layer(w, stats, cfg))
+            layer = compress_layer(w, stats, cfg)  # the layer its artifact decodes to
             path = out_stem.parent / f"{out_stem.name}.{name}.slim"
             written.append(path)
-            write_container(path, tensors)
-            layer = layer_from_tensors(tensors)  # the report describes the artifact as stored
-            del tensors
+            write_container(path, layer_to_tensors(layer))
             entry = weight_space_report(
                 w, layer, sal if sal is not None else SaliencyVector.constant(layer.shape[0]),
             )

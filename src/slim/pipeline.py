@@ -193,9 +193,19 @@ def _dense(weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None
     return w
 
 
+def _at_f32(part: QuantizedTensor | np.ndarray, name: str) -> QuantizedTensor | np.ndarray:
+    """``part`` with its scales, or its raw values, rounded to f32 and held as float64."""
+    coded = isinstance(part, QuantizedTensor)
+    with np.errstate(over="ignore"):  # past f32's range rounds to inf, refused below
+        rounded = np.asarray(part.scales if coded else part, np.float32).astype(np.float64)
+    return replace(part, scales=rounded) if coded else as_matrix(rounded, name, allow_empty=True)
+
+
 @dataclass(frozen=True)
 class CompressedLayer:
-    """Everything produced by :func:`compress_layer` for one weight matrix."""
+    """Everything produced by :func:`compress_layer` for one weight matrix:
+    the layer its artifact decodes to, each scale or raw value rounded to f32
+    (NonPositiveAlpha for a scale that rounds to 0 or inf, else NonFinite)."""
 
     weights: QuantizedTensor | np.ndarray
     mask: SparsityMask | None
@@ -203,6 +213,12 @@ class CompressedLayer:
     channel_scaling: ChannelScaling | None
     config: LayerCompressionConfig
     provenance: Provenance
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _at_f32(self.weights, "weights at f32"))
+        if (a := self.adapter) is not None:
+            factors = map(_at_f32, a.quantized or (a.left, a.right), ("left at f32", "right at f32"))
+            object.__setattr__(self, "adapter", LowRankAdapter(*factors))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -275,7 +291,7 @@ def _quantize_weights(w_s: np.ndarray, cfg: LayerCompressionConfig):
     """Quantize the (possibly scaled) weight; returns (stored, alpha)."""
     method = cfg.quant_method
     if method == "none":
-        return w_s.astype(np.float64), None
+        return w_s, None  # the layer holds its own float64 copy
     if method == "absmax":
         alpha = absmax_alpha(w_s)
         return quantize_symmetric(w_s, alpha, cfg.weight_bits), alpha

@@ -376,6 +376,10 @@ def slimquant_search(h: AbsHistogram, q: int) -> tuple[float, float]:
     return best_alpha, best_err
 
 
+def _scaled_channel_count(fraction: float, d_in: int) -> int:
+    return int(np.ceil(fraction * d_in))
+
+
 def activation_aware_scale(
     w,
     stats: CalibrationStats,
@@ -415,7 +419,7 @@ def activation_aware_scale(
         if peak > 0:
             v /= peak
     saliency = act * wmag
-    k = int(np.ceil(fraction * d_in))
+    k = _scaled_channel_count(fraction, d_in)
     order = np.argsort(-saliency, kind="stable")
     idx = np.sort(order[:k])
     w_scaled = arr.astype(np.float64)

@@ -1,8 +1,8 @@
 """Dense-matrix helpers shared by every other module.
 
 A "matrix" throughout this package is simply a 2-D :class:`numpy.ndarray`
-of finite floats. Internal arithmetic is done in float64; persisted
-artifacts store float32 (see :mod:`slim.container`).
+of finite floats. Arithmetic runs in float64; a compressed layer holds its
+scales, raw values and adapter factors at the f32 precision its artifact stores.
 
 The magnitude histogram and the quantizers (uniform and grouped AbsMax),
 the passes that touch every weight, read an f32 (or f16) source in row

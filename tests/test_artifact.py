@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slim import (
+    ChannelScaling,
     CompressedLayer,
     LayerCompressionConfig,
     LowRankAdapter,
@@ -69,6 +70,24 @@ def compressed(cfg):
     return compress_layer(W, STATS, cfg)
 
 
+def assert_same_bits(got, want):
+    """``got`` and ``want`` hold equal values, arrays of the same dtype,
+    shape and bytes, through every dataclass field and tuple."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+    else:
+        assert got == want
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))
     def test_bytes_round_trip_bit_identical(self, cfg):
@@ -79,45 +98,13 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))
     def test_semantic_round_trip(self, cfg):
-        layer = compressed(cfg)
-        back = layer_from_bytes(layer_to_bytes(layer))
-        assert back.config == layer.config
-        assert back.provenance == layer.provenance
-        if isinstance(layer.weights, QuantizedTensor):
-            assert np.array_equal(back.weights.codes, layer.weights.codes)
-            assert back.weights.bits == layer.weights.bits
-            assert back.weights.group_size == layer.weights.group_size
-            # scales persist at f32 resolution
-            assert np.array_equal(
-                back.weights.scales, layer.weights.scales.astype(np.float32)
-            )
-        else:
-            assert np.array_equal(
-                back.weights, layer.weights.astype(np.float32).astype(np.float64)
-            )
-        if layer.mask is None:
-            assert back.mask is None
-        else:
-            assert np.array_equal(back.mask.keep, layer.mask.keep)
-        if layer.adapter is None:
-            assert back.adapter is None
-        else:
-            assert back.adapter.rank == layer.adapter.rank
-            assert np.allclose(back.adapter.left, layer.adapter.left, atol=1e-6)
-            assert np.allclose(back.adapter.right, layer.adapter.right, atol=1e-6)
-            assert (back.adapter.quantized is None) == (layer.adapter.quantized is None)
-            if layer.adapter.quantized is not None:
-                assert np.array_equal(
-                    back.adapter.quantized[0].codes, layer.adapter.quantized[0].codes
-                )
-        if layer.channel_scaling is None:
-            assert back.channel_scaling is None
-        else:
-            assert np.array_equal(
-                back.channel_scaling.channel_indices,
-                layer.channel_scaling.channel_indices,
-            )
-            assert back.channel_scaling.factor == layer.channel_scaling.factor
+        # compress_layer returns the layer its artifact decodes to, part for
+        # part and bit for bit, signed zeros included, from either source width
+        for dtype in (np.float32, np.float64):
+            layer = compress_layer(W.astype(dtype), STATS, cfg)
+            assert_same_bits(layer_from_bytes(layer_to_bytes(layer)), layer)
+            assert_same_bits(layer_from_tensors(layer_to_tensors(layer)), layer)
+            assert_same_bits(dataclasses.replace(layer), layer)
 
     def test_file_round_trip(self, tmp_path):
         layer = compressed(
@@ -170,11 +157,10 @@ class TestRoundTrip:
             provenance=Provenance(rows=d_in, cols=d_out),
         )
         payload = layer_to_bytes(layer)
-        back = layer_from_bytes(payload).adapter
-        for got, stored in zip(back.quantized, adapter.quantized):
-            assert np.array_equal(got.codes, stored.codes)
-            assert np.array_equal(got.scales, stored.scales.astype(np.float32))
-            assert (got.bits, got.group_size) == (stored.bits, stored.group_size)
+        assert_same_bits(layer_from_bytes(payload), layer)
+        for got, made in zip(layer.adapter.quantized, adapter.quantized):
+            assert np.array_equal(got.codes, made.codes)
+            assert np.array_equal(got.scales, made.scales.astype(np.float32))
         assert layer_to_bytes(layer_from_bytes(payload)) == payload
 
     def test_serialization_deterministic(self):
@@ -451,6 +437,25 @@ class TestSchemaViolations:
         t = edit_meta(t, lambda m: m["scaling"].update(indices=[3, 40]))
         with pytest.raises(SchemaViolation):
             layer_from_tensors(t)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m["scaling"].update(factor=3.0),
+        lambda m: m["scaling"].update(indices=[0, 1, 2, 3, 4]),
+    ], ids=["factor", "index_count"])
+    def test_scaling_contradicting_config(self, mutate):
+        # CONFIGS[4] boosts ceil(0.1 * 16) = 2 channels by the default factor 2.0;
+        # each edit used to be read without complaint
+        t = edit_meta(layer_to_tensors(compressed(CONFIGS[4])), mutate)
+        with pytest.raises(SchemaViolation, match="channel scaling"):
+            layer_from_tensors(t)
+
+    def test_writer_refuses_scaling_contradicting_config(self, tmp_path):
+        layer = compressed(CONFIGS[4])
+        layer = dataclasses.replace(layer, channel_scaling=ChannelScaling(np.arange(5), 2.0))
+        path = tmp_path / "layer.slim"
+        with pytest.raises(SchemaViolation, match="channel scaling"):
+            serialize_compressed_layer(layer, path)
+        assert not path.exists()
 
     def test_scaling_against_config_switch(self):
         t = edit_meta(valid_tensors(), lambda m: m.update(scaling={"indices": [3], "factor": 2.0}))

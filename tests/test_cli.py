@@ -157,21 +157,18 @@ class TestCompress:
         }
         artifact = out.parent / "full.weights.slim"
         assert entry["artifact"] == str(artifact)
-        # The library rebuilds the artifact byte for byte (see
-        # test_artifact_bit_identical_to_library); the report describes the
-        # artifact as read back, whose f32 factors and scales differ from
-        # the float64 ones of the layer in memory.
         cfg = LayerCompressionConfig(
             sparsity=SparsityPattern.semistructured(2, 4), adapter_method="slim", rank_ratio=0.25
         )
         w = read_container(workspace["weights"])["weights"]
         stats = load_calibration(workspace["calib"])
-        assert layer_to_bytes(compress_layer(w, stats, cfg)) == artifact.read_bytes()
-        layer = deserialize_compressed_layer(artifact)
-        assert entry == {
-            **weight_space_report(w, layer, saliency_vector(stats)),
-            "alpha": layer.provenance.alpha, "artifact": str(artifact),
-        }
+        layer = compress_layer(w, stats, cfg)
+        assert layer_to_bytes(layer) == artifact.read_bytes()
+        for described in (layer, deserialize_compressed_layer(artifact)):
+            assert entry == {
+                **weight_space_report(w, described, saliency_vector(stats)),
+                "alpha": described.provenance.alpha, "artifact": str(artifact),
+            }
 
     def test_artifact_bit_identical_to_library(self, workspace, capsys):
         out = workspace["dir"] / "lib"
@@ -270,6 +267,24 @@ class TestCompress:
         assert code == 2
         assert out == ""
         assert err == "error: stats cover 16 channels, weight has 32 rows\n"
+        assert sorted(tmp_path.glob("OUT*")) == []
+
+    def test_part_f32_cannot_hold_leaves_no_artifacts(self, tmp_path, capsys):
+        # "b" holds small multiples of the smallest f32 subnormal: its 8-bit
+        # codes leave an error whose 4-bit adapter group scales round to 0
+        # at f32; the run fails there and removes the artifact of "a"
+        weights = tmp_path / "tiny.slim"
+        rng = np.random.default_rng(20)
+        tiny = np.finfo(np.float32).smallest_subnormal
+        write_container(weights, {"a": rng.standard_normal((8, 8)).astype(np.float32),
+                                  "b": rng.integers(-9, 10, (8, 8)).astype(np.float32) * tiny})
+        code, out, err = run(capsys, "compress", "--weights", str(weights),
+                             "--out", str(tmp_path / "OUT"), "--quant", "absmax", "--wbits", "8",
+                             "--lora", "naive", "--rank-ratio", "0.25", "--quantize-lora",
+                             "--group-size", "16")
+        assert code == 2
+        assert out == ""
+        assert err == "error: scales must be positive and finite\n"
         assert sorted(tmp_path.glob("OUT*")) == []
 
     def test_every_shape_checked_before_any_tensor_is_read(

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from slim import (
+    CompressedLayer,
     ConfigInvalid,
     EmptyTensor,
     LayerCompressionConfig,
+    LowRankAdapter,
     NonFinite,
+    NonPositiveAlpha,
+    Provenance,
     QuantizedTensor,
     ShapeMismatch,
     SparsityPattern,
@@ -17,6 +21,7 @@ from slim import (
     error_report,
     fp8_fake_quantize,
     layer_output,
+    quantize_adapter,
     saliency_vector,
     weight_space_report,
 )
@@ -26,6 +31,7 @@ from slim.artifact import layer_to_bytes
 
 RNG = np.random.default_rng(100)
 W = RNG.standard_normal((32, 24))
+W32 = W.astype(np.float32)
 X = RNG.standard_normal((64, 32))
 STATS = compute_calibration([X])
 
@@ -134,11 +140,15 @@ class TestConfigValidation:
 
 class TestCompressLayer:
     def test_identity_config_changes_nothing(self):
+        # the artifact stores f32 values: an f32 weight survives unchanged,
+        # and a float64 one is held at its f32 values
         cfg = LayerCompressionConfig(quant_method="none")
-        layer = compress_layer(W, None, cfg)
-        assert np.array_equal(layer.effective_weight(), W)
+        layer = compress_layer(W32, None, cfg)
+        assert np.array_equal(layer.effective_weight(), W32)
         assert layer.mask is None and layer.adapter is None
-        assert np.array_equal(layer_output(X, layer), X @ W)
+        assert np.array_equal(layer_output(X, layer), X @ W32.astype(np.float64))
+        held = compress_layer(W, None, cfg).weights
+        assert np.array_equal(held, W32) and not np.shares_memory(held, W)
 
     def test_missing_required_stats(self):
         for cfg in (
@@ -192,15 +202,15 @@ class TestCompressLayer:
         assert np.all(layer.mask.keep.sum(axis=0) == 24)  # ceil(0.75 * 32)
 
     def test_channel_scaling_roundtrips_in_effective_weight(self):
-        # unquantized pipeline: scaling then descaling is within float noise
+        # unquantized pipeline: scaling by 2 then descaling is exact at f32
         cfg = LayerCompressionConfig(
             quant_method="none", channel_scaling=True, scale_fraction=0.1
         )
-        layer = compress_layer(W, STATS, cfg)
+        layer = compress_layer(W32, STATS, cfg)
         assert layer.channel_scaling is not None
         assert layer.channel_scaling.channel_indices.size == 4  # ceil(0.1 * 32)
-        assert np.allclose(layer.effective_weight(), W, rtol=1e-12, atol=1e-14)
-        ref = X @ W
+        assert np.array_equal(layer.effective_weight(), W32)
+        ref = X @ W32.astype(np.float64)
         out = layer_output(X, layer)
         assert np.linalg.norm(out - ref) <= 1e-6 * np.linalg.norm(ref)
 
@@ -262,6 +272,52 @@ class TestCompressLayer:
         a = layer_to_bytes(compress_layer(W, STATS, cfg))
         b = layer_to_bytes(compress_layer(W.copy(), STATS, cfg))
         assert a == b
+
+
+class TestF32Range:
+    """A layer holds the f32 values its artifact stores, so a scale or value
+    f32 cannot hold is refused when the layer is built, before any write."""
+
+    @staticmethod
+    def adapter_layer(adapter, quantized):
+        cfg = LayerCompressionConfig(quant_method="none", adapter_method="naive", rank_ratio=0.25,
+                                     quantize_adapters=quantized, group_size=4)
+        return CompressedLayer(weights=np.zeros((8, 8)), mask=None, adapter=adapter,
+                               channel_scaling=None, config=cfg, provenance=Provenance(8, 8))
+
+    @pytest.mark.parametrize("quant", ["absmax", "group_absmax", "slim_quant"])
+    @pytest.mark.parametrize("magnitude", [1e-50, 1e39])
+    def test_weight_scale_f32_cannot_hold(self, quant, magnitude):
+        # the scales round to 0 or inf at f32
+        w = np.random.default_rng(1).standard_normal((8, 8)) * magnitude
+        with pytest.raises(NonPositiveAlpha):
+            compress_layer(w, None, LayerCompressionConfig(quant_method=quant, group_size=4))
+
+    def test_raw_weight_f32_cannot_hold(self):
+        w = np.random.default_rng(2).standard_normal((8, 8)) * 1e39
+        with pytest.raises(NonFinite):
+            compress_layer(w, None, LayerCompressionConfig(quant_method="none"))
+
+    def test_adapter_scale_f32_cannot_hold(self):
+        adapter = quantize_adapter(LowRankAdapter(np.full((8, 2), 1e-50), np.ones((2, 8))), 4)
+        with pytest.raises(NonPositiveAlpha):
+            self.adapter_layer(adapter, quantized=True)
+
+    def test_adapter_factor_f32_cannot_hold(self):
+        with pytest.raises(NonFinite):
+            self.adapter_layer(LowRankAdapter(np.full((8, 2), 1e39), np.ones((2, 8))), False)
+
+    @pytest.mark.parametrize("quant", ["absmax", "group_absmax", "slim_quant", "none"])
+    def test_f32_extremes_are_kept(self, quant):
+        # the largest f32 and the smallest subnormal are stored, not refused
+        f32 = np.finfo(np.float32)
+        w = np.full((8, 8), f32.smallest_subnormal, np.float32)
+        w[0, 0] = f32.max
+        layer = compress_layer(w, None, LayerCompressionConfig(quant_method=quant, group_size=4))
+        if quant == "none":
+            assert np.array_equal(layer.weights, w)
+        else:
+            assert np.isfinite(layer.weights.scales).all() and (layer.weights.scales > 0).all()
 
 
 class TestCallerArraysUntouched:
@@ -409,8 +465,9 @@ class TestErrorReport:
             assert not np.may_share_memory(a, layer.weights)
 
     def test_dense_layer_reports_zero_error(self):
-        layer = compress_layer(W, None, LayerCompressionConfig(quant_method="none"))
-        rep = error_report(W, layer, X, saliency_vector(STATS))
+        # an f32 weight is stored exactly
+        layer = compress_layer(W32, None, LayerCompressionConfig(quant_method="none"))
+        rep = error_report(W32, layer, X, saliency_vector(STATS))
         assert rep.weight_mse == 0.0
         assert rep.output_mse == 0.0
         assert rep.effective_bits_per_weight == 32.0  # raw f32 values

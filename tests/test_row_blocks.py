@@ -22,8 +22,10 @@ from slim import (
     E4M3,
     E5M2,
     ChannelScaling,
+    CompressedLayer,
     LayerCompressionConfig,
     NonFinite,
+    Provenance,
     QuantizedTensor,
     SparsityPattern,
     absmax_alpha,
@@ -47,7 +49,7 @@ from slim import (
 )
 from slim import tensor
 from slim.artifact import layer_to_bytes
-from slim.pipeline import _dense
+from slim.pipeline import _dense, _quantize_weights
 from slim.prune import _scores, build_mask
 from slim.quant import _fp8_snap
 from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, row_blocks
@@ -486,17 +488,20 @@ def reference_scores(stored, scaling, norms) -> np.ndarray:
 
 def reference_layer(w, stats, cfg: LayerCompressionConfig):
     """compress_layer's earlier order: dequantize the whole quantized
-    weight, score and mask it, then fit the adapter to the masked copy."""
-    plain = replace(cfg, sparsity=None, adapter_method="none", rank_ratio=None,
-                    quantize_adapters=False)
-    base = compress_layer(w, stats, plain)
-    w_c = _dense(base.weights, base.channel_scaling)
+    weight, score and mask it, then fit the adapter to the masked copy.
+    Like compress_layer, it scores and fits the full-precision quantized
+    weight; only the finished layer is rounded to f32."""
+    w_s, scaling = w, None
+    if cfg.scaling_enabled:
+        w_s, scaling = activation_aware_scale(w, stats, cfg.scale_fraction, cfg.scale_factor)
+    weights, alpha = _quantize_weights(w_s, cfg)
+    w_c = _dense(weights, scaling)
     norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
-    mask = build_mask(reference_scores(base.weights, base.channel_scaling, norms), cfg.sparsity)
-    if isinstance(base.weights, QuantizedTensor):
-        stored = replace(base.weights, codes=apply_mask(base.weights.codes, mask))
+    mask = build_mask(reference_scores(weights, scaling, norms), cfg.sparsity)
+    if isinstance(weights, QuantizedTensor):
+        stored = replace(weights, codes=apply_mask(weights.codes, mask))
     else:
-        stored = apply_mask(base.weights, mask)
+        stored = apply_mask(weights, mask)
     adapter = None
     if cfg.adapter_method != "none":
         w_c = apply_mask(w_c, mask)
@@ -507,7 +512,8 @@ def reference_layer(w, stats, cfg: LayerCompressionConfig):
             adapter = naive_lora(w, w_c, r)
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
-    return replace(base, weights=stored, mask=mask, adapter=adapter, config=cfg)
+    return CompressedLayer(weights=stored, mask=mask, adapter=adapter, channel_scaling=scaling,
+                           config=cfg, provenance=Provenance(*w.shape, alpha=alpha))
 
 
 def stored_weight(kind: str, shape: tuple, group_size: int, seed: int):
