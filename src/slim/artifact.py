@@ -115,16 +115,20 @@ def _checked_parts(layer: CompressedLayer) -> dict:
 
 def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     """``codes`` (any shape, row-major) as two's-complement fields of
-    ``code_field_bits(bits)`` width, packed into u8 low field first."""
+    ``code_field_bits(bits)`` width, packed into u8 low field first, a
+    :data:`~slim.tensor.BLOCK_ELEMENTS` bytes' worth of codes at a time."""
     width = code_field_bits(bits)
     per_byte = 8 // width
-    fields = codes.reshape(-1).astype(np.uint8)  # two's complement of int8
-    fields &= (1 << width) - 1
-    fields = np.concatenate([fields, np.zeros(-fields.size % per_byte, np.uint8)])
-    fields = fields.reshape(-1, per_byte)
-    packed = fields[:, 0].copy()
-    for j in range(1, per_byte):
-        packed |= fields[:, j] << (j * width)
+    flat = codes.reshape(-1)
+    packed = np.zeros(-(-flat.size // per_byte), np.uint8)
+    chunk = tensor.BLOCK_ELEMENTS * per_byte  # whole bytes
+    for lo in range(0, flat.size, chunk):
+        fields = flat[lo:lo + chunk].astype(np.uint8)  # two's complement of int8
+        fields &= (1 << width) - 1
+        out = packed[lo // per_byte:]
+        for j in range(per_byte):
+            field = fields[j::per_byte]
+            out[:field.size] |= field << (j * width)
     return packed
 
 
@@ -140,13 +144,20 @@ def _unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
 
 
 def _kept(stored: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The entries of ``stored`` that ``keep`` keeps, row-major.
+    """The entries of ``stored`` that ``keep`` keeps, row-major, gathered a
+    :data:`~slim.tensor.BLOCK_ELEMENTS` chunk at a time.
 
     Raises:
         SchemaViolation: an entry the mask drops is nonzero, so storing the
             kept entries only would lose it.
     """
-    kept = np.compress(keep.reshape(-1), stored.reshape(-1))  # ~3x faster than stored[keep]
+    flat, mask, chunk = stored.reshape(-1), keep.reshape(-1), tensor.BLOCK_ELEMENTS
+    kept = np.empty(np.count_nonzero(mask), stored.dtype)
+    done = 0
+    for lo in range(0, flat.size, chunk):  # a chunk's index at a time, as in _scatter
+        part = np.compress(mask[lo:lo + chunk], flat[lo:lo + chunk])  # ~3x faster than flat[mask]
+        kept[done:done + part.size] = part
+        done += part.size
     if np.count_nonzero(kept) != np.count_nonzero(stored):
         raise SchemaViolation("stored weights are nonzero where the mask drops them")
     return kept

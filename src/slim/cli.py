@@ -147,14 +147,17 @@ def cmd_compress(args) -> int:
     written: list[Path] = []
     try:
         for name in shapes:  # one tensor resident at a time
-            w = read_container(args.weights, [name])[name]
-            layer = compress_layer(w, stats, cfg)  # the layer its artifact decodes to
-            path = out_stem.parent / f"{out_stem.name}.{name}.slim"
-            written.append(path)
-            write_container(path, layer_to_tensors(layer))
-            entry = weight_space_report(
-                w, layer, sal if sal is not None else SaliencyVector.constant(layer.shape[0]),
-            )
+            try:
+                w = read_container(args.weights, [name])[name]
+                layer = compress_layer(w, stats, cfg)  # the layer its artifact decodes to
+                path = out_stem.parent / f"{out_stem.name}.{name}.slim"
+                written.append(path)
+                write_container(path, layer_to_tensors(layer))
+                entry = weight_space_report(
+                    w, layer, sal if sal is not None else SaliencyVector.constant(layer.shape[0]),
+                )
+            except SlimError as exc:
+                raise type(exc)(f"tensor {name!r}: {exc}") from exc
             entry["alpha"] = layer.provenance.alpha
             entry["artifact"] = str(path)
             report[name] = entry

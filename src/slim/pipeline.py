@@ -23,7 +23,7 @@ import numpy as np
 from . import prune as prune_mod
 from .calibration import CalibrationStats
 from .container import _json_typed
-from .errors import ConfigInvalid, EmptyTensor, ShapeMismatch
+from .errors import ConfigInvalid, EmptyTensor, NonFinite, ShapeMismatch
 from .lora import (
     DEFAULT_RANK_RATIO,
     LowRankAdapter,
@@ -33,13 +33,14 @@ from .lora import (
     saliency_vector,
     slim_lora,
 )
-from .prune import SparsityMask, SparsityPattern, _scores
+from .prune import SparsityMask, SparsityPattern
 from .quant import (
     DEFAULT_GROUP_SIZE,
     DEFAULT_SCALE_FACTOR,
     DEFAULT_SCALE_FRACTION,
     ChannelScaling,
     QuantizedTensor,
+    _dequantize_block,
     absmax_alpha,
     activation_aware_scale,
     code_field_bits,
@@ -50,7 +51,7 @@ from .quant import (
     quantize_symmetric,
     slimquant_search,
 )
-from .tensor import as_float_matrix, as_matrix, build_abs_histogram
+from .tensor import as_float_matrix, as_matrix, build_abs_histogram, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -181,24 +182,44 @@ def _stored_bits(part: QuantizedTensor | np.ndarray, entries: int) -> int:
     return F32_BITS * entries
 
 
-def _dense(weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None = None) -> np.ndarray:
-    """Float64 matrix of a stored weight in a new buffer of its own, mapped
-    back to the caller's coordinates when ``scaling`` is given."""
-    if isinstance(weights, QuantizedTensor):
+def _dense(
+    weights: QuantizedTensor | np.ndarray,
+    scaling: ChannelScaling | None = None,
+    rows: slice = slice(None),
+    cols: slice = slice(None),
+) -> np.ndarray:
+    """Float64 ``[rows, cols]`` block (the whole matrix by default) of a
+    stored weight in a new buffer of its own, mapped back to the caller's
+    coordinates when ``scaling`` is given. A block is made from its own
+    codes only, each entry by the same product and divide as the whole."""
+    if not isinstance(weights, QuantizedTensor):
+        w = weights[rows, cols].astype(np.float64)
+    elif rows == cols == slice(None):
         w = dequantize(weights)
     else:
-        w = np.array(weights, dtype=np.float64)
+        w = _dequantize_block(weights, rows, cols)
     if scaling is not None and scaling.channel_indices.size:
-        w[scaling.channel_indices, :] /= scaling.factor
+        w[np.isin(np.arange(weights.shape[0])[rows], scaling.channel_indices)] /= scaling.factor
     return w
 
 
 def _at_f32(part: QuantizedTensor | np.ndarray, name: str) -> QuantizedTensor | np.ndarray:
-    """``part`` with its scales, or its raw values, rounded to f32 and held as float64."""
-    coded = isinstance(part, QuantizedTensor)
+    """``part`` with its scales, or its raw values, rounded to f32 and held
+    as float64; a coded part whose scales the rounding leaves alone comes
+    back as it is. Raw values are rounded one row block at a time."""
     with np.errstate(over="ignore"):  # past f32's range rounds to inf, refused below
-        rounded = np.asarray(part.scales if coded else part, np.float32).astype(np.float64)
-    return replace(part, scales=rounded) if coded else as_matrix(rounded, name, allow_empty=True)
+        if isinstance(part, QuantizedTensor):
+            rounded = part.scales.astype(np.float32).astype(np.float64)
+            return part if np.array_equal(rounded, part.scales) else replace(part, scales=rounded)
+        arr = np.asarray(part)
+        if arr.ndim != 2:
+            as_matrix(arr, name)  # raises ShapeMismatch
+        out = np.empty(arr.shape)
+        for rows in row_blocks(arr):
+            out[rows] = arr[rows].astype(np.float32)
+            if not np.isfinite(out[rows]).all():
+                raise NonFinite(f"{name} contains NaN or Inf")
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,8 +238,10 @@ class CompressedLayer:
     def __post_init__(self):
         object.__setattr__(self, "weights", _at_f32(self.weights, "weights at f32"))
         if (a := self.adapter) is not None:
-            factors = map(_at_f32, a.quantized or (a.left, a.right), ("left at f32", "right at f32"))
-            object.__setattr__(self, "adapter", LowRankAdapter(*factors))
+            old = a.quantized or (a.left, a.right)
+            new = tuple(map(_at_f32, old, ("left at f32", "right at f32")))
+            if any(f is not o for f, o in zip(new, old)):  # a decoded adapter is kept
+                object.__setattr__(self, "adapter", LowRankAdapter(*new))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -326,9 +349,12 @@ def compress_layer(
     quantized weight, adapter fit against the total remaining error
     (in the caller's coordinates), optional adapter quantization.
 
-    The pruning scores are made in place from the dequantized weight, so
-    before the mask they are the only float64 weight-sized array; an
-    adapter reads the pruned weight, dequantized after the mask.
+    The pruning scores are never held whole: the mask ranks one block at a
+    time (:func:`~slim.prune.build_mask`), each block's scores made from
+    the codes with the arithmetic of the dequantized weight in the
+    caller's coordinates. Without an adapter no float64 weight-sized array
+    is made after the quantizer; an adapter reads the pruned weight,
+    dequantized after the mask.
 
     Args:
         w: Weight matrix, input channels as rows.
@@ -366,9 +392,15 @@ def compress_layer(
     mask = None
     if cfg.sparsity is not None:
         norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
-        w_c = _dense(stored, scaling)  # turned into the scores in place
-        mask = prune_mod.build_mask(_scores(w_c, norms, out=w_c), cfg.sparsity)
-        del w_c
+
+        def scores(rows: slice, cols: slice) -> np.ndarray:  # made from the codes
+            block = _dense(stored, scaling, rows, cols)
+            np.abs(block, out=block)
+            if norms is not None:
+                block *= norms[rows, None]
+            return block
+
+        mask = prune_mod.build_mask(scores, cfg.sparsity, (d_in, d_out))
         if isinstance(stored, QuantizedTensor):
             stored = replace(stored, codes=prune_mod.apply_mask(stored.codes, mask))
         else:
@@ -430,11 +462,30 @@ def _mean_square(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, a) / a.size)
 
 
-def _weight_space(d, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
-    rows = np.einsum("ij,ij->i", d, d)  # no weight-sized temporary
+def _difference_row_squares(w0: np.ndarray, layer: CompressedLayer, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of ``D**2`` for ``D = corrected_weight - w0``, made one row
+    block at a time; each block of D is also written into ``out`` when
+    given. Without an adapter a block holds the bits of the same rows of
+    the whole-matrix D; with one, ``left[rows] @ right`` may round apart
+    from the rows of ``left @ right`` in the last place."""
+    a = layer.adapter
+    sq = np.empty(w0.shape[0])
+    for rows in row_blocks(w0):
+        d = _dense(layer.weights, layer.channel_scaling, rows)
+        if a is not None:
+            d += a.left[rows] @ a.right
+        d -= w0[rows]  # an f32 w0 widens element by element: the bits of its float64 copy
+        sq[rows] = np.einsum("ij,ij->i", d, d)
+        if out is not None:
+            out[rows] = d
+    return sq
+
+
+def _weight_space(sq_rows: np.ndarray, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
+    size = layer.shape[0] * layer.shape[1]
     return {
-        "weight_mse": float(rows.sum() / d.size),
-        "weighted_weight_mse": float(rows @ np.square(x_saliency.values) / d.size),
+        "weight_mse": float(sq_rows.sum() / size),
+        "weighted_weight_mse": float(sq_rows @ np.square(x_saliency.values) / size),
         "density": layer.density,
         "effective_bits_per_weight": layer.effective_bits_per_weight,
     }
@@ -445,15 +496,13 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
 
     Returns ``weight_mse``, ``weighted_weight_mse``, ``density`` and
     ``effective_bits_per_weight``, computed exactly as :func:`error_report`
-    computes them.
+    computes them, from one row block of the difference at a time.
 
     Raises:
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
     w0 = _checked_weight(w, layer, x_saliency)
-    d = layer.corrected_weight()
-    d -= w0  # an f32 w0 widens element by element: the bits of its float64 copy
-    return _weight_space(d, layer, x_saliency)
+    return _weight_space(_difference_row_squares(w0, layer), layer, x_saliency)
 
 
 def error_report(
@@ -483,9 +532,8 @@ def error_report(
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
 
-    d = layer.corrected_weight()
-    d -= w0
-    weight_fields = _weight_space(d, layer, x_saliency)
+    d = np.empty(layer.shape)
+    weight_fields = _weight_space(_difference_row_squares(w0, layer, out=d), layer, x_saliency)
     r = xe @ d
     output_mse = _mean_square(r)
     no_adapter = output_mse

@@ -128,10 +128,9 @@ def magnitude_scores(w) -> np.ndarray:
     return _scores(as_matrix(w, "w", allow_empty=True))
 
 
-def _scores(w: np.ndarray, norms=None, out=None) -> np.ndarray:
-    """``|w|``, times ``norms[i]`` on row i when given; ``out=w`` turns a
-    float64 ``w`` into its own scores."""
-    scores = np.abs(w, out=out)
+def _scores(w: np.ndarray, norms=None) -> np.ndarray:
+    """``|w|`` in a new array, times ``norms[i]`` on row i when given."""
+    scores = np.abs(w)
     if norms is not None:
         scores *= norms[:, None]
     return scores
@@ -143,38 +142,14 @@ def unstructured_mask(scores, ratio: float) -> SparsityMask:
     Selection, not sorting: a partition finds each column's k-th largest
     score, every score above it is kept, and the scores equal to it fill the
     remaining places, lowest input index first: the first k entries of a
-    stable descending sort. Both steps work on blocks of columns of about
-    :data:`~slim.tensor.BLOCK_ELEMENTS` scores. ``ratio`` = 0 keeps everything.
+    stable descending sort. Columns are ranked in blocks of about
+    :data:`~slim.tensor.BLOCK_ELEMENTS` scores (:func:`build_mask`).
+    ``ratio`` = 0 keeps everything.
 
     Raises:
         ConfigInvalid: ``ratio`` outside [0, 1).
     """
-    s = as_matrix(scores, "scores")
-    if not (0.0 <= ratio < 1.0):
-        raise ConfigInvalid(f"ratio must be in [0, 1), got {ratio}")
-    d_in, d_out = s.shape
-    k = int(np.ceil((1.0 - ratio) * d_in))
-    if k == d_in:  # k >= 1: d_in >= 1 and ratio < 1
-        return SparsityMask(np.ones((d_in, d_out), dtype=bool))
-    width = max(1, tensor.BLOCK_ELEMENTS // d_in)
-    kth = np.empty(d_out)
-    for c0 in range(0, d_out, width):
-        part = s[:, c0:c0 + width].T.copy()  # contiguous columns; s is never reordered
-        part.partition(d_in - k, axis=1)
-        kth[c0:c0 + width] = part[:, d_in - k]
-    del part
-    keep = s > kth
-    tied = s == kth
-    need = k - np.count_nonzero(keep, axis=0)
-    # Columns with more ties than places keep their first ``need`` ties.
-    over = np.flatnonzero(np.count_nonzero(tied, axis=0) > need)
-    for j in range(0, over.size, width):
-        cols = over[j:j + width]
-        sub = tied[:, cols]
-        sub &= np.cumsum(sub, axis=0, dtype=np.min_scalar_type(d_in)) <= need[cols]
-        tied[:, cols] = sub
-    keep |= tied
-    return SparsityMask(keep)
+    return build_mask(scores, SparsityPattern.unstructured(ratio))
 
 
 def semistructured_mask(scores, n: int, m: int) -> SparsityMask:
@@ -191,20 +166,38 @@ def semistructured_mask(scores, n: int, m: int) -> SparsityMask:
         ConfigInvalid: not 0 < n < m.
         IndivisibleDimension: input dimension not divisible by ``m``.
     """
-    s = as_matrix(scores, "scores")
-    if not (0 < n < m):
-        raise ConfigInvalid(f"need 0 < n < m, got {n}:{m}")
-    d_in, d_out = s.shape
-    if d_in % m != 0:
-        raise IndivisibleDimension(f"input dim {d_in} not divisible by m = {m}")
-    grouped = s.reshape(d_in // m, m, d_out)
+    return build_mask(scores, SparsityPattern.semistructured(n, m))
+
+
+def _top_k(block: np.ndarray, k: int) -> np.ndarray:
+    """Keep-mask of the ``k`` largest scores in each column of ``block``,
+    ties to the lower index (the rule of :func:`unstructured_mask`)."""
+    part = np.ascontiguousarray(block.T)  # each column a contiguous row
+    d_in = part.shape[1]
+    kth = np.partition(part, d_in - k, axis=1)[:, d_in - k, None]
+    keep = part > kth
+    tied = part == kth
+    need = k - np.count_nonzero(keep, axis=1)
+    over = np.count_nonzero(tied, axis=1) > need  # columns whose first ``need`` ties fill
+    if over.any():
+        sub = tied[over]
+        sub &= np.cumsum(sub, axis=1, dtype=np.min_scalar_type(d_in)) <= need[over, None]
+        tied[over] = sub
+    keep |= tied
+    return keep.T
+
+
+def _n_of_m(block: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Keep-mask of the ``n`` largest of every ``m`` consecutive scores down
+    each column of ``block``, by the pairwise rank of :func:`semistructured_mask`."""
+    grouped = block.reshape(-1, m, block.shape[1])
     rank = np.zeros(grouped.shape, dtype=np.min_scalar_type(m))
     for i in range(m):
         for j in range(i + 1, m):
             later_wins = grouped[:, j] > grouped[:, i]
             rank[:, i] += later_wins
             rank[:, j] += ~later_wins
-    return SparsityMask((rank < n).reshape(d_in, d_out))
+    return (rank < n).reshape(block.shape)
 
 
 def apply_mask(w, mask: SparsityMask) -> np.ndarray:
@@ -227,8 +220,43 @@ def apply_mask(w, mask: SparsityMask) -> np.ndarray:
     return np.where(mask.keep, arr, arr.dtype.type(0))
 
 
-def build_mask(scores, pattern: SparsityPattern) -> SparsityMask:
-    """Dispatch to the masking rule named by ``pattern``."""
+def build_mask(scores, pattern: SparsityPattern, shape: tuple | None = None) -> SparsityMask:
+    """The mask ``pattern`` names over a d_in x d_out score matrix.
+
+    ``scores`` is the matrix itself, or, given its ``shape``, a function that
+    returns the float64 block ``scores[rows, cols]`` for two slices (left
+    unchanged here). The scores are read and ranked in blocks of about
+    :data:`~slim.tensor.BLOCK_ELEMENTS`: whole columns for an unstructured
+    pattern, which ranks each column, and whole groups of ``m`` rows for a
+    semi-structured one. No score-sized array is made besides the mask.
+
+    Raises:
+        IndivisibleDimension: a semi-structured pattern's ``m`` does not
+            divide d_in.
+        NonFinite / EmptyTensor / ShapeMismatch: a score matrix that
+            :func:`~slim.tensor.as_matrix` refuses.
+    """
+    if shape is None:
+        s = as_matrix(scores, "scores")
+        scores, shape = (lambda rows, cols: s[rows, cols]), s.shape
+    d_in, d_out = shape
+    everything = slice(None)
     if pattern.kind == "unstructured":
-        return unstructured_mask(scores, pattern.ratio)
-    return semistructured_mask(scores, pattern.n, pattern.m)
+        k = int(np.ceil((1.0 - pattern.ratio) * d_in))
+        if k == d_in:  # k >= 1: d_in >= 1 and ratio < 1
+            return SparsityMask(np.ones(shape, dtype=bool))
+    keep = np.empty(shape, dtype=bool)
+    if pattern.kind == "unstructured":
+        width = max(1, tensor.BLOCK_ELEMENTS // d_in)
+        for c0 in range(0, d_out, width):
+            cols = slice(c0, c0 + width)
+            keep[:, cols] = _top_k(scores(everything, cols), k)
+    else:
+        n, m = pattern.n, pattern.m
+        if d_in % m != 0:
+            raise IndivisibleDimension(f"input dim {d_in} not divisible by m = {m}")
+        height = max(1, tensor.BLOCK_ELEMENTS // (d_out * m)) * m
+        for r0 in range(0, d_in, height):
+            rows = slice(r0, r0 + height)
+            keep[rows] = _n_of_m(scores(rows, everything), n, m)
+    return SparsityMask(keep)

@@ -244,6 +244,22 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     return out
 
 
+def _dequantize_block(t: QuantizedTensor, rows: slice, cols: slice) -> np.ndarray:
+    """``dequantize(t)[rows, cols]`` in a new float64 buffer, made from
+    those codes only: each code times the same step :func:`dequantize`
+    multiplies it by."""
+    out = t.codes[rows, cols].astype(np.float64)
+    if t.group_size is None:
+        out *= float(t.scales[0]) * 2.0 ** (1 - t.bits)
+        return out
+    d_in, d_out = t.shape
+    flat = np.arange(d_in)[rows, None] * d_out + np.arange(d_out)[cols]  # row-major index
+    steps = t.scales[flat // t.group_size]
+    steps /= float((1 << (t.bits - 1)) - 1)
+    out *= steps
+    return out
+
+
 def absmax_alpha(w) -> float:
     """Largest magnitude of the matrix; 1.0 for an all-zero matrix.
 

@@ -284,7 +284,7 @@ class TestCompress:
                              "--group-size", "16")
         assert code == 2
         assert out == ""
-        assert err == "error: scales must be positive and finite\n"
+        assert err == "error: tensor 'b': scales must be positive and finite\n"
         assert sorted(tmp_path.glob("OUT*")) == []
 
     def test_every_shape_checked_before_any_tensor_is_read(

@@ -3,10 +3,11 @@
 An f32 (or f16, int, bool) source must give the histogram, codes, AbsMax
 scale, grouped-AbsMax codes and scales, and channel scaling of its float64
 copy, and the FP8 input snap must give the bits of the whole-matrix snap,
-however the rows fall into blocks. The pruning scores made in place, the
-column-blocked unstructured mask and the layers built from them must give
-the bits of the earlier whole-matrix order. No pass may hold a
-matrix-sized temporary besides its result.
+however the rows fall into blocks. The masks ranked from blocks of scores
+made from the codes, and the layers built from them, must give the
+bits of the whole score matrix; the reports' row blocks of the difference
+must give its row sums. No pass may hold a matrix-sized temporary besides
+its result.
 """
 
 import tracemalloc
@@ -48,9 +49,9 @@ from slim import (
     weight_space_report,
 )
 from slim import tensor
-from slim.artifact import layer_to_bytes
+from slim.artifact import layer_from_bytes, layer_to_bytes, layer_to_tensors
 from slim.pipeline import _dense, _quantize_weights
-from slim.prune import _scores, build_mask
+from slim.prune import build_mask
 from slim.quant import _fp8_snap
 from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, row_blocks
 
@@ -546,21 +547,43 @@ class TestBlockedScoresAndMasks:
         kind=st.sampled_from(["whole", "grouped", "raw"]),
         group_size=st.one_of(st.integers(1, 40), st.sampled_from([128, 100000])),
         scaled=st.booleans(),
-        wanda=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(rows=13, cols=5, kind="grouped", group_size=3, scaled=True, wanda=True, seed=0)
-    def test_scores_in_place(self, rows, cols, kind, group_size, scaled, wanda, seed):
+    @example(rows=13, cols=5, kind="grouped", group_size=3, scaled=True, seed=0)
+    def test_dense_blocks_match_the_whole_matrix(self, rows, cols, kind, group_size, scaled, seed):
         stored = stored_weight(kind, (rows, cols), group_size, seed)
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(rows, rng.integers(0, rows + 1), replace=False))
         scaling = ChannelScaling(idx, 2.0) if scaled else None
-        norms = rng.random(rows) if wanda else None
-        w = _dense(stored, scaling)
-        got = _scores(w, norms, out=w)
-        assert got is w
-        ref = reference_scores(stored, scaling, norms)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        whole = _dense(stored, scaling)
+        r0, c0 = rng.integers(0, rows), rng.integers(0, cols)
+        r1, c1 = rng.integers(r0 + 1, rows + 1), rng.integers(c0 + 1, cols + 1)
+        for block_rows, block_cols in [(slice(r0, r1), slice(None)), (slice(None), slice(c0, c1)),
+                                       (slice(r0, r1), slice(c0, c1))]:
+            got = _dense(stored, scaling, block_rows, block_cols)
+            ref = whole[block_rows, block_cols]
+            assert got.dtype == np.float64 and got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("scores", ["wanda", "magnitude"])
+    @pytest.mark.parametrize("sparsity", ["unstructured:0", "unstructured:0.3", "unstructured:0.5",
+                                          "2:4", "1:4"])
+    @pytest.mark.parametrize("method", ["absmax", "group_absmax", "slim_quant", "slim_quant_o", "none"])
+    def test_block_built_mask_matches_the_whole_matrix(self, method, sparsity, scores, dtype):
+        # 4-bit codes take 16 values, so magnitude scores tie many times in
+        # every column. Blocks of 40 and 150 elements are one and four
+        # whole columns of 32 rows for unstructured (the last holding three),
+        # one and three groups of m rows for n:m (the last holding two).
+        w = source("half_steps" if method == "none" else "normal", (32, 11), dtype, 21)
+        stats = compute_calibration([np.random.default_rng(22).normal(size=(6, 32))])
+        cfg = LayerCompressionConfig(quant_method=method, group_size=5,
+                                     sparsity=SparsityPattern.parse(sparsity), prune_scores=scores)
+        ref = reference_layer(w, stats, cfg).mask.keep  # build_mask on the whole score matrix
+        for block in (40, 150):
+            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+                layer = compress_layer(w, stats, cfg)
+            assert layer.mask.keep.tobytes() == ref.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -625,6 +648,59 @@ class TestBlockedScoresAndMasks:
         assert error_report(w, layer, x, sal) == error_report(w, ref, x, sal)
 
 
+def reference_weight_space(w, layer, sal) -> dict:
+    """The weight fields of the reports from the whole difference matrix."""
+    d = layer.corrected_weight() - np.asarray(w, dtype=np.float64)
+    rows = np.einsum("ij,ij->i", d, d)
+    return {"weight_mse": float(rows.sum() / d.size),
+            "weighted_weight_mse": float(rows @ np.square(sal.values) / d.size)}
+
+
+# An adapter's row block ``left[rows] @ right`` may round apart from the
+# same rows of ``left @ right`` in the last place of an entry, so the
+# adapter-layer weight fields are held to this relative tolerance against
+# the whole-matrix formula; without an adapter they are bit-identical.
+ADAPTER_REPORT_RTOL = 1e-12
+
+
+class TestBlockedReports:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 8).map(lambda n: 4 * n),
+        cols=st.integers(1, 24),
+        method=st.sampled_from(["absmax", "group_absmax", "slim_quant_o", "none"]),
+        adapter=st.sampled_from([("none", False), ("naive", False), ("slim", True)]),
+        dtype=st.sampled_from(["float32", "float64"]),
+        block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=12, cols=5, method="group_absmax", adapter=("slim", True), dtype="float32",
+             block=7, seed=0)
+    def test_weight_fields_match_the_whole_difference(
+        self, rows, cols, method, adapter, dtype, block, seed
+    ):
+        w = source("normal", (rows, cols), dtype, seed)
+        x = np.random.default_rng(seed).normal(size=(6, rows))
+        stats = compute_calibration([x])
+        sal = saliency_vector(stats)
+        cfg = LayerCompressionConfig(
+            quant_method=method, group_size=3, sparsity=SparsityPattern.semistructured(2, 4),
+            adapter_method=adapter[0], quantize_adapters=adapter[1],
+            rank_ratio=None if adapter[0] == "none" else 0.25,
+        )
+        layer = compress_layer(w, stats, cfg)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            got = weight_space_report(w, layer, sal)
+            full = error_report(w, layer, x, sal).to_dict()
+        assert {k: full[k] for k in got} == got  # one producer: the same bits
+        ref = reference_weight_space(w, layer, sal)
+        for field, value in ref.items():
+            if layer.adapter is None:
+                assert got[field] == value
+            else:
+                assert got[field] == pytest.approx(value, rel=ADAPTER_REPORT_RTOL, abs=0.0)
+
+
 def traced_peak(call) -> tuple[object, int]:
     """``call()``'s result and the peak bytes it allocated (tracemalloc)."""
     tracemalloc.start()
@@ -652,42 +728,84 @@ class TestMemory:
     @staticmethod
     def compress_peak(sparsity: SparsityPattern, scores: str = "wanda") -> tuple[int, int]:
         """Peak bytes of a no-adapter compress of a 1024x1024 f32 weight, and
-        the bytes of the weight's float64 copy."""
+        the weight's entry count."""
         w = source("normal", (1024, 1024), "float32", 9)
         stats = compute_calibration([np.random.default_rng(10).normal(size=(32, 1024))])
         cfg = LayerCompressionConfig(sparsity=sparsity, prune_scores=scores)
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
-        return peak, w.size * 8
+        return peak, w.size
+
+    # The codes, the mask and the masked codes take one byte an entry each;
+    # the scores exist one block at a time. A float64 weight-sized
+    # array (8 bytes an entry: dequantized weight, whole score matrix or a
+    # copy of w) fails, and so does a transposed copy of the mask.
 
     def test_compress_layer_f32_no_adapter(self):
-        peak, w64_bytes = self.compress_peak(SparsityPattern.unstructured(0.5))
-        # about 1.4x: the scores, the codes and the mask's two boolean
-        # matrices; a dequantized weight beside the scores, a whole-matrix
-        # transposed copy in the mask or a float64 copy of w each fail
-        assert peak <= 1.5 * w64_bytes
+        peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5))
+        assert peak <= 3 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_magnitude_ties_in_every_column(self):
         # 4-bit codes give 8 magnitudes, so each column's k-th score is tied
         # many times over and the tie fill runs on every column
-        peak, w64_bytes = self.compress_peak(SparsityPattern.unstructured(0.5), "magnitude")
-        assert peak <= 1.5 * w64_bytes
+        peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5), "magnitude")
+        assert peak <= 3 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_semistructured(self):
-        peak, w64_bytes = self.compress_peak(SparsityPattern.semistructured(2, 4))
-        assert peak <= 1.5 * w64_bytes
+        peak, entries = self.compress_peak(SparsityPattern.semistructured(2, 4))
+        assert peak <= 3 * entries + BLOCK_BOUND
 
     def test_reports_make_no_float64_copy_of_w(self):
         w = source("normal", (512, 1024), "float32", 11)
         x = np.random.default_rng(12).normal(size=(8, 512))
         stats = compute_calibration([x])
         sal = saliency_vector(stats)
-        layer = compress_layer(w, stats, LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4)))
         w64_bytes = w.size * 8
-        # the difference D is one float64 weight; a copy of w would be another
-        _, peak = traced_peak(lambda: error_report(w, layer, x, sal))
-        assert peak < 1.5 * w64_bytes
-        _, peak = traced_peak(lambda: weight_space_report(w, layer, sal))
-        assert peak < 1.5 * w64_bytes
+        for adapter in ("none", "slim"):
+            layer = compress_layer(w, stats, LayerCompressionConfig(
+                sparsity=SparsityPattern.semistructured(2, 4), adapter_method=adapter,
+                rank_ratio=None if adapter == "none" else 0.1))
+            # the difference D is one float64 weight; a copy of w, or of
+            # the adapter's dense correction, would be another
+            _, peak = traced_peak(lambda: error_report(w, layer, x, sal))
+            assert peak < 1.5 * w64_bytes
+            # row sums of D**2 from one row block of D at a time
+            _, peak = traced_peak(lambda: weight_space_report(w, layer, sal))
+            assert peak < BLOCK_BOUND
+
+    @pytest.mark.parametrize("sparsity", [None, "unstructured:0.5", "2:4"])
+    def test_layer_to_tensors_peak_is_its_output_plus_a_block_bound(self, sparsity):
+        w = source("normal", (1024, 4096), "float32", 23)
+        pattern = None if sparsity is None else SparsityPattern.parse(sparsity)
+        layer = compress_layer(w, None, LayerCompressionConfig(sparsity=pattern, prune_scores="magnitude"))
+        tensors, peak = traced_peak(lambda: layer_to_tensors(layer))
+        # besides its output: the kept codes (one byte each, 2 MiB when
+        # pruned) and one chunk's fields; a weight-sized index of the kept
+        # entries (8 bytes each) or whole-array packing temporaries fail
+        assert peak <= sum(t.nbytes for t in tensors.values()) + BLOCK_BOUND
+
+    def test_layer_from_bytes_dequantizes_the_adapter_once(self):
+        w = source("normal", (1024, 4096), "float32", 24)
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4),
+                                     prune_scores="magnitude", adapter_method="naive",
+                                     rank_ratio=0.1, quantize_adapters=True)
+        payload = layer_to_bytes(compress_layer(w, None, cfg))
+        layer, peak = traced_peak(lambda: layer_from_bytes(payload))
+        a = layer.adapter
+        held = (layer.mask.keep.nbytes + layer.weights.codes.nbytes + a.left.nbytes + a.right.nbytes
+                + sum(q.codes.nbytes + q.scales.nbytes for q in a.quantized))
+        # about held + 2.2 MiB; a second dequantized copy of the factors
+        # (4 MiB) fails
+        assert peak <= held + 3 * 2**20
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_raw_weight_rounds_to_f32_a_row_block_at_a_time(self, scaled):
+        w = source("normal", (1024, 2048), "float64", 25)
+        stats = compute_calibration([np.random.default_rng(26).normal(size=(8, 1024))])
+        cfg = LayerCompressionConfig(quant_method="none", channel_scaling=scaled)
+        _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
+        # the layer's float64 values, and the scaled copy when scaling; a
+        # whole f32 temporary (half a weight) fails
+        assert peak <= (2 if scaled else 1) * w.nbytes + BLOCK_BOUND
 
     def test_fp8_peak_is_its_output_plus_4_mib(self):
         x = fp8_source("mixed", (512, 3072), 13)
