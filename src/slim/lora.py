@@ -21,7 +21,7 @@ import numpy as np
 from .calibration import CalibrationStats
 from .errors import ConfigInvalid, EmptyStats, NonFinite, NonPositiveSaliency, ShapeMismatch
 from .quant import DEFAULT_GROUP_SIZE, QuantizedTensor, dequantize, group_absmax_quantize
-from .tensor import as_matrix, svd_truncated
+from .tensor import as_float_matrix, as_matrix, svd_truncated
 
 __all__ = [
     "SaliencyVector",
@@ -133,7 +133,7 @@ def naive_lora(w, w_c, r: int) -> LowRankAdapter:
         ShapeMismatch: operand shapes differ.
         RankOutOfRange: invalid ``r``.
     """
-    a = as_matrix(w, "w")
+    a = as_float_matrix(w, "w")
     return slim_lora(a, w_c, SaliencyVector.constant(a.shape[0]), r)
 
 
@@ -150,7 +150,7 @@ def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
         RankOutOfRange: invalid ``r``.
         NonPositiveSaliency: propagated from a non-positive ``x``.
     """
-    a = as_matrix(w, "w")
+    a = as_float_matrix(w, "w")  # an f32 w widens element by element in a - b
     b = as_matrix(w_c, "w_c")
     if a.shape != b.shape:
         raise ShapeMismatch(f"w shape {a.shape} != w_c shape {b.shape}")

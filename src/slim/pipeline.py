@@ -23,7 +23,7 @@ import numpy as np
 from . import prune as prune_mod
 from .calibration import CalibrationStats
 from .container import _json_typed
-from .errors import ConfigInvalid, EmptyTensor, NonFinite, ShapeMismatch
+from .errors import ConfigInvalid, EmptyTensor, ShapeMismatch
 from .lora import (
     DEFAULT_RANK_RATIO,
     LowRankAdapter,
@@ -40,7 +40,6 @@ from .quant import (
     DEFAULT_SCALE_FRACTION,
     ChannelScaling,
     QuantizedTensor,
-    _dequantize_block,
     absmax_alpha,
     activation_aware_scale,
     code_field_bits,
@@ -190,14 +189,12 @@ def _dense(
 ) -> np.ndarray:
     """Float64 ``[rows, cols]`` block (the whole matrix by default) of a
     stored weight in a new buffer of its own, mapped back to the caller's
-    coordinates when ``scaling`` is given. A block is made from its own
-    codes only, each entry by the same product and divide as the whole."""
-    if not isinstance(weights, QuantizedTensor):
-        w = weights[rows, cols].astype(np.float64)
-    elif rows == cols == slice(None):
-        w = dequantize(weights)
+    coordinates when ``scaling`` is given: codes by :func:`dequantize` of
+    the block, raw values widened."""
+    if isinstance(weights, QuantizedTensor):
+        w = dequantize(weights, rows, cols)
     else:
-        w = _dequantize_block(weights, rows, cols)
+        w = weights[rows, cols].astype(np.float64)
     if scaling is not None and scaling.channel_indices.size:
         w[np.isin(np.arange(weights.shape[0])[rows], scaling.channel_indices)] /= scaling.factor
     return w
@@ -211,15 +208,11 @@ def _at_f32(part: QuantizedTensor | np.ndarray, name: str) -> QuantizedTensor | 
         if isinstance(part, QuantizedTensor):
             rounded = part.scales.astype(np.float32).astype(np.float64)
             return part if np.array_equal(rounded, part.scales) else replace(part, scales=rounded)
-        arr = np.asarray(part)
-        if arr.ndim != 2:
-            as_matrix(arr, name)  # raises ShapeMismatch
+        arr = as_float_matrix(part, name, allow_empty=True)
         out = np.empty(arr.shape)
         for rows in row_blocks(arr):
             out[rows] = arr[rows].astype(np.float32)
-            if not np.isfinite(out[rows]).all():
-                raise NonFinite(f"{name} contains NaN or Inf")
-    return out
+    return as_matrix(out, name, allow_empty=True)
 
 
 @dataclass(frozen=True)
@@ -394,11 +387,8 @@ def compress_layer(
         norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
 
         def scores(rows: slice, cols: slice) -> np.ndarray:  # made from the codes
-            block = _dense(stored, scaling, rows, cols)
-            np.abs(block, out=block)
-            if norms is not None:
-                block *= norms[rows, None]
-            return block
+            return prune_mod._scores(_dense(stored, scaling, rows, cols),
+                                     None if norms is None else norms[rows])
 
         mask = prune_mod.build_mask(scores, cfg.sparsity, (d_in, d_out))
         if isinstance(stored, QuantizedTensor):

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor
 from .calibration import CalibrationStats
 from .errors import ConfigInvalid, IndivisibleDimension, ShapeMismatch
-from .tensor import as_matrix
+from .tensor import as_float_matrix, as_matrix
 
 __all__ = [
     "SparsityPattern",
@@ -115,25 +115,26 @@ def wanda_scores(w, stats: CalibrationStats) -> np.ndarray:
     Raises:
         ShapeMismatch: statistics channel count differs from the weight row count.
     """
-    arr = as_matrix(w, "w")
+    arr = as_float_matrix(w, "w")
     if stats.d_in != arr.shape[0]:
         raise ShapeMismatch(
             f"stats cover {stats.d_in} channels, weight has {arr.shape[0]} rows"
         )
-    return _scores(arr, stats.l2_norm)
+    return _scores(arr.astype(np.float64), stats.l2_norm)
 
 
 def magnitude_scores(w) -> np.ndarray:
     """Elementwise |w|."""
-    return _scores(as_matrix(w, "w", allow_empty=True))
+    return _scores(as_float_matrix(w, "w", allow_empty=True).astype(np.float64))
 
 
-def _scores(w: np.ndarray, norms=None) -> np.ndarray:
-    """``|w|`` in a new array, times ``norms[i]`` on row i when given."""
-    scores = np.abs(w)
+def _scores(block: np.ndarray, norms=None) -> np.ndarray:
+    """A new float64 ``block`` of weights turned into ``|w|`` in place, times
+    ``norms[i]`` on its row i when given; the block comes back."""
+    np.abs(block, out=block)
     if norms is not None:
-        scores *= norms[:, None]
-    return scores
+        block *= norms[:, None]
+    return block
 
 
 def unstructured_mask(scores, ratio: float) -> SparsityMask:

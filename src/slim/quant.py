@@ -14,6 +14,9 @@ the activation side), and 8-bit floating-point fake quantization for
 inputs. The quantizers and the FP8 snap (whose format comes from the
 input's max and min) read their input one row block
 (:func:`~slim.tensor.row_blocks`) at a time into a single output array.
+:func:`dequantize` is the one formula that turns codes into floats, for the
+whole matrix or any block of it; grouped codes gather their steps a
+quarter block at a time.
 """
 
 from __future__ import annotations
@@ -219,44 +222,31 @@ def quantize_symmetric(w, alpha: float, q: int) -> QuantizedTensor:
     return QuantizedTensor(codes=codes, scales=np.array([alpha]), group_size=None, bits=q)
 
 
-def dequantize(t: QuantizedTensor) -> np.ndarray:
-    """Map codes back to float values.
+def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """Map the codes ``[rows, cols]`` (all of them by default) back to float
+    values in a new float64 array; a block is made from its own codes only.
 
-    Whole-tensor: ``code * scale * 2**(1 - q)``. Grouped: each code is
-    multiplied by its group's ``scale / (2**(q-1) - 1)``, broadcast over a
-    (groups, group_size) view of the result, the only weight-sized array.
+    Whole-tensor: ``code * scale * 2**(1 - q)``. Grouped: each code times
+    its group's step ``scale / (2**(q-1) - 1)``, the steps gathered by the
+    code's row-major index a piece of rows at a time, so no temporary grows
+    with the matrix or the group count.
     """
-    q = t.bits
-    # the products run in place on the new float64 buffer astype returns
+    codes = t.codes[rows, cols]
     if t.group_size is None:
-        out = t.codes.astype(np.float64)
-        out *= float(t.scales[0]) * 2.0 ** (1 - q)
-        return out
-    g = t.group_size
-    steps = t.scales / float((1 << (q - 1)) - 1)
-    out = t.codes.astype(np.float64, order="C")
-    flat = out.reshape(-1)
-    full = flat.size // g * g
-    groups = flat[:full].reshape(-1, g)  # a view of the whole groups
-    groups *= steps[: full // g, None]
-    if full < flat.size:
-        flat[full:] *= steps[-1]
-    return out
-
-
-def _dequantize_block(t: QuantizedTensor, rows: slice, cols: slice) -> np.ndarray:
-    """``dequantize(t)[rows, cols]`` in a new float64 buffer, made from
-    those codes only: each code times the same step :func:`dequantize`
-    multiplies it by."""
-    out = t.codes[rows, cols].astype(np.float64)
-    if t.group_size is None:
+        out = codes.astype(np.float64)  # the product runs in place on this new buffer
         out *= float(t.scales[0]) * 2.0 ** (1 - t.bits)
         return out
     d_in, d_out = t.shape
-    flat = np.arange(d_in)[rows, None] * d_out + np.arange(d_out)[cols]  # row-major index
-    steps = t.scales[flat // t.group_size]
-    steps /= float((1 << (t.bits - 1)) - 1)
-    out *= steps
+    first = np.arange(d_in)[rows, None] * d_out  # row-major index of each row's first code
+    col = np.arange(d_out)[cols]
+    out = np.empty(codes.shape)
+    # quarter blocks: the index and the steps take 16 bytes an entry
+    for piece in row_blocks(out, parts=4):
+        idx = first[piece] + col
+        idx //= t.group_size
+        steps = t.scales[idx]
+        steps /= float((1 << (t.bits - 1)) - 1)
+        np.multiply(codes[piece], steps, out=out[piece])
     return out
 
 

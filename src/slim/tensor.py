@@ -9,7 +9,9 @@ the passes that touch every weight, read an f32 (or f16) source in row
 blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each
 widened to float64 before any arithmetic. They give the bits of the
 source's float64 copy without making that copy or any other whole-matrix
-temporary: :func:`as_float_matrix` validates a source without widening it.
+temporary. :func:`as_float_matrix` is the one check of a matrix (2-D,
+non-empty unless allowed, finite one row block at a time) and keeps a
+float source's buffer; :func:`as_matrix` widens its result to float64.
 """
 
 from __future__ import annotations
@@ -47,56 +49,40 @@ GRAM_SAFE_EXPONENT = 400
 BLOCK_ELEMENTS = 1 << 16
 
 
-def row_blocks(arr: np.ndarray, align: int = 1):
+def row_blocks(arr: np.ndarray, align: int = 1, parts: int = 1):
     """Yield slices that cover the rows of a 2-D ``arr`` in order, each
-    spanning about :data:`BLOCK_ELEMENTS` elements and at least one row.
-    Blocks advance by a multiple of ``align // gcd(cols, align)`` rows, so
-    all but the last hold a whole number of ``align``-element runs."""
+    spanning about :data:`BLOCK_ELEMENTS` ``/ parts`` elements and at least
+    one row. Blocks advance by a multiple of ``align // gcd(cols, align)``
+    rows, so all but the last hold a whole number of ``align``-element runs."""
     cols = arr.shape[1]
     unit = align // int(np.gcd(cols, align))
-    step = max(unit, BLOCK_ELEMENTS // max(cols, 1) // unit * unit)
+    step = max(unit, BLOCK_ELEMENTS // parts // max(cols, 1) // unit * unit)
     for start in range(0, arr.shape[0], step):
         yield slice(start, start + step)
 
 
 def as_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
-    """Validate and normalize input to a 2-D float64 array.
+    """:func:`as_float_matrix` widened to float64: a float64 source keeps
+    its buffer, any other is copied."""
+    return as_float_matrix(w, name, allow_empty).astype(np.float64, copy=False)
+
+
+def as_float_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
+    """Validate a 2-D matrix of finite entries without widening a float one.
+
+    A float16, float32 or float64 source keeps its dtype and buffer; any
+    other input is converted to float64. Finiteness is checked one row
+    block at a time. Callers widen each block to float64 before any
+    arithmetic on it.
 
     Args:
         w: Array-like input; 2-D.
         name: Label used in error messages.
         allow_empty: Permit zero-element matrices.
 
-    Returns:
-        A float64 ndarray view or copy of ``w``.
-
     Raises:
         ShapeMismatch: If the input is not 2-D.
         EmptyTensor: If the input has zero elements and ``allow_empty`` is False.
-        NonFinite: If any entry is NaN or infinite.
-    """
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size == 0 and not allow_empty:
-        raise EmptyTensor(f"{name} has zero elements")
-    if arr.size and not np.isfinite(arr).all():
-        raise NonFinite(f"{name} contains NaN or Inf")
-    return arr
-
-
-def as_float_matrix(w, name: str = "matrix") -> np.ndarray:
-    """Validate a non-empty 2-D source matrix without widening a float one.
-
-    The checks are those of :func:`as_matrix` (2-D, non-empty, finite);
-    finiteness is checked one row block at a time. A float16, float32 or
-    float64 source keeps its dtype and buffer; any other input is
-    converted to float64 as :func:`as_matrix` converts it. Callers widen
-    each block to float64 before any arithmetic on it.
-
-    Raises:
-        ShapeMismatch: If the input is not 2-D.
-        EmptyTensor: If the input has zero elements.
         NonFinite: If any entry is NaN or infinite.
     """
     arr = np.asarray(w)
@@ -104,7 +90,7 @@ def as_float_matrix(w, name: str = "matrix") -> np.ndarray:
         arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size == 0:
+    if arr.size == 0 and not allow_empty:
         raise EmptyTensor(f"{name} has zero elements")
     for rows in row_blocks(arr):
         if not np.isfinite(arr[rows]).all():

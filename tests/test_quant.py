@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from slim import (
     quantize_symmetric,
     slimquant_search,
 )
+from slim import tensor
 from slim.quant import compensate_activations
 
 from oracles import (
@@ -126,9 +129,19 @@ class TestDequantize:
             flat = codes.astype(np.float64).ravel()
             per_elem = np.repeat(t.scales / float((1 << (q - 1)) - 1), group_size)[: flat.size]
             old = (flat * per_elem).reshape(codes.shape)
-        new = dequantize(t)
-        assert new.dtype == np.float64 and new.shape == codes.shape
-        assert np.array_equal(new, old) and new.tobytes("A") == old.tobytes("A")
+        # 9 columns: groups of 5, 12 and 64 straddle rows, and blocks of 100,
+        # 40 and 1 elements give grouped pieces (quarter blocks) of two rows
+        # or one
+        for block in (tensor.BLOCK_ELEMENTS, 100, 40, 1):
+            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+                new = dequantize(t)
+                assert new.dtype == np.float64 and new.shape == codes.shape
+                assert np.array_equal(new, old) and new.tobytes("A") == old.tobytes("A")
+                for rows, cols in [(slice(None), slice(2, 7)), (slice(3, 11), slice(None)),
+                                   (slice(1, 12), slice(4, 9)), (slice(5, 6), slice(8, 9))]:
+                    got = dequantize(t, rows, cols)
+                    assert got.dtype == np.float64 and got.shape == old[rows, cols].shape
+                    assert np.array_equal(got.view(np.uint64), old[rows, cols].view(np.uint64))
         assert np.array_equal(t.codes, codes)
 
 

@@ -48,12 +48,12 @@ from slim import (
     unstructured_mask,
     weight_space_report,
 )
-from slim import tensor
+from slim import SlimError, tensor
 from slim.artifact import layer_from_bytes, layer_to_bytes, layer_to_tensors
 from slim.pipeline import _dense, _quantize_weights
 from slim.prune import build_mask
 from slim.quant import _fp8_snap
-from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, row_blocks
+from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, as_matrix, row_blocks
 
 from oracles import topk_column_mask
 
@@ -478,6 +478,43 @@ class TestRowBlocks:
         for w in (np.ones((4, 3), dtype=np.int8), np.ones((4, 3), dtype=bool), [[1, 2]]):
             assert as_float_matrix(w).dtype == np.float64
 
+    @pytest.mark.parametrize("case, allow_empty, error", [
+        ("1-d", False, "ShapeMismatch"),
+        ("empty", False, "EmptyTensor"),
+        ("empty", True, None),
+        ("nan in the last row block", False, "NonFinite"),
+        ("int", False, None),
+        ("bool", False, None),
+        ("1-d int", False, "ShapeMismatch"),
+        ("empty bool", False, "EmptyTensor"),
+    ])
+    def test_as_matrix_is_the_float_check_widened(self, case, allow_empty, error):
+        w = {
+            "1-d": np.ones(5, dtype=np.float32),
+            "empty": np.zeros((3, 0)),
+            "nan in the last row block": source("normal", (150, 1000), "float32", 30),
+            "int": np.arange(-6, 6, dtype=np.int32).reshape(3, 4),
+            "bool": np.eye(3, dtype=bool),
+            "1-d int": np.arange(4),
+            "empty bool": np.zeros((0, 2), dtype=bool),
+        }[case]
+        if case.startswith("nan"):
+            assert [s.start for s in row_blocks(w)] == [0, 65, 130]
+            w[140, 7] = np.nan
+        outcomes = []
+        for check in (as_matrix, as_float_matrix):
+            try:
+                outcomes.append(check(w, "w", allow_empty=allow_empty))
+            except SlimError as err:
+                outcomes.append(err)
+        widened, checked = outcomes
+        if error is None:
+            assert widened.dtype == np.float64
+            assert np.array_equal(widened, checked.astype(np.float64))
+        else:
+            assert type(widened).__name__ == type(checked).__name__ == error
+            assert str(widened) == str(checked)
+
 
 def reference_scores(stored, scaling, norms) -> np.ndarray:
     """The wanda (``norms``) or magnitude scores in a new array."""
@@ -547,23 +584,26 @@ class TestBlockedScoresAndMasks:
         kind=st.sampled_from(["whole", "grouped", "raw"]),
         group_size=st.one_of(st.integers(1, 40), st.sampled_from([128, 100000])),
         scaled=st.booleans(),
+        block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(rows=13, cols=5, kind="grouped", group_size=3, scaled=True, seed=0)
-    def test_dense_blocks_match_the_whole_matrix(self, rows, cols, kind, group_size, scaled, seed):
+    @example(rows=13, cols=5, kind="grouped", group_size=3, scaled=True, block=7, seed=0)
+    @example(rows=30, cols=30, kind="grouped", group_size=7, scaled=False, block=64, seed=1)
+    def test_dense_blocks_match_the_whole_matrix(self, rows, cols, kind, group_size, scaled, block, seed):
         stored = stored_weight(kind, (rows, cols), group_size, seed)
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(rows, rng.integers(0, rows + 1), replace=False))
         scaling = ChannelScaling(idx, 2.0) if scaled else None
-        whole = _dense(stored, scaling)
+        whole = _dense(stored, scaling)  # one block: no shape here reaches 2**16 entries
         r0, c0 = rng.integers(0, rows), rng.integers(0, cols)
         r1, c1 = rng.integers(r0 + 1, rows + 1), rng.integers(c0 + 1, cols + 1)
-        for block_rows, block_cols in [(slice(r0, r1), slice(None)), (slice(None), slice(c0, c1)),
-                                       (slice(r0, r1), slice(c0, c1))]:
-            got = _dense(stored, scaling, block_rows, block_cols)
-            ref = whole[block_rows, block_cols]
-            assert got.dtype == np.float64 and got.shape == ref.shape
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            for block_rows, block_cols in [(slice(None), slice(None)), (slice(r0, r1), slice(None)),
+                                           (slice(None), slice(c0, c1)), (slice(r0, r1), slice(c0, c1))]:
+                got = _dense(stored, scaling, block_rows, block_cols)
+                ref = whole[block_rows, block_cols]
+                assert got.dtype == np.float64 and got.shape == ref.shape
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("scores", ["wanda", "magnitude"])
@@ -772,6 +812,25 @@ class TestMemory:
             _, peak = traced_peak(lambda: weight_space_report(w, layer, sal))
             assert peak < BLOCK_BOUND
 
+    @pytest.mark.parametrize("method, quantized", [("slim", False), ("naive", True)])
+    def test_compress_layer_f32_adapter_makes_no_float64_copy_of_w(self, method, quantized):
+        w = source("normal", (1024, 4096), "float32", 27)
+        stats = compute_calibration([np.random.default_rng(28).normal(size=(16, 1024))])
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4),
+                                     adapter_method=method, rank_ratio=0.1, quantize_adapters=quantized)
+        _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
+        # about 2.8x the float64 weight: the codes and masks (0.4x), the
+        # pruned weight and the weighted error beside it (1x each) and the
+        # fit's Gram matrix; a float64 copy of the f32 w (3.8x) fails
+        assert peak < 3.0 * w.size * 8
+
+    def test_as_matrix_checks_finiteness_a_row_block_at_a_time(self):
+        w = source("normal", (1024, 4096), "float64", 29)
+        out, peak = traced_peak(lambda: as_matrix(w, "w"))
+        assert out is w
+        # about 0.06 MiB; a whole-matrix np.isfinite mask takes 4 MiB
+        assert peak < BLOCK_BOUND
+
     @pytest.mark.parametrize("sparsity", [None, "unstructured:0.5", "2:4"])
     def test_layer_to_tensors_peak_is_its_output_plus_a_block_bound(self, sparsity):
         w = source("normal", (1024, 4096), "float32", 23)
@@ -810,8 +869,8 @@ class TestMemory:
     def test_fp8_peak_is_its_output_plus_4_mib(self):
         x = fp8_source("mixed", (512, 3072), 13)
         (out, _), peak = traced_peak(lambda: fp8_fake_quantize(x))
-        # about 1.2x: the output, as_matrix's finiteness mask and one
-        # block's temporaries; one whole-matrix float64 temporary fails
+        # the output and one block's temporaries; one whole-matrix
+        # float64 temporary fails
         assert peak <= out.nbytes + 4 * 2**20
 
     @pytest.mark.parametrize("shape", [(256, 2048), (1024, 2048), (1000, 1000)])
