@@ -18,7 +18,7 @@ import numpy as np
 
 from .container import _from_fields, _parse_json, read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
-from .tensor import as_matrix
+from .tensor import as_float_matrix, row_blocks
 
 __all__ = [
     "CalibrationStats",
@@ -70,6 +70,11 @@ def compute_calibration(x_batches) -> CalibrationStats:
     concatenation) in float64, so any partition of the same token stream
     produces identical statistics up to last-bit rounding.
 
+    A batch is read as it is stored (an f32 batch stays f32) into one
+    float64 buffer in the batch's layout, a widened row block at a time:
+    first ``|x|``, summed over tokens, then ``x**2``. The sums are those of
+    the whole-batch temporaries, bit for bit.
+
     Raises:
         EmptyInput: No batches, or zero tokens in total.
         ShapeMismatch: Batches disagree on the channel count.
@@ -79,7 +84,7 @@ def compute_calibration(x_batches) -> CalibrationStats:
     d_in = None
     tokens = 0
     for batch in x_batches:
-        arr = as_matrix(batch, "activation batch", allow_empty=True)
+        arr = as_float_matrix(batch, "activation batch", allow_empty=True)
         if d_in is None:
             d_in = arr.shape[1]
             sum_abs = np.zeros(d_in, dtype=np.float64)
@@ -90,8 +95,11 @@ def compute_calibration(x_batches) -> CalibrationStats:
             )
         if arr.shape[0] == 0:
             continue
-        np.add(sum_abs, np.abs(arr).sum(axis=0), out=sum_abs)
-        np.add(sum_sq, np.square(arr).sum(axis=0), out=sum_sq)
+        buf = np.empty_like(arr, dtype=np.float64)  # the batch's layout: the same sums
+        for fill, total in ((np.abs, sum_abs), (np.square, sum_sq)):
+            for rows in row_blocks(arr):
+                fill(arr[rows], out=buf[rows], dtype=np.float64)
+            total += buf.sum(axis=0)
         tokens += arr.shape[0]
     if d_in is None or d_in == 0 or tokens == 0:
         raise EmptyInput("no calibration tokens provided")

@@ -154,13 +154,18 @@ def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
     b = as_matrix(w_c, "w_c")
     if a.shape != b.shape:
         raise ShapeMismatch(f"w shape {a.shape} != w_c shape {b.shape}")
-    xv = x.values
-    if xv.size != a.shape[0]:
-        raise ShapeMismatch(f"saliency length {xv.size} != d_in {a.shape[0]}")
-    e = a - b
-    e *= xv[:, None]  # weight in place: one d_in x d_out temporary, not two
+    if len(x) != a.shape[0]:
+        raise ShapeMismatch(f"saliency length {len(x)} != d_in {a.shape[0]}")
+    return _fit(a - b, x, r)
+
+
+def _fit(e: np.ndarray, x: SaliencyVector, r: int) -> LowRankAdapter:
+    """:func:`slim_lora` of the float64 error ``e = w - w_c``, which is
+    weighted in place and so overwritten."""
+    xv = x.values[:, None]
+    e *= xv
     left, right = svd_truncated(e, r)
-    left /= xv[:, None]
+    left /= xv
     return LowRankAdapter(left, right)
 
 

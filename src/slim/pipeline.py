@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import prune as prune_mod
+from . import tensor
 from .calibration import CalibrationStats
 from .container import _json_typed
 from .errors import ConfigInvalid, EmptyTensor, ShapeMismatch
@@ -28,10 +29,10 @@ from .lora import (
     DEFAULT_RANK_RATIO,
     LowRankAdapter,
     SaliencyVector,
+    _fit,
     default_rank,
     quantize_adapter,
     saliency_vector,
-    slim_lora,
 )
 from .prune import SparsityMask, SparsityPattern
 from .quant import (
@@ -50,7 +51,7 @@ from .quant import (
     quantize_symmetric,
     slimquant_search,
 )
-from .tensor import as_float_matrix, as_matrix, build_abs_histogram, row_blocks
+from .tensor import _spans, as_float_matrix, as_matrix, build_abs_histogram, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -402,7 +403,7 @@ def compress_layer(
         w_c = _dense(stored, scaling)  # the pruned weight, caller coordinates
         r = default_rank(d_in, d_out, cfg.effective_rank_ratio)
         x = saliency_vector(stats) if cfg.adapter_method == "slim" else SaliencyVector.constant(d_in)
-        adapter = slim_lora(w0, w_c, x, r)
+        adapter = _fit(np.subtract(w0, w_c, out=w_c), x, r)  # the error in w_c's buffer
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
     return CompressedLayer(
@@ -418,8 +419,14 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     Computes ``x' @ W_stored + (x' @ L) @ R`` where x' is the input after
     optional 8-bit float fake quantization, and channel-scaling
     compensation is applied to the main-path activations before the
-    product. The adapter contributes through two thin products; the dense
-    L @ R is never materialized here.
+    product. Neither the dense weight nor L @ R is materialized. The main
+    product takes the weight one block of about
+    :data:`~slim.tensor.PRODUCT_ELEMENTS` entries at a time, dequantized
+    from the stored codes, along its longer side: a wide (or square)
+    weight by blocks of columns, each product written into its columns of
+    the output, and a tall one by blocks of rows, each product added to
+    the output, so the inputs are read once per block of the shorter side.
+    The adapter contributes through two thin products.
 
     Raises:
         EmptyTensor / NonFinite: ``x`` has no elements, or NaN or Inf.
@@ -429,13 +436,20 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     xa = fp8_fake_quantize(x)[0] if fp8 else as_matrix(x, "x", allow_empty=True)
     if xa.size == 0:
         raise EmptyTensor("x has zero elements")
-    d_in, _ = layer.shape
+    d_in, d_out = layer.shape
     if xa.shape[1] != d_in:
         raise ShapeMismatch(f"x has {xa.shape[1]} columns, layer expects {d_in}")
     x_main = compensate_activations(xa, layer.channel_scaling)
-    y = x_main @ layer.stored_weight()
+    if d_in <= d_out:  # column blocks, each product written into its columns of y
+        y = np.empty((xa.shape[0], d_out))
+        for cols in _spans(d_out, d_in, tensor.PRODUCT_ELEMENTS):
+            np.matmul(x_main, _dense(layer.weights, cols=cols), out=y[:, cols])
+    else:  # row blocks, so the long x is read once: one y-sized product at a time
+        y = np.zeros((xa.shape[0], d_out))
+        for rows in _spans(d_in, d_out, tensor.PRODUCT_ELEMENTS):
+            y += x_main[:, rows] @ _dense(layer.weights, rows=rows)
     if layer.adapter is not None:
-        y = y + (xa @ layer.adapter.left) @ layer.adapter.right
+        y += (xa @ layer.adapter.left) @ layer.adapter.right
     return y
 
 
@@ -452,22 +466,36 @@ def _mean_square(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, a) / a.size)
 
 
-def _difference_row_squares(w0: np.ndarray, layer: CompressedLayer, out: np.ndarray | None = None) -> np.ndarray:
-    """Row sums of ``D**2`` for ``D = corrected_weight - w0``, made one row
-    block at a time; each block of D is also written into ``out`` when
-    given. Without an adapter a block holds the bits of the same rows of
-    the whole-matrix D; with one, ``left[rows] @ right`` may round apart
-    from the rows of ``left @ right`` in the last place."""
+def _product_runs(w0: np.ndarray) -> list[list[slice]]:
+    """The row blocks of ``w0`` (:func:`~slim.tensor.row_blocks`) in runs of
+    consecutive blocks, each run about :data:`~slim.tensor.PRODUCT_ELEMENTS`
+    elements and at least one block."""
+    blocks = list(row_blocks(w0))
+    per = max(1, tensor.PRODUCT_ELEMENTS // (w0.shape[1] * (blocks[0].stop - blocks[0].start)))
+    return [blocks[i: i + per] for i in range(0, len(blocks), per)]
+
+
+def _difference_row_squares(w0: np.ndarray, layer: CompressedLayer, blocks: list[slice],
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of ``D**2`` for ``D = corrected_weight - w0`` over the
+    consecutive row blocks ``blocks`` of :func:`~slim.tensor.row_blocks`,
+    each block of D made on its own; with ``out`` (error_report's product
+    block), the blocks are also written into it from its first row.
+    Without an adapter a block holds the bits of the same rows of the
+    whole-matrix D; with one, ``left[rows] @ right`` may round apart from
+    the rows of ``left @ right`` in the last place."""
     a = layer.adapter
-    sq = np.empty(w0.shape[0])
-    for rows in row_blocks(w0):
+    first = blocks[0].start
+    sq = np.empty(min(w0.shape[0], blocks[-1].stop) - first)
+    for rows in blocks:
         d = _dense(layer.weights, layer.channel_scaling, rows)
         if a is not None:
             d += a.left[rows] @ a.right
         d -= w0[rows]  # an f32 w0 widens element by element: the bits of its float64 copy
-        sq[rows] = np.einsum("ij,ij->i", d, d)
+        at = slice(rows.start - first, rows.start - first + d.shape[0])
+        sq[at] = np.einsum("ij,ij->i", d, d)
         if out is not None:
-            out[rows] = d
+            out[at] = d
     return sq
 
 
@@ -492,7 +520,7 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
     w0 = _checked_weight(w, layer, x_saliency)
-    return _weight_space(_difference_row_squares(w0, layer), layer, x_saliency)
+    return _weight_space(_difference_row_squares(w0, layer, list(row_blocks(w0))), layer, x_saliency)
 
 
 def error_report(
@@ -513,25 +541,52 @@ def error_report(
     ``R - (x_eval @ left) @ right``; without an adapter it equals
     ``output_mse``. The layer's arrays are left as they were.
 
+    No array the size of the weight is made. D is made one row block at a
+    time, as :func:`weight_space_report` makes it (so the weight fields
+    have its bits), into one product block: a run of D's rows of about
+    :data:`~slim.tensor.PRODUCT_ELEMENTS` entries. Each run's product with
+    its columns of ``x_eval`` (only those widened to float64) is added into
+    R a chunk of R's columns at a time, and ``x_eval @ left`` is summed the
+    same way, so the output fields differ from the whole product's in the
+    last places.
+
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
     """
     w0 = _checked_weight(w, layer, x_saliency)
-    d_in = layer.shape[0]
-    xe = as_matrix(x_eval, "x_eval")
+    d_in, d_out = layer.shape
+    xe = as_float_matrix(x_eval, "x_eval")
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
 
-    d = np.empty(layer.shape)
-    weight_fields = _weight_space(_difference_row_squares(w0, layer, out=d), layer, x_saliency)
-    r = xe @ d
+    a = layer.adapter
+    tokens = xe.shape[0]
+    chunks = list(_spans(d_out, tokens, tensor.PRODUCT_ELEMENTS // 16))
+    runs = _product_runs(w0)
+    block = np.empty((min(d_in, runs[0][-1].stop), d_out))  # one run of D's rows
+    sq = np.empty(d_in)
+    r = np.empty((tokens, d_out))
+    xl = None if a is None else np.zeros((tokens, a.rank))  # x_eval @ left
+    for run in runs:
+        sq_run = _difference_row_squares(w0, layer, run, out=block)
+        rows = slice(run[0].start, run[0].start + sq_run.size)
+        sq[rows] = sq_run
+        xp = xe[:, rows].astype(np.float64, copy=False)  # a float64 x_eval is read in place
+        if rows.start == 0:  # the first run's product is R
+            np.matmul(xp, block[: sq_run.size], out=r)
+        else:
+            for cols in chunks:  # R += xp @ D[rows], a chunk of R's columns at a time
+                r[:, cols] += xp @ block[: sq_run.size, cols]
+        if a is not None:
+            xl += xp @ a.left[rows]
     output_mse = _mean_square(r)
     no_adapter = output_mse
-    if layer.adapter is not None:
-        r -= (xe @ layer.adapter.left) @ layer.adapter.right
+    if a is not None:
+        for cols in chunks:
+            r[:, cols] -= xl @ a.right[:, cols]
         no_adapter = _mean_square(r)
     return ErrorReport(
         output_mse=output_mse,
         output_mse_no_adapter=no_adapter,
-        **weight_fields,
+        **_weight_space(sq, layer, x_saliency),
     )

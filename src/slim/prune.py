@@ -248,9 +248,7 @@ def build_mask(scores, pattern: SparsityPattern, shape: tuple | None = None) -> 
             return SparsityMask(np.ones(shape, dtype=bool))
     keep = np.empty(shape, dtype=bool)
     if pattern.kind == "unstructured":
-        width = max(1, tensor.BLOCK_ELEMENTS // d_in)
-        for c0 in range(0, d_out, width):
-            cols = slice(c0, c0 + width)
+        for cols in tensor._spans(d_out, d_in, tensor.BLOCK_ELEMENTS):
             keep[:, cols] = _top_k(scores(everything, cols), k)
     else:
         n, m = pattern.n, pattern.m

@@ -227,9 +227,11 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
     values in a new float64 array; a block is made from its own codes only.
 
     Whole-tensor: ``code * scale * 2**(1 - q)``. Grouped: each code times
-    its group's step ``scale / (2**(q-1) - 1)``, the steps gathered by the
-    code's row-major index a piece of rows at a time, so no temporary grows
-    with the matrix or the group count.
+    its group's step ``scale / (2**(q-1) - 1)``, a piece of rows at a time,
+    so no temporary grows with the matrix or the group count. A piece of
+    whole rows is one row-major run of codes: its whole groups are scaled
+    by a broadcast, and only the partial groups at its two ends apart. A
+    piece of some columns gathers each code's step by its row-major index.
     """
     codes = t.codes[rows, cols]
     if t.group_size is None:
@@ -237,15 +239,30 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
         out *= float(t.scales[0]) * 2.0 ** (1 - t.bits)
         return out
     d_in, d_out = t.shape
+    g, qmax = t.group_size, float((1 << (t.bits - 1)) - 1)
+    out = np.empty(codes.shape)
+    first_row, _, row_step = rows.indices(d_in)
+    if row_step == 1 and cols.indices(d_out) == (0, d_out, 1):
+        for piece in row_blocks(out):
+            src, dst = codes[piece].reshape(-1), out[piece].reshape(-1)
+            start = (first_row + piece.start) * d_out
+            steps = t.scales[start // g: -(-(start + dst.size) // g)] / qmax
+            lead = min(dst.size, -start % g)  # the codes before the first group boundary
+            k, m = int(lead > 0), (dst.size - lead) // g
+            end = lead + m * g
+            np.multiply(src[:lead], steps[:k], out=dst[:lead])
+            np.multiply(src[lead:end].reshape(m, g), steps[k: k + m, None],
+                        out=dst[lead:end].reshape(m, g))
+            np.multiply(src[end:], steps[k + m:], out=dst[end:])
+        return out
     first = np.arange(d_in)[rows, None] * d_out  # row-major index of each row's first code
     col = np.arange(d_out)[cols]
-    out = np.empty(codes.shape)
     # quarter blocks: the index and the steps take 16 bytes an entry
     for piece in row_blocks(out, parts=4):
         idx = first[piece] + col
-        idx //= t.group_size
+        idx //= g
         steps = t.scales[idx]
-        steps /= float((1 << (t.bits - 1)) - 1)
+        steps /= qmax
         np.multiply(codes[piece], steps, out=out[piece])
     return out
 

@@ -48,6 +48,11 @@ GRAM_SAFE_EXPONENT = 400
 # whatever the size of the matrix.
 BLOCK_ELEMENTS = 1 << 16
 
+# Blocked matrix products (the error report's x @ D, the forward pass's
+# x @ W) take about this many weight elements at a time: 32 MiB as float64,
+# the smallest size measured to multiply as fast as the whole matrix.
+PRODUCT_ELEMENTS = 1 << 22
+
 
 def row_blocks(arr: np.ndarray, align: int = 1, parts: int = 1):
     """Yield slices that cover the rows of a 2-D ``arr`` in order, each
@@ -59,6 +64,13 @@ def row_blocks(arr: np.ndarray, align: int = 1, parts: int = 1):
     step = max(unit, BLOCK_ELEMENTS // parts // max(cols, 1) // unit * unit)
     for start in range(0, arr.shape[0], step):
         yield slice(start, start + step)
+
+
+def _spans(n: int, across: int, elements: int):
+    """Slices that cover ``range(n)`` in order, each at least one long and
+    about ``elements`` entries of a matrix ``across`` wide the other way."""
+    step = max(1, elements // max(across, 1))
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def as_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:

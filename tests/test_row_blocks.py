@@ -6,8 +6,9 @@ copy, and the FP8 input snap must give the bits of the whole-matrix snap,
 however the rows fall into blocks. The masks ranked from blocks of scores
 made from the codes, and the layers built from them, must give the
 bits of the whole score matrix; the reports' row blocks of the difference
-must give its row sums. No pass may hold a matrix-sized temporary besides
-its result.
+must give its row sums, and the blocked products of the error report and
+the forward pass must give the whole products within stated tolerances.
+No pass may hold a matrix-sized temporary besides its result.
 """
 
 import tracemalloc
@@ -40,6 +41,7 @@ from slim import (
     error_report,
     fp8_fake_quantize,
     group_absmax_quantize,
+    layer_output,
     naive_lora,
     quantize_adapter,
     quantize_symmetric,
@@ -52,7 +54,7 @@ from slim import SlimError, tensor
 from slim.artifact import layer_from_bytes, layer_to_bytes, layer_to_tensors
 from slim.pipeline import _dense, _quantize_weights
 from slim.prune import build_mask
-from slim.quant import _fp8_snap
+from slim.quant import _fp8_snap, compensate_activations
 from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, as_matrix, row_blocks
 
 from oracles import topk_column_mask
@@ -741,6 +743,137 @@ class TestBlockedReports:
                 assert got[field] == pytest.approx(value, rel=ADAPTER_REPORT_RTOL, abs=0.0)
 
 
+def reference_output_fields(w, layer, x) -> dict:
+    """The output fields of error_report from the whole product x @ D."""
+    x64 = np.asarray(x, dtype=np.float64)
+    r = x64 @ (layer.corrected_weight() - np.asarray(w, dtype=np.float64))
+    out = {"output_mse": float(np.mean(r**2))}
+    a = layer.adapter
+    no_adapter = r if a is None else r - (x64 @ a.left) @ a.right
+    out["output_mse_no_adapter"] = float(np.mean(no_adapter**2))
+    return out
+
+
+def reference_calibration(batches) -> tuple[np.ndarray, np.ndarray]:
+    """The sums compute_calibration made from whole-batch temporaries:
+    each batch widened to float64 in its own layout, then |x| and x**2."""
+    sum_abs = sum_sq = 0.0
+    for b in batches:
+        a = np.asarray(b).astype(np.float64)
+        sum_abs = sum_abs + np.abs(a).sum(axis=0)
+        sum_sq = sum_sq + np.square(a).sum(axis=0)
+    return sum_abs, sum_sq
+
+
+# The blocked products sum x @ D and x @ W in another order than the whole
+# product, so their results are held to these tolerances against it: the
+# output fields relative to their own value, the forward output relative
+# to its largest entry.
+OUTPUT_MSE_RTOL = 1e-12
+LAYER_OUTPUT_RTOL = 1e-12
+
+
+class TestBlockedProducts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 10).map(lambda n: 4 * n),
+        cols=st.integers(1, 24),
+        tokens=st.integers(1, 9),
+        method=st.sampled_from(["absmax", "group_absmax", "slim_quant_o", "none"]),
+        sparsity=st.sampled_from(["none", "unstructured:0.5", "2:4"]),
+        adapter=st.sampled_from([("none", False), ("naive", False), ("slim", True)]),
+        dtype=st.sampled_from(["float32", "float64"]),
+        x_dtype=st.sampled_from(["float32", "float64"]),
+        block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
+        product=st.sampled_from([1, 9, 100, 1 << 22]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=40, cols=7, tokens=3, method="group_absmax", sparsity="2:4", adapter=("slim", True),
+             dtype="float32", x_dtype="float32", block=7, product=30, seed=0)
+    def test_error_report_by_product_blocks(
+        self, rows, cols, tokens, method, sparsity, adapter, dtype, x_dtype, block, product, seed
+    ):
+        w = source("normal", (rows, cols), dtype, seed)
+        x = np.random.default_rng(seed).normal(size=(tokens, rows)).astype(x_dtype)
+        stats = compute_calibration([x])
+        sal = saliency_vector(stats)
+        cfg = LayerCompressionConfig(
+            quant_method=method, group_size=3, sparsity=SparsityPattern.parse(sparsity),
+            adapter_method=adapter[0], quantize_adapters=adapter[1],
+            rank_ratio=None if adapter[0] == "none" else 0.25,
+        )
+        layer = compress_layer(w, stats, cfg)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
+                mock.patch.object(tensor, "PRODUCT_ELEMENTS", product):
+            got = error_report(w, layer, x, sal).to_dict()
+            weight = weight_space_report(w, layer, sal)
+        assert {k: got[k] for k in weight} == weight  # one producer: the same bits
+        for field, value in reference_output_fields(w, layer, x).items():
+            assert got[field] == pytest.approx(value, rel=OUTPUT_MSE_RTOL, abs=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 10).map(lambda n: 4 * n),
+        cols=st.integers(1, 24),
+        tokens=st.integers(1, 9),
+        method=st.sampled_from(["absmax", "group_absmax", "slim_quant_o", "none"]),
+        adapter=st.sampled_from([("none", False), ("naive", False), ("slim", True)]),
+        fp8=st.booleans(),
+        product=st.sampled_from([1, 9, 100, 1 << 22]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=12, cols=23, tokens=5, method="group_absmax", adapter=("slim", True), fp8=True,
+             product=30, seed=0)
+    def test_layer_output_by_weight_blocks(self, rows, cols, tokens, method, adapter, fp8, product, seed):
+        w = source("normal", (rows, cols), "float32", seed)
+        x = np.random.default_rng(seed).normal(size=(tokens, rows))
+        cfg = LayerCompressionConfig(
+            quant_method=method, group_size=3, sparsity=SparsityPattern.semistructured(2, 4),
+            adapter_method=adapter[0], quantize_adapters=adapter[1], input_fp8=fp8,
+            rank_ratio=None if adapter[0] == "none" else 0.25,
+        )
+        layer = compress_layer(w, compute_calibration([x]), cfg)
+        with mock.patch.object(tensor, "PRODUCT_ELEMENTS", product):
+            got = layer_output(x, layer)
+        xa = fp8_fake_quantize(x)[0] if fp8 else x
+        ref = compensate_activations(xa, layer.channel_scaling) @ layer.stored_weight()
+        if layer.adapter is not None:
+            ref = ref + (xa @ layer.adapter.left) @ layer.adapter.right
+        assert got.shape == ref.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=LAYER_OUTPUT_RTOL * np.abs(ref).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tokens=st.lists(st.integers(0, 30), min_size=1, max_size=3),
+        d_in=st.integers(1, 20),
+        dtype=st.sampled_from(["float64", "float32", "float16", "int32", "bool"]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tokens=[40], d_in=1, dtype="float32", layout="C", block=7, seed=0)  # one column
+    @example(tokens=[1, 1], d_in=17, dtype="float32", layout="F", block=1, seed=1)  # one row
+    @example(tokens=[300], d_in=1, dtype="float64", layout="F", block=BLOCK_ELEMENTS, seed=2)
+    def test_calibration_matches_the_whole_batch_formula(self, tokens, d_in, dtype, layout, block, seed):
+        batches = []
+        for i, n in enumerate(tokens):
+            base = source("normal", (n, 2 * d_in), dtype, seed + i)
+            if layout == "F":
+                batches.append(np.asfortranarray(base[:, :d_in]))
+            elif layout == "strided":
+                batches.append(base[:, ::2])
+            else:
+                batches.append(np.ascontiguousarray(base[:, :d_in]))
+        if sum(tokens) == 0:
+            return
+        ref_abs, ref_sq = reference_calibration(batches)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            stats = compute_calibration(batches)
+        assert stats.mean_abs.tobytes() == (ref_abs / sum(tokens)).tobytes()
+        assert stats.l2_norm.tobytes() == np.sqrt(ref_sq).tobytes()
+        assert stats.token_count == sum(tokens)
+
+
 def traced_peak(call) -> tuple[object, int]:
     """``call()``'s result and the peak bytes it allocated (tracemalloc)."""
     tracemalloc.start()
@@ -819,10 +952,10 @@ class TestMemory:
         cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4),
                                      adapter_method=method, rank_ratio=0.1, quantize_adapters=quantized)
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
-        # about 2.8x the float64 weight: the codes and masks (0.4x), the
-        # pruned weight and the weighted error beside it (1x each) and the
-        # fit's Gram matrix; a float64 copy of the f32 w (3.8x) fails
-        assert peak < 3.0 * w.size * 8
+        # about 1.8x the float64 weight: the codes and masks (0.4x), the
+        # pruned weight, weighted in place into the fit's error (1x), and the
+        # fit's Gram matrix; an error beside the pruned weight (2.8x) fails
+        assert peak < 2.0 * w.size * 8
 
     def test_as_matrix_checks_finiteness_a_row_block_at_a_time(self):
         w = source("normal", (1024, 4096), "float64", 29)
@@ -902,3 +1035,43 @@ class TestMemory:
         stats = compute_calibration([np.random.default_rng(16).normal(size=(8, 1024))])
         _, peak = traced_peak(lambda: activation_aware_scale(w, stats))
         assert peak <= w.size * 8 + BLOCK_BOUND
+
+    @staticmethod
+    def product_case(adapter: str = "none", shape: tuple = (2048, 4096)):
+        """An f32 weight of two product blocks compressed 2:4, and the
+        saliency of its calibration."""
+        w = source("normal", shape, "float32", 30)
+        stats = compute_calibration([np.random.default_rng(31).normal(size=(16, shape[0]))])
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4), adapter_method=adapter,
+                                     rank_ratio=None if adapter == "none" else 0.1)
+        return w, compress_layer(w, stats, cfg), saliency_vector(stats)
+
+    @pytest.mark.parametrize("adapter", ["none", "slim"])
+    def test_error_report_peak_is_r_plus_a_product_block(self, adapter):
+        w, layer, sal = self.product_case(adapter)
+        x = np.random.default_rng(32).normal(size=(256, 2048))
+        _, peak = traced_peak(lambda: error_report(w, layer, x, sal))
+        # R (8 MiB), one run of D's rows (32 MiB), and a row block, a chunk
+        # of R's columns and x @ left; a whole D (64 MiB) fails
+        r_bytes = x.shape[0] * w.shape[1] * 8
+        assert peak <= r_bytes + 8 * tensor.PRODUCT_ELEMENTS + BLOCK_BOUND
+
+    @pytest.mark.parametrize("shape", [(2048, 4096), (4096, 2048)])
+    def test_layer_output_peak_is_its_output_plus_a_product_block(self, shape):
+        w, layer, _ = self.product_case(shape=shape)
+        x = np.random.default_rng(33).normal(size=(256, shape[0]))
+        y, peak = traced_peak(lambda: layer_output(x, layer))
+        # the output (8 or 4 MiB) and one dequantized block of the weight
+        # (32 MiB): a block of columns of a wide weight, whose product fills
+        # its columns of y, or a block of rows of a tall one, whose product
+        # (one more y) is added to y; the whole dequantized weight (64 MiB)
+        # fails
+        products = 1 if shape[0] <= shape[1] else 2
+        assert peak <= products * y.nbytes + 8 * tensor.PRODUCT_ELEMENTS + BLOCK_BOUND
+
+    def test_calibration_of_an_f32_batch_holds_one_float64_copy(self):
+        x = source("normal", (4096, 1024), "float32", 34)
+        _, peak = traced_peak(lambda: compute_calibration([x]))
+        # one float64 buffer, filled with |x| and then x**2; a widened copy
+        # of the batch beside a whole-batch temporary (2x) fails
+        assert peak <= x.size * 8 + BLOCK_BOUND
