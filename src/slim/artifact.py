@@ -121,11 +121,10 @@ def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     per_byte = 8 // width
     flat = codes.reshape(-1)
     packed = np.zeros(-(-flat.size // per_byte), np.uint8)
-    chunk = tensor.BLOCK_ELEMENTS * per_byte  # whole bytes
-    for lo in range(0, flat.size, chunk):
-        fields = flat[lo:lo + chunk].astype(np.uint8)  # two's complement of int8
+    for chunk in tensor._spans(flat.size, elements=tensor.BLOCK_ELEMENTS * per_byte, unit=per_byte):
+        fields = flat[chunk].astype(np.uint8)  # two's complement of int8
         fields &= (1 << width) - 1
-        out = packed[lo // per_byte:]
+        out = packed[chunk.start // per_byte:]  # whole bytes: chunk.start is a multiple of per_byte
         for j in range(per_byte):
             field = fields[j::per_byte]
             out[:field.size] |= field << (j * width)
@@ -151,11 +150,11 @@ def _kept(stored: np.ndarray, keep: np.ndarray) -> np.ndarray:
         SchemaViolation: an entry the mask drops is nonzero, so storing the
             kept entries only would lose it.
     """
-    flat, mask, chunk = stored.reshape(-1), keep.reshape(-1), tensor.BLOCK_ELEMENTS
+    flat, mask = stored.reshape(-1), keep.reshape(-1)
     kept = np.empty(np.count_nonzero(mask), stored.dtype)
     done = 0
-    for lo in range(0, flat.size, chunk):  # a chunk's index at a time, as in _scatter
-        part = np.compress(mask[lo:lo + chunk], flat[lo:lo + chunk])  # ~3x faster than flat[mask]
+    for chunk in tensor._spans(flat.size):  # a chunk's index at a time, as in _scatter
+        part = np.compress(mask[chunk], flat[chunk])  # ~3x faster than flat[mask]
         kept[done:done + part.size] = part
         done += part.size
     if np.count_nonzero(kept) != np.count_nonzero(stored):
@@ -171,10 +170,10 @@ def _scatter(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     no weight-sized index array is built; several times faster than ``out[keep] = values``.
     """
     out = np.zeros(keep.size, values.dtype)
-    flat, done, chunk = keep.reshape(-1), 0, tensor.BLOCK_ELEMENTS
-    for lo in range(0, flat.size, chunk):
-        idx = np.flatnonzero(flat[lo:lo + chunk])
-        out[lo:lo + chunk][idx] = values[done:done + idx.size]
+    flat, done = keep.reshape(-1), 0
+    for chunk in tensor._spans(flat.size):
+        idx = np.flatnonzero(flat[chunk])
+        out[chunk][idx] = values[done:done + idx.size]
         done += idx.size
     return out.reshape(keep.shape)
 

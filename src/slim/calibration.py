@@ -61,6 +61,12 @@ class CalibrationStats:
             if (v < 0).any():
                 raise NonFinite(f"{name} must be elementwise >= 0")
 
+    def _check_rows(self, rows: int) -> None:
+        """Raise ShapeMismatch unless a weight of ``rows`` rows has one
+        calibrated channel per row."""
+        if self.d_in != rows:
+            raise ShapeMismatch(f"stats cover {self.d_in} channels, weight has {rows} rows")
+
 
 def compute_calibration(x_batches) -> CalibrationStats:
     """Accumulate channel statistics over a sequence of activation batches.

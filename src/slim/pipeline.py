@@ -328,8 +328,8 @@ def _check_weight_shape(shape: tuple, stats: CalibrationStats | None, name: str 
         raise ShapeMismatch(f"{name} must be 2-D, got shape {shape}")
     if 0 in shape:
         raise EmptyTensor(f"{name} has zero elements")
-    if stats is not None and stats.d_in != shape[0]:
-        raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {shape[0]} rows")
+    if stats is not None:
+        stats._check_rows(shape[0])
 
 
 def compress_layer(
@@ -426,7 +426,8 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     weight by blocks of columns, each product written into its columns of
     the output, and a tall one by blocks of rows, each product added to
     the output, so the inputs are read once per block of the shorter side.
-    The adapter contributes through two thin products.
+    The adapter adds ``(x' @ L) @ R`` a chunk of the output's columns at a
+    time (:func:`_add_product`), with no output-sized temporary.
 
     Raises:
         EmptyTensor / NonFinite: ``x`` has no elements, or NaN or Inf.
@@ -449,8 +450,17 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
         for rows in _spans(d_in, d_out, tensor.PRODUCT_ELEMENTS):
             y += x_main[:, rows] @ _dense(layer.weights, rows=rows)
     if layer.adapter is not None:
-        y += (xa @ layer.adapter.left) @ layer.adapter.right
+        _add_product(y, xa @ layer.adapter.left, layer.adapter.right)
     return y
+
+
+def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray) -> None:
+    """``out += x @ m``, a chunk of about :data:`~slim.tensor.PRODUCT_ELEMENTS`
+    ``// 16`` entries of ``out``'s columns at a time, so no temporary the size
+    of ``out`` is made; the bits may differ from the whole product's in the
+    last place."""
+    for cols in _spans(out.shape[1], out.shape[0], tensor.PRODUCT_ELEMENTS // 16):
+        out[:, cols] += x @ m[:, cols]
 
 
 def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np.ndarray:
@@ -466,33 +476,26 @@ def _mean_square(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, a) / a.size)
 
 
-def _product_runs(w0: np.ndarray) -> list[list[slice]]:
-    """The row blocks of ``w0`` (:func:`~slim.tensor.row_blocks`) in runs of
-    consecutive blocks, each run about :data:`~slim.tensor.PRODUCT_ELEMENTS`
-    elements and at least one block."""
-    blocks = list(row_blocks(w0))
-    per = max(1, tensor.PRODUCT_ELEMENTS // (w0.shape[1] * (blocks[0].stop - blocks[0].start)))
-    return [blocks[i: i + per] for i in range(0, len(blocks), per)]
-
-
-def _difference_row_squares(w0: np.ndarray, layer: CompressedLayer, blocks: list[slice],
+def _difference_row_squares(w0: np.ndarray, layer: CompressedLayer, span: slice = slice(None),
                             out: np.ndarray | None = None) -> np.ndarray:
-    """Row sums of ``D**2`` for ``D = corrected_weight - w0`` over the
-    consecutive row blocks ``blocks`` of :func:`~slim.tensor.row_blocks`,
-    each block of D made on its own; with ``out`` (error_report's product
-    block), the blocks are also written into it from its first row.
-    Without an adapter a block holds the bits of the same rows of the
-    whole-matrix D; with one, ``left[rows] @ right`` may round apart from
-    the rows of ``left @ right`` in the last place."""
+    """Row sums of ``D**2`` for ``D = corrected_weight - w0`` over the rows
+    ``span`` (all of them by default, else a whole number of row blocks from
+    a block boundary), each row block of :func:`~slim.tensor.row_blocks`
+    made on its own; with ``out`` (error_report's product block, as many
+    rows as the span), the blocks are also written into it. Without an adapter
+    a block holds the bits of the same rows of the whole-matrix D; with
+    one, ``left[rows] @ right`` may round apart from the rows of
+    ``left @ right`` in the last place."""
     a = layer.adapter
-    first = blocks[0].start
-    sq = np.empty(min(w0.shape[0], blocks[-1].stop) - first)
-    for rows in blocks:
+    part = w0[span]
+    first = span.start or 0
+    sq = np.empty(part.shape[0])
+    for at in row_blocks(part):
+        rows = slice(first + at.start, first + at.stop)
         d = _dense(layer.weights, layer.channel_scaling, rows)
         if a is not None:
             d += a.left[rows] @ a.right
-        d -= w0[rows]  # an f32 w0 widens element by element: the bits of its float64 copy
-        at = slice(rows.start - first, rows.start - first + d.shape[0])
+        d -= part[at]  # an f32 w0 widens element by element: the bits of its float64 copy
         sq[at] = np.einsum("ij,ij->i", d, d)
         if out is not None:
             out[at] = d
@@ -520,7 +523,7 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
     w0 = _checked_weight(w, layer, x_saliency)
-    return _weight_space(_difference_row_squares(w0, layer, list(row_blocks(w0))), layer, x_saliency)
+    return _weight_space(_difference_row_squares(w0, layer), layer, x_saliency)
 
 
 def error_report(
@@ -553,37 +556,30 @@ def error_report(
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
     """
-    w0 = _checked_weight(w, layer, x_saliency)
     d_in, d_out = layer.shape
     xe = as_float_matrix(x_eval, "x_eval")
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
+    w0 = _checked_weight(w, layer, x_saliency)
 
     a = layer.adapter
-    tokens = xe.shape[0]
-    chunks = list(_spans(d_out, tokens, tensor.PRODUCT_ELEMENTS // 16))
-    runs = _product_runs(w0)
-    block = np.empty((min(d_in, runs[0][-1].stop), d_out))  # one run of D's rows
+    per_block = next(row_blocks(w0)).stop  # the rows of weight_space_report's blocks
+    runs = list(_spans(d_in, d_out, tensor.PRODUCT_ELEMENTS, unit=per_block))
+    block = np.empty((min(d_in, runs[0].stop), d_out))  # one run of D's rows
     sq = np.empty(d_in)
-    r = np.empty((tokens, d_out))
-    xl = None if a is None else np.zeros((tokens, a.rank))  # x_eval @ left
+    r = np.zeros((xe.shape[0], d_out))
+    xl = None if a is None else np.zeros((xe.shape[0], a.rank))  # x_eval @ left
     for run in runs:
-        sq_run = _difference_row_squares(w0, layer, run, out=block)
-        rows = slice(run[0].start, run[0].start + sq_run.size)
-        sq[rows] = sq_run
-        xp = xe[:, rows].astype(np.float64, copy=False)  # a float64 x_eval is read in place
-        if rows.start == 0:  # the first run's product is R
-            np.matmul(xp, block[: sq_run.size], out=r)
-        else:
-            for cols in chunks:  # R += xp @ D[rows], a chunk of R's columns at a time
-                r[:, cols] += xp @ block[: sq_run.size, cols]
+        xp = xe[:, run].astype(np.float64, copy=False)  # a float64 x_eval is read in place
+        d = block[: xp.shape[1]]
+        sq[run] = _difference_row_squares(w0, layer, run, out=d)
+        _add_product(r, xp, d)
         if a is not None:
-            xl += xp @ a.left[rows]
+            xl += xp @ a.left[run]
     output_mse = _mean_square(r)
     no_adapter = output_mse
     if a is not None:
-        for cols in chunks:
-            r[:, cols] -= xl @ a.right[:, cols]
+        _add_product(r, -xl, a.right)
         no_adapter = _mean_square(r)
     return ErrorReport(
         output_mse=output_mse,

@@ -116,10 +116,7 @@ def wanda_scores(w, stats: CalibrationStats) -> np.ndarray:
         ShapeMismatch: statistics channel count differs from the weight row count.
     """
     arr = as_float_matrix(w, "w")
-    if stats.d_in != arr.shape[0]:
-        raise ShapeMismatch(
-            f"stats cover {stats.d_in} channels, weight has {arr.shape[0]} rows"
-        )
+    stats._check_rows(arr.shape[0])
     return _scores(arr.astype(np.float64), stats.l2_norm)
 
 
@@ -248,14 +245,12 @@ def build_mask(scores, pattern: SparsityPattern, shape: tuple | None = None) -> 
             return SparsityMask(np.ones(shape, dtype=bool))
     keep = np.empty(shape, dtype=bool)
     if pattern.kind == "unstructured":
-        for cols in tensor._spans(d_out, d_in, tensor.BLOCK_ELEMENTS):
+        for cols in tensor._spans(d_out, d_in):
             keep[:, cols] = _top_k(scores(everything, cols), k)
     else:
         n, m = pattern.n, pattern.m
         if d_in % m != 0:
             raise IndivisibleDimension(f"input dim {d_in} not divisible by m = {m}")
-        height = max(1, tensor.BLOCK_ELEMENTS // (d_out * m)) * m
-        for r0 in range(0, d_in, height):
-            rows = slice(r0, r0 + height)
+        for rows in tensor._spans(d_in, d_out, unit=m):
             keep[rows] = _n_of_m(scores(rows, everything), n, m)
     return SparsityMask(keep)

@@ -32,6 +32,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedBitwidth,
 )
+from . import tensor
 from .tensor import AbsHistogram, as_float_matrix, as_matrix, row_blocks
 
 __all__ = [
@@ -258,7 +259,7 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
     first = np.arange(d_in)[rows, None] * d_out  # row-major index of each row's first code
     col = np.arange(d_out)[cols]
     # quarter blocks: the index and the steps take 16 bytes an entry
-    for piece in row_blocks(out, parts=4):
+    for piece in tensor._spans(*out.shape, tensor.BLOCK_ELEMENTS // 4):
         idx = first[piece] + col
         idx //= g
         steps = t.scales[idx]
@@ -426,8 +427,7 @@ def activation_aware_scale(
     """
     arr = as_float_matrix(w, "w")
     d_in = arr.shape[0]
-    if stats.d_in != d_in:
-        raise ShapeMismatch(f"stats cover {stats.d_in} channels, weight has {d_in} rows")
+    stats._check_rows(d_in)
     if not (0.0 < fraction <= 1.0):
         raise ConfigInvalid(f"fraction must be in (0, 1], got {fraction}")
     if not (s > 1.0) or not np.isfinite(s):

@@ -9,9 +9,12 @@ the passes that touch every weight, read an f32 (or f16) source in row
 blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each
 widened to float64 before any arithmetic. They give the bits of the
 source's float64 copy without making that copy or any other whole-matrix
-temporary. :func:`as_float_matrix` is the one check of a matrix (2-D,
-non-empty unless allowed, finite one row block at a time) and keeps a
-float source's buffer; :func:`as_matrix` widens its result to float64.
+temporary. Every blocked pass in the package (row blocks, mask blocks,
+artifact chunks, and the product blocks of :data:`PRODUCT_ELEMENTS`) takes
+its boundaries from one rule, :func:`_spans`. :func:`as_float_matrix` is
+the one check of a matrix (2-D, non-empty unless allowed, finite one row
+block at a time) and keeps a float source's buffer; :func:`as_matrix`
+widens its result to float64.
 """
 
 from __future__ import annotations
@@ -54,22 +57,23 @@ BLOCK_ELEMENTS = 1 << 16
 PRODUCT_ELEMENTS = 1 << 22
 
 
-def row_blocks(arr: np.ndarray, align: int = 1, parts: int = 1):
-    """Yield slices that cover the rows of a 2-D ``arr`` in order, each
-    spanning about :data:`BLOCK_ELEMENTS` ``/ parts`` elements and at least
-    one row. Blocks advance by a multiple of ``align // gcd(cols, align)``
-    rows, so all but the last hold a whole number of ``align``-element runs."""
+def row_blocks(arr: np.ndarray, align: int = 1):
+    """:func:`_spans` over the rows of a 2-D ``arr``: blocks of about
+    :data:`BLOCK_ELEMENTS` elements and at least one row. Blocks advance by
+    a multiple of ``align // gcd(cols, align)`` rows, so all but the last
+    hold a whole number of ``align``-element runs."""
     cols = arr.shape[1]
-    unit = align // int(np.gcd(cols, align))
-    step = max(unit, BLOCK_ELEMENTS // parts // max(cols, 1) // unit * unit)
-    for start in range(0, arr.shape[0], step):
-        yield slice(start, start + step)
+    return _spans(arr.shape[0], cols, unit=align // int(np.gcd(cols, align)))
 
 
-def _spans(n: int, across: int, elements: int):
-    """Slices that cover ``range(n)`` in order, each at least one long and
-    about ``elements`` entries of a matrix ``across`` wide the other way."""
-    step = max(1, elements // max(across, 1))
+def _spans(n: int, across: int = 1, elements: int | None = None, unit: int = 1):
+    """Slices that cover ``range(n)`` in order, each about ``elements``
+    (default :data:`BLOCK_ELEMENTS`, read at the call) entries of a matrix
+    ``across`` wide the other way and at least ``unit`` long; all but the
+    last are a whole number of ``unit``. The one rule in this package that
+    turns an element budget into block boundaries."""
+    elements = BLOCK_ELEMENTS if elements is None else elements
+    step = max(unit, elements // max(across, 1) // unit * unit)
     return (slice(start, start + step) for start in range(0, n, step))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from slim import (
     deserialize_compressed_layer,
     quantize_adapter,
     serialize_compressed_layer,
+    tensor,
 )
 from slim.artifact import (
     layer_from_bytes,
@@ -250,6 +252,33 @@ class TestPackedCodes:
             assert np.array_equal(back.mask.keep, keep)
         else:
             assert back.mask is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bits=st.sampled_from([2, 3, 4, 8]),
+        quant=st.sampled_from(["absmax", "none"]),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        block=st.sampled_from([1, 2, 3, 7, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(bits=2, quant="absmax", rows=5, cols=3, block=3, seed=0)  # 15 codes, 4 a byte, 12 a chunk
+    def test_round_trip_across_chunk_edges(self, bits, quant, rows, cols, block, seed):
+        # with BLOCK_ELEMENTS patched small, the packer, the gather of the
+        # kept entries and the scatter back all work over many chunks, and
+        # must give the bytes and the layer of one chunk
+        w = np.random.default_rng(seed).standard_normal((rows, cols))
+        cfg = LayerCompressionConfig(quant_method=quant, weight_bits=bits,
+                                     sparsity=SparsityPattern.unstructured(0.5), prune_scores="magnitude")
+        layer = compress_layer(w, None, cfg)
+        whole = layer_to_tensors(layer)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            chunked = layer_to_tensors(layer)
+            back = layer_from_tensors(chunked)
+        assert {k: (v.dtype, v.tobytes()) for k, v in chunked.items()} == \
+            {k: (v.dtype, v.tobytes()) for k, v in whole.items()}
+        assert_same_bits(back, layer_from_tensors(whole))
+        assert np.array_equal(back.effective_weight(), layer.effective_weight())
 
     @pytest.mark.parametrize("bits, codes, packed", [
         (4, [1, -2, 7], [0xE1, 0x07]),  # low nibble first; -2 is 0b1110

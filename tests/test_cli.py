@@ -418,6 +418,20 @@ class TestEval:
         )
         assert code == 2
 
+    def test_inputs_of_the_wrong_width_are_named(self, tmp_path, capsys):
+        # the saliency comes from --inputs, so a width mismatch must be
+        # reported as the inputs', not as a saliency the user never passed
+        weights, acts, out = tmp_path / "w.slim", tmp_path / "x.slim", tmp_path / "c"
+        main(["gen-fixture", "--dist", "gaussian", "--shape", "64x96", "--out", str(weights)])
+        main(["gen-fixture", "--dist", "gaussian", "--shape", "32x48", "--name", "acts",
+              "--out", str(acts)])
+        main(["compress", "--weights", str(weights), "--out", str(out), "--quant", "absmax"])
+        capsys.readouterr()
+        code, _, err = run(capsys, "eval", "--original", str(weights),
+                           "--compressed", str(tmp_path / "c.weights.slim"), "--inputs", str(acts))
+        assert code == 2
+        assert err == "error: x_eval has 48 columns, layer expects 64\n"
+
     @pytest.mark.parametrize("defect", ["adapter_rows", "scaling_index"])
     def test_artifact_inconsistent_with_shape_data_error(self, workspace, capsys, defect):
         out = workspace["dir"] / "bad"

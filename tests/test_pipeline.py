@@ -526,6 +526,14 @@ class TestErrorReport:
                                "effective_bits_per_weight"}
         assert [a.tobytes() for a in arrays] == before
 
+    def test_x_eval_width_is_checked_before_the_saliency(self):
+        # a saliency made from a too-narrow x_eval has its width too: the
+        # message names the input the caller gave, not the saliency
+        layer, _ = self.make()
+        x = X[:, :24]
+        with pytest.raises(ShapeMismatch, match=r"^x_eval has 24 columns, layer expects 32$"):
+            error_report(W, layer, x, saliency_vector(compute_calibration([x])))
+
     def test_shape_checks(self):
         layer, _ = self.make()
         sal = saliency_vector(STATS)

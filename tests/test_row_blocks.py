@@ -50,7 +50,7 @@ from slim import (
     unstructured_mask,
     weight_space_report,
 )
-from slim import SlimError, tensor
+from slim import SlimError, pipeline, tensor
 from slim.artifact import layer_from_bytes, layer_to_bytes, layer_to_tensors
 from slim.pipeline import _dense, _quantize_weights
 from slim.prune import build_mask
@@ -578,6 +578,96 @@ def tied_scores(shape: tuple, seed: int) -> np.ndarray:
     return s
 
 
+class TestSpans:
+    """``tensor._spans`` is the one rule that turns an element budget into
+    slices. Its steps must be those of the formulas each caller had before
+    it, so no block, mask or artifact moves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 400),
+        across=st.integers(0, 300),
+        elements=st.integers(0, 5000),
+        unit=st.integers(1, 40),
+    )
+    @example(n=10, across=3, elements=2, unit=4)  # a budget below one unit
+    def test_slices_cover_the_range_in_whole_units(self, n, across, elements, unit):
+        slices = list(tensor._spans(n, across, elements, unit))
+        assert [i for s in slices for i in range(n)[s]] == list(range(n))
+        assert all(len(range(n)[s]) % unit == 0 for s in slices[:-1])
+        assert all(s.start % unit == 0 for s in slices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 300),
+        cols=st.integers(1, 300),
+        align=st.integers(1, 400),
+        block=st.sampled_from([1, 7, 64, 1000, BLOCK_ELEMENTS]),
+    )
+    def test_row_blocks_keep_their_old_steps(self, rows, cols, align, block):
+        unit = align // int(np.gcd(cols, align))
+        whole = max(unit, block // cols // unit * unit)  # the formula row_blocks had
+        quarter = max(1, block // 4 // cols)  # its parts=4 form, for grouped dequantize
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            got = list(row_blocks(np.empty((rows, cols)), align))
+            quarters = list(tensor._spans(rows, cols, tensor.BLOCK_ELEMENTS // 4))
+        assert [s.start for s in got] == list(range(0, rows, whole))
+        assert [s.start for s in quarters] == list(range(0, rows, quarter))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 30),
+        block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
+        product=st.sampled_from([1, 9, 100, 1000, 1 << 22]),
+    )
+    def test_error_report_runs_keep_their_old_steps(self, rows, cols, block, product):
+        step = max(1, block // cols)  # a row block
+        run = max(1, product // (cols * step)) * step  # the formula of the runs of row blocks
+        w = source("normal", (rows, cols), "float64", 3)
+        layer = compress_layer(w, None, LayerCompressionConfig(quant_method="absmax"))
+        spans = []
+        real = pipeline._difference_row_squares
+
+        def recording(w0, layer, span=slice(None), out=None):
+            spans.append(span)
+            return real(w0, layer, span, out)
+
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
+                mock.patch.object(tensor, "PRODUCT_ELEMENTS", product), \
+                mock.patch.object(pipeline, "_difference_row_squares", recording):
+            error_report(w, layer, np.ones((2, rows)), saliency_vector(compute_calibration([w.T])))
+        assert [s.start for s in spans] == list(range(0, rows, run))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        groups=st.integers(1, 40),
+        m=st.sampled_from([2, 4, 8]),
+        cols=st.integers(1, 30),
+        block=st.sampled_from([1, 7, 64, 1000, BLOCK_ELEMENTS]),
+    )
+    def test_n_of_m_blocks_keep_their_old_height(self, groups, m, cols, block):
+        rows = groups * m
+        height = max(1, block // (cols * m)) * m  # the formula build_mask had
+        starts = []
+        scores = np.random.default_rng(groups).random((rows, cols))
+
+        def blocks(r, c):
+            starts.append(r.start)
+            return scores[r, c]
+
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            mask = build_mask(blocks, SparsityPattern.semistructured(1, m), (rows, cols))
+        assert starts == list(range(0, rows, height))
+        assert mask.keep.tobytes() == build_mask(scores, SparsityPattern.semistructured(1, m)).keep.tobytes()
+
+    def test_the_default_budget_is_read_at_the_call(self):
+        assert next(tensor._spans(10 * BLOCK_ELEMENTS)).stop == BLOCK_ELEMENTS
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", 6):
+            assert [s.start for s in tensor._spans(20, 2)] == [0, 3, 6, 9, 12, 15, 18]
+            assert [s.start for s in tensor._spans(20, 2, unit=2)] == [0, 2, 4, 6, 8, 10, 12, 14, 16, 18]
+
+
 class TestBlockedScoresAndMasks:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -842,6 +932,30 @@ class TestBlockedProducts:
         assert got.shape == ref.shape and got.dtype == np.float64
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=LAYER_OUTPUT_RTOL * np.abs(ref).max())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 10).map(lambda n: 4 * n),
+        cols=st.integers(1, 24),
+        tokens=st.integers(1, 9),
+        quantized=st.booleans(),
+        product=st.sampled_from([16, 160, 1 << 22]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layer_output_adds_the_adapter_term_by_column_chunks(self, rows, cols, tokens, quantized,
+                                                                 product, seed):
+        # (x @ L) @ R is added a chunk of the output's columns at a time (one
+        # column when PRODUCT_ELEMENTS is 16), so the output may move from
+        # the whole product's in the last place: LAYER_OUTPUT_RTOL holds it
+        w = source("normal", (rows, cols), "float32", seed)
+        x = np.random.default_rng(seed).normal(size=(tokens, rows))
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4), adapter_method="slim",
+                                     rank_ratio=0.25, quantize_adapters=quantized)
+        layer = compress_layer(w, compute_calibration([x]), cfg)
+        with mock.patch.object(tensor, "PRODUCT_ELEMENTS", product):
+            got = layer_output(x, layer)
+        ref = x @ layer.corrected_weight()
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=LAYER_OUTPUT_RTOL * np.abs(ref).max())
+
     @settings(max_examples=100, deadline=None)
     @given(
         tokens=st.lists(st.integers(0, 30), min_size=1, max_size=3),
@@ -1068,6 +1182,17 @@ class TestMemory:
         # fails
         products = 1 if shape[0] <= shape[1] else 2
         assert peak <= products * y.nbytes + 8 * tensor.PRODUCT_ELEMENTS + BLOCK_BOUND
+
+    def test_layer_output_adapter_term_adds_no_output_sized_temporary(self):
+        x = np.random.default_rng(35).normal(size=(2048, 1024))
+        peaks = {}
+        for adapter in ("none", "slim"):
+            _, layer, _ = self.product_case(adapter, shape=(1024, 4096))
+            _, peaks[adapter] = traced_peak(lambda: layer_output(x, layer))
+        # about 96 MiB each: the output and one product block. The adapter
+        # term takes x @ L (1.6 MiB) and one column chunk of its product
+        # (2 MiB) after the block is freed; a whole (x @ L) @ R (64 MiB) fails
+        assert peaks["slim"] <= peaks["none"] + BLOCK_BOUND
 
     def test_calibration_of_an_f32_batch_holds_one_float64_copy(self):
         x = source("normal", (4096, 1024), "float32", 34)
