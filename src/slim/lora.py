@@ -9,7 +9,11 @@ naive fit is the same fit at unit saliency, the plain Frobenius norm. It is
 an exact truncated factorization of the weighted error
 (:func:`slim.tensor.svd_truncated`, which takes the leading singular
 subspace from the smaller-side Gram matrix), so optimality in the
-weighted norm is the Eckart-Young optimum of that factorization.
+weighted norm is the Eckart-Young optimum of that factorization. The fit
+never holds the weighted error whole: the factorization reads it twice, a
+block at a time, each block made on request from ``w`` and ``w_c`` (by
+:func:`~slim.pipeline.compress_layer`, from the codes), so besides its
+inputs the fit holds the Gram matrix, one block and the factors.
 """
 
 from __future__ import annotations
@@ -156,15 +160,21 @@ def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
         raise ShapeMismatch(f"w shape {a.shape} != w_c shape {b.shape}")
     if len(x) != a.shape[0]:
         raise ShapeMismatch(f"saliency length {len(x)} != d_in {a.shape[0]}")
-    return _fit(a - b, x, r)
+    return _weighted_fit(lambda rows, cols: a[rows, cols] - b[rows, cols], a.shape, x, r)
 
 
-def _fit(e: np.ndarray, x: SaliencyVector, r: int) -> LowRankAdapter:
-    """:func:`slim_lora` of the float64 error ``e = w - w_c``, which is
-    weighted in place and so overwritten."""
+def _weighted_fit(difference, shape: tuple, x: SaliencyVector, r: int) -> LowRankAdapter:
+    """:func:`slim_lora` of the error ``w - w_c`` whose ``[rows, cols]``
+    block ``difference(rows, cols)`` returns as a new float64 array (which
+    is weighted in place)."""
     xv = x.values[:, None]
-    e *= xv
-    left, right = svd_truncated(e, r)
+
+    def weighted(rows: slice, cols: slice) -> np.ndarray:
+        e = difference(rows, cols)
+        e *= xv[rows]
+        return e
+
+    left, right = svd_truncated(weighted, r, shape)
     left /= xv
     return LowRankAdapter(left, right)
 

@@ -29,7 +29,7 @@ from .lora import (
     DEFAULT_RANK_RATIO,
     LowRankAdapter,
     SaliencyVector,
-    _fit,
+    _weighted_fit,
     default_rank,
     quantize_adapter,
     saliency_vector,
@@ -346,9 +346,11 @@ def compress_layer(
     The pruning scores are never held whole: the mask ranks one block at a
     time (:func:`~slim.prune.build_mask`), each block's scores made from
     the codes with the arithmetic of the dequantized weight in the
-    caller's coordinates. Without an adapter no float64 weight-sized array
-    is made after the quantizer; an adapter reads the pruned weight,
-    dequantized after the mask.
+    caller's coordinates. No float64 weight-sized array is made after the
+    quantizer: the adapter fit reads the weighted error a block at a time
+    (:func:`~slim.tensor.svd_truncated`), each block made from the pruned
+    codes, the channel scaling, ``w`` and the saliency with the arithmetic
+    of :func:`~slim.lora.slim_lora` on the dequantized weight.
 
     Args:
         w: Weight matrix, input channels as rows.
@@ -400,10 +402,14 @@ def compress_layer(
     # 4. Adapter against the total error left after steps 1-3.
     adapter = None
     if cfg.adapter_method != "none":
-        w_c = _dense(stored, scaling)  # the pruned weight, caller coordinates
         r = default_rank(d_in, d_out, cfg.effective_rank_ratio)
         x = saliency_vector(stats) if cfg.adapter_method == "slim" else SaliencyVector.constant(d_in)
-        adapter = _fit(np.subtract(w0, w_c, out=w_c), x, r)  # the error in w_c's buffer
+
+        def error(rows: slice, cols: slice) -> np.ndarray:  # w - w_c, a block
+            e = _dense(stored, scaling, rows, cols)  # the pruned weight, caller coordinates
+            return np.subtract(w0[rows, cols], e, out=e)  # an f32 w0 widens element by element
+
+        adapter = _weighted_fit(error, (d_in, d_out), x, r)
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
     return CompressedLayer(
@@ -454,13 +460,18 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     return y
 
 
-def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray) -> None:
-    """``out += x @ m``, a chunk of about :data:`~slim.tensor.PRODUCT_ELEMENTS`
-    ``// 16`` entries of ``out``'s columns at a time, so no temporary the size
-    of ``out`` is made; the bits may differ from the whole product's in the
-    last place."""
+def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray, add: bool = True) -> None:
+    """``out += x @ m`` (``out[...] = x @ m`` unless ``add``), a chunk of
+    about :data:`~slim.tensor.PRODUCT_ELEMENTS` ``// 16`` entries of
+    ``out``'s columns at a time; the bits may differ from the whole
+    product's in the last place. A sum makes one chunk-sized temporary and
+    no temporary the size of ``out``; an assignment writes each chunk's
+    product straight into ``out``, with the values of adding it to zeros."""
     for cols in _spans(out.shape[1], out.shape[0], tensor.PRODUCT_ELEMENTS // 16):
-        out[:, cols] += x @ m[:, cols]
+        if add:
+            out[:, cols] += x @ m[:, cols]
+        else:
+            np.matmul(x, m[:, cols], out=out[:, cols])
 
 
 def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np.ndarray:
@@ -548,10 +559,10 @@ def error_report(
     time, as :func:`weight_space_report` makes it (so the weight fields
     have its bits), into one product block: a run of D's rows of about
     :data:`~slim.tensor.PRODUCT_ELEMENTS` entries. Each run's product with
-    its columns of ``x_eval`` (only those widened to float64) is added into
-    R a chunk of R's columns at a time, and ``x_eval @ left`` is summed the
-    same way, so the output fields differ from the whole product's in the
-    last places.
+    its columns of ``x_eval`` (only those widened to float64) is written
+    (the first run) or added (the others) into R a chunk of R's columns at
+    a time, and ``x_eval @ left`` is summed the same way, so the output
+    fields differ from the whole product's in the last places.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -567,13 +578,13 @@ def error_report(
     runs = list(_spans(d_in, d_out, tensor.PRODUCT_ELEMENTS, unit=per_block))
     block = np.empty((min(d_in, runs[0].stop), d_out))  # one run of D's rows
     sq = np.empty(d_in)
-    r = np.zeros((xe.shape[0], d_out))
+    r = np.empty((xe.shape[0], d_out))  # the first run's product is written into it
     xl = None if a is None else np.zeros((xe.shape[0], a.rank))  # x_eval @ left
     for run in runs:
         xp = xe[:, run].astype(np.float64, copy=False)  # a float64 x_eval is read in place
         d = block[: xp.shape[1]]
         sq[run] = _difference_row_squares(w0, layer, run, out=d)
-        _add_product(r, xp, d)
+        _add_product(r, xp, d, add=run.start > 0)
         if a is not None:
             xl += xp @ a.left[run]
     output_mse = _mean_square(r)

@@ -232,7 +232,10 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
     so no temporary grows with the matrix or the group count. A piece of
     whole rows is one row-major run of codes: its whole groups are scaled
     by a broadcast, and only the partial groups at its two ends apart. A
-    piece of some columns gathers each code's step by its row-major index.
+    block of columns that starts and ends on group boundaries of every row
+    (the group length divides the row length) is also scaled by a broadcast
+    over whole groups; any other block of columns gathers each code's step
+    by its row-major index.
     """
     codes = t.codes[rows, cols]
     if t.group_size is None:
@@ -255,6 +258,13 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
             np.multiply(src[lead:end].reshape(m, g), steps[k: k + m, None],
                         out=dst[lead:end].reshape(m, g))
             np.multiply(src[end:], steps[k + m:], out=dst[end:])
+        return out
+    start, stop, col_step = cols.indices(d_out)
+    if d_out % g == 0 and col_step == 1 and start % g == 0 and stop % g == 0:
+        # whole groups of every row: each group's step by a broadcast
+        steps = t.scales.reshape(d_in, d_out // g)[rows, start // g: stop // g] / qmax
+        np.multiply(codes.reshape(*steps.shape, g), steps[..., None],
+                    out=out.reshape(*steps.shape, g))
         return out
     first = np.arange(d_in)[rows, None] * d_out  # row-major index of each row's first code
     col = np.arange(d_out)[cols]

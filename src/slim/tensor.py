@@ -10,11 +10,12 @@ blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each
 widened to float64 before any arithmetic. They give the bits of the
 source's float64 copy without making that copy or any other whole-matrix
 temporary. Every blocked pass in the package (row blocks, mask blocks,
-artifact chunks, and the product blocks of :data:`PRODUCT_ELEMENTS`) takes
-its boundaries from one rule, :func:`_spans`. :func:`as_float_matrix` is
-the one check of a matrix (2-D, non-empty unless allowed, finite one row
-block at a time) and keeps a float source's buffer; :func:`as_matrix`
-widens its result to float64.
+artifact chunks, the product blocks of :data:`PRODUCT_ELEMENTS` and the
+adapter fit's blocks of :data:`GRAM_ELEMENTS`) takes its boundaries from
+one rule, :func:`_spans`. :func:`as_float_matrix` is the one check of a
+matrix (2-D, non-empty unless allowed, finite one row block at a time) and
+keeps a float source's buffer; :func:`as_matrix` widens its result to
+float64.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ GRAM_SAFE_EXPONENT = 400
 # least one row), so their float64 working copies stay near 512 KiB
 # whatever the size of the matrix.
 BLOCK_ELEMENTS = 1 << 16
+
+# svd_truncated reads its matrix in blocks of about this many entries
+# (8 MiB as float64), once for each of its two passes. Measured on a 2:4,
+# rank-0.1 adapter compress with one BLAS thread: smaller blocks slow the
+# Gram sum, whose k x k product per block then sums fewer terms (2048x8192:
+# 5.3 s with 2**18, 3.9 s with 2**20), and larger ones raise the peak for
+# no time gained at k = 1024 (1024x4096: 32 MiB with 2**20, 40 with 2**21).
+GRAM_ELEMENTS = 1 << 20
 
 # Blocked matrix products (the error report's x @ D, the forward pass's
 # x @ W) take about this many weight elements at a time: 32 MiB as float64,
@@ -204,7 +213,7 @@ def build_abs_histogram(w, num_bins: int | None = None) -> AbsHistogram:
     return AbsHistogram(max_abs, num_bins, counts, arr.size)
 
 
-def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
+def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Best rank-r factorization in the Frobenius norm.
 
     Returns ``(left, right)`` with shapes (rows, r) and (r, cols) such that
@@ -214,46 +223,80 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     is fixed so the first nonzero entry of each right-factor row is
     non-negative.
 
+    ``m`` is the matrix itself, or, given its ``shape``, a function that
+    returns the new float64 block ``m[rows, cols]`` for two slices (left
+    unchanged here), as :func:`~slim.prune.build_mask` takes its scores.
+    Either way ``m`` is read in two passes over blocks of about
+    :data:`GRAM_ELEMENTS` entries, row blocks of a tall or square ``m`` and
+    column blocks of a wide one, and no array of its size is made.
+
     Method: the top-r eigenvectors of the Gram matrix on the smaller side
     (``m.T @ m`` when cols <= rows, else ``m @ m.T``) span the leading
     singular subspace, so projecting ``m`` onto them is the exact
     Eckart-Young optimum without computing all min(rows, cols) singular
-    triplets. For a tall or square ``m`` with right singular vectors V,
-    ``right = V.T`` and ``left = m @ V``. For a wide ``m`` with left
-    singular vectors U, ``m.T @ U = Q R`` gives ``right = Q.T`` and
+    triplets. The first pass sums the Gram matrix over the blocks (a
+    matrix of one block gives the whole product's bits; more blocks sum in
+    another order). For a tall or square ``m`` with right singular vectors
+    V, ``right = V.T`` and the second pass makes ``left = m @ V`` a row
+    block at a time. For a wide ``m`` with left singular vectors U, the
+    second pass makes ``m.T @ U = Q R``, which gives ``right = Q.T`` and
     ``left = U @ R.T``; no singular value is divided by, so the right rows
     stay orthonormal even when ``m`` is rank-deficient or zero. The cost
     is one rows*cols*k Gram product and one k x k symmetric
     eigendecomposition, k = min(rows, cols).
 
     Args:
-        m: Matrix to approximate.
+        m: Matrix to approximate, or a function of two slices giving its
+            blocks.
         r: Target rank, 1 <= r <= min(rows, cols).
+        shape: ``(rows, cols)`` of ``m`` when it is a function.
 
     Raises:
         RankOutOfRange: If ``r`` is outside the valid range.
-        NonFinite: If ``m`` has NaN/Inf entries.
+        NonFinite: If a matrix ``m`` has NaN/Inf entries.
     """
-    arr = as_matrix(m, "m")
-    rows, cols = arr.shape
+    if shape is None:
+        arr = as_matrix(m, "m")
+        m, shape = (lambda rows, cols: arr[rows, cols]), arr.shape
+    rows, cols = shape
     if not (1 <= r <= min(rows, cols)):
         raise RankOutOfRange(f"rank {r} not in [1, {min(rows, cols)}]")
-    # The Gram matrix squares the entries: outside a safe exponent range,
-    # rescale by a power of two so it neither overflows nor underflows.
-    exp = int(np.frexp(max(arr.max(), -arr.min()))[1])
+    tall, everything = cols <= rows, slice(None)
+    long, k = (rows, cols) if tall else (cols, rows)
+
+    def blocks():  # (span, block): row blocks of m, or of m.T when m is wide
+        for span in _spans(long, k, GRAM_ELEMENTS):
+            yield span, (m(span, everything) if tall else m(everything, span).T)
+
+    # Pass 1: the Gram matrix and the largest magnitude. The Gram matrix
+    # squares the entries, so once one is past 2**GRAM_SAFE_EXPONENT the
+    # blocks are read only for the maximum, and the fit runs rescaled below.
+    gram, peak = None, 0.0
+    for _, b in blocks():
+        peak = max(peak, float(b.max()), -float(b.min()))
+        if np.frexp(peak)[1] <= GRAM_SAFE_EXPONENT:
+            p = b.T @ b  # numpy runs this as one syrk
+            gram = p if gram is None else np.add(gram, p, out=gram)
+        b = p = None  # freed before the next block is made
+    # Outside a safe exponent range of the largest entry, rescale by a
+    # power of two so the Gram matrix neither overflows nor underflows.
+    exp = int(np.frexp(peak)[1])
     if abs(exp) > GRAM_SAFE_EXPONENT:
-        left, right = svd_truncated(np.ldexp(arr, -exp), r)
+        left, right = svd_truncated(lambda rows, cols: np.ldexp(m(rows, cols), -exp), r, shape)
         return np.ldexp(left, exp), right
-    if cols <= rows:
-        # eigh sorts eigenvalues ascending: the last r columns, reversed.
-        v = np.linalg.eigh(arr.T @ arr)[1][:, : -r - 1 : -1]
-        right = np.ascontiguousarray(v.T)
-        left = arr @ v
+    # eigh sorts eigenvalues ascending: the last r columns, reversed.
+    vecs = np.linalg.eigh(gram)[1][:, : -r - 1 : -1]
+    gram = None
+    out = np.empty((long, r))  # pass 2: m @ V, or m.T @ U
+    for span, b in blocks():
+        np.matmul(b, vecs, out=out[span])
+        b = None
+    if tall:
+        left, right = out, np.ascontiguousarray(vecs.T)
     else:
-        u = np.linalg.eigh(arr @ arr.T)[1][:, : -r - 1 : -1]
-        q, rt = np.linalg.qr(arr.T @ u)
+        q, rt = np.linalg.qr(out)
         right = np.ascontiguousarray(q.T)
-        left = u @ rt.T
+        left = vecs @ rt.T
     # Sign canonicalization: flip each component so the first nonzero
     # entry of its right-factor row is positive.
     first = right[np.arange(r), np.argmax(right != 0, axis=1)]
@@ -261,3 +304,4 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     right[flip] *= -1.0
     left[:, flip] *= -1.0
     return left, right
+

@@ -144,6 +144,24 @@ class TestDequantize:
                     assert np.array_equal(got.view(np.uint64), old[rows, cols].view(np.uint64))
         assert np.array_equal(t.codes, codes)
 
+    @pytest.mark.parametrize("group_size", [1, 3, 4, 6, 12])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_blocks_give_the_bits_of_the_whole_matrix(self, group_size, order):
+        # groups that divide the 12 columns: a block of columns on group
+        # boundaries is scaled by a broadcast, any other by a gather; both
+        # give the bits of the same columns of the whole dequantize
+        rng = np.random.default_rng(97 + group_size)
+        codes = np.asarray(rng.integers(-7, 8, (10, 12)), np.int8, order=order)
+        t = QuantizedTensor(codes, rng.uniform(0.01, 3.0, codes.size // group_size), group_size, 4)
+        whole = dequantize(t)
+        for rows in (slice(None), slice(2, 9), slice(1, None, 3), slice(4, 4)):
+            for cols in (slice(0, 12), slice(0, 6), slice(6, 12), slice(3, 9), slice(12, 12),
+                         slice(1, 12), slice(0, 11), slice(2, 7), slice(0, 12, 2), slice(9, 3)):
+                got = dequantize(t, rows, cols)
+                assert got.dtype == np.float64 and got.shape == whole[rows, cols].shape
+                assert np.array_equal(got.view(np.uint64), whole[rows, cols].view(np.uint64))
+        assert np.array_equal(t.codes, codes)
+
 
 class TestAbsMax:
     def test_definition(self):

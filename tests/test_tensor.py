@@ -1,5 +1,10 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim import (
     EmptyTensor,
@@ -8,6 +13,7 @@ from slim import (
     build_abs_histogram,
     default_num_bins,
     svd_truncated,
+    tensor,
 )
 
 from oracles import best_rank_r_residual, singular_values_desc
@@ -200,3 +206,125 @@ class TestSvdTruncated:
         for shape in ((60, 8), (8, 60)):
             svd_truncated(rng.standard_normal(shape), 3)
         assert seen == [(8, 8), (8, 8)]
+
+
+def block_source(m: np.ndarray, seen: list | None = None):
+    """``m`` as svd_truncated's block function: a new float64 copy of each
+    requested block, its shape recorded in ``seen``."""
+    def block(rows, cols):
+        b = np.array(m[rows, cols], dtype=np.float64)
+        if seen is not None:
+            seen.append(b.shape)
+        return b
+    return block
+
+
+def assert_canonical(left, right, shape, r):
+    """Factor shapes, orthonormal right rows, and the sign rule: the first
+    nonzero entry of each right row is positive."""
+    assert left.shape == (shape[0], r) and right.shape == (r, shape[1])
+    assert np.allclose(right @ right.T, np.eye(r), atol=1e-12)
+    for row in right:
+        nz = row[np.flatnonzero(row)]
+        assert nz.size == 0 or nz[0] > 0
+
+
+class TestSvdTruncatedBlocks:
+    """The Gram matrix summed over blocks, and the second pass made from
+    them again, with the block size patched down so that small matrices
+    span many blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        kind=st.sampled_from(["normal", "deficient", "zero"]),
+        block=st.sampled_from([1, 7, 64, 300, tensor.GRAM_ELEMENTS]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=40, cols=9, kind="normal", block=64, data=None, seed=0)  # tall
+    @example(rows=9, cols=40, kind="deficient", block=64, data=None, seed=1)  # wide
+    @example(rows=17, cols=17, kind="zero", block=1, data=None, seed=2)  # square
+    def test_optimal_canonical_and_the_array_equals_its_blocks(self, rows, cols, kind, block,
+                                                              data, seed):
+        rng = np.random.default_rng(seed)
+        k = min(rows, cols)
+        rank = int(rng.integers(0, k)) if kind == "deficient" else k
+        if kind == "zero":
+            m = np.zeros((rows, cols))
+        else:
+            m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        r = int(rng.integers(1, k + 1)) if data is None else data.draw(st.integers(1, k), "r")
+        seen = []
+        with mock.patch.object(tensor, "GRAM_ELEMENTS", block):
+            left, right = svd_truncated(m, r)
+            blocked = svd_truncated(block_source(m, seen), r, m.shape)
+        assert np.array_equal(left, blocked[0]) and np.array_equal(right, blocked[1])
+        # row blocks of a tall or square m, column blocks of a wide one,
+        # each of about `block` entries (at least one row or column)
+        long = 0 if cols <= rows else 1
+        assert all(shape[1 - long] == k for shape in seen)
+        assert all(shape[long] <= max(1, block // k) for shape in seen)
+        assert_canonical(left, right, m.shape, r)
+        resid, energy = np.linalg.norm(m - left @ right), np.linalg.norm(m) ** 2
+        if r < rank:
+            # the oracle sums Gram eigenvalues, each rounded by about 1e-16
+            # of the largest, so a residual far below the norm is compared
+            # as energy: within 1e-12 relative when the two are of a size
+            oracle = best_rank_r_residual(m, r)
+            assert abs(resid**2 - oracle**2) <= 1e-12 * max(oracle**2, energy / k)
+        else:
+            # the optimum is 0, which the oracle reports with rounding noise
+            # of about 1e-8 of the norm: bounded against the norm instead
+            assert resid <= 1e-10 * np.sqrt(energy)
+
+    @pytest.mark.parametrize("shape", [(50, 7), (7, 50), (12, 12)])
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_extreme_magnitudes_over_several_blocks(self, shape, exponent):
+        # squares of these entries overflow or underflow float64, so the
+        # rescale must be decided from the largest entry of every block
+        # before any block's square is summed
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal(shape)
+        m[-1, -1] = 3.0  # the largest entry is in the last block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with mock.patch.object(tensor, "GRAM_ELEMENTS", 24):
+                left, right = svd_truncated(block_source(np.ldexp(m, exponent)), 3, shape)
+        resid = np.linalg.norm(m - np.ldexp(left, -exponent) @ right)
+        assert resid == pytest.approx(best_rank_r_residual(m, 3), rel=1e-12)
+        assert_canonical(left, right, shape, 3)
+
+    def test_mixed_magnitudes_rescale_by_the_largest_entry(self):
+        # the first blocks are safe to square and the last is not: the
+        # result is the rescaled fit of the whole matrix
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((40, 6))
+        m[-4:] = np.ldexp(m[-4:], 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with mock.patch.object(tensor, "GRAM_ELEMENTS", 12):
+                left, right = svd_truncated(block_source(m), 2, m.shape)
+                exp = int(np.frexp(np.abs(m).max())[1])
+                expected = svd_truncated(np.ldexp(m, -exp), 2)
+        assert exp > tensor.GRAM_SAFE_EXPONENT
+        assert np.array_equal(right, expected[1])
+        assert np.array_equal(left, np.ldexp(expected[0], exp))
+
+    def test_one_block_is_the_whole_product(self):
+        # a matrix inside one block sums its Gram matrix as one product
+        rng = np.random.default_rng(13)
+        for shape in ((64, 16), (16, 64)):
+            m = rng.standard_normal(shape)
+            gram = m.T @ m if shape[1] <= shape[0] else m @ m.T
+            seen = []
+            eigh = np.linalg.eigh
+
+            def recording_eigh(a, *args, **kwargs):
+                seen.append(a.copy())
+                return eigh(a, *args, **kwargs)
+
+            with mock.patch.object(np.linalg, "eigh", recording_eigh):
+                svd_truncated(m, 3)
+            assert len(seen) == 1 and np.array_equal(seen[0], gram)

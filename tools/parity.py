@@ -6,16 +6,17 @@
 REF's ``src/`` is exported with ``git archive`` (no network needed) into a
 temporary directory. One fixed-seed matrix of layers runs in that tree and
 in the working tree, each in its own process with ``OPENBLAS_NUM_THREADS=1``
-and ``RuntimeWarning`` raised as an error. The matrix crosses five shapes
-(tall, wide, square, one not divisible by 128, and one of several
-``error_report`` runs and column chunks), f32 and f64 weights, the five
+and ``RuntimeWarning`` raised as an error. The matrix crosses six shapes
+(tall, wide, square, one not divisible by 128, one of several
+``error_report`` runs and column chunks, and a tall one whose adapter fit
+sums its Gram matrix over several row blocks), f32 and f64 weights, the five
 quant methods, no / unstructured 0.5 / 2:4 sparsity (the pruned ones scored
 both by wanda and by magnitude) and four adapters (none, naive, slim,
 4-bit slim).
 
 Each case records four fields:
 
-- ``artifact``: the sha256 of ``layer_to_bytes``;
+- ``artifact``: the sha256 and the bytes of ``layer_to_bytes``;
 - ``weight_space_report`` and ``error_report``: their JSON values;
 - ``layer_output``: the forward pass of the layer and of its decoded
   artifact.
@@ -24,7 +25,12 @@ A case that raises records the error instead. For each field the report
 prints how many cases are equal, how many differ within an ``--allow``
 tolerance and how many differ beyond it, with the largest relative
 difference (a report number relative to its own value, an output relative
-to its largest entry). It exits 1 when any difference is not allowed.
+to its largest entry). Two artifacts whose sha256 differs are decoded with
+the working tree's ``slim``; their difference is that of the decoded
+arrays (the stored weight, the keep mask and the adapter factors, each
+relative to its largest entry), and infinite when their shapes, config or
+provenance differ. Each case with a difference beyond its ``--allow`` is
+listed, and the tool then exits 1.
 """
 
 from __future__ import annotations
@@ -44,13 +50,14 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 FIELDS = ("artifact", "weight_space_report", "error_report", "layer_output")
-SHAPES = [(640, 96), (96, 640), (256, 256), (300, 233), (1032, 4100)]
+SHAPES = [(640, 96), (96, 640), (256, 256), (300, 233), (1032, 4100), (4100, 264)]
 DTYPES = ["float32", "float64"]
 QUANT = ["absmax", "group_absmax", "slim_quant", "slim_quant_o", "none"]
 SPARSITY = [(None, "wanda"), ("unstructured:0.5", "wanda"), ("unstructured:0.5", "magnitude"),
             ("2:4", "wanda"), ("2:4", "magnitude")]
 ADAPTERS = [("none", False), ("naive", False), ("slim", False), ("slim", True)]
-# 96 tokens split R = x_eval @ D of the 4100-wide shape into two column chunks
+# 96 tokens split R = x_eval @ D of the 4100-wide shape into two column
+# chunks; 4100x264 sums its adapter's Gram matrix over two row blocks
 TOKENS = 96
 
 
@@ -58,8 +65,38 @@ def cases():
     return list(itertools.product(SHAPES, DTYPES, QUANT, SPARSITY, ADAPTERS))
 
 
+def _encode(payload: bytes) -> str:
+    return base64.b64encode(payload).decode()
+
+
 def _array(a: np.ndarray) -> str:
-    return base64.b64encode(a.tobytes()).decode()  # layer_output is float64
+    return _encode(a.tobytes())  # layer_output is float64
+
+
+def _decoded(payload: str) -> tuple:
+    """The config and provenance of an artifact, and its decoded arrays."""
+    import slim.artifact
+
+    layer = slim.artifact.layer_from_bytes(base64.b64decode(payload))
+    arrays = [layer.stored_weight()]
+    if layer.mask is not None:
+        arrays.append(layer.mask.keep.astype(np.float64))
+    if layer.adapter is not None:
+        arrays += [layer.adapter.left, layer.adapter.right]
+    return (layer.config, layer.provenance), arrays
+
+
+def _largest_relative(pairs) -> float:
+    """The largest ``max|x - y| / max|y|`` over pairs of arrays, infinite
+    where their shapes differ or a nonzero difference meets an all-zero y."""
+    worst = 0.0
+    for x, y in pairs:
+        if x.shape != y.shape:
+            return float("inf")
+        diff, scale = np.abs(x - y).max(initial=0.0), np.abs(y).max(initial=0.0)
+        if diff:
+            worst = max(worst, float(diff / scale) if scale else float("inf"))
+    return worst
 
 
 def run_case(slim, index: int, case) -> dict:
@@ -78,7 +115,7 @@ def run_case(slim, index: int, case) -> dict:
     sal = slim.saliency_vector(stats)
     decoded = slim.artifact.layer_from_bytes(payload)
     return {
-        "artifact": hashlib.sha256(payload).hexdigest(),
+        "artifact": {"sha256": hashlib.sha256(payload).hexdigest(), "bytes": _encode(payload)},
         "weight_space_report": slim.weight_space_report(w, layer, sal),
         "error_report": slim.error_report(w, layer, x, sal).to_dict(),
         "layer_output": [_array(slim.layer_output(x, layer)), _array(slim.layer_output(x, decoded))],
@@ -113,15 +150,14 @@ def difference(field: str, a, b) -> float:
     the two are not numbers of the same kind)."""
     if a == b:
         return 0.0
+    if field == "artifact" and isinstance(a, dict) and isinstance(b, dict):
+        (meta_a, arrays_a), (meta_b, arrays_b) = _decoded(a["bytes"]), _decoded(b["bytes"])
+        if meta_a != meta_b or len(arrays_a) != len(arrays_b):
+            return float("inf")
+        return _largest_relative(zip(arrays_a, arrays_b))
     if field == "layer_output" and isinstance(a, list) and isinstance(b, list):
-        worst = 0.0
-        for x, y in zip(a, b):
-            x, y = (np.frombuffer(base64.b64decode(v)) for v in (x, y))
-            if x.shape != y.shape:
-                return float("inf")
-            scale = np.abs(y).max()
-            worst = max(worst, float(np.abs(x - y).max() / scale) if scale else float("inf"))
-        return worst
+        return _largest_relative((np.frombuffer(base64.b64decode(x)), np.frombuffer(base64.b64decode(y)))
+                                 for x, y in zip(a, b))
     if field.endswith("report") and isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         return max((abs(a[k] - b[k]) / abs(b[k]) if b[k] else float("inf"))
                    for k in a if a[k] != b[k])
@@ -151,6 +187,7 @@ def main(argv=None) -> int:
     if not args.base:
         parser.error("--base is required")
     allow = parse_allow(args.allow)
+    sys.path.insert(0, str(REPO / "src"))  # the working tree's slim decodes artifacts
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(REPO), "archive", args.base, "src"],
                                  stdout=subprocess.PIPE)
@@ -159,24 +196,32 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         base, head = spawn(Path(tmp)), spawn(REPO)
         counts = {field: [0, 0, 0, 0.0] for field in FIELDS}  # equal, allowed, differ, largest
-        total = 0
+        matrix, total, beyond = cases(), 0, []
         for line_base, line_head in zip(base.stdout, head.stdout):
             old, new = json.loads(line_base), json.loads(line_head)
-            total += 1
+            differing = []
             for field in FIELDS:
                 diff = difference(field, new[field], old[field])
                 count = counts[field]
-                count[0 if diff == 0 else 1 if diff <= allow.get(field, -1.0) else 2] += 1
+                kind = 0 if diff == 0 else 1 if diff <= allow.get(field, -1.0) else 2
+                count[kind] += 1
                 count[3] = max(count[3], diff)
+                if kind == 2:
+                    differing.append(f"{field} {diff:.3g}")
+            if differing:
+                beyond.append(f"case {total} {matrix[total]}: {', '.join(differing)}")
+            total += 1
         codes = base.wait(), head.wait()
-    if codes != (0, 0) or total != len(cases()):
-        print(f"a worker failed (exit codes {codes}) after {total} of {len(cases())} cases")
+    if codes != (0, 0) or total != len(matrix):
+        print(f"a worker failed (exit codes {codes}) after {total} of {len(matrix)} cases")
         return 1
     print(f"{total} cases, {args.base} against the working tree")
     print(f"{'field':<20} {'equal':>6} {'allowed':>8} {'differ':>7}  largest relative difference")
     for field, (equal, allowed, differ, largest) in counts.items():
         print(f"{field:<20} {equal:>6} {allowed:>8} {differ:>7}  {largest:.3g}")
-    return 1 if any(c[2] for c in counts.values()) else 0
+    if beyond:
+        print("differences beyond --allow:", *beyond, sep="\n")
+    return 1 if beyond else 0
 
 
 if __name__ == "__main__":
