@@ -7,9 +7,11 @@ low-rank adapter fitted to whatever error the first steps left behind
 artifact so inference and reporting can replay the exact arithmetic.
 
 Weights are stored in the scaled coordinate system when channel scaling is
-on; inference divides the matching activation channels by the scale
-factor, and adapters always live in the caller's original coordinates so
-``w ~ effective_weight + left @ right`` holds as seen by the caller.
+on; every reader of the stored weight (scores, adapter error, reports and
+the forward pass) divides the boosted rows of each block by the scale
+factor again, and adapters always live in the caller's original
+coordinates so ``w ~ effective_weight + left @ right`` holds as seen by
+the caller.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from .quant import (
     DEFAULT_SCALE_FRACTION,
     ChannelScaling,
     QuantizedTensor,
+    _scale_rows,
     absmax_alpha,
     activation_aware_scale,
     code_field_bits,
-    compensate_activations,
     dequantize,
     fp8_fake_quantize,
     group_absmax_quantize,
@@ -188,17 +190,15 @@ def _dense(
     rows: slice = slice(None),
     cols: slice = slice(None),
 ) -> np.ndarray:
-    """Float64 ``[rows, cols]`` block (the whole matrix by default) of a
-    stored weight in a new buffer of its own, mapped back to the caller's
-    coordinates when ``scaling`` is given: codes by :func:`dequantize` of
-    the block, raw values widened."""
-    if isinstance(weights, QuantizedTensor):
-        w = dequantize(weights, rows, cols)
-    else:
-        w = weights[rows, cols].astype(np.float64)
-    if scaling is not None and scaling.channel_indices.size:
-        w[np.isin(np.arange(weights.shape[0])[rows], scaling.channel_indices)] /= scaling.factor
-    return w
+    """Float64 ``[rows, cols]`` block (the whole matrix by default; ``rows``
+    of step 1) of a stored weight in a new buffer of its own: codes by
+    :func:`dequantize` of the block, raw values widened. With ``scaling``,
+    the block is mapped back to the caller's coordinates by the same
+    reader that scaled the weight (:func:`~slim.quant._scale_rows`), which
+    divides only the boosted rows that fall in the block."""
+    w = (dequantize(weights, rows, cols) if isinstance(weights, QuantizedTensor)
+         else weights[rows, cols].astype(np.float64))
+    return _scale_rows(w, scaling, rows, undo=True)
 
 
 def _at_f32(part: QuantizedTensor | np.ndarray, name: str) -> QuantizedTensor | np.ndarray:
@@ -304,21 +304,33 @@ class ErrorReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _quantize_weights(w_s: np.ndarray, cfg: LayerCompressionConfig):
-    """Quantize the (possibly scaled) weight; returns (stored, alpha)."""
-    method = cfg.quant_method
+def _quantize_weights(w0: np.ndarray, scaling: ChannelScaling | None, cfg: LayerCompressionConfig):
+    """Quantize the weight ``w0`` with the boosted rows of ``scaling``
+    multiplied by its factor; returns (stored, alpha).
+
+    Every pass reads the scaled weight one new float64 row block at a time,
+    ``w0``'s block widened and then scaled by :func:`~slim.quant._scale_rows`,
+    so the blocks hold the bits of a whole scaled float64 copy that is
+    never made. The raw method stores the scaled weight, which is ``w0``
+    itself when nothing is scaled and otherwise one block of the whole
+    matrix (the layer rounds either to f32 in a copy of its own)."""
+    method, shape = cfg.quant_method, w0.shape
+
+    def scaled(rows: slice, cols: slice) -> np.ndarray:
+        return _scale_rows(w0[rows, cols].astype(np.float64, order="C"), scaling, rows)
+
     if method == "none":
-        return w_s, None  # the layer holds its own float64 copy
+        return (w0 if scaling is None else scaled(slice(None), slice(None))), None
     if method == "absmax":
-        alpha = absmax_alpha(w_s)
-        return quantize_symmetric(w_s, alpha, cfg.weight_bits), alpha
+        alpha = absmax_alpha(scaled, shape)
+        return quantize_symmetric(scaled, alpha, cfg.weight_bits, shape), alpha
     if method == "group_absmax":
-        return group_absmax_quantize(w_s, cfg.group_size, cfg.weight_bits), None
+        return group_absmax_quantize(scaled, cfg.group_size, cfg.weight_bits, shape), None
     # slim_quant / slim_quant_o share the histogram-driven scale search.
-    hist = build_abs_histogram(w_s)
+    hist = build_abs_histogram(scaled, shape=shape)
     alpha, err = slimquant_search(hist, cfg.weight_bits)
     logger.debug("scale search: alpha=%.6g expected_mse=%.6g", alpha, err)
-    return quantize_symmetric(w_s, alpha, cfg.weight_bits), alpha
+    return quantize_symmetric(scaled, alpha, cfg.weight_bits, shape), alpha
 
 
 def _check_weight_shape(shape: tuple, stats: CalibrationStats | None, name: str = "w") -> None:
@@ -343,14 +355,17 @@ def compress_layer(
     quantized weight, adapter fit against the total remaining error
     (in the caller's coordinates), optional adapter quantization.
 
-    The pruning scores are never held whole: the mask ranks one block at a
+    No float64 weight-sized array is made (except the raw values of
+    ``quant_method="none"``), and no copy of ``w``. Channel scaling only
+    chooses the rows to boost; the quantizer reads the scaled weight one
+    row block at a time, made from ``w`` (:func:`_quantize_weights`). The
+    pruning scores are never held whole: the mask ranks one block at a
     time (:func:`~slim.prune.build_mask`), each block's scores made from
     the codes with the arithmetic of the dequantized weight in the
-    caller's coordinates. No float64 weight-sized array is made after the
-    quantizer: the adapter fit reads the weighted error a block at a time
-    (:func:`~slim.tensor.svd_truncated`), each block made from the pruned
-    codes, the channel scaling, ``w`` and the saliency with the arithmetic
-    of :func:`~slim.lora.slim_lora` on the dequantized weight.
+    caller's coordinates. The adapter fit reads the weighted error a block
+    at a time (:func:`~slim.tensor.svd_truncated`), each block made from
+    the pruned codes, the channel scaling, ``w`` and the saliency with the
+    arithmetic of :func:`~slim.lora.slim_lora` on the dequantized weight.
 
     Args:
         w: Weight matrix, input channels as rows.
@@ -374,15 +389,11 @@ def compress_layer(
 
     # 1. Channel scaling (stored coordinates = scaled coordinates).
     scaling = None
-    w_s = w0
     if cfg.scaling_enabled:
-        w_s, scaling = activation_aware_scale(
-            w0, stats, cfg.scale_fraction, cfg.scale_factor
-        )
+        scaling = activation_aware_scale(w0, stats, cfg.scale_fraction, cfg.scale_factor)
 
-    # 2. Quantize.
-    stored, alpha = _quantize_weights(w_s, cfg)
-    del w_s  # free a channel-scaled copy before the scores
+    # 2. Quantize the scaled weight, read a row block at a time.
+    stored, alpha = _quantize_weights(w0, scaling, cfg)
 
     # 3. Prune the quantized weight, scored in the caller's coordinates.
     mask = None
@@ -422,17 +433,20 @@ def compress_layer(
 def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     """Forward pass through a compressed layer.
 
-    Computes ``x' @ W_stored + (x' @ L) @ R`` where x' is the input after
-    optional 8-bit float fake quantization, and channel-scaling
-    compensation is applied to the main-path activations before the
-    product. Neither the dense weight nor L @ R is materialized. The main
-    product takes the weight one block of about
-    :data:`~slim.tensor.PRODUCT_ELEMENTS` entries at a time, dequantized
-    from the stored codes, along its longer side: a wide (or square)
-    weight by blocks of columns, each product written into its columns of
-    the output, and a tall one by blocks of rows, each product added to
-    the output, so the inputs are read once per block of the shorter side.
-    The adapter adds ``(x' @ L) @ R`` a chunk of the output's columns at a
+    Computes ``x' @ W + (x' @ L) @ R`` where x' is the input after
+    optional 8-bit float fake quantization and W the stored weight in the
+    caller's coordinates: each block of it has its boosted rows divided by
+    the scale factor (:func:`_dense`), so ``x'`` is used as it is, with no
+    compensated copy. A power-of-two factor (the default 2.0) gives the
+    bits of the compensated activations times the stored weight; another
+    factor may differ from them in the last place. Neither the dense
+    weight nor L @ R is materialized. The main product takes the weight
+    one block of about :data:`~slim.tensor.PRODUCT_ELEMENTS` entries at a
+    time, dequantized from the stored codes, along its longer side: a wide
+    (or square) weight by blocks of columns, each product written into its
+    columns of the output, and a tall one by blocks of rows, each product
+    added to the output, so the inputs are read once per block of the
+    shorter side. The adapter adds ``(x' @ L) @ R`` a chunk of the output's columns at a
     time (:func:`_add_product`), with no output-sized temporary.
 
     Raises:
@@ -446,15 +460,15 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     d_in, d_out = layer.shape
     if xa.shape[1] != d_in:
         raise ShapeMismatch(f"x has {xa.shape[1]} columns, layer expects {d_in}")
-    x_main = compensate_activations(xa, layer.channel_scaling)
+    weights, scaling = layer.weights, layer.channel_scaling
     if d_in <= d_out:  # column blocks, each product written into its columns of y
         y = np.empty((xa.shape[0], d_out))
         for cols in _spans(d_out, d_in, tensor.PRODUCT_ELEMENTS):
-            np.matmul(x_main, _dense(layer.weights, cols=cols), out=y[:, cols])
+            np.matmul(xa, _dense(weights, scaling, cols=cols), out=y[:, cols])
     else:  # row blocks, so the long x is read once: one y-sized product at a time
         y = np.zeros((xa.shape[0], d_out))
         for rows in _spans(d_in, d_out, tensor.PRODUCT_ELEMENTS):
-            y += x_main[:, rows] @ _dense(layer.weights, rows=rows)
+            y += xa[:, rows] @ _dense(weights, scaling, rows=rows)
     if layer.adapter is not None:
         _add_product(y, xa @ layer.adapter.left, layer.adapter.right)
     return y

@@ -222,21 +222,19 @@ def build_mask(scores, pattern: SparsityPattern, shape: tuple | None = None) -> 
     """The mask ``pattern`` names over a d_in x d_out score matrix.
 
     ``scores`` is the matrix itself, or, given its ``shape``, a function that
-    returns the float64 block ``scores[rows, cols]`` for two slices (left
-    unchanged here). The scores are read and ranked in blocks of about
-    :data:`~slim.tensor.BLOCK_ELEMENTS`: whole columns for an unstructured
-    pattern, which ranks each column, and whole groups of ``m`` rows for a
-    semi-structured one. No score-sized array is made besides the mask.
+    returns the new float64 block ``scores[rows, cols]`` for two slices
+    (:func:`~slim.tensor._block_source`). The scores are read and ranked
+    in blocks of about :data:`~slim.tensor.BLOCK_ELEMENTS`: whole columns
+    for an unstructured pattern, which ranks each column, and whole groups
+    of ``m`` rows for a semi-structured one. No score-sized array is made besides the mask.
 
     Raises:
         IndivisibleDimension: a semi-structured pattern's ``m`` does not
             divide d_in.
         NonFinite / EmptyTensor / ShapeMismatch: a score matrix that
-            :func:`~slim.tensor.as_matrix` refuses.
+            :func:`~slim.tensor.as_float_matrix` refuses.
     """
-    if shape is None:
-        s = as_matrix(scores, "scores")
-        scores, shape = (lambda rows, cols: s[rows, cols]), s.shape
+    scores, shape = tensor._block_source(scores, shape, "scores")
     d_in, d_out = shape
     everything = slice(None)
     if pattern.kind == "unstructured":

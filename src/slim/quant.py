@@ -9,11 +9,14 @@ over alpha with a coarse-to-fine grid gives a scale that trades clipping
 against resolution, instead of AbsMax's clip-nothing choice alpha = max|w|.
 
 Also here: the AbsMax and grouped-AbsMax baselines, activation-aware
-channel scaling (pre-quantization outlier damping that inference undoes on
-the activation side), and 8-bit floating-point fake quantization for
-inputs. The quantizers and the FP8 snap (whose format comes from the
-input's max and min) read their input one row block
-(:func:`~slim.tensor.row_blocks`) at a time into a single output array.
+channel scaling (pre-quantization outlier damping that inference undoes by
+dividing the boosted rows again), and 8-bit floating-point fake
+quantization for inputs. The quantizers and the FP8 snap (whose format
+comes from the input's max and min) read their input one row block
+(:func:`~slim.tensor.row_blocks`) at a time into a single output array;
+the quantizers take a matrix or a function that makes its blocks
+(:func:`~slim.tensor._block_source`), and :func:`_scale_rows` is the one
+routine that scales (or unscales) the boosted rows of a block.
 :func:`dequantize` is the one formula that turns codes into floats, for the
 whole matrix or any block of it; grouped codes gather their steps a
 quarter block at a time.
@@ -33,7 +36,7 @@ from .errors import (
     UnsupportedBitwidth,
 )
 from . import tensor
-from .tensor import AbsHistogram, as_float_matrix, as_matrix, row_blocks
+from .tensor import AbsHistogram, _block_source, as_float_matrix, as_matrix, row_blocks
 
 __all__ = [
     "QuantizedTensor",
@@ -196,28 +199,29 @@ E4M3 = Fp8Format("E4M3")
 E5M2 = Fp8Format("E5M2")
 
 
-def quantize_symmetric(w, alpha: float, q: int) -> QuantizedTensor:
+def quantize_symmetric(w, alpha: float, q: int, shape: tuple | None = None) -> QuantizedTensor:
     """Quantize onto the symmetric integer grid of step ``alpha * 2**(1-q)``.
 
     Codes are round-half-away-from-zero of ``w / step`` clamped to
-    [-2**(q-1), 2**(q-1) - 1]; a single scale ``alpha`` is stored. The
-    source is read in row blocks, each widened to float64 before the
-    division, so an f32 ``w`` gives the codes of its float64 copy.
+    [-2**(q-1), 2**(q-1) - 1]; a single scale ``alpha`` is stored. ``w``
+    is a matrix or, given its ``shape``, a function that makes its float64
+    blocks (:func:`~slim.tensor._block_source`). It is read in row blocks,
+    each float64 before the division, so an f32 ``w`` gives the codes of
+    its float64 copy.
 
     Raises:
         NonPositiveAlpha: ``alpha`` is not a positive finite number.
         UnsupportedBitwidth: ``q`` outside [2, 8].
     """
-    arr = as_float_matrix(w, "w")
+    read, shape = _block_source(w, shape)
     q = _check_bits(q)
     if not np.isfinite(alpha) or alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     step = alpha * 2.0 ** (1 - q)
     lo, hi = -(1 << (q - 1)), (1 << (q - 1)) - 1
-    codes = np.empty(arr.shape, dtype=np.int8)
-    for rows in row_blocks(arr):
-        # float32 / step would divide in float32 (NEP 50): widen first
-        block = arr[rows].astype(np.float64)
+    codes = np.empty(shape, dtype=np.int8)
+    for rows in row_blocks(shape):
+        block = read(rows, slice(None))
         block /= step
         codes[rows] = np.clip(_round_half_away(block), lo, hi)
     return QuantizedTensor(codes=codes, scales=np.array([alpha]), group_size=None, bits=q)
@@ -278,41 +282,44 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
     return out
 
 
-def absmax_alpha(w) -> float:
-    """Largest magnitude of the matrix; 1.0 for an all-zero matrix.
+def absmax_alpha(w, shape: tuple | None = None) -> float:
+    """Largest magnitude of the matrix, read a row block at a time; 1.0 for
+    an all-zero matrix. ``w`` is a matrix or, given its ``shape``, a
+    function that makes its blocks (:func:`~slim.tensor._block_source`).
 
     Raises:
         EmptyTensor: ``w`` has no elements.
     """
-    arr = as_float_matrix(w, "w")
-    m = float(max(arr.max(), -arr.min()))
-    return m if m > 0.0 else 1.0
+    return tensor._max_abs(*_block_source(w, shape)) or 1.0
 
 
-def group_absmax_quantize(w, group_size: int = DEFAULT_GROUP_SIZE, q: int = 4) -> QuantizedTensor:
+def group_absmax_quantize(w, group_size: int = DEFAULT_GROUP_SIZE, q: int = 4,
+                          shape: tuple | None = None) -> QuantizedTensor:
     """AbsMax quantization with one scale per contiguous row-major group.
 
     Each group of ``group_size`` flattened elements gets scale = max|group|
     (1.0 for an all-zero group) and codes
     ``clamp(round(v * (2**(q-1) - 1) / scale))`` on the symmetric grid with
     2**(q-1) - 1 positive levels, so the group's extreme value is always
-    reconstructed exactly. Row blocks of whole groups are each widened to
-    float64, so an f32 ``w`` gives the codes of its float64 copy.
+    reconstructed exactly. ``w`` is a matrix or, given its ``shape``, a
+    function that makes its blocks (:func:`~slim.tensor._block_source`).
+    Row blocks of whole groups are each read as float64, so an f32 ``w``
+    gives the codes of its float64 copy.
 
     Raises:
         UnsupportedBitwidth: ``q`` outside [2, 8].
         ConfigInvalid: ``group_size`` < 1.
     """
-    arr = as_float_matrix(w, "w")
+    read, shape = _block_source(w, shape)
     q = _check_bits(q)
     if group_size < 1:
         raise ConfigInvalid(f"group_size must be >= 1, got {group_size}")
     qmax = (1 << (q - 1)) - 1
-    codes = np.empty(arr.shape, dtype=np.int8)
-    scales = np.empty(-(-arr.size // group_size))
-    for rows in row_blocks(arr, group_size):
-        v = arr[rows].astype(np.float64, order="C").reshape(-1)
-        start = rows.start * arr.shape[1]  # a multiple of group_size
+    codes = np.empty(shape, dtype=np.int8)
+    scales = np.empty(-(-(shape[0] * shape[1]) // group_size))
+    for rows in row_blocks(shape, group_size):
+        v = read(rows, slice(None)).reshape(-1)  # a copy unless the block is C-ordered
+        start = rows.start * shape[1]  # a multiple of group_size
         s = np.maximum.reduceat(np.abs(v), np.arange(0, v.size, group_size))
         s[s == 0.0] = 1.0
         scales[start // group_size: start // group_size + s.size] = s
@@ -419,17 +426,19 @@ def activation_aware_scale(
     stats: CalibrationStats,
     fraction: float = DEFAULT_SCALE_FRACTION,
     s: float = DEFAULT_SCALE_FACTOR,
-) -> tuple[np.ndarray, ChannelScaling]:
-    """Boost the most salient input channels of ``w`` before quantization.
+) -> ChannelScaling:
+    """Choose the most salient input channels of ``w`` to boost before
+    quantization.
 
     Saliency per input channel j is the product of the channel's mean
     absolute activation and the mean magnitude of weight row j, with both
-    factors normalized to unit maximum. The top ``ceil(fraction * d_in)``
-    channels have their weight rows multiplied by ``s``; the returned
-    :class:`ChannelScaling` tells inference to divide those activation
-    channels by ``s``, which restores the original product exactly.
-    The scaled weight is a new float64 array, the only weight-sized one
-    made here: the row means read ``w`` one widened row block at a time.
+    factors normalized to unit maximum. The returned :class:`ChannelScaling`
+    names the top ``ceil(fraction * d_in)`` channels and the factor ``s``:
+    the scaled weight has those rows multiplied by ``s``, and dividing the
+    rows again (or the matching activation channels) restores the original
+    product. No scaled weight is made here: readers apply the scaling to
+    one row block at a time (:func:`_scale_rows`), and the row means read
+    ``w`` one widened row block at a time.
 
     Raises:
         ShapeMismatch: ``stats.d_in`` differs from the weight row count.
@@ -454,14 +463,28 @@ def activation_aware_scale(
     saliency = act * wmag
     k = _scaled_channel_count(fraction, d_in)
     order = np.argsort(-saliency, kind="stable")
-    idx = np.sort(order[:k])
-    w_scaled = arr.astype(np.float64)
-    w_scaled[idx, :] *= s
-    return w_scaled, ChannelScaling(channel_indices=idx, factor=float(s))
+    return ChannelScaling(channel_indices=np.sort(order[:k]), factor=float(s))
+
+
+def _scale_rows(block: np.ndarray, scaling: ChannelScaling | None, rows: slice,
+                undo: bool = False) -> np.ndarray:
+    """Multiply (with ``undo``, divide) the boosted rows of ``block`` by the
+    scaling factor, in place, and return it. ``block`` holds the rows
+    ``rows`` (a slice of step 1) of a matrix whose rows ``scaling`` names;
+    ``None`` leaves it as it is. Each boosted entry gets the bits of the
+    same product or quotient taken over the whole matrix."""
+    if scaling is not None:
+        idx, start = scaling.channel_indices, rows.start or 0
+        hit = idx[(idx >= start) & (idx < start + len(block))] - start
+        block[hit] = (np.divide if undo else np.multiply)(block[hit], scaling.factor)
+    return block
 
 
 def compensate_activations(x: np.ndarray, scaling: ChannelScaling | None) -> np.ndarray:
-    """Divide the scaled channels of activations ``x`` by the scaling factor."""
+    """Divide the scaled channels of activations ``x`` by the scaling factor,
+    in a copy: times the scaled weight, the product that
+    :func:`~slim.pipeline.layer_output` makes from the weight's unscaled
+    blocks instead."""
     if scaling is None or scaling.channel_indices.size == 0:
         return x
     out = x.copy()

@@ -5,17 +5,18 @@ of finite floats. Arithmetic runs in float64; a compressed layer holds its
 scales, raw values and adapter factors at the f32 precision its artifact stores.
 
 The magnitude histogram and the quantizers (uniform and grouped AbsMax),
-the passes that touch every weight, read an f32 (or f16) source in row
-blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each
-widened to float64 before any arithmetic. They give the bits of the
-source's float64 copy without making that copy or any other whole-matrix
-temporary. Every blocked pass in the package (row blocks, mask blocks,
-artifact chunks, the product blocks of :data:`PRODUCT_ELEMENTS` and the
-adapter fit's blocks of :data:`GRAM_ELEMENTS`) takes its boundaries from
-one rule, :func:`_spans`. :func:`as_float_matrix` is the one check of a
-matrix (2-D, non-empty unless allowed, finite one row block at a time) and
-keeps a float source's buffer; :func:`as_matrix` widens its result to
-float64.
+the passes that touch every weight, read their source in row blocks of
+about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each a new
+float64 block (:func:`_block_source`): of an f32 (or f16) matrix, or made
+by a function such as the channel-scaled weight's reader. They give the
+bits of the source's float64 copy without making that copy or any other
+whole-matrix temporary. Every blocked pass in the package (row blocks,
+mask blocks, artifact chunks, the product blocks of
+:data:`PRODUCT_ELEMENTS` and the adapter fit's blocks of
+:data:`GRAM_ELEMENTS`) takes its boundaries from one rule, :func:`_spans`.
+:func:`as_float_matrix` is the one check of a matrix (2-D, non-empty
+unless allowed, finite one row block at a time) and keeps a float
+source's buffer; :func:`as_matrix` widens its result to float64.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ GRAM_SAFE_EXPONENT = 400
 BLOCK_ELEMENTS = 1 << 16
 
 # svd_truncated reads its matrix in blocks of about this many entries
-# (8 MiB as float64), once for each of its two passes. Measured on a 2:4,
-# rank-0.1 adapter compress with one BLAS thread: smaller blocks slow the
-# Gram sum, whose k x k product per block then sums fewer terms (2048x8192:
-# 5.3 s with 2**18, 3.9 s with 2**20), and larger ones raise the peak for
-# no time gained at k = 1024 (1024x4096: 32 MiB with 2**20, 40 with 2**21).
+# (8 MiB as float64), or k * k / 2 when that is more, once for each of its
+# two passes, so each block's k x k product sums at least k / 2 rows.
+# Measured on a 2:4, rank-0.1 adapter compress with one BLAS thread:
+# smaller blocks slow the Gram sum (2048x8192: 5.3 s with 2**18, 3.9 s
+# with 2**20, 3.6 s with 2**21 = k * k / 2), and larger ones raise the
+# peak for no time gained at k = 1024 (1024x4096: 32 MiB with 2**20, 40
+# with 2**21). Nothing changes up to k = 1448, where k * k / 2 reaches 2**20.
 GRAM_ELEMENTS = 1 << 20
 
 # Blocked matrix products (the error report's x @ D, the forward pass's
@@ -66,13 +69,14 @@ GRAM_ELEMENTS = 1 << 20
 PRODUCT_ELEMENTS = 1 << 22
 
 
-def row_blocks(arr: np.ndarray, align: int = 1):
-    """:func:`_spans` over the rows of a 2-D ``arr``: blocks of about
-    :data:`BLOCK_ELEMENTS` elements and at least one row. Blocks advance by
-    a multiple of ``align // gcd(cols, align)`` rows, so all but the last
-    hold a whole number of ``align``-element runs."""
-    cols = arr.shape[1]
-    return _spans(arr.shape[0], cols, unit=align // int(np.gcd(cols, align)))
+def row_blocks(arr, align: int = 1):
+    """:func:`_spans` over the rows of a 2-D ``arr`` (an array or its
+    shape): blocks of about :data:`BLOCK_ELEMENTS` elements and at least
+    one row. Blocks advance by a multiple of ``align // gcd(cols, align)``
+    rows, so all but the last hold a whole number of ``align``-element
+    runs."""
+    rows, cols = getattr(arr, "shape", arr)
+    return _spans(rows, cols, unit=align // int(np.gcd(cols, align)))
 
 
 def _spans(n: int, across: int = 1, elements: int | None = None, unit: int = 1):
@@ -121,6 +125,24 @@ def as_float_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.nd
         if not np.isfinite(arr[rows]).all():
             raise NonFinite(f"{name} contains NaN or Inf")
     return arr
+
+
+def _block_source(w, shape: tuple | None = None, name: str = "w"):
+    """``(read, shape)`` for a blocked pass, where ``read(rows, cols)``
+    makes the new float64 block ``w[rows, cols]`` that the pass may change
+    in place. ``w`` is a matrix, checked by :func:`as_float_matrix` and
+    widened a block at a time (an f32 block would divide in f32), or, given
+    its ``shape``, such a function itself, its source checked by the caller."""
+    if shape is not None:
+        return w, tuple(shape)
+    arr = as_float_matrix(w, name)
+    return (lambda rows, cols: arr[rows, cols].astype(np.float64, order="C")), arr.shape
+
+
+def _max_abs(read, shape: tuple) -> float:
+    """Largest magnitude of a block source, one row block at a time."""
+    blocks = (read(rows, slice(None)) for rows in row_blocks(shape))
+    return max((float(np.abs(b, out=b).max()) for b in blocks), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -173,14 +195,17 @@ def default_num_bins(num_elements: int) -> int:
     return max(MIN_BINS, min(num_elements // ELEMENTS_PER_BIN, MAX_BINS))
 
 
-def build_abs_histogram(w, num_bins: int | None = None) -> AbsHistogram:
+def build_abs_histogram(w, num_bins: int | None = None, shape: tuple | None = None) -> AbsHistogram:
     """Histogram the magnitudes of a matrix.
 
     Args:
-        w: Source matrix, 2-D with at least one element. A float source
-            is read in row blocks, each widened to float64.
+        w: Source matrix, 2-D with at least one element, or a function of
+            two slices that makes its new float64 blocks
+            (:func:`_block_source`). It is read twice in row blocks, for
+            the largest magnitude and for the counts.
         num_bins: Bin count; defaults to :func:`default_num_bins` of the
             element count.
+        shape: ``(rows, cols)`` of ``w`` when it is a function.
 
     Returns:
         An :class:`AbsHistogram` over [0, max|w|]. A magnitude of exactly
@@ -189,28 +214,29 @@ def build_abs_histogram(w, num_bins: int | None = None) -> AbsHistogram:
     Raises:
         EmptyTensor: If ``w`` has no elements.
     """
-    arr = as_float_matrix(w, "w")
+    read, shape = _block_source(w, shape)
+    size = shape[0] * shape[1]
     if num_bins is None:
-        num_bins = default_num_bins(arr.size)
+        num_bins = default_num_bins(size)
     if num_bins < 1:
         raise ShapeMismatch(f"num_bins must be >= 1, got {num_bins}")
-    max_abs = float(max(arr.max(), -arr.min()))
+    max_abs = _max_abs(read, shape)
     counts = np.zeros(num_bins, dtype=np.int64)
     if max_abs == 0.0:
-        counts[0] = arr.size
-        return AbsHistogram(0.0, num_bins, counts, arr.size)
+        counts[0] = size
+        return AbsHistogram(0.0, num_bins, counts, size)
     # Right-closed bins: bin k covers ((k * M / B), ((k+1) * M / B)] with
     # zero assigned to bin 0, so the maximum always lands in the last bin.
     per_unit = num_bins / max_abs
-    for rows in row_blocks(arr):
-        mags = arr[rows].astype(np.float64)
+    for rows in row_blocks(shape):
+        mags = read(rows, slice(None))
         np.abs(mags, out=mags)
         mags *= per_unit
         idx = np.ceil(mags, out=mags).astype(np.int64)
         idx -= 1
         np.clip(idx, 0, num_bins - 1, out=idx)
         counts += np.bincount(idx.ravel(), minlength=num_bins)
-    return AbsHistogram(max_abs, num_bins, counts, arr.size)
+    return AbsHistogram(max_abs, num_bins, counts, size)
 
 
 def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +250,12 @@ def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np
     non-negative.
 
     ``m`` is the matrix itself, or, given its ``shape``, a function that
-    returns the new float64 block ``m[rows, cols]`` for two slices (left
-    unchanged here), as :func:`~slim.prune.build_mask` takes its scores.
+    returns the new float64 block ``m[rows, cols]`` for two slices
+    (:func:`_block_source`), as :func:`~slim.prune.build_mask` takes its
+    scores.
     Either way ``m`` is read in two passes over blocks of about
-    :data:`GRAM_ELEMENTS` entries, row blocks of a tall or square ``m`` and
+    :data:`GRAM_ELEMENTS` entries (k * k / 2 when that is more,
+    k = min(rows, cols)), row blocks of a tall or square ``m`` and
     column blocks of a wide one, and no array of its size is made.
 
     Method: the top-r eigenvectors of the Gram matrix on the smaller side
@@ -255,9 +283,7 @@ def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np
         RankOutOfRange: If ``r`` is outside the valid range.
         NonFinite: If a matrix ``m`` has NaN/Inf entries.
     """
-    if shape is None:
-        arr = as_matrix(m, "m")
-        m, shape = (lambda rows, cols: arr[rows, cols]), arr.shape
+    m, shape = _block_source(m, shape, "m")
     rows, cols = shape
     if not (1 <= r <= min(rows, cols)):
         raise RankOutOfRange(f"rank {r} not in [1, {min(rows, cols)}]")
@@ -265,7 +291,7 @@ def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np
     long, k = (rows, cols) if tall else (cols, rows)
 
     def blocks():  # (span, block): row blocks of m, or of m.T when m is wide
-        for span in _spans(long, k, GRAM_ELEMENTS):
+        for span in _spans(long, k, max(GRAM_ELEMENTS, k * k // 2)):
             yield span, (m(span, everything) if tall else m(everything, span).T)
 
     # Pass 1: the Gram matrix and the largest magnitude. The Gram matrix

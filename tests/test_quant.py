@@ -22,7 +22,7 @@ from slim import (
     slimquant_search,
 )
 from slim import tensor
-from slim.quant import compensate_activations
+from slim.quant import _scale_rows, compensate_activations
 
 from oracles import (
     dense_grid_alpha,
@@ -307,7 +307,8 @@ class TestActivationAwareScale:
         w = rng.standard_normal((16, 8))
         x = rng.standard_normal((10, 16))
         st = stats_from(np.abs(x).mean(axis=0))
-        w_scaled, scaling = activation_aware_scale(w, st, fraction=1.0, s=2.0)
+        scaling = activation_aware_scale(w, st, fraction=1.0, s=2.0)
+        w_scaled = _scale_rows(w.copy(), scaling, slice(None))  # the whole weight as one block
         assert scaling.channel_indices.size == 16
         x_comp = compensate_activations(x, scaling)
         ref = x @ w
@@ -318,7 +319,7 @@ class TestActivationAwareScale:
         w = np.eye(8) * 0.01
         w[3, :] = 5.0
         st = stats_from(np.ones(8))
-        _, scaling = activation_aware_scale(w, st, fraction=0.01, s=2.0)
+        scaling = activation_aware_scale(w, st, fraction=0.01, s=2.0)
         assert scaling.channel_indices.tolist() == [3]
 
     def test_matches_brute_force_topk(self):
@@ -326,7 +327,7 @@ class TestActivationAwareScale:
         w = rng.standard_normal((64, 32))
         mean_abs = rng.uniform(0.1, 2.0, 64)
         st = stats_from(mean_abs)
-        _, scaling = activation_aware_scale(w, st, fraction=0.05, s=2.0)
+        scaling = activation_aware_scale(w, st, fraction=0.05, s=2.0)
         saliency = (mean_abs / mean_abs.max()) * (
             np.abs(w).mean(axis=1) / np.abs(w).mean(axis=1).max()
         )
@@ -338,8 +339,9 @@ class TestActivationAwareScale:
         rng = np.random.default_rng(22)
         w = rng.standard_normal((10, 4))
         st = stats_from(rng.uniform(0.5, 1.5, 10))
-        w_scaled, scaling = activation_aware_scale(w, st, fraction=0.2, s=3.0)
+        scaling = activation_aware_scale(w, st, fraction=0.2, s=3.0)
         idx = scaling.channel_indices
+        w_scaled = _scale_rows(w.copy(), scaling, slice(None))  # the whole weight as one block
         assert np.allclose(w_scaled[idx], 3.0 * w[idx])
         rest = np.setdiff1d(np.arange(10), idx)
         assert np.array_equal(w_scaled[rest], w[rest])

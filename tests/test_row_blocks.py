@@ -54,7 +54,7 @@ from slim import SlimError, pipeline, tensor
 from slim.artifact import layer_from_bytes, layer_to_bytes, layer_to_tensors
 from slim.pipeline import _dense, _quantize_weights
 from slim.prune import build_mask
-from slim.quant import _fp8_snap, compensate_activations
+from slim.quant import _fp8_snap, _scale_rows, compensate_activations
 from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, as_matrix, row_blocks
 
 from oracles import topk_column_mask
@@ -213,7 +213,8 @@ def assert_parity(w: np.ndarray, num_bins: int) -> None:
     assert absmax_alpha(w) == absmax_alpha(w64) == ref_alpha
     stats = compute_calibration([np.random.default_rng(w.shape[0]).normal(size=(4, w.shape[0]))])
     ref_w, ref_idx = reference_channel_scaling(w64, stats, 0.3, 2.0)
-    w_scaled, scaling = activation_aware_scale(w, stats, 0.3, 2.0)
+    scaling = activation_aware_scale(w, stats, 0.3, 2.0)
+    w_scaled = _scale_rows(w.astype(np.float64), scaling, slice(None))  # the whole matrix as one block
     assert w_scaled.dtype == np.float64 and not np.may_share_memory(w_scaled, w)
     assert np.array_equal(w_scaled.view(np.uint64), ref_w.view(np.uint64))
     assert np.array_equal(scaling.channel_indices, ref_idx)
@@ -262,7 +263,7 @@ class TestDtypeParity:
         # tie the two rows, and the tie goes to row 0 instead of row 1
         w = np.array([[1.0, 0.0], [1.0, 2.0**-24]], dtype=np.float32)
         stats = compute_calibration([np.ones((4, 2))])
-        _, scaling = activation_aware_scale(w, stats, 0.5, 2.0)
+        scaling = activation_aware_scale(w, stats, 0.5, 2.0)
         assert scaling.channel_indices.tolist() == [1]
 
     @pytest.mark.parametrize("dtype", ["float32", "float16"])
@@ -526,25 +527,37 @@ def reference_scores(stored, scaling, norms) -> np.ndarray:
     return scores
 
 
+def scaled_copy(w, scaling: ChannelScaling) -> np.ndarray:
+    """The whole float64 channel-scaled weight, made the way
+    activation_aware_scale once returned it."""
+    w_s = np.asarray(w).astype(np.float64)
+    w_s[scaling.channel_indices, :] *= scaling.factor
+    return w_s
+
+
 def reference_layer(w, stats, cfg: LayerCompressionConfig):
-    """compress_layer's earlier order: dequantize the whole quantized
-    weight, score and mask it, then fit the adapter to the masked copy.
-    Like compress_layer, it scores and fits the full-precision quantized
-    weight; only the finished layer is rounded to f32."""
+    """compress_layer's earlier order: quantize a whole channel-scaled copy
+    of the weight, dequantize the whole quantized weight, score and mask
+    it, then fit the adapter to the masked copy. Like compress_layer, it
+    scores and fits the full-precision quantized weight; only the finished
+    layer is rounded to f32."""
     w_s, scaling = w, None
     if cfg.scaling_enabled:
-        w_s, scaling = activation_aware_scale(w, stats, cfg.scale_fraction, cfg.scale_factor)
-    weights, alpha = _quantize_weights(w_s, cfg)
+        scaling = activation_aware_scale(w, stats, cfg.scale_fraction, cfg.scale_factor)
+        w_s = scaled_copy(w, scaling)
+    weights, alpha = _quantize_weights(w_s, None, cfg)
     w_c = _dense(weights, scaling)
-    norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
-    mask = build_mask(reference_scores(weights, scaling, norms), cfg.sparsity)
-    if isinstance(weights, QuantizedTensor):
-        stored = replace(weights, codes=apply_mask(weights.codes, mask))
-    else:
-        stored = apply_mask(weights, mask)
+    stored, mask = weights, None
+    if cfg.sparsity is not None:
+        norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
+        mask = build_mask(reference_scores(weights, scaling, norms), cfg.sparsity)
+        if isinstance(weights, QuantizedTensor):
+            stored = replace(weights, codes=apply_mask(weights.codes, mask))
+        else:
+            stored = apply_mask(weights, mask)
+        w_c = apply_mask(w_c, mask)
     adapter = None
     if cfg.adapter_method != "none":
-        w_c = apply_mask(w_c, mask)
         r = default_rank(*w_c.shape, cfg.effective_rank_ratio)
         if cfg.adapter_method == "slim":
             adapter = slim_lora(w, w_c, saliency_vector(stats), r)
@@ -778,6 +791,46 @@ class TestBlockedScoresAndMasks:
         assert layer_to_bytes(layer) == layer_to_bytes(ref)
         sal = saliency_vector(stats)
         assert error_report(w, layer, x, sal) == error_report(w, ref, x, sal)
+
+
+class TestScaledReader:
+    """The quantizers read the channel-scaled weight a row block at a time
+    from the source; each layer must give the bits of the layer quantized
+    from the whole scaled float64 copy."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=st.integers(1, 8).map(lambda n: 4 * n),
+        cols=st.integers(1, 24),
+        method=st.sampled_from(["absmax", "group_absmax", "slim_quant", "slim_quant_o", "none"]),
+        factor=st.sampled_from([2.0, 3.0]),
+        fraction=st.sampled_from([0.01, 0.3, 1.0]),
+        sparsity=st.sampled_from([None, "2:4", "unstructured:0.5"]),
+        dtype=st.sampled_from(["float32", "float64"]),
+        block=st.sampled_from([1, 7, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=12, cols=5, method="group_absmax", factor=3.0, fraction=0.3, sparsity="2:4",
+             dtype="float32", block=7, seed=0)
+    @example(rows=32, cols=3, method="none", factor=3.0, fraction=1.0, sparsity=None,
+             dtype="float64", block=1, seed=1)
+    def test_layer_matches_the_whole_scaled_copy(self, rows, cols, method, factor, fraction,
+                                                 sparsity, dtype, block, seed):
+        w = source("normal", (rows, cols), dtype, seed)
+        w_before = w.copy()
+        x = np.random.default_rng(seed).normal(size=(6, rows))
+        stats = compute_calibration([x])
+        cfg = LayerCompressionConfig(
+            quant_method=method, group_size=3, channel_scaling=True, scale_factor=factor,
+            scale_fraction=fraction, prune_scores="magnitude",
+            sparsity=None if sparsity is None else SparsityPattern.parse(sparsity),
+        )
+        ref = reference_layer(w, stats, cfg)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            layer = compress_layer(w, stats, cfg)
+        assert layer_to_bytes(layer) == layer_to_bytes(ref)
+        assert layer.provenance == ref.provenance
+        assert w.tobytes() == w_before.tobytes()  # the source is left as it was
 
 
 def reference_weight_space(w, layer, sal) -> dict:
@@ -1145,11 +1198,26 @@ class TestMemory:
         _, peak = traced_peak(lambda: absmax_alpha(w))
         assert peak < BLOCK_BOUND
 
-    def test_channel_scaling_peak_is_the_float64_weight_plus_a_block_bound(self):
+    def test_channel_scaling_peak_is_a_block_bound(self):
         w = source("normal", (1024, 2048), "float32", 15)
         stats = compute_calibration([np.random.default_rng(16).normal(size=(8, 1024))])
         _, peak = traced_peak(lambda: activation_aware_scale(w, stats))
-        assert peak <= w.size * 8 + BLOCK_BOUND
+        # the row means, one widened block at a time; no scaled copy
+        assert peak <= BLOCK_BOUND
+
+    @pytest.mark.parametrize("method", ["slim_quant_o", "absmax", "group_absmax"])
+    def test_compress_layer_f32_scaled_holds_no_float64_weight(self, method):
+        # slim-o on its own, and scaling forced on the two AbsMax quantizers:
+        # the quantizer reads the scaled weight a row block at a time, so
+        # the peak is an unscaled layer's; a scaled float64 copy (8 bytes
+        # an entry) fails
+        w = source("normal", (1024, 4096), "float32", 36)
+        stats = compute_calibration([np.random.default_rng(37).normal(size=(16, 1024))])
+        cfg = LayerCompressionConfig(quant_method=method, channel_scaling=True,
+                                     sparsity=SparsityPattern.semistructured(2, 4),
+                                     prune_scores="magnitude")
+        _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
+        assert peak <= 3 * w.size + BLOCK_BOUND
 
     @staticmethod
     def product_case(adapter: str = "none", shape: tuple = (2048, 4096)):

@@ -262,10 +262,11 @@ class TestSvdTruncatedBlocks:
             blocked = svd_truncated(block_source(m, seen), r, m.shape)
         assert np.array_equal(left, blocked[0]) and np.array_equal(right, blocked[1])
         # row blocks of a tall or square m, column blocks of a wide one,
-        # each of about `block` entries (at least one row or column)
+        # each of about `block` entries, or k * k / 2 when that is more
+        # (at least one row or column)
         long = 0 if cols <= rows else 1
         assert all(shape[1 - long] == k for shape in seen)
-        assert all(shape[long] <= max(1, block // k) for shape in seen)
+        assert all(shape[long] <= max(1, max(block, k * k // 2) // k) for shape in seen)
         assert_canonical(left, right, m.shape, r)
         resid, energy = np.linalg.norm(m - left @ right), np.linalg.norm(m) ** 2
         if r < rank:
@@ -278,6 +279,21 @@ class TestSvdTruncatedBlocks:
             # the optimum is 0, which the oracle reports with rounding noise
             # of about 1e-8 of the norm: bounded against the norm instead
             assert resid <= 1e-10 * np.sqrt(energy)
+
+    @pytest.mark.parametrize("shape", [(64, 16), (16, 64)])
+    def test_blocks_sum_at_least_half_of_k_rows(self, shape):
+        # k = 16 and GRAM_ELEMENTS below k * k / 2 = 128 entries: each block
+        # holds 8 rows (columns of a wide m) of the 64, whatever the budget
+        m = np.random.default_rng(14).standard_normal(shape)
+        for budget in (1, 100):
+            seen = []
+            with mock.patch.object(tensor, "GRAM_ELEMENTS", budget):
+                blocked = svd_truncated(block_source(m, seen), 3, shape)
+            long = 0 if shape[1] <= shape[0] else 1
+            assert [b[long] for b in seen] == [8] * 16  # two passes of 8 blocks
+            whole = svd_truncated(m, 3)
+            np.testing.assert_allclose(blocked[0] @ blocked[1], whole[0] @ whole[1],
+                                       rtol=0, atol=1e-12 * np.abs(m).max())
 
     @pytest.mark.parametrize("shape", [(50, 7), (7, 50), (12, 12)])
     @pytest.mark.parametrize("exponent", [600, -600])

@@ -12,7 +12,10 @@ and ``RuntimeWarning`` raised as an error. The matrix crosses six shapes
 sums its Gram matrix over several row blocks), f32 and f64 weights, the five
 quant methods, no / unstructured 0.5 / 2:4 sparsity (the pruned ones scored
 both by wanda and by magnitude) and four adapters (none, naive, slim,
-4-bit slim).
+4-bit slim). On the four small shapes it also crosses channel scaling
+forced on for absmax, group_absmax, slim_quant and none (factors 2.0 and
+3.0), and slim_quant_o with factor 3.0, with the same dtypes, sparsities
+and adapters; these cases follow the others.
 
 Each case records four fields:
 
@@ -56,13 +59,22 @@ QUANT = ["absmax", "group_absmax", "slim_quant", "slim_quant_o", "none"]
 SPARSITY = [(None, "wanda"), ("unstructured:0.5", "wanda"), ("unstructured:0.5", "magnitude"),
             ("2:4", "wanda"), ("2:4", "magnitude")]
 ADAPTERS = [("none", False), ("naive", False), ("slim", False), ("slim", True)]
+# (quant method, (channel_scaling, scale_factor)): the default, then the
+# scaled cases of the small shapes
+DEFAULT_SCALING = (None, 2.0)
+SCALED = [(q, (True, f)) for q in ("absmax", "group_absmax", "slim_quant", "none") for f in (2.0, 3.0)]
+SCALED.append(("slim_quant_o", (None, 3.0)))
 # 96 tokens split R = x_eval @ D of the 4100-wide shape into two column
 # chunks; 4100x264 sums its adapter's Gram matrix over two row blocks
 TOKENS = 96
 
 
 def cases():
-    return list(itertools.product(SHAPES, DTYPES, QUANT, SPARSITY, ADAPTERS))
+    plain = [(shape, dtype, quant, sparsity, adapter, DEFAULT_SCALING) for shape, dtype, quant, sparsity, adapter
+             in itertools.product(SHAPES, DTYPES, QUANT, SPARSITY, ADAPTERS)]
+    scaled = [(shape, dtype, quant, sparsity, adapter, scaling) for shape, dtype, (quant, scaling), sparsity, adapter
+              in itertools.product(SHAPES[:4], DTYPES, SCALED, SPARSITY, ADAPTERS)]
+    return plain + scaled
 
 
 def _encode(payload: bytes) -> str:
@@ -100,7 +112,7 @@ def _largest_relative(pairs) -> float:
 
 
 def run_case(slim, index: int, case) -> dict:
-    (shape, dtype, quant, (sparsity, scores), (adapter, quantized)) = case
+    (shape, dtype, quant, (sparsity, scores), (adapter, quantized), (scaled, factor)) = case
     rng = np.random.default_rng(index)
     w = rng.standard_normal(shape).astype(dtype)
     x = rng.standard_normal((TOKENS, shape[0]))
@@ -108,7 +120,7 @@ def run_case(slim, index: int, case) -> dict:
     cfg = slim.LayerCompressionConfig(
         quant_method=quant, sparsity=None if sparsity is None else slim.SparsityPattern.parse(sparsity),
         prune_scores=scores, adapter_method=adapter, quantize_adapters=quantized,
-        rank_ratio=None if adapter == "none" else 0.1,
+        rank_ratio=None if adapter == "none" else 0.1, channel_scaling=scaled, scale_factor=factor,
     )
     layer = slim.compress_layer(w, stats, cfg)
     payload = slim.artifact.layer_to_bytes(layer)
