@@ -258,6 +258,10 @@ def cmd_calib(args) -> int:
 
 def cmd_gen_fixture(args) -> int:
     rows, cols = _parse_shape(args.shape)
+    if not (np.isfinite(args.scale) and args.scale > 0):
+        raise UsageError(f"--scale must be finite and > 0, got {args.scale}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     size = (rows, cols)
     if args.dist == "gaussian":
@@ -273,7 +277,11 @@ def cmd_gen_fixture(args) -> int:
             rng.normal(0.0, 10.0 * args.scale, size),
             rng.normal(0.0, args.scale, size),
         )
-    write_container(args.out, {args.name: data.astype(np.float32)})
+    with np.errstate(over="ignore"):  # past f32's range rounds to inf, refused below
+        data = data.astype(np.float32)
+    if not np.isfinite(data).all():
+        raise UsageError(f"--scale {args.scale} puts values past the float32 range")
+    write_container(args.out, {args.name: data})
     print(f"{args.dist} {rows}x{cols} seed={args.seed} -> {args.out}")
     return EXIT_OK
 

@@ -166,7 +166,7 @@ def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
 def _weighted_fit(difference, shape: tuple, x: SaliencyVector, r: int) -> LowRankAdapter:
     """:func:`slim_lora` of the error ``w - w_c`` whose ``[rows, cols]``
     block ``difference(rows, cols)`` returns as a new float64 array (which
-    is weighted in place)."""
+    is weighted in place), as :func:`~slim.pipeline._residual` does."""
     xv = x.values[:, None]
 
     def weighted(rows: slice, cols: slice) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -201,6 +202,19 @@ def _dense(
     return _scale_rows(w, scaling, rows, undo=True)
 
 
+def _residual(w0: np.ndarray, weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None,
+              adapter: LowRankAdapter | None, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+    """The ``[rows, cols]`` block of ``w0 - (w_c + left @ right)`` in a new
+    float64 array: ``w_c`` the stored weight in the caller's coordinates
+    (:func:`_dense`), with no adapter term when ``adapter`` is None. An f32
+    ``w0`` widens element by element; ``left[rows] @ right[:, cols]`` may
+    round apart from the same block of ``left @ right`` in the last place."""
+    e = _dense(weights, scaling, rows, cols)
+    if adapter is not None:
+        e += adapter.left[rows] @ adapter.right[:, cols]
+    return np.subtract(w0[rows, cols], e, out=e)
+
+
 def _at_f32(part: QuantizedTensor | np.ndarray, name: str) -> QuantizedTensor | np.ndarray:
     """``part`` with its scales, or its raw values, rounded to f32 and held
     as float64; a coded part whose scales the rounding leaves alone comes
@@ -363,9 +377,9 @@ def compress_layer(
     time (:func:`~slim.prune.build_mask`), each block's scores made from
     the codes with the arithmetic of the dequantized weight in the
     caller's coordinates. The adapter fit reads the weighted error a block
-    at a time (:func:`~slim.tensor.svd_truncated`), each block made from
-    the pruned codes, the channel scaling, ``w`` and the saliency with the
-    arithmetic of :func:`~slim.lora.slim_lora` on the dequantized weight.
+    at a time (:func:`~slim.tensor.svd_truncated`), each block the residual
+    ``w - w_c`` of :func:`_residual` (no adapter yet) times the saliency:
+    the arithmetic of :func:`~slim.lora.slim_lora` on the dequantized weight.
 
     Args:
         w: Weight matrix, input channels as rows.
@@ -416,10 +430,7 @@ def compress_layer(
         r = default_rank(d_in, d_out, cfg.effective_rank_ratio)
         x = saliency_vector(stats) if cfg.adapter_method == "slim" else SaliencyVector.constant(d_in)
 
-        def error(rows: slice, cols: slice) -> np.ndarray:  # w - w_c, a block
-            e = _dense(stored, scaling, rows, cols)  # the pruned weight, caller coordinates
-            return np.subtract(w0[rows, cols], e, out=e)  # an f32 w0 widens element by element
-
+        error = partial(_residual, w0, stored, scaling, None)  # w - w_c, a block
         adapter = _weighted_fit(error, (d_in, d_out), x, r)
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
@@ -474,18 +485,13 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     return y
 
 
-def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray, add: bool = True) -> None:
-    """``out += x @ m`` (``out[...] = x @ m`` unless ``add``), a chunk of
-    about :data:`~slim.tensor.PRODUCT_ELEMENTS` ``// 16`` entries of
-    ``out``'s columns at a time; the bits may differ from the whole
-    product's in the last place. A sum makes one chunk-sized temporary and
-    no temporary the size of ``out``; an assignment writes each chunk's
-    product straight into ``out``, with the values of adding it to zeros."""
+def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray) -> None:
+    """``out += x @ m``, a chunk of about :data:`~slim.tensor.PRODUCT_ELEMENTS`
+    ``// 16`` entries of ``out``'s columns at a time, with one chunk-sized
+    temporary and none the size of ``out``; the bits may differ from the
+    whole product's in the last place."""
     for cols in _spans(out.shape[1], out.shape[0], tensor.PRODUCT_ELEMENTS // 16):
-        if add:
-            out[:, cols] += x @ m[:, cols]
-        else:
-            np.matmul(x, m[:, cols], out=out[:, cols])
+        out[:, cols] += x @ m[:, cols]
 
 
 def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np.ndarray:
@@ -499,32 +505,6 @@ def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np
 
 def _mean_square(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, a) / a.size)
-
-
-def _difference_row_squares(w0: np.ndarray, layer: CompressedLayer, span: slice = slice(None),
-                            out: np.ndarray | None = None) -> np.ndarray:
-    """Row sums of ``D**2`` for ``D = corrected_weight - w0`` over the rows
-    ``span`` (all of them by default, else a whole number of row blocks from
-    a block boundary), each row block of :func:`~slim.tensor.row_blocks`
-    made on its own; with ``out`` (error_report's product block, as many
-    rows as the span), the blocks are also written into it. Without an adapter
-    a block holds the bits of the same rows of the whole-matrix D; with
-    one, ``left[rows] @ right`` may round apart from the rows of
-    ``left @ right`` in the last place."""
-    a = layer.adapter
-    part = w0[span]
-    first = span.start or 0
-    sq = np.empty(part.shape[0])
-    for at in row_blocks(part):
-        rows = slice(first + at.start, first + at.stop)
-        d = _dense(layer.weights, layer.channel_scaling, rows)
-        if a is not None:
-            d += a.left[rows] @ a.right
-        d -= part[at]  # an f32 w0 widens element by element: the bits of its float64 copy
-        sq[at] = np.einsum("ij,ij->i", d, d)
-        if out is not None:
-            out[at] = d
-    return sq
 
 
 def _weight_space(sq_rows: np.ndarray, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
@@ -542,13 +522,17 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
 
     Returns ``weight_mse``, ``weighted_weight_mse``, ``density`` and
     ``effective_bits_per_weight``, computed exactly as :func:`error_report`
-    computes them, from one row block of the difference at a time.
+    computes them, from one row block of the residual at a time.
 
     Raises:
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
     w0 = _checked_weight(w, layer, x_saliency)
-    return _weight_space(_difference_row_squares(w0, layer), layer, x_saliency)
+    sq = np.empty(w0.shape[0])
+    for rows in row_blocks(w0):
+        e = _residual(w0, layer.weights, layer.channel_scaling, layer.adapter, rows)
+        sq[rows] = np.einsum("ij,ij->i", e, e)
+    return _weight_space(sq, layer, x_saliency)
 
 
 def error_report(
@@ -560,23 +544,23 @@ def error_report(
     """Compare a compressed layer against the original weight.
 
     Every field but ``density`` and ``effective_bits_per_weight`` comes
-    from one difference ``D = corrected_weight - w``. ``weight_mse`` is the
-    mean of ``D**2``; ``weighted_weight_mse`` scales each input row of D by
-    ``x_saliency`` first. ``output_mse`` is the mean of ``R**2`` for
-    ``R = x_eval @ D``, the per-element squared difference between
-    ``x_eval @ W_reconstructed`` and ``x_eval @ w``.
-    ``output_mse_no_adapter`` drops the adapter term from R, as
-    ``R - (x_eval @ left) @ right``; without an adapter it equals
+    from one residual ``E = w - corrected_weight`` (:func:`_residual`).
+    ``weight_mse`` is the mean of ``E**2``; ``weighted_weight_mse`` scales
+    each input row of E by ``x_saliency`` first. ``output_mse`` is the mean
+    of ``R**2`` for ``R = x_eval @ E``, the per-element squared difference
+    between ``x_eval @ w`` and ``x_eval @ W_reconstructed``.
+    ``output_mse_no_adapter`` puts the adapter term back into R, as
+    ``R + (x_eval @ left) @ right``; without an adapter it equals
     ``output_mse``. The layer's arrays are left as they were.
 
-    No array the size of the weight is made. D is made one row block at a
+    No array the size of the weight is made. E is made one row block at a
     time, as :func:`weight_space_report` makes it (so the weight fields
-    have its bits), into one product block: a run of D's rows of about
+    have its bits), into one product block: a run of E's rows of about
     :data:`~slim.tensor.PRODUCT_ELEMENTS` entries. Each run's product with
-    its columns of ``x_eval`` (only those widened to float64) is written
-    (the first run) or added (the others) into R a chunk of R's columns at
-    a time, and ``x_eval @ left`` is summed the same way, so the output
-    fields differ from the whole product's in the last places.
+    its columns of ``x_eval`` (only those widened to float64) is added
+    into R, which starts at zeros, a chunk of R's columns at a time, and
+    ``x_eval @ left`` is summed the same way, so the output fields differ
+    from the whole product's in the last places.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -590,21 +574,24 @@ def error_report(
     a = layer.adapter
     per_block = next(row_blocks(w0)).stop  # the rows of weight_space_report's blocks
     runs = list(_spans(d_in, d_out, tensor.PRODUCT_ELEMENTS, unit=per_block))
-    block = np.empty((min(d_in, runs[0].stop), d_out))  # one run of D's rows
+    block = np.empty((min(d_in, runs[0].stop), d_out))  # one run of E's rows
     sq = np.empty(d_in)
-    r = np.empty((xe.shape[0], d_out))  # the first run's product is written into it
+    r = np.zeros((xe.shape[0], d_out))
     xl = None if a is None else np.zeros((xe.shape[0], a.rank))  # x_eval @ left
     for run in runs:
         xp = xe[:, run].astype(np.float64, copy=False)  # a float64 x_eval is read in place
-        d = block[: xp.shape[1]]
-        sq[run] = _difference_row_squares(w0, layer, run, out=d)
-        _add_product(r, xp, d, add=run.start > 0)
+        e = block[: xp.shape[1]]
+        for at in row_blocks(e):  # weight_space_report's blocks, as the run starts on one
+            rows = slice(run.start + at.start, run.start + at.stop)
+            e[at] = _residual(w0, layer.weights, layer.channel_scaling, a, rows)
+            sq[rows] = np.einsum("ij,ij->i", e[at], e[at])
+        _add_product(r, xp, e)
         if a is not None:
             xl += xp @ a.left[run]
     output_mse = _mean_square(r)
     no_adapter = output_mse
     if a is not None:
-        _add_product(r, -xl, a.right)
+        _add_product(r, xl, a.right)
         no_adapter = _mean_square(r)
     return ErrorReport(
         output_mse=output_mse,

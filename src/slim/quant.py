@@ -147,9 +147,9 @@ class QuantizedTensor:
 class ChannelScaling:
     """Record of which input channels were boosted before quantization.
 
-    Inference compensates by dividing the matching activation channels by
-    ``factor``, so the scaled weight times compensated activations equals
-    the original product exactly.
+    Inference divides the boosted rows of each stored weight block by
+    ``factor`` again (:func:`_scale_rows`), so the activations are used as
+    they are.
     """
 
     channel_indices: np.ndarray
@@ -478,18 +478,6 @@ def _scale_rows(block: np.ndarray, scaling: ChannelScaling | None, rows: slice,
         hit = idx[(idx >= start) & (idx < start + len(block))] - start
         block[hit] = (np.divide if undo else np.multiply)(block[hit], scaling.factor)
     return block
-
-
-def compensate_activations(x: np.ndarray, scaling: ChannelScaling | None) -> np.ndarray:
-    """Divide the scaled channels of activations ``x`` by the scaling factor,
-    in a copy: times the scaled weight, the product that
-    :func:`~slim.pipeline.layer_output` makes from the weight's unscaled
-    blocks instead."""
-    if scaling is None or scaling.channel_indices.size == 0:
-        return x
-    out = x.copy()
-    out[:, scaling.channel_indices] /= scaling.factor
-    return out
 
 
 def _fp8_snap(x: np.ndarray, fmt: Fp8Format) -> np.ndarray:

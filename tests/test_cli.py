@@ -108,13 +108,21 @@ class TestGenFixture:
         outliers = np.mean(np.abs(w) > 4.0)
         assert 0.02 < outliers < 0.15
 
-    def test_bad_shape_usage_error(self, tmp_path, capsys):
-        code, _, err = run(capsys, "gen-fixture", "--dist", "gaussian",
-                           "--shape", "16", "--out", str(tmp_path / "x.slim"))
-        assert code == 1
-        code, _, _ = run(capsys, "gen-fixture", "--dist", "gaussian",
-                         "--shape", "0x4", "--out", str(tmp_path / "x.slim"))
-        assert code == 1
+    @pytest.mark.parametrize("argv", [
+        ("--dist", "gaussian", "--shape", "16"),
+        ("--dist", "gaussian", "--shape", "0x4"),
+        ("--dist", "gaussian", "--shape", "4x4", "--scale", "inf"),
+        ("--dist", "gaussian", "--shape", "4x4", "--scale", "nan"),
+        ("--dist", "laplace", "--shape", "4x4", "--scale", "-1"),
+        ("--dist", "two-point", "--shape", "4x4", "--scale", "0"),
+        ("--dist", "gaussian", "--shape", "4x4", "--seed", "-3"),
+        ("--dist", "mixture", "--shape", "64x64", "--scale", "1e38"),  # finite, not as f32
+    ], ids=" ".join)
+    def test_bad_shape_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.slim"
+        code, _, err = run(capsys, "gen-fixture", *argv, "--out", str(out))
+        assert code == 1 and err.startswith("error: ")
+        assert not out.exists()
 
     def test_unknown_dist_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen-fixture", "--dist", "cauchy",

@@ -22,7 +22,7 @@ from slim import (
     slimquant_search,
 )
 from slim import tensor
-from slim.quant import _scale_rows, compensate_activations
+from slim.quant import _scale_rows
 
 from oracles import (
     dense_grid_alpha,
@@ -30,6 +30,14 @@ from oracles import (
     per_element_quant_mse,
     symmetric_dequant,
 )
+
+
+def compensate_activations(x: np.ndarray, scaling) -> np.ndarray:
+    """Activations with the scaled channels divided by the factor, in a copy:
+    times the scaled weight, the product of ``x`` and the unscaled weight."""
+    out = x.copy()
+    out[:, scaling.channel_indices] /= scaling.factor
+    return out
 
 
 def stats_from(mean_abs, l2_norm=None, tokens=10):

@@ -26,6 +26,7 @@ from slim import (
     ChannelScaling,
     CompressedLayer,
     LayerCompressionConfig,
+    LowRankAdapter,
     NonFinite,
     Provenance,
     QuantizedTensor,
@@ -52,9 +53,9 @@ from slim import (
 )
 from slim import SlimError, pipeline, tensor
 from slim.artifact import layer_from_bytes, layer_to_bytes, layer_to_tensors
-from slim.pipeline import _dense, _quantize_weights
+from slim.pipeline import _dense, _quantize_weights, _residual
 from slim.prune import build_mask
-from slim.quant import _fp8_snap, _scale_rows, compensate_activations
+from slim.quant import _fp8_snap, _scale_rows
 from slim.tensor import BLOCK_ELEMENTS, as_float_matrix, as_matrix, row_blocks
 
 from oracles import topk_column_mask
@@ -535,6 +536,17 @@ def scaled_copy(w, scaling: ChannelScaling) -> np.ndarray:
     return w_s
 
 
+def compensate_activations(x: np.ndarray, scaling: ChannelScaling | None) -> np.ndarray:
+    """Activations with the scaled channels divided by the factor, in a copy
+    (``x`` itself without scaling): times the stored weight, the product that
+    layer_output makes from the weight's unscaled blocks."""
+    if scaling is None:
+        return x
+    out = x.copy()
+    out[:, scaling.channel_indices] /= scaling.factor
+    return out
+
+
 def reference_layer(w, stats, cfg: LayerCompressionConfig):
     """compress_layer's earlier order: quantize a whole channel-scaled copy
     of the weight, dequantize the whole quantized weight, score and mask
@@ -639,18 +651,19 @@ class TestSpans:
         run = max(1, product // (cols * step)) * step  # the formula of the runs of row blocks
         w = source("normal", (rows, cols), "float64", 3)
         layer = compress_layer(w, None, LayerCompressionConfig(quant_method="absmax"))
-        spans = []
-        real = pipeline._difference_row_squares
+        heights = []  # the rows of each run's residual, added into R in turn
+        real = pipeline._add_product
 
-        def recording(w0, layer, span=slice(None), out=None):
-            spans.append(span)
-            return real(w0, layer, span, out)
+        def recording(out, x, m):
+            heights.append(m.shape[0])
+            real(out, x, m)
 
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
                 mock.patch.object(tensor, "PRODUCT_ELEMENTS", product), \
-                mock.patch.object(pipeline, "_difference_row_squares", recording):
+                mock.patch.object(pipeline, "_add_product", recording):
             error_report(w, layer, np.ones((2, rows)), saliency_vector(compute_calibration([w.T])))
-        assert [s.start for s in spans] == list(range(0, rows, run))
+        assert sum(heights) == rows
+        assert [sum(heights[:i]) for i in range(len(heights))] == list(range(0, rows, run))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -702,6 +715,10 @@ class TestBlockedScoresAndMasks:
         whole = _dense(stored, scaling)  # one block: no shape here reaches 2**16 entries
         r0, c0 = rng.integers(0, rows), rng.integers(0, cols)
         r1, c1 = rng.integers(r0 + 1, rows + 1), rng.integers(c0 + 1, cols + 1)
+        w0 = rng.normal(size=(rows, cols)).astype(("float32", "float64")[seed % 2])
+        k = min(rows, cols, 3)
+        adapter = LowRankAdapter(rng.normal(size=(rows, k)), rng.normal(size=(k, cols)))
+        correction = adapter.left @ adapter.right
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
             for block_rows, block_cols in [(slice(None), slice(None)), (slice(r0, r1), slice(None)),
                                            (slice(None), slice(c0, c1)), (slice(r0, r1), slice(c0, c1))]:
@@ -709,6 +726,16 @@ class TestBlockedScoresAndMasks:
                 ref = whole[block_rows, block_cols]
                 assert got.dtype == np.float64 and got.shape == ref.shape
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+                # the residual w0 - w_c: the bits of the whole one's block
+                got = _residual(w0, stored, scaling, None, block_rows, block_cols)
+                ref = (w0 - whole)[block_rows, block_cols]
+                assert got.dtype == np.float64 and got.shape == ref.shape
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+                # w0 - (w_c + left @ right): left[rows] @ right[:, cols] may round apart
+                got = _residual(w0, stored, scaling, adapter, block_rows, block_cols)
+                ref = (w0 - (whole + correction))[block_rows, block_cols]
+                np.testing.assert_allclose(got, ref, rtol=0.0,
+                                           atol=ADAPTER_REPORT_RTOL * np.abs(correction).max())
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("scores", ["wanda", "magnitude"])
