@@ -33,7 +33,7 @@ from .pipeline import (
 )
 from .prune import SparsityPattern
 from .quant import estimate_error, slimquant_search
-from .container import _read_shapes, read_container, write_container
+from .container import _read_shapes, _tensor_source, read_container, write_container
 from .tensor import build_abs_histogram
 
 logger = logging.getLogger(__name__)
@@ -91,20 +91,15 @@ def _parse_shape(text: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _single_tensor(path, prefer: str | None = None) -> np.ndarray:
-    """The tensor ``prefer`` of the container at ``path``, reading no other;
-    without ``prefer``, the container's only tensor not named ``__*``."""
+def _tensor_name(path, prefer: str | None = None) -> str:
+    """``prefer``, or without it the only tensor not named ``__*`` of the
+    container at ``path``, found from its header alone."""
     if prefer is not None:
-        tensors = read_container(path, [prefer])
-        if prefer not in tensors:
-            raise SlimError(f"{path} has no tensor named {prefer!r}")
-        return tensors[prefer]
-    named = {k: v for k, v in read_container(path).items() if not k.startswith("__")}
+        return prefer
+    named = [n for n in _read_shapes(path) if not n.startswith("__")]
     if len(named) != 1:
-        raise SlimError(
-            f"{path} holds {len(named)} tensors; pass --tensor to pick one"
-        )
-    return next(iter(named.values()))
+        raise SlimError(f"{path} holds {len(named)} tensors; pass --tensor to pick one")
+    return named[0]
 
 
 def _build_compress_config(args) -> LayerCompressionConfig:
@@ -146,22 +141,22 @@ def cmd_compress(args) -> int:
     report: dict[str, dict] = {}
     written: list[Path] = []
     try:
-        for name in shapes:  # one tensor resident at a time
+        for name in shapes:  # one tensor at a time, read from the file a block at a time
             try:
-                w = read_container(args.weights, [name])[name]
-                layer = compress_layer(w, stats, cfg)  # the layer its artifact decodes to
-                path = out_stem.parent / f"{out_stem.name}.{name}.slim"
-                written.append(path)
-                write_container(path, layer_to_tensors(layer))
-                entry = weight_space_report(
-                    w, layer, sal if sal is not None else SaliencyVector.constant(layer.shape[0]),
-                )
+                with _tensor_source(args.weights, name) as (w, shape):
+                    layer = compress_layer(w, stats, cfg, shape)  # the layer its artifact decodes to
+                    path = out_stem.parent / f"{out_stem.name}.{name}.slim"
+                    written.append(path)
+                    write_container(path, layer_to_tensors(layer))
+                    entry = weight_space_report(
+                        w, layer, sal if sal is not None else SaliencyVector.constant(shape[0]), shape,
+                    )
             except SlimError as exc:
                 raise type(exc)(f"tensor {name!r}: {exc}") from exc
             entry["alpha"] = layer.provenance.alpha
             entry["artifact"] = str(path)
             report[name] = entry
-            del w, layer  # free both before the next tensor is read
+            del layer  # freed before the next tensor is compressed
         if args.report is not None:
             Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
             logger.info("report written to %s", args.report)
@@ -180,11 +175,12 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    w = _single_tensor(args.original, args.tensor)
-    layer = deserialize_compressed_layer(args.compressed)
-    x_eval = _single_tensor(args.inputs)
-    sal = saliency_vector(compute_calibration([x_eval]))
-    rep = error_report(w, layer, x_eval, sal)
+    with _tensor_source(args.original, _tensor_name(args.original, args.tensor)) as (w, shape):
+        layer = deserialize_compressed_layer(args.compressed)
+        name = _tensor_name(args.inputs)
+        x_eval = read_container(args.inputs, [name])[name]  # the activations, read whole
+        sal = saliency_vector(compute_calibration([x_eval]))
+        rep = error_report(w, layer, x_eval, sal, shape)
     if args.report is not None:
         Path(args.report).write_text(rep.to_json())
     print(
@@ -225,8 +221,8 @@ def cmd_budget(args) -> int:
 def cmd_oracle_alpha(args) -> int:
     if args.grid_points < 100:
         raise UsageError(f"--grid-points must be >= 100, got {args.grid_points}")
-    w = _single_tensor(args.weights, args.tensor)
-    hist = build_abs_histogram(w, args.bins)
+    with _tensor_source(args.weights, _tensor_name(args.weights, args.tensor)) as (w, shape):
+        hist = build_abs_histogram(w, args.bins, shape)
     m = hist.max_abs
     if m == 0.0:
         dense_alpha, dense_err = 1.0, 0.0
@@ -257,6 +253,8 @@ def cmd_calib(args) -> int:
 
 
 def cmd_gen_fixture(args) -> int:
+    if not args.name or args.name.startswith("__"):  # readers take "__*" for metadata
+        raise UsageError(f"--name must be non-empty and not start with '__', got {args.name!r}")
     rows, cols = _parse_shape(args.shape)
     if not (np.isfinite(args.scale) and args.scale > 0):
         raise UsageError(f"--scale must be finite and > 0, got {args.scale}")

@@ -22,6 +22,11 @@ header entry, then reads only the tensors it was asked for, each straight
 into its own array. Files and bytes in memory share one writer, which
 streams each tensor from its own buffer, and one reader.
 
+A weight need not be read whole: :func:`_tensor_source` opens one 2-D
+tensor of a file as a block source (:func:`~slim.tensor._block_source`)
+that reads each block from the file as it is asked for: whole rows in one
+read, a block of columns one row's span at a time.
+
 The header, the JSON records stored alongside the tensors (artifact and
 calibration metadata) and architecture files are parsed by
 :func:`_parse_json` and read with :func:`_from_fields`, which accepts
@@ -35,6 +40,7 @@ import io
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -43,8 +49,11 @@ import numpy as np
 from .errors import (
     BadMagic,
     CorruptHeader,
+    EmptyTensor,
     IoError,
+    NonFinite,
     SchemaViolation,
+    ShapeMismatch,
     TruncatedData,
     UnsupportedVersion,
 )
@@ -343,3 +352,59 @@ def _reading(path, read):
             return read(f)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def _tensor_source(path, name: str):
+    """``(read, shape)`` of the 2-D tensor ``name`` of the container file at
+    ``path``: a block source (:func:`~slim.tensor._block_source`), with the
+    file open until the ``with`` block ends. The header is checked as
+    :func:`read_container` checks it. ``read(rows, cols)``, for two slices
+    of step 1, reads the block from the file into a new array (whole rows
+    in one seek and read, other columns one row's span at a time), checks
+    it for NaN and Inf, and returns it widened to float64. Errors name the
+    tensor ``w``, as :func:`~slim.tensor.as_float_matrix` names a weight.
+
+    Raises:
+        IoError: the file cannot be opened or read.
+        BadMagic / UnsupportedVersion / CorruptHeader / TruncatedData:
+            the file is not a valid container.
+        SchemaViolation: the container holds no tensor ``name``.
+        ShapeMismatch / EmptyTensor: the tensor is not 2-D, or is empty.
+        NonFinite: (from ``read``) the block holds NaN or Inf.
+    """
+    def checked(io_call):  # an OSError of the file becomes an IoError
+        try:
+            return io_call()
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+
+    with checked(lambda: open(path, "rb", buffering=0)) as f:
+        data_start, entries = checked(lambda: _checked_header(f))
+        found = [(offset, dtype, shape) for offset, _, n, dtype, shape in entries if n == name]
+        if not found:
+            raise SchemaViolation(f"{path} has no tensor named {name!r}")
+        offset, dtype, shape = found[0]
+        if len(shape) != 2:
+            raise ShapeMismatch(f"w must be 2-D, got shape {tuple(shape)}")
+        if 0 in shape:
+            raise EmptyTensor("w has zero elements")
+        n_rows, n_cols = shape
+        start, what = data_start + offset, f"tensor {name!r}"
+
+        def fill(block: np.ndarray, r0: int, c0: int) -> None:
+            runs = [block.reshape(-1)] if block.shape[1] == n_cols else block  # whole rows, or each row
+            for i, run in enumerate(runs):
+                f.seek(start + ((r0 + i) * n_cols + c0) * dtype.itemsize)
+                _read_exact(f, run.view(np.uint8), what)
+
+        def read(rows: slice, cols: slice) -> np.ndarray:
+            r0, r1, _ = rows.indices(n_rows)
+            c0, c1, _ = cols.indices(n_cols)
+            block = np.empty((max(r1 - r0, 0), max(c1 - c0, 0)), dtype)
+            checked(lambda: fill(block, r0, c0))
+            if not np.isfinite(block).all():
+                raise NonFinite("w contains NaN or Inf")
+            return block.astype(np.float64)
+
+        yield read, (n_rows, n_cols)

@@ -202,32 +202,45 @@ def _dense(
     return _scale_rows(w, scaling, rows, undo=True)
 
 
-def _residual(w0: np.ndarray, weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None,
+def _residual(read, weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None,
               adapter: LowRankAdapter | None, rows: slice, cols: slice = slice(None)) -> np.ndarray:
-    """The ``[rows, cols]`` block of ``w0 - (w_c + left @ right)`` in a new
-    float64 array: ``w_c`` the stored weight in the caller's coordinates
-    (:func:`_dense`), with no adapter term when ``adapter`` is None. An f32
-    ``w0`` widens element by element; ``left[rows] @ right[:, cols]`` may
-    round apart from the same block of ``left @ right`` in the last place."""
+    """The ``[rows, cols]`` block of ``w - (w_c + left @ right)`` in a new
+    float64 array: ``w``'s block made by ``read``
+    (:func:`~slim.tensor._block_source`), so an f32 ``w`` widens element by
+    element, and ``w_c`` the stored weight in the caller's coordinates
+    (:func:`_dense`), with no adapter term when ``adapter`` is None.
+    ``left[rows] @ right[:, cols]`` may round apart from the same block of
+    ``left @ right`` in the last place."""
     e = _dense(weights, scaling, rows, cols)
     if adapter is not None:
         e += adapter.left[rows] @ adapter.right[:, cols]
-    return np.subtract(w0[rows, cols], e, out=e)
+    return np.subtract(read(rows, cols), e, out=e)
+
+
+def _round_to_f32(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` (which may be ``src``) filled with ``src`` rounded to f32,
+    one row block at a time; a value past f32's range becomes inf."""
+    with np.errstate(over="ignore"):
+        for rows in row_blocks(src):
+            out[rows] = src[rows].astype(np.float32)
+    return out
 
 
 def _at_f32(part: QuantizedTensor | np.ndarray, name: str) -> QuantizedTensor | np.ndarray:
     """``part`` with its scales, or its raw values, rounded to f32 and held
-    as float64; a coded part whose scales the rounding leaves alone comes
-    back as it is. Raw values are rounded one row block at a time."""
+    as float64; a part whose values the rounding leaves alone comes back as
+    it is (raw values only when they are float64). Raw values are compared
+    and rounded one row block at a time."""
     with np.errstate(over="ignore"):  # past f32's range rounds to inf, refused below
         if isinstance(part, QuantizedTensor):
             rounded = part.scales.astype(np.float32).astype(np.float64)
             return part if np.array_equal(rounded, part.scales) else replace(part, scales=rounded)
         arr = as_float_matrix(part, name, allow_empty=True)
-        out = np.empty(arr.shape)
-        for rows in row_blocks(arr):
-            out[rows] = arr[rows].astype(np.float32)
-    return as_matrix(out, name, allow_empty=True)
+        if arr.dtype != np.float64 or not all(
+            np.array_equal(arr[rows].astype(np.float32), arr[rows]) for rows in row_blocks(arr)
+        ):
+            arr = _round_to_f32(arr, np.empty(arr.shape))
+    return as_matrix(arr, name, allow_empty=True)
 
 
 @dataclass(frozen=True)
@@ -318,23 +331,26 @@ class ErrorReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _quantize_weights(w0: np.ndarray, scaling: ChannelScaling | None, cfg: LayerCompressionConfig):
-    """Quantize the weight ``w0`` with the boosted rows of ``scaling``
-    multiplied by its factor; returns (stored, alpha).
+def _quantize_weights(read, shape: tuple, scaling: ChannelScaling | None, cfg: LayerCompressionConfig):
+    """Quantize the weight whose blocks ``read`` makes
+    (:func:`~slim.tensor._block_source`) with the boosted rows of
+    ``scaling`` multiplied by its factor; returns (stored, alpha).
 
     Every pass reads the scaled weight one new float64 row block at a time,
-    ``w0``'s block widened and then scaled by :func:`~slim.quant._scale_rows`,
-    so the blocks hold the bits of a whole scaled float64 copy that is
-    never made. The raw method stores the scaled weight, which is ``w0``
-    itself when nothing is scaled and otherwise one block of the whole
-    matrix (the layer rounds either to f32 in a copy of its own)."""
-    method, shape = cfg.quant_method, w0.shape
+    the block of ``read`` scaled by :func:`~slim.quant._scale_rows`, so the
+    blocks hold the bits of a whole scaled float64 copy that is never made.
+    The raw method stores the scaled weight: one float64 array of its own,
+    filled a row block at a time."""
+    method = cfg.quant_method
 
     def scaled(rows: slice, cols: slice) -> np.ndarray:
-        return _scale_rows(w0[rows, cols].astype(np.float64, order="C"), scaling, rows)
+        return _scale_rows(read(rows, cols), scaling, rows)
 
     if method == "none":
-        return (w0 if scaling is None else scaled(slice(None), slice(None))), None
+        values = np.empty(shape)
+        for rows in row_blocks(shape):
+            values[rows] = scaled(rows, slice(None))
+        return values, None
     if method == "absmax":
         alpha = absmax_alpha(scaled, shape)
         return quantize_symmetric(scaled, alpha, cfg.weight_bits, shape), alpha
@@ -362,6 +378,7 @@ def compress_layer(
     w,
     stats: CalibrationStats | None,
     cfg: LayerCompressionConfig,
+    shape: tuple | None = None,
 ) -> CompressedLayer:
     """Run the full pipeline on one weight matrix.
 
@@ -369,8 +386,11 @@ def compress_layer(
     quantized weight, adapter fit against the total remaining error
     (in the caller's coordinates), optional adapter quantization.
 
-    No float64 weight-sized array is made (except the raw values of
-    ``quant_method="none"``), and no copy of ``w``. Channel scaling only
+    ``w`` is read only through its block source
+    (:func:`~slim.tensor._block_source`): no float64 weight-sized array is
+    made (except the raw values of ``quant_method="none"``, rounded to f32
+    in place once the adapter is fitted), and no copy of ``w``. The codes
+    (or raw values) are pruned in place. Channel scaling only
     chooses the rows to boost; the quantizer reads the scaled weight one
     row block at a time, made from ``w`` (:func:`_quantize_weights`). The
     pruning scores are never held whole: the mask ranks one block at a
@@ -382,19 +402,24 @@ def compress_layer(
     the arithmetic of :func:`~slim.lora.slim_lora` on the dequantized weight.
 
     Args:
-        w: Weight matrix, input channels as rows.
+        w: Weight matrix, input channels as rows, checked for NaN and Inf
+            before any stage runs; or, given its ``shape``, a function of
+            two slices that makes its new float64 blocks, such as
+            :func:`~slim.container._tensor_source`'s reader, which checks
+            each block as it reads it.
         stats: Calibration statistics; required whenever the configuration
             uses them (channel scaling, activation-weighted scores, or the
             saliency-weighted adapter), otherwise may be None.
         cfg: Pipeline configuration.
+        shape: ``(rows, cols)`` of ``w`` when it is a function.
 
     Raises:
         ConfigInvalid: required statistics missing.
         ShapeMismatch: statistics do not match the weight's input dimension.
     """
-    w0 = as_float_matrix(w, "w")  # an f32 weight stays f32
-    d_in, d_out = w0.shape
-    _check_weight_shape(w0.shape, stats)
+    read, shape = tensor._block_source(w, shape)  # an f32 matrix stays f32
+    _check_weight_shape(shape, stats)
+    d_in, d_out = shape
     if stats is None and cfg.needs_stats():
         raise ConfigInvalid(
             "calibration statistics are required by this configuration "
@@ -404,10 +429,10 @@ def compress_layer(
     # 1. Channel scaling (stored coordinates = scaled coordinates).
     scaling = None
     if cfg.scaling_enabled:
-        scaling = activation_aware_scale(w0, stats, cfg.scale_fraction, cfg.scale_factor)
+        scaling = activation_aware_scale(read, stats, cfg.scale_fraction, cfg.scale_factor, shape)
 
     # 2. Quantize the scaled weight, read a row block at a time.
-    stored, alpha = _quantize_weights(w0, scaling, cfg)
+    stored, alpha = _quantize_weights(read, shape, scaling, cfg)
 
     # 3. Prune the quantized weight, scored in the caller's coordinates.
     mask = None
@@ -418,11 +443,10 @@ def compress_layer(
             return prune_mod._scores(_dense(stored, scaling, rows, cols),
                                      None if norms is None else norms[rows])
 
-        mask = prune_mod.build_mask(scores, cfg.sparsity, (d_in, d_out))
-        if isinstance(stored, QuantizedTensor):
-            stored = replace(stored, codes=prune_mod.apply_mask(stored.codes, mask))
-        else:
-            stored = prune_mod.apply_mask(stored, mask)
+        mask = prune_mod.build_mask(scores, cfg.sparsity, shape)
+        values = stored.codes if isinstance(stored, QuantizedTensor) else stored
+        for rows in row_blocks(values):  # the layer's own values, zeroed in place
+            np.copyto(values[rows], 0, where=~mask.keep[rows])
 
     # 4. Adapter against the total error left after steps 1-3.
     adapter = None
@@ -430,10 +454,12 @@ def compress_layer(
         r = default_rank(d_in, d_out, cfg.effective_rank_ratio)
         x = saliency_vector(stats) if cfg.adapter_method == "slim" else SaliencyVector.constant(d_in)
 
-        error = partial(_residual, w0, stored, scaling, None)  # w - w_c, a block
-        adapter = _weighted_fit(error, (d_in, d_out), x, r)
+        error = partial(_residual, read, stored, scaling, None)  # w - w_c, a block
+        adapter = _weighted_fit(error, shape, x, r)
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
+    if not isinstance(stored, QuantizedTensor):
+        _round_to_f32(stored, stored)  # after the fit, in place: the layer keeps this array
     return CompressedLayer(
         weights=stored, mask=mask, adapter=adapter,
         channel_scaling=scaling, config=cfg,
@@ -494,13 +520,15 @@ def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray) -> None:
         out[:, cols] += x @ m[:, cols]
 
 
-def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> np.ndarray:
-    w0 = as_float_matrix(w, "w")
-    if w0.shape != layer.shape:
-        raise ShapeMismatch(f"w shape {w0.shape} does not match layer {layer.shape}")
+def _checked_weight(w, shape: tuple | None, layer: CompressedLayer, x_saliency: SaliencyVector):
+    """The block reader of ``w`` (:func:`~slim.tensor._block_source`), once
+    its shape and the saliency's length match the layer."""
+    read, shape = tensor._block_source(w, shape)
+    if shape != layer.shape:
+        raise ShapeMismatch(f"w shape {shape} does not match layer {layer.shape}")
     if len(x_saliency) != layer.shape[0]:
         raise ShapeMismatch(f"saliency length {len(x_saliency)} != d_in {layer.shape[0]}")
-    return w0
+    return read
 
 
 def _mean_square(a: np.ndarray) -> float:
@@ -517,20 +545,22 @@ def _weight_space(sq_rows: np.ndarray, layer: CompressedLayer, x_saliency: Salie
     }
 
 
-def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
+def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector,
+                        shape: tuple | None = None) -> dict:
     """The fields of :func:`error_report` that need no evaluation inputs.
 
     Returns ``weight_mse``, ``weighted_weight_mse``, ``density`` and
     ``effective_bits_per_weight``, computed exactly as :func:`error_report`
-    computes them, from one row block of the residual at a time.
+    computes them, from one row block of the residual at a time. ``w`` and
+    ``shape`` are taken as :func:`compress_layer` takes them.
 
     Raises:
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
-    w0 = _checked_weight(w, layer, x_saliency)
-    sq = np.empty(w0.shape[0])
-    for rows in row_blocks(w0):
-        e = _residual(w0, layer.weights, layer.channel_scaling, layer.adapter, rows)
+    read = _checked_weight(w, shape, layer, x_saliency)
+    sq = np.empty(layer.shape[0])
+    for rows in row_blocks(layer.shape):
+        e = _residual(read, layer.weights, layer.channel_scaling, layer.adapter, rows)
         sq[rows] = np.einsum("ij,ij->i", e, e)
     return _weight_space(sq, layer, x_saliency)
 
@@ -540,6 +570,7 @@ def error_report(
     layer: CompressedLayer,
     x_eval,
     x_saliency: SaliencyVector,
+    shape: tuple | None = None,
 ) -> ErrorReport:
     """Compare a compressed layer against the original weight.
 
@@ -560,7 +591,8 @@ def error_report(
     its columns of ``x_eval`` (only those widened to float64) is added
     into R, which starts at zeros, a chunk of R's columns at a time, and
     ``x_eval @ left`` is summed the same way, so the output fields differ
-    from the whole product's in the last places.
+    from the whole product's in the last places. ``w`` and ``shape`` are
+    taken as :func:`compress_layer` takes them.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -569,10 +601,10 @@ def error_report(
     xe = as_float_matrix(x_eval, "x_eval")
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
-    w0 = _checked_weight(w, layer, x_saliency)
+    read = _checked_weight(w, shape, layer, x_saliency)
 
     a = layer.adapter
-    per_block = next(row_blocks(w0)).stop  # the rows of weight_space_report's blocks
+    per_block = next(row_blocks(layer.shape)).stop  # the rows of weight_space_report's blocks
     runs = list(_spans(d_in, d_out, tensor.PRODUCT_ELEMENTS, unit=per_block))
     block = np.empty((min(d_in, runs[0].stop), d_out))  # one run of E's rows
     sq = np.empty(d_in)
@@ -583,7 +615,7 @@ def error_report(
         e = block[: xp.shape[1]]
         for at in row_blocks(e):  # weight_space_report's blocks, as the run starts on one
             rows = slice(run.start + at.start, run.start + at.stop)
-            e[at] = _residual(w0, layer.weights, layer.channel_scaling, a, rows)
+            e[at] = _residual(read, layer.weights, layer.channel_scaling, a, rows)
             sq[rows] = np.einsum("ij,ij->i", e[at], e[at])
         _add_product(r, xp, e)
         if a is not None:

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedBitwidth,
 )
 from . import tensor
-from .tensor import AbsHistogram, _block_source, as_float_matrix, as_matrix, row_blocks
+from .tensor import AbsHistogram, _block_source, as_matrix, row_blocks
 
 __all__ = [
     "QuantizedTensor",
@@ -426,6 +426,7 @@ def activation_aware_scale(
     stats: CalibrationStats,
     fraction: float = DEFAULT_SCALE_FRACTION,
     s: float = DEFAULT_SCALE_FACTOR,
+    shape: tuple | None = None,
 ) -> ChannelScaling:
     """Choose the most salient input channels of ``w`` to boost before
     quantization.
@@ -438,14 +439,16 @@ def activation_aware_scale(
     rows again (or the matching activation channels) restores the original
     product. No scaled weight is made here: readers apply the scaling to
     one row block at a time (:func:`_scale_rows`), and the row means read
-    ``w`` one widened row block at a time.
+    ``w`` one float64 row block at a time. ``w`` is a matrix or, given its
+    ``shape``, a function that makes its blocks
+    (:func:`~slim.tensor._block_source`).
 
     Raises:
         ShapeMismatch: ``stats.d_in`` differs from the weight row count.
         ConfigInvalid: ``fraction`` outside (0, 1] or ``s`` <= 1.
     """
-    arr = as_float_matrix(w, "w")
-    d_in = arr.shape[0]
+    read, shape = _block_source(w, shape)
+    d_in = shape[0]
     stats._check_rows(d_in)
     if not (0.0 < fraction <= 1.0):
         raise ConfigInvalid(f"fraction must be in (0, 1], got {fraction}")
@@ -454,8 +457,9 @@ def activation_aware_scale(
 
     act = stats.mean_abs.copy()
     wmag = np.empty(d_in)
-    for rows in row_blocks(arr):
-        wmag[rows] = np.abs(arr[rows].astype(np.float64)).mean(axis=1)
+    for rows in row_blocks(shape):
+        block = read(rows, slice(None))
+        wmag[rows] = np.abs(block, out=block).mean(axis=1)
     for v in (act, wmag):
         peak = v.max()
         if peak > 0:

@@ -8,7 +8,8 @@ The magnitude histogram and the quantizers (uniform and grouped AbsMax),
 the passes that touch every weight, read their source in row blocks of
 about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each a new
 float64 block (:func:`_block_source`): of an f32 (or f16) matrix, or made
-by a function such as the channel-scaled weight's reader. They give the
+by a function such as the channel-scaled weight's reader or a tensor's
+reader from its file (:func:`~slim.container._tensor_source`). They give the
 bits of the source's float64 copy without making that copy or any other
 whole-matrix temporary. Every blocked pass in the package (row blocks,
 mask blocks, artifact chunks, the product blocks of

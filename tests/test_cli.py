@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -24,7 +25,7 @@ from slim import (
     SchemeConfig,
 )
 from slim.artifact import layer_to_bytes
-from slim import cli
+from slim import cli, container
 from slim.cli import main
 
 from oracles import calib_by_concatenation
@@ -37,15 +38,30 @@ def run(capsys, *argv):
 
 
 def record_reads(monkeypatch) -> list:
-    """The sorted tensor names each container read of the CLI returns, in order."""
-    returned = []
+    """The sorted tensor names of each container read of the CLI, in order:
+    those a whole read (``read_container``) returns, or the one a weight's
+    block source (``_tensor_source``) opens. A source opened while another
+    is open fails the test: the CLI reads one weight at a time."""
+    returned, open_sources = [], []
 
     def recording_read(path, names=None):
         tensors = read_container(path, names)
         returned.append(sorted(tensors))
         return tensors
 
+    @contextlib.contextmanager
+    def recording_source(path, name):
+        assert not open_sources, f"{name!r} opened while {open_sources} is open"
+        with container._tensor_source(path, name) as source:
+            returned.append([name])
+            open_sources.append(name)
+            try:
+                yield source
+            finally:
+                open_sources.remove(name)
+
     monkeypatch.setattr(cli, "read_container", recording_read)
+    monkeypatch.setattr(cli, "_tensor_source", recording_source)
     return returned
 
 
@@ -123,6 +139,20 @@ class TestGenFixture:
         code, _, err = run(capsys, "gen-fixture", *argv, "--out", str(out))
         assert code == 1 and err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["__config__", "__weights", "__", ""])
+    def test_reserved_name_usage_error(self, tmp_path, capsys, name):
+        # every reader takes a "__*" tensor for metadata, so compress would
+        # find no weight in such a file
+        out = tmp_path / "x.slim"
+        code, _, err = run(capsys, "gen-fixture", "--dist", "gaussian", "--shape", "4x4",
+                           "--name", name, "--out", str(out))
+        assert code == 1
+        assert err == f"error: --name must be non-empty and not start with '__', got {name!r}\n"
+        assert not out.exists()
+        code, _, _ = run(capsys, "gen-fixture", "--dist", "gaussian", "--shape", "4x4",
+                         "--name", "_w", "--out", str(out))
+        assert code == 0 and list(read_container(out)) == ["_w"]
 
     def test_unknown_dist_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen-fixture", "--dist", "cauchy",
@@ -333,6 +363,26 @@ class TestCompress:
         assert returned == []
         assert sorted(tmp_path.glob("OUT*")) == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("flags", [
+        ("--quant", "slim"),
+        ("--quant", "none", "--sparsity", "2:4", "--scores", "magnitude"),
+        ("--quant", "group-absmax", "--lora", "naive", "--rank-ratio", "0.25"),
+    ], ids=" ".join)
+    def test_non_finite_weight_data_error_and_no_artifacts(self, tmp_path, capsys, flags, bad):
+        # "a" is compressed and written before the last entry of "b" is read
+        weights = tmp_path / "bad.slim"
+        rng = np.random.default_rng(21)
+        b = rng.standard_normal((16, 12)).astype(np.float32)
+        b[-1, -1] = bad
+        write_container(weights, {"a": rng.standard_normal((16, 12)).astype(np.float32), "b": b})
+        code, out, err = run(capsys, "compress", "--weights", str(weights),
+                             "--out", str(tmp_path / "OUT"), *flags)
+        assert code == 2
+        assert out == ""
+        assert err == "error: tensor 'b': w contains NaN or Inf\n"
+        assert sorted(tmp_path.glob("OUT*")) == []
+
     def test_reads_one_tensor_at_a_time(self, tmp_path, capsys, monkeypatch):
         weights = tmp_path / "three.slim"
         rng = np.random.default_rng(19)
@@ -373,6 +423,26 @@ class TestCompress:
 
 
 class TestEval:
+    def test_non_finite_original_data_error(self, workspace, tmp_path, capsys):
+        out = workspace["dir"] / "nan"
+        main(["compress", "--weights", str(workspace["weights"]),
+              "--out", str(out), "--quant", "slim"])
+        w = read_container(workspace["weights"])["weights"]
+        w[-1, -1] = np.nan
+        original = tmp_path / "nan-original.slim"
+        write_container(original, {"weights": w})
+        capsys.readouterr()
+        report = tmp_path / "nan.json"
+        code, stdout, err = run(
+            capsys, "eval", "--original", str(original),
+            "--compressed", str(out.parent / "nan.weights.slim"),
+            "--inputs", str(workspace["acts"]), "--report", str(report),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: w contains NaN or Inf\n"
+        assert not report.exists()
+
     def test_identity_artifact_zero_report(self, workspace, capsys):
         out = workspace["dir"] / "id2"
         main(["compress", "--weights", str(workspace["weights"]),

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from slim import (
     BadMagic,
     CorruptHeader,
+    EmptyTensor,
     IoError,
+    NonFinite,
     SchemaViolation,
+    ShapeMismatch,
     TruncatedData,
     UnsupportedVersion,
     read_container,
@@ -581,3 +584,156 @@ class TestOneReader:
         monkeypatch.setattr(container, "open", unbuffered(Ends), raising=False)
         with pytest.raises(TruncatedData):
             read_container(p)
+
+
+# ---------------------------------------------------------------------------
+# One tensor of a file as a block source
+
+
+def file_blocks(path, name, blocks):
+    """Each ``read(rows, cols)`` of the block source of tensor ``name``."""
+    with container._tensor_source(path, name) as (read, shape):
+        return shape, [read(rows, cols) for rows, cols in blocks]
+
+
+class OpenedFiles(io.FileIO):
+    """A raw file that remembers every instance opened."""
+
+    opened: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        OpenedFiles.opened.append(self)
+
+
+class TestTensorSource:
+    @pytest.mark.parametrize("name, shape", [
+        ("wide", (7, 300)), ("tall", (300, 7)), ("codes", (9, 13)), ("bytes", (5, 6)),
+    ])
+    def test_blocks_equal_the_whole_read(self, tmp_path, name, shape):
+        rng = np.random.default_rng(87)
+        tensors = {
+            "wide": rng.standard_normal((7, 300)).astype(np.float32),
+            "codes": rng.integers(-128, 128, (9, 13), dtype=np.int8),
+            "tall": rng.standard_normal((300, 7)).astype(np.float32),
+            "bytes": rng.integers(0, 256, (5, 6), dtype=np.uint8),
+            "flat": rng.standard_normal(11).astype(np.float32),
+        }
+        p = tmp_path / "c.slim"
+        write_container(p, tensors)
+        whole = read_container(p, [name])[name].astype(np.float64)
+        rows, cols = shape
+        everything = slice(None)
+        blocks = [
+            (everything, everything),                       # whole
+            (slice(2, 5), everything),                      # a row block
+            (slice(rows - 2, rows + 40), everything),       # ragged last rows
+            (everything, slice(1, cols - 1)),               # a column block
+            (everything, slice(cols - 3, cols + 9)),        # ragged last columns
+            (slice(1, rows), slice(2, 4)),                  # rows and columns
+            (slice(rows, rows + 3), everything),            # past the end: no rows
+        ]
+        got_shape, got = file_blocks(p, name, blocks)
+        assert got_shape == shape
+        for (r, c), block in zip(blocks, got):
+            ref = whole[r, c]
+            assert block.dtype == np.float64 and block.shape == ref.shape
+            assert block.flags.c_contiguous
+            assert np.array_equal(block.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_same_error_as_the_whole_read(self, case, tmp_path):
+        payload, error = MALFORMED[case]
+        p = tmp_path / "c.slim"
+        p.write_bytes(payload)
+        with pytest.raises(error):
+            read_container(p)
+        for name in ("a", "ok", "x", "absent"):
+            with pytest.raises(error):
+                file_blocks(p, name, [])
+
+    def test_missing_file_and_absent_name(self, tmp_path):
+        with pytest.raises(IoError):
+            file_blocks(tmp_path / "absent.slim", "w", [])
+        p = tmp_path / "c.slim"
+        write_container(p, {"w": np.ones((2, 2), np.float32)})
+        with pytest.raises(SchemaViolation, match="has no tensor named 'v'"):
+            file_blocks(p, "v", [])
+
+    @pytest.mark.parametrize("shape, error", [
+        ((4,), ShapeMismatch), ((2, 2, 2), ShapeMismatch), ((), ShapeMismatch),
+        ((0, 3), EmptyTensor), ((3, 0), EmptyTensor),
+    ])
+    def test_not_a_matrix(self, tmp_path, shape, error):
+        p = tmp_path / "c.slim"
+        write_container(p, {"w": np.ones(shape, np.float32)})
+        with pytest.raises(error):
+            file_blocks(p, "w", [])
+
+    def test_each_block_is_checked_for_nan_and_inf(self, tmp_path):
+        w = np.ones((6, 5), np.float32)
+        w[4, 3] = np.nan
+        w[1, 0] = np.inf
+        p = tmp_path / "c.slim"
+        write_container(p, {"w": w})
+        with container._tensor_source(p, "w") as (read, _):
+            assert np.array_equal(read(slice(2, 4), slice(None)), np.ones((2, 5)))
+            assert np.array_equal(read(slice(None), slice(4, 5)), np.ones((6, 1)))
+            for rows, cols in [(slice(4, 5), slice(None)), (slice(None), slice(3, 4)),
+                               (slice(0, 2), slice(None))]:
+                with pytest.raises(NonFinite, match="^w contains NaN or Inf$"):
+                    read(rows, cols)
+
+    def test_reads_only_the_tensor(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(88)
+        p = tmp_path / "c.slim"
+        write_container(p, {n: rng.standard_normal((64, 32)).astype(np.float32)
+                            for n in ("q", "k", "v")})
+        _, header_len = struct.unpack_from("<IQ", p.read_bytes(), 8)
+        data_start = PREFIX.size + header_len
+        nbytes = 64 * 32 * 4
+        CountingFile.spans = []
+        monkeypatch.setattr(container, "open", unbuffered(CountingFile), raising=False)
+        file_blocks(p, "k", [(slice(None), slice(None)), (slice(None), slice(5, 9))])
+        selected = (data_start + nbytes, data_start + 2 * nbytes)
+        spans = [s for s in CountingFile.spans if s[1] > data_start]
+        # the whole tensor once, then 4 columns of each of its 64 rows
+        assert sum(b - a for a, b in spans) == nbytes + 64 * 4 * 4
+        assert all(selected[0] <= a and b <= selected[1] for a, b in spans)
+
+    def test_short_reads_are_resumed_and_truncation_is_typed(self, tmp_path, monkeypatch):
+        class Trickle(io.FileIO):
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf)[:7])
+
+        w = np.arange(50, dtype=np.float32).reshape(5, 10)
+        p = tmp_path / "c.slim"
+        write_container(p, {"m": np.arange(13, dtype=np.uint8), "w": w})
+        monkeypatch.setattr(container, "open", unbuffered(Trickle), raising=False)
+        _, (whole, part) = file_blocks(p, "w", [(slice(None), slice(None)),
+                                                (slice(1, 4), slice(2, 9))])
+        assert np.array_equal(whole, w) and np.array_equal(part, w[1:4, 2:9])
+
+        class Ends(io.FileIO):  # the last 8 bytes are gone mid-read
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf)[: max(p.stat().st_size - 8 - self.tell(), 0)])
+
+        monkeypatch.setattr(container, "open", unbuffered(Ends), raising=False)
+        assert np.array_equal(file_blocks(p, "w", [(slice(0, 2), slice(None))])[1][0], w[:2])
+        with pytest.raises(TruncatedData):
+            file_blocks(p, "w", [(slice(4, 5), slice(None))])
+
+    def test_file_is_closed_when_the_block_ends(self, tmp_path, monkeypatch):
+        p = tmp_path / "c.slim"
+        w = np.ones((4, 4), np.float32)
+        w[3, 3] = np.nan
+        write_container(p, {"w": w})
+        OpenedFiles.opened = []
+        monkeypatch.setattr(container, "open", unbuffered(OpenedFiles), raising=False)
+        file_blocks(p, "w", [(slice(0, 1), slice(None))])
+        with pytest.raises(NonFinite):
+            file_blocks(p, "w", [(slice(None), slice(None))])
+        with pytest.raises(SchemaViolation):
+            file_blocks(p, "v", [])
+        assert len(OpenedFiles.opened) == 3
+        assert all(f.closed for f in OpenedFiles.opened)

@@ -50,8 +50,9 @@ from slim import (
     slim_lora,
     unstructured_mask,
     weight_space_report,
+    write_container,
 )
-from slim import SlimError, pipeline, tensor
+from slim import SlimError, container, pipeline, tensor
 from slim.artifact import layer_from_bytes, layer_to_bytes, layer_to_tensors
 from slim.pipeline import _dense, _quantize_weights, _residual
 from slim.prune import build_mask
@@ -557,7 +558,7 @@ def reference_layer(w, stats, cfg: LayerCompressionConfig):
     if cfg.scaling_enabled:
         scaling = activation_aware_scale(w, stats, cfg.scale_fraction, cfg.scale_factor)
         w_s = scaled_copy(w, scaling)
-    weights, alpha = _quantize_weights(w_s, None, cfg)
+    weights, alpha = _quantize_weights(*tensor._block_source(w_s), None, cfg)
     w_c = _dense(weights, scaling)
     stored, mask = weights, None
     if cfg.sparsity is not None:
@@ -719,6 +720,7 @@ class TestBlockedScoresAndMasks:
         k = min(rows, cols, 3)
         adapter = LowRankAdapter(rng.normal(size=(rows, k)), rng.normal(size=(k, cols)))
         correction = adapter.left @ adapter.right
+        read = tensor._block_source(w0)[0]
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
             for block_rows, block_cols in [(slice(None), slice(None)), (slice(r0, r1), slice(None)),
                                            (slice(None), slice(c0, c1)), (slice(r0, r1), slice(c0, c1))]:
@@ -727,12 +729,12 @@ class TestBlockedScoresAndMasks:
                 assert got.dtype == np.float64 and got.shape == ref.shape
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
                 # the residual w0 - w_c: the bits of the whole one's block
-                got = _residual(w0, stored, scaling, None, block_rows, block_cols)
+                got = _residual(read, stored, scaling, None, block_rows, block_cols)
                 ref = (w0 - whole)[block_rows, block_cols]
                 assert got.dtype == np.float64 and got.shape == ref.shape
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
                 # w0 - (w_c + left @ right): left[rows] @ right[:, cols] may round apart
-                got = _residual(w0, stored, scaling, adapter, block_rows, block_cols)
+                got = _residual(read, stored, scaling, adapter, block_rows, block_cols)
                 ref = (w0 - (whole + correction))[block_rows, block_cols]
                 np.testing.assert_allclose(got, ref, rtol=0.0,
                                            atol=ADAPTER_REPORT_RTOL * np.abs(correction).max())
@@ -1102,24 +1104,25 @@ class TestMemory:
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
         return peak, w.size
 
-    # The codes, the mask and the masked codes take one byte an entry each;
-    # the scores exist one block at a time. A float64 weight-sized
-    # array (8 bytes an entry: dequantized weight, whole score matrix or a
-    # copy of w) fails, and so does a transposed copy of the mask.
+    # The codes and the mask take one byte an entry each, and the codes are
+    # masked in place; the scores exist one block at a time. A masked copy
+    # of the codes, a float64 weight-sized array (8 bytes an entry:
+    # dequantized weight, whole score matrix or a copy of w) or a
+    # transposed copy of the mask fails.
 
     def test_compress_layer_f32_no_adapter(self):
         peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5))
-        assert peak <= 3 * entries + BLOCK_BOUND
+        assert peak <= 2 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_magnitude_ties_in_every_column(self):
         # 4-bit codes give 8 magnitudes, so each column's k-th score is tied
         # many times over and the tie fill runs on every column
         peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5), "magnitude")
-        assert peak <= 3 * entries + BLOCK_BOUND
+        assert peak <= 2 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_semistructured(self):
         peak, entries = self.compress_peak(SparsityPattern.semistructured(2, 4))
-        assert peak <= 3 * entries + BLOCK_BOUND
+        assert peak <= 2 * entries + BLOCK_BOUND
 
     def test_reports_make_no_float64_copy_of_w(self):
         w = source("normal", (512, 1024), "float32", 11)
@@ -1190,9 +1193,10 @@ class TestMemory:
         stats = compute_calibration([np.random.default_rng(26).normal(size=(8, 1024))])
         cfg = LayerCompressionConfig(quant_method="none", channel_scaling=scaled)
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
-        # the layer's float64 values, and the scaled copy when scaling; a
-        # whole f32 temporary (half a weight) fails
-        assert peak <= (2 if scaled else 1) * w.nbytes + BLOCK_BOUND
+        # the layer's one float64 array, scaled and then rounded a row block
+        # at a time; a second float64 weight, or a whole f32 temporary
+        # (half a weight), fails
+        assert peak <= 1 * w.nbytes + BLOCK_BOUND
 
     def test_fp8_peak_is_its_output_plus_4_mib(self):
         x = fp8_source("mixed", (512, 3072), 13)
@@ -1236,15 +1240,15 @@ class TestMemory:
     def test_compress_layer_f32_scaled_holds_no_float64_weight(self, method):
         # slim-o on its own, and scaling forced on the two AbsMax quantizers:
         # the quantizer reads the scaled weight a row block at a time, so
-        # the peak is an unscaled layer's; a scaled float64 copy (8 bytes
-        # an entry) fails
+        # the peak is an unscaled layer's (codes and mask); a scaled float64
+        # copy (8 bytes an entry) fails
         w = source("normal", (1024, 4096), "float32", 36)
         stats = compute_calibration([np.random.default_rng(37).normal(size=(16, 1024))])
         cfg = LayerCompressionConfig(quant_method=method, channel_scaling=True,
                                      sparsity=SparsityPattern.semistructured(2, 4),
                                      prune_scores="magnitude")
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
-        assert peak <= 3 * w.size + BLOCK_BOUND
+        assert peak <= 2 * w.size + BLOCK_BOUND
 
     @staticmethod
     def product_case(adapter: str = "none", shape: tuple = (2048, 4096)):
@@ -1296,3 +1300,54 @@ class TestMemory:
         # one float64 buffer, filled with |x| and then x**2; a widened copy
         # of the batch beside a whole-batch temporary (2x) fails
         assert peak <= x.size * 8 + BLOCK_BOUND
+
+
+class TestFileSource:
+    """compress_layer and the reports given a tensor's reader from its file
+    (``container._tensor_source``) instead of the array."""
+
+    @pytest.mark.parametrize("shape", [(96, 640), (640, 96)])
+    @pytest.mark.parametrize("quant, sparsity, adapter, scaled", [
+        ("slim_quant", "2:4", "slim", None),
+        ("none", "unstructured:0.5", "naive", True),
+        ("slim_quant_o", "2:4", "none", None),
+        ("group_absmax", "none", "slim", True),
+        ("absmax", "unstructured:0.5", "none", None),
+    ])
+    def test_same_bytes_and_reports_as_the_array(self, tmp_path, shape, quant, sparsity, adapter, scaled):
+        rng = np.random.default_rng(38)
+        w = rng.standard_normal(shape).astype(np.float32)
+        x = rng.standard_normal((48, shape[0]))
+        stats = compute_calibration([x])
+        sal = saliency_vector(stats)
+        path = tmp_path / "w.slim"
+        write_container(path, {"before": rng.standard_normal((3, 5)).astype(np.float32), "w": w,
+                               "after": rng.standard_normal((5, 3)).astype(np.float32)})
+        cfg = LayerCompressionConfig(quant_method=quant, sparsity=SparsityPattern.parse(sparsity),
+                                     adapter_method=adapter, rank_ratio=None if adapter == "none" else 0.1,
+                                     channel_scaling=scaled)
+        # several row blocks, and column blocks of the wide weight in the adapter fit
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", 4096), \
+                mock.patch.object(tensor, "GRAM_ELEMENTS", 96 * 100):
+            layer = compress_layer(w, stats, cfg)
+            expected = (layer_to_bytes(layer), weight_space_report(w, layer, sal),
+                        error_report(w, layer, x, sal))
+            with container._tensor_source(path, "w") as (read, got_shape):
+                from_file = compress_layer(read, stats, cfg, got_shape)
+                got = (layer_to_bytes(from_file), weight_space_report(read, layer, sal, got_shape),
+                       error_report(read, layer, x, sal, got_shape))
+        assert got == expected
+
+    def test_compress_layer_from_a_file_peaks_below_the_f32_weight(self, tmp_path):
+        w = source("normal", (1024, 2048), "float32", 39)
+        stats = compute_calibration([np.random.default_rng(40).normal(size=(16, 1024))])
+        path = tmp_path / "w.slim"
+        write_container(path, {"w": w})
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4))  # wanda, 4-bit
+        with container._tensor_source(path, "w") as (read, shape):
+            _, peak = traced_peak(lambda: compress_layer(read, stats, cfg, shape))
+        # about 4.7 MiB: the codes and the keep mask (2 MiB each), zeroed in
+        # place, and one block's temporaries; the weight read whole (8 MiB)
+        # fails, and so does a masked copy of the codes (2 MiB more)
+        assert peak < w.nbytes
+        assert peak <= 2 * w.size + 2**20

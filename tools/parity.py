@@ -24,6 +24,13 @@ Each case records four fields:
 - ``layer_output``: the forward pass of the layer and of its decoded
   artifact.
 
+Last come the command-line cases: ``slim compress`` of a two-tensor f32
+container (a wide and a tall weight, so two input widths) with each of
+a few flag sets, then ``slim eval --tensor`` of each tensor on inputs of
+its width. Each records the artifact the command wrote, its
+``compress --report`` entry (without the artifact's path) as
+``weight_space_report``, and its ``eval --report`` as ``error_report``.
+
 A case that raises records the error instead. For each field the report
 prints how many cases are equal, how many differ within an ``--allow``
 tolerance and how many differ beyond it, with the largest relative
@@ -40,7 +47,10 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
+import functools
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -67,6 +77,14 @@ SCALED.append(("slim_quant_o", (None, 3.0)))
 # 96 tokens split R = x_eval @ D of the 4100-wide shape into two column
 # chunks; 4100x264 sums its adapter's Gram matrix over two row blocks
 TOKENS = 96
+# The command-line cases' container: the wide weight's adapter fit reads
+# two column blocks of it (k = 160), the tall one's two row blocks.
+CLI_TENSORS = {"fc1": (160, 6600), "fc2": (6600, 160)}
+CLI_FLAGS = [
+    "--quant slim --sparsity 2:4 --scores magnitude --lora naive --rank-ratio 0.1 --quantize-lora",
+    "--quant none --sparsity unstructured:0.5 --scores magnitude",
+    "--quant group-absmax --wbits 3 --lora naive --rank-ratio 0.05",
+]
 
 
 def cases():
@@ -74,7 +92,8 @@ def cases():
              in itertools.product(SHAPES, DTYPES, QUANT, SPARSITY, ADAPTERS)]
     scaled = [(shape, dtype, quant, sparsity, adapter, scaling) for shape, dtype, (quant, scaling), sparsity, adapter
               in itertools.product(SHAPES[:4], DTYPES, SCALED, SPARSITY, ADAPTERS)]
-    return plain + scaled
+    cli = [("cli", flags, name) for flags in CLI_FLAGS for name in CLI_TENSORS]
+    return plain + scaled + cli
 
 
 def _encode(payload: bytes) -> str:
@@ -134,15 +153,51 @@ def run_case(slim, index: int, case) -> dict:
     }
 
 
+@functools.cache
+def run_cli(slim, flags: str) -> dict:
+    """Per tensor of ``CLI_TENSORS``: the fields of its command-line case
+    under ``flags``, or the exit code of the command that failed."""
+    rng = np.random.default_rng(CLI_FLAGS.index(flags))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tmp = Path(tmp)
+        weights = tmp / "block.slim"
+        slim.write_container(weights, {n: rng.standard_normal(s).astype(np.float32)
+                                       for n, s in CLI_TENSORS.items()})
+        code = slim.cli.main(["compress", "--weights", str(weights), "--out", str(tmp / "out"),
+                              "--report", str(tmp / "compress.json"), *flags.split()])
+        if code:
+            return {name: {field: f"compress exit {code}" for field in FIELDS[:3]} for name in CLI_TENSORS}
+        compressed = json.loads((tmp / "compress.json").read_text())
+        fields = {}
+        for name, (d_in, _) in CLI_TENSORS.items():
+            inputs, artifact = tmp / f"x.{name}.slim", tmp / f"out.{name}.slim"
+            slim.write_container(inputs, {"x": rng.standard_normal((TOKENS, d_in)).astype(np.float32)})
+            code = slim.cli.main(["eval", "--original", str(weights), "--tensor", name,
+                                  "--compressed", str(artifact), "--inputs", str(inputs),
+                                  "--report", str(tmp / "eval.json")])
+            entry = compressed[name]
+            del entry["artifact"]  # a path in this directory
+            if entry["alpha"] is None:
+                del entry["alpha"]
+            payload = artifact.read_bytes()
+            fields[name] = {
+                "artifact": {"sha256": hashlib.sha256(payload).hexdigest(), "bytes": _encode(payload)},
+                "weight_space_report": entry,
+                "error_report": json.loads((tmp / "eval.json").read_text()) if not code else f"eval exit {code}",
+            }
+        return fields
+
+
 def worker(tree: str) -> None:
     """Run every case against the ``slim`` in ``tree``, one JSON line each."""
     import slim
+    import slim.cli
 
     if not Path(slim.__file__).resolve().is_relative_to(Path(tree).resolve()):
         sys.exit(f"slim imported from {slim.__file__}, not from {tree}")
     for index, case in enumerate(cases()):
         try:
-            result = run_case(slim, index, case)
+            result = run_cli(slim, case[1])[case[2]] if case[0] == "cli" else run_case(slim, index, case)
         except slim.SlimError as exc:
             result = {field: f"{type(exc).__name__}: {exc}" for field in FIELDS}
         print(json.dumps(result), flush=True)
@@ -213,7 +268,9 @@ def main(argv=None) -> int:
             old, new = json.loads(line_base), json.loads(line_head)
             differing = []
             for field in FIELDS:
-                diff = difference(field, new[field], old[field])
+                if field not in new and field not in old:  # no forward pass in a command-line case
+                    continue
+                diff = difference(field, new.get(field), old.get(field))
                 count = counts[field]
                 kind = 0 if diff == 0 else 1 if diff <= allow.get(field, -1.0) else 2
                 count[kind] += 1
