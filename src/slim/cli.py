@@ -28,13 +28,11 @@ from .budget import ArchConfig, SchemeConfig, flop_reduction, load_arch, load_pr
 from .calibration import compute_calibration, load_calibration, save_calibration
 from .errors import SlimError
 from .lora import SaliencyVector, saliency_vector
-from .pipeline import (
-    LayerCompressionConfig, _check_weight_shape, compress_layer, error_report, weight_space_report,
-)
+from .pipeline import LayerCompressionConfig, compress_layer, error_report, weight_space_report
 from .prune import SparsityPattern
 from .quant import estimate_error, slimquant_search
 from .container import _read_shapes, _tensor_source, read_container, write_container
-from .tensor import build_abs_histogram
+from .tensor import _check_shape, build_abs_histogram
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +89,13 @@ def _parse_shape(text: str) -> tuple[int, int]:
     return rows, cols
 
 
+def _fits_a_file_name(name: str) -> bool:
+    """Whether the tensor name ``name`` can be part of the file name
+    ``OUT.<name>.slim`` that ``slim compress`` writes: it holds no NUL and
+    no ``/``."""
+    return "\0" not in name and "/" not in name
+
+
 def _tensor_name(path, prefer: str | None = None) -> str:
     """``prefer``, or without it the only tensor not named ``__*`` of the
     container at ``path``, found from its header alone."""
@@ -134,7 +139,11 @@ def cmd_compress(args) -> int:
         raise SlimError(f"{args.weights} holds no weight tensors")
     stats = load_calibration(args.calib) if args.calib is not None else None
     for name, shape in shapes.items():  # every tensor, before any is read
-        _check_weight_shape(shape, stats, f"tensor {name!r}")
+        if not _fits_a_file_name(name):
+            raise SlimError(f"tensor name {name!r} holds '/' or NUL, which an artifact file name cannot")
+        _check_shape(shape, f"tensor {name!r}")
+        if stats is not None:
+            stats._check_rows(shape[0])
     sal = saliency_vector(stats) if stats is not None else None
 
     out_stem = Path(args.out)
@@ -143,13 +152,13 @@ def cmd_compress(args) -> int:
     try:
         for name in shapes:  # one tensor at a time, read from the file a block at a time
             try:
-                with _tensor_source(args.weights, name) as (w, shape):
-                    layer = compress_layer(w, stats, cfg, shape)  # the layer its artifact decodes to
+                with _tensor_source(args.weights, name) as w:
+                    layer = compress_layer(w, stats, cfg)  # the layer its artifact decodes to
                     path = out_stem.parent / f"{out_stem.name}.{name}.slim"
                     written.append(path)
                     write_container(path, layer_to_tensors(layer))
                     entry = weight_space_report(
-                        w, layer, sal if sal is not None else SaliencyVector.constant(shape[0]), shape,
+                        w, layer, sal if sal is not None else SaliencyVector.constant(w.shape[0]),
                     )
             except SlimError as exc:
                 raise type(exc)(f"tensor {name!r}: {exc}") from exc
@@ -175,12 +184,12 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with _tensor_source(args.original, _tensor_name(args.original, args.tensor)) as (w, shape):
+    with _tensor_source(args.original, _tensor_name(args.original, args.tensor)) as w:
         layer = deserialize_compressed_layer(args.compressed)
         name = _tensor_name(args.inputs)
         x_eval = read_container(args.inputs, [name])[name]  # the activations, read whole
         sal = saliency_vector(compute_calibration([x_eval]))
-        rep = error_report(w, layer, x_eval, sal, shape)
+        rep = error_report(w, layer, x_eval, sal)
     if args.report is not None:
         Path(args.report).write_text(rep.to_json())
     print(
@@ -221,8 +230,8 @@ def cmd_budget(args) -> int:
 def cmd_oracle_alpha(args) -> int:
     if args.grid_points < 100:
         raise UsageError(f"--grid-points must be >= 100, got {args.grid_points}")
-    with _tensor_source(args.weights, _tensor_name(args.weights, args.tensor)) as (w, shape):
-        hist = build_abs_histogram(w, args.bins, shape)
+    with _tensor_source(args.weights, _tensor_name(args.weights, args.tensor)) as w:
+        hist = build_abs_histogram(w, args.bins)
     m = hist.max_abs
     if m == 0.0:
         dense_alpha, dense_err = 1.0, 0.0
@@ -255,6 +264,8 @@ def cmd_calib(args) -> int:
 def cmd_gen_fixture(args) -> int:
     if not args.name or args.name.startswith("__"):  # readers take "__*" for metadata
         raise UsageError(f"--name must be non-empty and not start with '__', got {args.name!r}")
+    if not _fits_a_file_name(args.name):
+        raise UsageError(f"--name {args.name!r} holds '/' or NUL, which an artifact file name cannot")
     rows, cols = _parse_shape(args.shape)
     if not (np.isfinite(args.scale) and args.scale > 0):
         raise UsageError(f"--scale must be finite and > 0, got {args.scale}")

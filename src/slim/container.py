@@ -23,9 +23,9 @@ into its own array. Files and bytes in memory share one writer, which
 streams each tensor from its own buffer, and one reader.
 
 A weight need not be read whole: :func:`_tensor_source` opens one 2-D
-tensor of a file as a block source (:func:`~slim.tensor._block_source`)
-that reads each block from the file as it is asked for: whole rows in one
-read, a block of columns one row's span at a time.
+tensor of a file as a :class:`~slim.tensor.BlockSource`, which reads each
+block from the file as it is asked for (whole rows in one read, a block of
+columns one row's span at a time) and checks it for NaN and Inf.
 
 The header, the JSON records stored alongside the tensors (artifact and
 calibration metadata) and architecture files are parsed by
@@ -49,14 +49,13 @@ import numpy as np
 from .errors import (
     BadMagic,
     CorruptHeader,
-    EmptyTensor,
     IoError,
     NonFinite,
     SchemaViolation,
-    ShapeMismatch,
     TruncatedData,
     UnsupportedVersion,
 )
+from .tensor import BlockSource
 
 __all__ = [
     "MAGIC",
@@ -356,14 +355,13 @@ def _reading(path, read):
 
 @contextmanager
 def _tensor_source(path, name: str):
-    """``(read, shape)`` of the 2-D tensor ``name`` of the container file at
-    ``path``: a block source (:func:`~slim.tensor._block_source`), with the
-    file open until the ``with`` block ends. The header is checked as
-    :func:`read_container` checks it. ``read(rows, cols)``, for two slices
-    of step 1, reads the block from the file into a new array (whole rows
-    in one seek and read, other columns one row's span at a time), checks
-    it for NaN and Inf, and returns it widened to float64. Errors name the
-    tensor ``w``, as :func:`~slim.tensor.as_float_matrix` names a weight.
+    """The :class:`~slim.tensor.BlockSource` of the 2-D tensor ``name`` of
+    the container file at ``path``, with the file open until the ``with``
+    block ends. The header is checked as :func:`read_container` checks it.
+    Each block is read from the file into a new array (whole rows in one
+    seek and read, other columns one row's span at a time), checked for
+    NaN and Inf, and widened to float64. Errors name the tensor ``w``, as
+    :func:`~slim.tensor.as_float_matrix` names a weight.
 
     Raises:
         IoError: the file cannot be opened or read.
@@ -385,11 +383,6 @@ def _tensor_source(path, name: str):
         if not found:
             raise SchemaViolation(f"{path} has no tensor named {name!r}")
         offset, dtype, shape = found[0]
-        if len(shape) != 2:
-            raise ShapeMismatch(f"w must be 2-D, got shape {tuple(shape)}")
-        if 0 in shape:
-            raise EmptyTensor("w has zero elements")
-        n_rows, n_cols = shape
         start, what = data_start + offset, f"tensor {name!r}"
 
         def fill(block: np.ndarray, r0: int, c0: int) -> None:
@@ -407,4 +400,6 @@ def _tensor_source(path, name: str):
                 raise NonFinite("w contains NaN or Inf")
             return block.astype(np.float64)
 
-        yield read, (n_rows, n_cols)
+        source = BlockSource(read, shape)  # ShapeMismatch / EmptyTensor unless 2-D and non-empty
+        n_rows, n_cols = source.shape  # the checked shape, which read and fill use
+        yield source

@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import CalibrationStats
 from .errors import ConfigInvalid, EmptyStats, NonFinite, NonPositiveSaliency, ShapeMismatch
 from .quant import DEFAULT_GROUP_SIZE, QuantizedTensor, dequantize, group_absmax_quantize
-from .tensor import as_float_matrix, as_matrix, svd_truncated
+from .tensor import BlockSource, as_float_matrix, as_matrix, svd_truncated
 
 __all__ = [
     "SaliencyVector",
@@ -160,13 +160,13 @@ def slim_lora(w, w_c, x: SaliencyVector, r: int) -> LowRankAdapter:
         raise ShapeMismatch(f"w shape {a.shape} != w_c shape {b.shape}")
     if len(x) != a.shape[0]:
         raise ShapeMismatch(f"saliency length {len(x)} != d_in {a.shape[0]}")
-    return _weighted_fit(lambda rows, cols: a[rows, cols] - b[rows, cols], a.shape, x, r)
+    return _weighted_fit(BlockSource(lambda rows, cols: a[rows, cols] - b[rows, cols], a.shape), x, r)
 
 
-def _weighted_fit(difference, shape: tuple, x: SaliencyVector, r: int) -> LowRankAdapter:
-    """:func:`slim_lora` of the error ``w - w_c`` whose ``[rows, cols]``
-    block ``difference(rows, cols)`` returns as a new float64 array (which
-    is weighted in place), as :func:`~slim.pipeline._residual` does."""
+def _weighted_fit(difference: BlockSource, x: SaliencyVector, r: int) -> LowRankAdapter:
+    """:func:`slim_lora` of the error ``w - w_c`` whose blocks
+    ``difference`` makes, each weighted in place, as
+    :func:`~slim.pipeline._residual` makes them."""
     xv = x.values[:, None]
 
     def weighted(rows: slice, cols: slice) -> np.ndarray:
@@ -174,7 +174,7 @@ def _weighted_fit(difference, shape: tuple, x: SaliencyVector, r: int) -> LowRan
         e *= xv[rows]
         return e
 
-    left, right = svd_truncated(weighted, r, shape)
+    left, right = svd_truncated(BlockSource(weighted, difference.shape), r)
     left /= xv
     return LowRankAdapter(left, right)
 

@@ -54,7 +54,7 @@ from .quant import (
     quantize_symmetric,
     slimquant_search,
 )
-from .tensor import _spans, as_float_matrix, as_matrix, build_abs_histogram, row_blocks
+from .tensor import BlockSource, _spans, as_float_matrix, as_matrix, build_abs_histogram, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -202,13 +202,13 @@ def _dense(
     return _scale_rows(w, scaling, rows, undo=True)
 
 
-def _residual(read, weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None,
+def _residual(read: BlockSource, weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None,
               adapter: LowRankAdapter | None, rows: slice, cols: slice = slice(None)) -> np.ndarray:
     """The ``[rows, cols]`` block of ``w - (w_c + left @ right)`` in a new
-    float64 array: ``w``'s block made by ``read``
-    (:func:`~slim.tensor._block_source`), so an f32 ``w`` widens element by
-    element, and ``w_c`` the stored weight in the caller's coordinates
-    (:func:`_dense`), with no adapter term when ``adapter`` is None.
+    float64 array: ``w``'s block made by ``read``, so an f32 ``w`` widens
+    element by element, and ``w_c`` the stored weight in the caller's
+    coordinates (:func:`_dense`), with no adapter term when ``adapter`` is
+    None.
     ``left[rows] @ right[:, cols]`` may round apart from the same block of
     ``left @ right`` in the last place."""
     e = _dense(weights, scaling, rows, cols)
@@ -331,10 +331,9 @@ class ErrorReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _quantize_weights(read, shape: tuple, scaling: ChannelScaling | None, cfg: LayerCompressionConfig):
-    """Quantize the weight whose blocks ``read`` makes
-    (:func:`~slim.tensor._block_source`) with the boosted rows of
-    ``scaling`` multiplied by its factor; returns (stored, alpha).
+def _quantize_weights(read: BlockSource, scaling: ChannelScaling | None, cfg: LayerCompressionConfig):
+    """Quantize the weight whose blocks ``read`` makes with the boosted
+    rows of ``scaling`` multiplied by its factor; returns (stored, alpha).
 
     Every pass reads the scaled weight one new float64 row block at a time,
     the block of ``read`` scaled by :func:`~slim.quant._scale_rows`, so the
@@ -343,53 +342,34 @@ def _quantize_weights(read, shape: tuple, scaling: ChannelScaling | None, cfg: L
     filled a row block at a time."""
     method = cfg.quant_method
 
-    def scaled(rows: slice, cols: slice) -> np.ndarray:
-        return _scale_rows(read(rows, cols), scaling, rows)
-
+    scaled = BlockSource(lambda rows, cols: _scale_rows(read(rows, cols), scaling, rows), read.shape)
     if method == "none":
-        values = np.empty(shape)
-        for rows in row_blocks(shape):
+        values = np.empty(read.shape)
+        for rows in row_blocks(read):
             values[rows] = scaled(rows, slice(None))
         return values, None
     if method == "absmax":
-        alpha = absmax_alpha(scaled, shape)
-        return quantize_symmetric(scaled, alpha, cfg.weight_bits, shape), alpha
+        alpha = absmax_alpha(scaled)
+        return quantize_symmetric(scaled, alpha, cfg.weight_bits), alpha
     if method == "group_absmax":
-        return group_absmax_quantize(scaled, cfg.group_size, cfg.weight_bits, shape), None
+        return group_absmax_quantize(scaled, cfg.group_size, cfg.weight_bits), None
     # slim_quant / slim_quant_o share the histogram-driven scale search.
-    hist = build_abs_histogram(scaled, shape=shape)
-    alpha, err = slimquant_search(hist, cfg.weight_bits)
+    alpha, err = slimquant_search(build_abs_histogram(scaled), cfg.weight_bits)
     logger.debug("scale search: alpha=%.6g expected_mse=%.6g", alpha, err)
-    return quantize_symmetric(scaled, alpha, cfg.weight_bits, shape), alpha
+    return quantize_symmetric(scaled, alpha, cfg.weight_bits), alpha
 
 
-def _check_weight_shape(shape: tuple, stats: CalibrationStats | None, name: str = "w") -> None:
-    """Raise unless a weight of this shape can be compressed with ``stats``:
-    2-D, non-empty, and one row per calibrated channel."""
-    if len(shape) != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got shape {shape}")
-    if 0 in shape:
-        raise EmptyTensor(f"{name} has zero elements")
-    if stats is not None:
-        stats._check_rows(shape[0])
-
-
-def compress_layer(
-    w,
-    stats: CalibrationStats | None,
-    cfg: LayerCompressionConfig,
-    shape: tuple | None = None,
-) -> CompressedLayer:
+def compress_layer(w, stats: CalibrationStats | None, cfg: LayerCompressionConfig) -> CompressedLayer:
     """Run the full pipeline on one weight matrix.
 
     Order: optional channel scaling, quantization, pruning of the
     quantized weight, adapter fit against the total remaining error
     (in the caller's coordinates), optional adapter quantization.
 
-    ``w`` is read only through its block source
-    (:func:`~slim.tensor._block_source`): no float64 weight-sized array is
-    made (except the raw values of ``quant_method="none"``, rounded to f32
-    in place once the adapter is fitted), and no copy of ``w``. The codes
+    ``w`` is read only through its :class:`~slim.tensor.BlockSource`: no
+    float64 weight-sized array is made (except the raw values of
+    ``quant_method="none"``, rounded to f32 in place once the adapter is
+    fitted), and no copy of ``w``. The codes
     (or raw values) are pruned in place. Channel scaling only
     chooses the rows to boost; the quantizer reads the scaled weight one
     row block at a time, made from ``w`` (:func:`_quantize_weights`). The
@@ -403,24 +383,23 @@ def compress_layer(
 
     Args:
         w: Weight matrix, input channels as rows, checked for NaN and Inf
-            before any stage runs; or, given its ``shape``, a function of
-            two slices that makes its new float64 blocks, such as
-            :func:`~slim.container._tensor_source`'s reader, which checks
+            before any stage runs; or a :class:`~slim.tensor.BlockSource`,
+            such as :func:`~slim.container._tensor_source`'s, which checks
             each block as it reads it.
         stats: Calibration statistics; required whenever the configuration
             uses them (channel scaling, activation-weighted scores, or the
             saliency-weighted adapter), otherwise may be None.
         cfg: Pipeline configuration.
-        shape: ``(rows, cols)`` of ``w`` when it is a function.
 
     Raises:
         ConfigInvalid: required statistics missing.
         ShapeMismatch: statistics do not match the weight's input dimension.
     """
-    read, shape = tensor._block_source(w, shape)  # an f32 matrix stays f32
-    _check_weight_shape(shape, stats)
-    d_in, d_out = shape
-    if stats is None and cfg.needs_stats():
+    read = tensor._block_source(w)  # an f32 matrix stays f32
+    d_in, d_out = shape = read.shape
+    if stats is not None:
+        stats._check_rows(d_in)
+    elif cfg.needs_stats():
         raise ConfigInvalid(
             "calibration statistics are required by this configuration "
             "(channel scaling, wanda scores, or slim adapter)"
@@ -429,10 +408,10 @@ def compress_layer(
     # 1. Channel scaling (stored coordinates = scaled coordinates).
     scaling = None
     if cfg.scaling_enabled:
-        scaling = activation_aware_scale(read, stats, cfg.scale_fraction, cfg.scale_factor, shape)
+        scaling = activation_aware_scale(read, stats, cfg.scale_fraction, cfg.scale_factor)
 
     # 2. Quantize the scaled weight, read a row block at a time.
-    stored, alpha = _quantize_weights(read, shape, scaling, cfg)
+    stored, alpha = _quantize_weights(read, scaling, cfg)
 
     # 3. Prune the quantized weight, scored in the caller's coordinates.
     mask = None
@@ -443,7 +422,7 @@ def compress_layer(
             return prune_mod._scores(_dense(stored, scaling, rows, cols),
                                      None if norms is None else norms[rows])
 
-        mask = prune_mod.build_mask(scores, cfg.sparsity, shape)
+        mask = prune_mod.build_mask(BlockSource(scores, shape), cfg.sparsity)
         values = stored.codes if isinstance(stored, QuantizedTensor) else stored
         for rows in row_blocks(values):  # the layer's own values, zeroed in place
             np.copyto(values[rows], 0, where=~mask.keep[rows])
@@ -455,7 +434,7 @@ def compress_layer(
         x = saliency_vector(stats) if cfg.adapter_method == "slim" else SaliencyVector.constant(d_in)
 
         error = partial(_residual, read, stored, scaling, None)  # w - w_c, a block
-        adapter = _weighted_fit(error, shape, x, r)
+        adapter = _weighted_fit(BlockSource(error, shape), x, r)
         if cfg.quantize_adapters:
             adapter = quantize_adapter(adapter, cfg.group_size)
     if not isinstance(stored, QuantizedTensor):
@@ -520,12 +499,12 @@ def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray) -> None:
         out[:, cols] += x @ m[:, cols]
 
 
-def _checked_weight(w, shape: tuple | None, layer: CompressedLayer, x_saliency: SaliencyVector):
-    """The block reader of ``w`` (:func:`~slim.tensor._block_source`), once
-    its shape and the saliency's length match the layer."""
-    read, shape = tensor._block_source(w, shape)
-    if shape != layer.shape:
-        raise ShapeMismatch(f"w shape {shape} does not match layer {layer.shape}")
+def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> BlockSource:
+    """The :class:`~slim.tensor.BlockSource` of ``w``, once its shape and the
+    saliency's length match the layer."""
+    read = tensor._block_source(w)
+    if read.shape != layer.shape:
+        raise ShapeMismatch(f"w shape {read.shape} does not match layer {layer.shape}")
     if len(x_saliency) != layer.shape[0]:
         raise ShapeMismatch(f"saliency length {len(x_saliency)} != d_in {layer.shape[0]}")
     return read
@@ -545,19 +524,18 @@ def _weight_space(sq_rows: np.ndarray, layer: CompressedLayer, x_saliency: Salie
     }
 
 
-def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector,
-                        shape: tuple | None = None) -> dict:
+def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
     """The fields of :func:`error_report` that need no evaluation inputs.
 
     Returns ``weight_mse``, ``weighted_weight_mse``, ``density`` and
     ``effective_bits_per_weight``, computed exactly as :func:`error_report`
-    computes them, from one row block of the residual at a time. ``w`` and
-    ``shape`` are taken as :func:`compress_layer` takes them.
+    computes them, from one row block of the residual at a time. ``w`` is
+    taken as :func:`compress_layer` takes it.
 
     Raises:
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
-    read = _checked_weight(w, shape, layer, x_saliency)
+    read = _checked_weight(w, layer, x_saliency)
     sq = np.empty(layer.shape[0])
     for rows in row_blocks(layer.shape):
         e = _residual(read, layer.weights, layer.channel_scaling, layer.adapter, rows)
@@ -565,13 +543,7 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector,
     return _weight_space(sq, layer, x_saliency)
 
 
-def error_report(
-    w,
-    layer: CompressedLayer,
-    x_eval,
-    x_saliency: SaliencyVector,
-    shape: tuple | None = None,
-) -> ErrorReport:
+def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) -> ErrorReport:
     """Compare a compressed layer against the original weight.
 
     Every field but ``density`` and ``effective_bits_per_weight`` comes
@@ -591,8 +563,8 @@ def error_report(
     its columns of ``x_eval`` (only those widened to float64) is added
     into R, which starts at zeros, a chunk of R's columns at a time, and
     ``x_eval @ left`` is summed the same way, so the output fields differ
-    from the whole product's in the last places. ``w`` and ``shape`` are
-    taken as :func:`compress_layer` takes them.
+    from the whole product's in the last places. ``w`` is taken as
+    :func:`compress_layer` takes it.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -601,7 +573,7 @@ def error_report(
     xe = as_float_matrix(x_eval, "x_eval")
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
-    read = _checked_weight(w, shape, layer, x_saliency)
+    read = _checked_weight(w, layer, x_saliency)
 
     a = layer.adapter
     per_block = next(row_blocks(layer.shape)).stop  # the rows of weight_space_report's blocks

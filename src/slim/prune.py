@@ -218,15 +218,14 @@ def apply_mask(w, mask: SparsityMask) -> np.ndarray:
     return np.where(mask.keep, arr, arr.dtype.type(0))
 
 
-def build_mask(scores, pattern: SparsityPattern, shape: tuple | None = None) -> SparsityMask:
+def build_mask(scores, pattern: SparsityPattern) -> SparsityMask:
     """The mask ``pattern`` names over a d_in x d_out score matrix.
 
-    ``scores`` is the matrix itself, or, given its ``shape``, a function that
-    returns the new float64 block ``scores[rows, cols]`` for two slices
-    (:func:`~slim.tensor._block_source`). The scores are read and ranked
-    in blocks of about :data:`~slim.tensor.BLOCK_ELEMENTS`: whole columns
-    for an unstructured pattern, which ranks each column, and whole groups
-    of ``m`` rows for a semi-structured one. No score-sized array is made besides the mask.
+    ``scores``, a matrix or a :class:`~slim.tensor.BlockSource`, are read
+    and ranked in blocks of about :data:`~slim.tensor.BLOCK_ELEMENTS`:
+    whole columns for an unstructured pattern, which ranks each column, and
+    whole groups of ``m`` rows for a semi-structured one. No score-sized
+    array is made besides the mask.
 
     Raises:
         IndivisibleDimension: a semi-structured pattern's ``m`` does not
@@ -234,8 +233,8 @@ def build_mask(scores, pattern: SparsityPattern, shape: tuple | None = None) -> 
         NonFinite / EmptyTensor / ShapeMismatch: a score matrix that
             :func:`~slim.tensor.as_float_matrix` refuses.
     """
-    scores, shape = tensor._block_source(scores, shape, "scores")
-    d_in, d_out = shape
+    scores = tensor._block_source(scores, "scores")
+    d_in, d_out = shape = scores.shape
     everything = slice(None)
     if pattern.kind == "unstructured":
         k = int(np.ceil((1.0 - pattern.ratio) * d_in))

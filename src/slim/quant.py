@@ -13,10 +13,12 @@ channel scaling (pre-quantization outlier damping that inference undoes by
 dividing the boosted rows again), and 8-bit floating-point fake
 quantization for inputs. The quantizers and the FP8 snap (whose format
 comes from the input's max and min) read their input one row block
-(:func:`~slim.tensor.row_blocks`) at a time into a single output array;
-the quantizers take a matrix or a function that makes its blocks
-(:func:`~slim.tensor._block_source`), and :func:`_scale_rows` is the one
-routine that scales (or unscales) the boosted rows of a block.
+(:func:`~slim.tensor.row_blocks`) at a time into a single output array.
+The quantizers, :func:`absmax_alpha` and :func:`activation_aware_scale`
+take ``w`` as a matrix or a :class:`~slim.tensor.BlockSource`, and read
+each float64 row block of it once per pass, so an f32 ``w`` gives the
+results of its float64 copy. :func:`_scale_rows` is the one routine that
+scales (or unscales) the boosted rows of a block.
 :func:`dequantize` is the one formula that turns codes into floats, for the
 whole matrix or any block of it; grouped codes gather their steps a
 quarter block at a time.
@@ -199,28 +201,24 @@ E4M3 = Fp8Format("E4M3")
 E5M2 = Fp8Format("E5M2")
 
 
-def quantize_symmetric(w, alpha: float, q: int, shape: tuple | None = None) -> QuantizedTensor:
+def quantize_symmetric(w, alpha: float, q: int) -> QuantizedTensor:
     """Quantize onto the symmetric integer grid of step ``alpha * 2**(1-q)``.
 
     Codes are round-half-away-from-zero of ``w / step`` clamped to
-    [-2**(q-1), 2**(q-1) - 1]; a single scale ``alpha`` is stored. ``w``
-    is a matrix or, given its ``shape``, a function that makes its float64
-    blocks (:func:`~slim.tensor._block_source`). It is read in row blocks,
-    each float64 before the division, so an f32 ``w`` gives the codes of
-    its float64 copy.
+    [-2**(q-1), 2**(q-1) - 1]; a single scale ``alpha`` is stored.
 
     Raises:
         NonPositiveAlpha: ``alpha`` is not a positive finite number.
         UnsupportedBitwidth: ``q`` outside [2, 8].
     """
-    read, shape = _block_source(w, shape)
+    read = _block_source(w)
     q = _check_bits(q)
     if not np.isfinite(alpha) or alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     step = alpha * 2.0 ** (1 - q)
     lo, hi = -(1 << (q - 1)), (1 << (q - 1)) - 1
-    codes = np.empty(shape, dtype=np.int8)
-    for rows in row_blocks(shape):
+    codes = np.empty(read.shape, dtype=np.int8)
+    for rows in row_blocks(read):
         block = read(rows, slice(None))
         block /= step
         codes[rows] = np.clip(_round_half_away(block), lo, hi)
@@ -282,44 +280,39 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
     return out
 
 
-def absmax_alpha(w, shape: tuple | None = None) -> float:
+def absmax_alpha(w) -> float:
     """Largest magnitude of the matrix, read a row block at a time; 1.0 for
-    an all-zero matrix. ``w`` is a matrix or, given its ``shape``, a
-    function that makes its blocks (:func:`~slim.tensor._block_source`).
+    an all-zero matrix.
 
     Raises:
         EmptyTensor: ``w`` has no elements.
     """
-    return tensor._max_abs(*_block_source(w, shape)) or 1.0
+    return tensor._max_abs(_block_source(w)) or 1.0
 
 
-def group_absmax_quantize(w, group_size: int = DEFAULT_GROUP_SIZE, q: int = 4,
-                          shape: tuple | None = None) -> QuantizedTensor:
+def group_absmax_quantize(w, group_size: int = DEFAULT_GROUP_SIZE, q: int = 4) -> QuantizedTensor:
     """AbsMax quantization with one scale per contiguous row-major group.
 
     Each group of ``group_size`` flattened elements gets scale = max|group|
     (1.0 for an all-zero group) and codes
     ``clamp(round(v * (2**(q-1) - 1) / scale))`` on the symmetric grid with
     2**(q-1) - 1 positive levels, so the group's extreme value is always
-    reconstructed exactly. ``w`` is a matrix or, given its ``shape``, a
-    function that makes its blocks (:func:`~slim.tensor._block_source`).
-    Row blocks of whole groups are each read as float64, so an f32 ``w``
-    gives the codes of its float64 copy.
+    reconstructed exactly. ``w`` is read in row blocks of whole groups.
 
     Raises:
         UnsupportedBitwidth: ``q`` outside [2, 8].
         ConfigInvalid: ``group_size`` < 1.
     """
-    read, shape = _block_source(w, shape)
+    read = _block_source(w)
     q = _check_bits(q)
     if group_size < 1:
         raise ConfigInvalid(f"group_size must be >= 1, got {group_size}")
     qmax = (1 << (q - 1)) - 1
-    codes = np.empty(shape, dtype=np.int8)
-    scales = np.empty(-(-(shape[0] * shape[1]) // group_size))
-    for rows in row_blocks(shape, group_size):
+    codes = np.empty(read.shape, dtype=np.int8)
+    scales = np.empty(-(-codes.size // group_size))
+    for rows in row_blocks(read, group_size):
         v = read(rows, slice(None)).reshape(-1)  # a copy unless the block is C-ordered
-        start = rows.start * shape[1]  # a multiple of group_size
+        start = rows.start * codes.shape[1]  # a multiple of group_size
         s = np.maximum.reduceat(np.abs(v), np.arange(0, v.size, group_size))
         s[s == 0.0] = 1.0
         scales[start // group_size: start // group_size + s.size] = s
@@ -426,7 +419,6 @@ def activation_aware_scale(
     stats: CalibrationStats,
     fraction: float = DEFAULT_SCALE_FRACTION,
     s: float = DEFAULT_SCALE_FACTOR,
-    shape: tuple | None = None,
 ) -> ChannelScaling:
     """Choose the most salient input channels of ``w`` to boost before
     quantization.
@@ -439,16 +431,14 @@ def activation_aware_scale(
     rows again (or the matching activation channels) restores the original
     product. No scaled weight is made here: readers apply the scaling to
     one row block at a time (:func:`_scale_rows`), and the row means read
-    ``w`` one float64 row block at a time. ``w`` is a matrix or, given its
-    ``shape``, a function that makes its blocks
-    (:func:`~slim.tensor._block_source`).
+    ``w`` one float64 row block at a time.
 
     Raises:
         ShapeMismatch: ``stats.d_in`` differs from the weight row count.
         ConfigInvalid: ``fraction`` outside (0, 1] or ``s`` <= 1.
     """
-    read, shape = _block_source(w, shape)
-    d_in = shape[0]
+    read = _block_source(w)
+    d_in = read.shape[0]
     stats._check_rows(d_in)
     if not (0.0 < fraction <= 1.0):
         raise ConfigInvalid(f"fraction must be in (0, 1], got {fraction}")
@@ -457,7 +447,7 @@ def activation_aware_scale(
 
     act = stats.mean_abs.copy()
     wmag = np.empty(d_in)
-    for rows in row_blocks(shape):
+    for rows in row_blocks(read):
         block = read(rows, slice(None))
         wmag[rows] = np.abs(block, out=block).mean(axis=1)
     for v in (act, wmag):

@@ -4,25 +4,26 @@ A "matrix" throughout this package is simply a 2-D :class:`numpy.ndarray`
 of finite floats. Arithmetic runs in float64; a compressed layer holds its
 scales, raw values and adapter factors at the f32 precision its artifact stores.
 
-The magnitude histogram and the quantizers (uniform and grouped AbsMax),
-the passes that touch every weight, read their source in row blocks of
-about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`), each a new
-float64 block (:func:`_block_source`): of an f32 (or f16) matrix, or made
-by a function such as the channel-scaled weight's reader or a tensor's
-reader from its file (:func:`~slim.container._tensor_source`). They give the
-bits of the source's float64 copy without making that copy or any other
-whole-matrix temporary. Every blocked pass in the package (row blocks,
+Every pass that touches each weight (histogram, quantizers, channel
+scaling, mask, adapter fit, reports) takes the matrix, or a
+:class:`BlockSource` of it, in one argument and reads new float64 blocks
+from it; a matrix, checked by :func:`as_float_matrix`, becomes the source
+of its own widened blocks (:func:`_block_source`). The blocks give the
+bits of the source's float64 copy, which is never made. Every blocked pass
+(row blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`),
 mask blocks, artifact chunks, the product blocks of
 :data:`PRODUCT_ELEMENTS` and the adapter fit's blocks of
 :data:`GRAM_ELEMENTS`) takes its boundaries from one rule, :func:`_spans`.
-:func:`as_float_matrix` is the one check of a matrix (2-D, non-empty
-unless allowed, finite one row block at a time) and keeps a float
-source's buffer; :func:`as_matrix` widens its result to float64.
+:func:`as_float_matrix` is the one check of a matrix (its shape by
+:func:`_check_shape`, which checks every source's shape too, then finite
+one row block at a time) and keeps a float source's buffer;
+:func:`as_matrix` widens its result to float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import EmptyTensor, NonFinite, RankOutOfRange, ShapeMismatch
 
 __all__ = [
     "AbsHistogram",
+    "BlockSource",
     "as_matrix",
     "as_float_matrix",
     "row_blocks",
@@ -71,11 +73,11 @@ PRODUCT_ELEMENTS = 1 << 22
 
 
 def row_blocks(arr, align: int = 1):
-    """:func:`_spans` over the rows of a 2-D ``arr`` (an array or its
-    shape): blocks of about :data:`BLOCK_ELEMENTS` elements and at least
-    one row. Blocks advance by a multiple of ``align // gcd(cols, align)``
-    rows, so all but the last hold a whole number of ``align``-element
-    runs."""
+    """:func:`_spans` over the rows of a 2-D ``arr`` (an array, a
+    :class:`BlockSource` or a shape): blocks of about
+    :data:`BLOCK_ELEMENTS` elements and at least one row. Blocks advance by
+    a multiple of ``align // gcd(cols, align)`` rows, so all but the last
+    hold a whole number of ``align``-element runs."""
     rows, cols = getattr(arr, "shape", arr)
     return _spans(rows, cols, unit=align // int(np.gcd(cols, align)))
 
@@ -118,31 +120,56 @@ def as_float_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.nd
     arr = np.asarray(w)
     if arr.dtype.kind != "f" or arr.dtype.itemsize > 8:
         arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size == 0 and not allow_empty:
-        raise EmptyTensor(f"{name} has zero elements")
+    _check_shape(arr.shape, name, allow_empty)
     for rows in row_blocks(arr):
         if not np.isfinite(arr[rows]).all():
             raise NonFinite(f"{name} contains NaN or Inf")
     return arr
 
 
-def _block_source(w, shape: tuple | None = None, name: str = "w"):
-    """``(read, shape)`` for a blocked pass, where ``read(rows, cols)``
-    makes the new float64 block ``w[rows, cols]`` that the pass may change
-    in place. ``w`` is a matrix, checked by :func:`as_float_matrix` and
-    widened a block at a time (an f32 block would divide in f32), or, given
-    its ``shape``, such a function itself, its source checked by the caller."""
-    if shape is not None:
-        return w, tuple(shape)
+def _check_shape(shape: tuple, name: str = "w", allow_empty: bool = False) -> tuple:
+    """``shape`` as a tuple, once it is 2-D and, unless ``allow_empty``,
+    has no zero dimension (else ShapeMismatch or EmptyTensor)."""
+    shape = tuple(shape)
+    if len(shape) != 2:
+        raise ShapeMismatch(f"{name} must be 2-D, got shape {shape}")
+    if 0 in shape and not allow_empty:
+        raise EmptyTensor(f"{name} has zero elements")
+    return shape
+
+
+@dataclass(frozen=True)
+class BlockSource:
+    """A matrix read a block at a time: ``source(rows, cols)``, for two
+    slices of step 1, returns ``read(rows, cols)``, the new float64 block
+    ``[rows, cols]``, which the caller may change in place. ``shape`` is
+    checked 2-D and non-empty (errors name the matrix ``w``); the values
+    only by ``read``, if at all."""
+
+    read: Callable[[slice, slice], np.ndarray]
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", _check_shape(self.shape))
+
+    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
+        return self.read(rows, cols)
+
+
+def _block_source(w, name: str = "w") -> BlockSource:
+    """``w`` itself when it is a :class:`BlockSource`; otherwise the source
+    of the matrix ``w``, checked by :func:`as_float_matrix` (errors naming
+    it ``name``) and widened a block at a time (an f32 block would divide
+    in f32)."""
+    if isinstance(w, BlockSource):
+        return w
     arr = as_float_matrix(w, name)
-    return (lambda rows, cols: arr[rows, cols].astype(np.float64, order="C")), arr.shape
+    return BlockSource(lambda rows, cols: arr[rows, cols].astype(np.float64, order="C"), arr.shape)
 
 
-def _max_abs(read, shape: tuple) -> float:
+def _max_abs(source: BlockSource) -> float:
     """Largest magnitude of a block source, one row block at a time."""
-    blocks = (read(rows, slice(None)) for rows in row_blocks(shape))
+    blocks = (source(rows, slice(None)) for rows in row_blocks(source))
     return max((float(np.abs(b, out=b).max()) for b in blocks), default=0.0)
 
 
@@ -196,17 +223,15 @@ def default_num_bins(num_elements: int) -> int:
     return max(MIN_BINS, min(num_elements // ELEMENTS_PER_BIN, MAX_BINS))
 
 
-def build_abs_histogram(w, num_bins: int | None = None, shape: tuple | None = None) -> AbsHistogram:
+def build_abs_histogram(w, num_bins: int | None = None) -> AbsHistogram:
     """Histogram the magnitudes of a matrix.
 
     Args:
-        w: Source matrix, 2-D with at least one element, or a function of
-            two slices that makes its new float64 blocks
-            (:func:`_block_source`). It is read twice in row blocks, for
-            the largest magnitude and for the counts.
+        w: Source matrix, 2-D with at least one element, or a
+            :class:`BlockSource`. It is read twice in row blocks, for the
+            largest magnitude and for the counts.
         num_bins: Bin count; defaults to :func:`default_num_bins` of the
             element count.
-        shape: ``(rows, cols)`` of ``w`` when it is a function.
 
     Returns:
         An :class:`AbsHistogram` over [0, max|w|]. A magnitude of exactly
@@ -215,13 +240,13 @@ def build_abs_histogram(w, num_bins: int | None = None, shape: tuple | None = No
     Raises:
         EmptyTensor: If ``w`` has no elements.
     """
-    read, shape = _block_source(w, shape)
-    size = shape[0] * shape[1]
+    read = _block_source(w)
+    size = read.shape[0] * read.shape[1]
     if num_bins is None:
         num_bins = default_num_bins(size)
     if num_bins < 1:
         raise ShapeMismatch(f"num_bins must be >= 1, got {num_bins}")
-    max_abs = _max_abs(read, shape)
+    max_abs = _max_abs(read)
     counts = np.zeros(num_bins, dtype=np.int64)
     if max_abs == 0.0:
         counts[0] = size
@@ -229,7 +254,7 @@ def build_abs_histogram(w, num_bins: int | None = None, shape: tuple | None = No
     # Right-closed bins: bin k covers ((k * M / B), ((k+1) * M / B)] with
     # zero assigned to bin 0, so the maximum always lands in the last bin.
     per_unit = num_bins / max_abs
-    for rows in row_blocks(shape):
+    for rows in row_blocks(read):
         mags = read(rows, slice(None))
         np.abs(mags, out=mags)
         mags *= per_unit
@@ -240,7 +265,7 @@ def build_abs_histogram(w, num_bins: int | None = None, shape: tuple | None = No
     return AbsHistogram(max_abs, num_bins, counts, size)
 
 
-def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Best rank-r factorization in the Frobenius norm.
 
     Returns ``(left, right)`` with shapes (rows, r) and (r, cols) such that
@@ -250,11 +275,7 @@ def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np
     is fixed so the first nonzero entry of each right-factor row is
     non-negative.
 
-    ``m`` is the matrix itself, or, given its ``shape``, a function that
-    returns the new float64 block ``m[rows, cols]`` for two slices
-    (:func:`_block_source`), as :func:`~slim.prune.build_mask` takes its
-    scores.
-    Either way ``m`` is read in two passes over blocks of about
+    ``m`` is a matrix or a :class:`BlockSource`, read in two passes over blocks of about
     :data:`GRAM_ELEMENTS` entries (k * k / 2 when that is more,
     k = min(rows, cols)), row blocks of a tall or square ``m`` and
     column blocks of a wide one, and no array of its size is made.
@@ -275,17 +296,15 @@ def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np
     eigendecomposition, k = min(rows, cols).
 
     Args:
-        m: Matrix to approximate, or a function of two slices giving its
-            blocks.
+        m: Matrix to approximate, or its :class:`BlockSource`.
         r: Target rank, 1 <= r <= min(rows, cols).
-        shape: ``(rows, cols)`` of ``m`` when it is a function.
 
     Raises:
         RankOutOfRange: If ``r`` is outside the valid range.
         NonFinite: If a matrix ``m`` has NaN/Inf entries.
     """
-    m, shape = _block_source(m, shape, "m")
-    rows, cols = shape
+    m = _block_source(m, "m")
+    rows, cols = m.shape
     if not (1 <= r <= min(rows, cols)):
         raise RankOutOfRange(f"rank {r} not in [1, {min(rows, cols)}]")
     tall, everything = cols <= rows, slice(None)
@@ -309,7 +328,7 @@ def svd_truncated(m, r: int, shape: tuple | None = None) -> tuple[np.ndarray, np
     # power of two so the Gram matrix neither overflows nor underflows.
     exp = int(np.frexp(peak)[1])
     if abs(exp) > GRAM_SAFE_EXPONENT:
-        left, right = svd_truncated(lambda rows, cols: np.ldexp(m(rows, cols), -exp), r, shape)
+        left, right = svd_truncated(BlockSource(lambda rows, cols: np.ldexp(m(rows, cols), -exp), m.shape), r)
         return np.ldexp(left, exp), right
     # eigh sorts eigenvalues ascending: the last r columns, reversed.
     vecs = np.linalg.eigh(gram)[1][:, : -r - 1 : -1]

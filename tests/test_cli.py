@@ -154,6 +154,16 @@ class TestGenFixture:
                          "--name", "_w", "--out", str(out))
         assert code == 0 and list(read_container(out)) == ["_w"]
 
+    @pytest.mark.parametrize("name", ["sub/w", "/", "a\0b", "\0"])
+    def test_name_that_cannot_name_a_file_usage_error(self, tmp_path, capsys, name):
+        # slim compress writes OUT.<name>.slim for each tensor
+        out = tmp_path / "x.slim"
+        code, _, err = run(capsys, "gen-fixture", "--dist", "gaussian", "--shape", "4x4",
+                           "--name", name, "--out", str(out))
+        assert code == 1
+        assert err == f"error: --name {name!r} holds '/' or NUL, which an artifact file name cannot\n"
+        assert not out.exists()
+
     def test_unknown_dist_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen-fixture", "--dist", "cauchy",
                          "--shape", "4x4", "--out", str(tmp_path / "x.slim"))
@@ -324,6 +334,25 @@ class TestCompress:
         assert out == ""
         assert err == "error: tensor 'b': scales must be positive and finite\n"
         assert sorted(tmp_path.glob("OUT*")) == []
+
+    @pytest.mark.parametrize("name", ["sub/w", "a\0b"])
+    def test_name_that_cannot_name_a_file_fails_before_any_tensor_is_read(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # "a" comes first and is fine; OUT.sub exists, so "sub/w" would
+        # have written OUT.sub/w.slim into it
+        weights = tmp_path / "names.slim"
+        write_container(weights, {"a": np.ones((4, 4), np.float32), name: np.ones((4, 4), np.float32)})
+        (tmp_path / "OUT.sub").mkdir()
+        returned = record_reads(monkeypatch)
+        code, out, err = run(capsys, "compress", "--weights", str(weights),
+                             "--out", str(tmp_path / "OUT"), "--quant", "absmax")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tensor name {name!r} holds '/' or NUL, which an artifact file name cannot\n"
+        assert returned == []
+        assert sorted(tmp_path.glob("OUT*")) == [tmp_path / "OUT.sub"]
+        assert list((tmp_path / "OUT.sub").iterdir()) == []
 
     def test_every_shape_checked_before_any_tensor_is_read(
         self, workspace, tmp_path, capsys, monkeypatch

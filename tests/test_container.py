@@ -592,8 +592,8 @@ class TestOneReader:
 
 def file_blocks(path, name, blocks):
     """Each ``read(rows, cols)`` of the block source of tensor ``name``."""
-    with container._tensor_source(path, name) as (read, shape):
-        return shape, [read(rows, cols) for rows, cols in blocks]
+    with container._tensor_source(path, name) as read:
+        return read.shape, [read(rows, cols) for rows, cols in blocks]
 
 
 class OpenedFiles(io.FileIO):
@@ -676,7 +676,7 @@ class TestTensorSource:
         w[1, 0] = np.inf
         p = tmp_path / "c.slim"
         write_container(p, {"w": w})
-        with container._tensor_source(p, "w") as (read, _):
+        with container._tensor_source(p, "w") as read:
             assert np.array_equal(read(slice(2, 4), slice(None)), np.ones((2, 5)))
             assert np.array_equal(read(slice(None), slice(4, 5)), np.ones((6, 1)))
             for rows, cols in [(slice(4, 5), slice(None)), (slice(None), slice(3, 4)),

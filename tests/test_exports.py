@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -47,3 +48,11 @@ def test_package_exports_each_module_name_once():
 def test_package_keeps_every_earlier_name():
     assert len(PARENT_NAMES) == 71
     assert sorted(set(PARENT_NAMES) - set(slim.__all__)) == []
+
+
+def test_no_function_takes_a_shape_beside_its_matrix():
+    # a matrix read a block at a time travels as one argument, a
+    # tensor.BlockSource, which carries its own shape
+    functions = [getattr(slim, n) for n in slim.__all__ if inspect.isfunction(getattr(slim, n))]
+    functions.append(slim.prune.build_mask)
+    assert [f.__name__ for f in functions if "shape" in inspect.signature(f).parameters] == []

@@ -25,11 +25,13 @@ from slim import (
     E5M2,
     ChannelScaling,
     CompressedLayer,
+    EmptyTensor,
     LayerCompressionConfig,
     LowRankAdapter,
     NonFinite,
     Provenance,
     QuantizedTensor,
+    ShapeMismatch,
     SparsityPattern,
     absmax_alpha,
     activation_aware_scale,
@@ -48,6 +50,7 @@ from slim import (
     quantize_symmetric,
     saliency_vector,
     slim_lora,
+    svd_truncated,
     unstructured_mask,
     weight_space_report,
     write_container,
@@ -558,7 +561,7 @@ def reference_layer(w, stats, cfg: LayerCompressionConfig):
     if cfg.scaling_enabled:
         scaling = activation_aware_scale(w, stats, cfg.scale_fraction, cfg.scale_factor)
         w_s = scaled_copy(w, scaling)
-    weights, alpha = _quantize_weights(*tensor._block_source(w_s), None, cfg)
+    weights, alpha = _quantize_weights(tensor._block_source(w_s), None, cfg)
     w_c = _dense(weights, scaling)
     stored, mask = weights, None
     if cfg.sparsity is not None:
@@ -684,7 +687,7 @@ class TestSpans:
             return scores[r, c]
 
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
-            mask = build_mask(blocks, SparsityPattern.semistructured(1, m), (rows, cols))
+            mask = build_mask(tensor.BlockSource(blocks, (rows, cols)), SparsityPattern.semistructured(1, m))
         assert starts == list(range(0, rows, height))
         assert mask.keep.tobytes() == build_mask(scores, SparsityPattern.semistructured(1, m)).keep.tobytes()
 
@@ -720,7 +723,7 @@ class TestBlockedScoresAndMasks:
         k = min(rows, cols, 3)
         adapter = LowRankAdapter(rng.normal(size=(rows, k)), rng.normal(size=(k, cols)))
         correction = adapter.left @ adapter.right
-        read = tensor._block_source(w0)[0]
+        read = tensor._block_source(w0)
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
             for block_rows, block_cols in [(slice(None), slice(None)), (slice(r0, r1), slice(None)),
                                            (slice(None), slice(c0, c1)), (slice(r0, r1), slice(c0, c1))]:
@@ -1198,6 +1201,18 @@ class TestMemory:
         # (half a weight), fails
         assert peak <= 1 * w.nbytes + BLOCK_BOUND
 
+    @pytest.mark.parametrize("sparsity", [None, "2:4"])
+    def test_raw_scaled_weight_holds_one_float64_weight(self, sparsity):
+        w = source("normal", (1024, 2048), "float32", 41)
+        stats = compute_calibration([np.random.default_rng(42).normal(size=(8, 1024))])
+        cfg = LayerCompressionConfig(quant_method="none", channel_scaling=True,
+                                     sparsity=None if sparsity is None else SparsityPattern.parse(sparsity))
+        _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
+        # the stored values (8 bytes an entry), filled from the scaled
+        # reader a row block at a time, and the keep mask (1 byte); a
+        # second float64 weight, scaled or not, fails
+        assert peak <= 9 * w.size + BLOCK_BOUND
+
     def test_fp8_peak_is_its_output_plus_4_mib(self):
         x = fp8_source("mixed", (512, 3072), 13)
         (out, _), peak = traced_peak(lambda: fp8_fake_quantize(x))
@@ -1332,10 +1347,10 @@ class TestFileSource:
             layer = compress_layer(w, stats, cfg)
             expected = (layer_to_bytes(layer), weight_space_report(w, layer, sal),
                         error_report(w, layer, x, sal))
-            with container._tensor_source(path, "w") as (read, got_shape):
-                from_file = compress_layer(read, stats, cfg, got_shape)
-                got = (layer_to_bytes(from_file), weight_space_report(read, layer, sal, got_shape),
-                       error_report(read, layer, x, sal, got_shape))
+            with container._tensor_source(path, "w") as read:
+                from_file = compress_layer(read, stats, cfg)
+                got = (layer_to_bytes(from_file), weight_space_report(read, layer, sal),
+                       error_report(read, layer, x, sal))
         assert got == expected
 
     def test_compress_layer_from_a_file_peaks_below_the_f32_weight(self, tmp_path):
@@ -1344,10 +1359,56 @@ class TestFileSource:
         path = tmp_path / "w.slim"
         write_container(path, {"w": w})
         cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4))  # wanda, 4-bit
-        with container._tensor_source(path, "w") as (read, shape):
-            _, peak = traced_peak(lambda: compress_layer(read, stats, cfg, shape))
+        with container._tensor_source(path, "w") as read:
+            _, peak = traced_peak(lambda: compress_layer(read, stats, cfg))
         # about 4.7 MiB: the codes and the keep mask (2 MiB each), zeroed in
         # place, and one block's temporaries; the weight read whole (8 MiB)
         # fails, and so does a masked copy of the codes (2 MiB more)
         assert peak < w.nbytes
         assert peak <= 2 * w.size + 2**20
+
+
+def float64_blocks(w: np.ndarray) -> tensor.BlockSource:
+    """``w`` as a block source made here rather than by
+    ``tensor._block_source``: a new float64 copy of each block."""
+    return tensor.BlockSource(lambda rows, cols: w[rows, cols].astype(np.float64), w.shape)
+
+
+SOURCE_STATS = compute_calibration([np.random.default_rng(44).normal(size=(16, 48))])
+SOURCE_CFG = LayerCompressionConfig(quant_method="slim_quant_o", sparsity=SparsityPattern.semistructured(2, 4),
+                                    adapter_method="slim", rank_ratio=0.1)
+
+# Each function that takes a matrix or a block source: the bits of its
+# result, given ``w`` and the layer compressed from the array.
+SOURCE_CALLS = {
+    "build_abs_histogram": lambda w, _: (lambda h: (h.max_abs, h.counts.tobytes()))(build_abs_histogram(w)),
+    "svd_truncated": lambda w, _: [f.tobytes() for f in svd_truncated(w, 3)],
+    "quantize_symmetric": lambda w, _: quantize_symmetric(w, ALPHA, Q).codes.tobytes(),
+    "absmax_alpha": lambda w, _: absmax_alpha(w),
+    "group_absmax_quantize": lambda w, _: (lambda t: (t.codes.tobytes(), t.scales.tobytes()))(
+        group_absmax_quantize(w, 7, Q)),
+    "activation_aware_scale": lambda w, _: activation_aware_scale(w, SOURCE_STATS, 0.1).channel_indices.tobytes(),
+    "build_mask": lambda w, _: build_mask(w, SparsityPattern.unstructured(0.5)).keep.tobytes(),
+    "compress_layer": lambda w, _: layer_to_bytes(compress_layer(w, SOURCE_STATS, SOURCE_CFG)),
+    "weight_space_report": lambda w, layer: weight_space_report(w, layer, saliency_vector(SOURCE_STATS)),
+    "error_report": lambda w, layer: error_report(w, layer, np.ones((4, 48)), saliency_vector(SOURCE_STATS)),
+}
+
+
+class TestBlockSource:
+    @pytest.mark.parametrize("name", sorted(SOURCE_CALLS))
+    def test_a_source_gives_the_bits_of_its_matrix(self, name):
+        w = source("normal", (48, 40), "float32", 43)
+        layer = compress_layer(w, SOURCE_STATS, SOURCE_CFG)
+        # several row blocks, and several blocks of the adapter fit
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", 64), \
+                mock.patch.object(tensor, "GRAM_ELEMENTS", 100):
+            assert SOURCE_CALLS[name](float64_blocks(w), layer) == SOURCE_CALLS[name](w, layer)
+
+    @pytest.mark.parametrize("shape, error", [
+        ((4,), ShapeMismatch), ((2, 2, 2), ShapeMismatch), ((), ShapeMismatch),
+        ((0, 3), EmptyTensor), ((3, 0), EmptyTensor),
+    ])
+    def test_a_source_is_a_non_empty_matrix(self, shape, error):
+        with pytest.raises(error):
+            tensor.BlockSource(lambda rows, cols: np.zeros((1, 1)), shape)

@@ -208,15 +208,15 @@ class TestSvdTruncated:
         assert seen == [(8, 8), (8, 8)]
 
 
-def block_source(m: np.ndarray, seen: list | None = None):
-    """``m`` as svd_truncated's block function: a new float64 copy of each
-    requested block, its shape recorded in ``seen``."""
+def block_source(m: np.ndarray, seen: list | None = None) -> tensor.BlockSource:
+    """``m`` as a block source: a new float64 copy of each requested block,
+    its shape recorded in ``seen``."""
     def block(rows, cols):
         b = np.array(m[rows, cols], dtype=np.float64)
         if seen is not None:
             seen.append(b.shape)
         return b
-    return block
+    return tensor.BlockSource(block, m.shape)
 
 
 def assert_canonical(left, right, shape, r):
@@ -259,7 +259,7 @@ class TestSvdTruncatedBlocks:
         seen = []
         with mock.patch.object(tensor, "GRAM_ELEMENTS", block):
             left, right = svd_truncated(m, r)
-            blocked = svd_truncated(block_source(m, seen), r, m.shape)
+            blocked = svd_truncated(block_source(m, seen), r)
         assert np.array_equal(left, blocked[0]) and np.array_equal(right, blocked[1])
         # row blocks of a tall or square m, column blocks of a wide one,
         # each of about `block` entries, or k * k / 2 when that is more
@@ -288,7 +288,7 @@ class TestSvdTruncatedBlocks:
         for budget in (1, 100):
             seen = []
             with mock.patch.object(tensor, "GRAM_ELEMENTS", budget):
-                blocked = svd_truncated(block_source(m, seen), 3, shape)
+                blocked = svd_truncated(block_source(m, seen), 3)
             long = 0 if shape[1] <= shape[0] else 1
             assert [b[long] for b in seen] == [8] * 16  # two passes of 8 blocks
             whole = svd_truncated(m, 3)
@@ -307,7 +307,7 @@ class TestSvdTruncatedBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with mock.patch.object(tensor, "GRAM_ELEMENTS", 24):
-                left, right = svd_truncated(block_source(np.ldexp(m, exponent)), 3, shape)
+                left, right = svd_truncated(block_source(np.ldexp(m, exponent)), 3)
         resid = np.linalg.norm(m - np.ldexp(left, -exponent) @ right)
         assert resid == pytest.approx(best_rank_r_residual(m, 3), rel=1e-12)
         assert_canonical(left, right, shape, 3)
@@ -321,7 +321,7 @@ class TestSvdTruncatedBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with mock.patch.object(tensor, "GRAM_ELEMENTS", 12):
-                left, right = svd_truncated(block_source(m), 2, m.shape)
+                left, right = svd_truncated(block_source(m), 2)
                 exp = int(np.frexp(np.abs(m).max())[1])
                 expected = svd_truncated(np.ldexp(m, -exp), 2)
         assert exp > tensor.GRAM_SAFE_EXPONENT
