@@ -16,6 +16,7 @@ matter there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -46,8 +47,8 @@ class ArchConfig:
     def __post_init__(self):
         if self.d <= 0 or self.n <= 0 or self.vocab <= 0:
             raise ConfigInvalid("d, n and vocab must be positive")
-        if self.ffn_ratio < 1.0:
-            raise ConfigInvalid(f"ffn_ratio must be >= 1, got {self.ffn_ratio}")
+        if not 1.0 <= self.ffn_ratio < math.inf:
+            raise ConfigInvalid(f"ffn_ratio must be finite and >= 1, got {self.ffn_ratio}")
 
     @property
     def block_weights(self) -> float:
@@ -91,8 +92,10 @@ class SchemeConfig:
             )
         if not (0.0 <= self.rank_ratio < 1.0):
             raise ConfigInvalid(f"rank_ratio must be in [0, 1), got {self.rank_ratio}")
-        if self.sparsity_metadata_bits < 0:
-            raise ConfigInvalid("sparsity_metadata_bits must be >= 0")
+        if not 0.0 <= self.sparsity_metadata_bits < math.inf:
+            raise ConfigInvalid(
+                f"sparsity_metadata_bits must be finite and >= 0, got {self.sparsity_metadata_bits}"
+            )
 
 
 def memory_reduction(arch: ArchConfig, scheme: SchemeConfig) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .container import _from_fields, _parse_json, read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
-from .tensor import as_float_matrix, row_blocks
+from .tensor import _spans, as_float_matrix
 
 __all__ = [
     "CalibrationStats",
@@ -76,10 +76,14 @@ def compute_calibration(x_batches) -> CalibrationStats:
     concatenation) in float64, so any partition of the same token stream
     produces identical statistics up to last-bit rounding.
 
-    A batch is read as it is stored (an f32 batch stays f32) into one
-    float64 buffer in the batch's layout, a widened row block at a time:
-    first ``|x|``, summed over tokens, then ``x**2``. The sums are those of
-    the whole-batch temporaries, bit for bit.
+    A batch is read as it is stored (an f32 batch stays f32), one block of
+    its columns of about :data:`~slim.tensor.BLOCK_ELEMENTS` entries at a
+    time, into a float64 buffer of the block in the batch's layout: first
+    ``|x|``, summed over tokens, then ``x**2``. No block is one column wide
+    unless the batch is, since numpy sums a one-column buffer pairwise and
+    a wider row-major one a row at a time. So each column's sums are those
+    of the whole-batch temporaries, bit for bit, and no buffer is the size
+    of the batch.
 
     Raises:
         EmptyInput: No batches, or zero tokens in total.
@@ -101,11 +105,14 @@ def compute_calibration(x_batches) -> CalibrationStats:
             )
         if arr.shape[0] == 0:
             continue
-        buf = np.empty_like(arr, dtype=np.float64)  # the batch's layout: the same sums
-        for fill, total in ((np.abs, sum_abs), (np.square, sum_sq)):
-            for rows in row_blocks(arr):
-                fill(arr[rows], out=buf[rows], dtype=np.float64)
-            total += buf.sum(axis=0)
+        spans = list(_spans(d_in, arr.shape[0], unit=2))
+        if len(spans) > 1 and spans[-1].start == d_in - 1:  # a lone last column joins the block before
+            spans[-2:] = [slice(spans[-2].start, d_in)]
+        for cols in spans:
+            buf = np.empty_like(arr[:, cols], dtype=np.float64)  # the batch's layout
+            for fill, total in ((np.abs, sum_abs), (np.square, sum_sq)):
+                fill(arr[:, cols], out=buf, dtype=np.float64)
+                total[cols] += buf.sum(axis=0)
         tokens += arr.shape[0]
     if d_in is None or d_in == 0 or tokens == 0:
         raise EmptyInput("no calibration tokens provided")

@@ -24,8 +24,9 @@ streams each tensor from its own buffer, and one reader.
 
 A weight need not be read whole: :func:`_tensor_source` opens one 2-D
 tensor of a file as a :class:`~slim.tensor.BlockSource`, which reads each
-block from the file as it is asked for (whole rows in one read, a block of
-columns one row's span at a time) and checks it for NaN and Inf.
+block from the file as it is asked for, a row block at a time through one
+buffer of the stored dtype (whole rows in one read, a block of columns one
+row's span at a time), and checks it for NaN and Inf.
 
 The header, the JSON records stored alongside the tensors (artifact and
 calibration metadata) and architecture files are parsed by
@@ -55,7 +56,7 @@ from .errors import (
     TruncatedData,
     UnsupportedVersion,
 )
-from .tensor import BlockSource
+from .tensor import BlockSource, row_blocks
 
 __all__ = [
     "MAGIC",
@@ -358,9 +359,12 @@ def _tensor_source(path, name: str):
     """The :class:`~slim.tensor.BlockSource` of the 2-D tensor ``name`` of
     the container file at ``path``, with the file open until the ``with``
     block ends. The header is checked as :func:`read_container` checks it.
-    Each block is read from the file into a new array (whole rows in one
-    seek and read, other columns one row's span at a time), checked for
-    NaN and Inf, and widened to float64. Errors name the tensor ``w``, as
+    Each block is a new float64 array, filled one row block of about
+    :data:`~slim.tensor.BLOCK_ELEMENTS` entries at a time: the row block is
+    read from the file into one buffer of the stored dtype (whole rows in
+    one seek and read, other columns one row's span at a time), checked for
+    NaN and Inf, and widened into the result, so the block is never held
+    twice. Errors name the tensor ``w``, as
     :func:`~slim.tensor.as_float_matrix` names a weight.
 
     Raises:
@@ -386,19 +390,27 @@ def _tensor_source(path, name: str):
         start, what = data_start + offset, f"tensor {name!r}"
 
         def fill(block: np.ndarray, r0: int, c0: int) -> None:
-            runs = [block.reshape(-1)] if block.shape[1] == n_cols else block  # whole rows, or each row
-            for i, run in enumerate(runs):
+            if block.size == 0:
+                return
+            data = memoryview(block).cast("B")  # block is C-contiguous
+            span = len(data) if block.shape[1] == n_cols else len(data) // len(block)  # whole rows, or each row
+            for i, at in enumerate(range(0, len(data), span)):
                 f.seek(start + ((r0 + i) * n_cols + c0) * dtype.itemsize)
-                _read_exact(f, run.view(np.uint8), what)
+                _read_exact(f, data[at: at + span], what)
 
         def read(rows: slice, cols: slice) -> np.ndarray:
             r0, r1, _ = rows.indices(n_rows)
             c0, c1, _ = cols.indices(n_cols)
-            block = np.empty((max(r1 - r0, 0), max(c1 - c0, 0)), dtype)
-            checked(lambda: fill(block, r0, c0))
-            if not np.isfinite(block).all():
-                raise NonFinite("w contains NaN or Inf")
-            return block.astype(np.float64)
+            out = np.empty((max(r1 - r0, 0), max(c1 - c0, 0)))
+            height = min(next(row_blocks(out), slice(0)).stop, len(out))
+            stage = np.empty((height, out.shape[1]), dtype)  # one row block, in the stored dtype
+            for piece in row_blocks(out):
+                block = stage[: len(out[piece])]
+                checked(lambda: fill(block, r0 + piece.start, c0))
+                if not np.isfinite(block).all():
+                    raise NonFinite("w contains NaN or Inf")
+                out[piece] = block
+            return out
 
         source = BlockSource(read, shape)  # ShapeMismatch / EmptyTensor unless 2-D and non-empty
         n_rows, n_cols = source.shape  # the checked shape, which read and fill use

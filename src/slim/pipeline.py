@@ -510,10 +510,6 @@ def _checked_weight(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> Bl
     return read
 
 
-def _mean_square(a: np.ndarray) -> float:
-    return float(np.einsum("ij,ij->", a, a) / a.size)
-
-
 def _weight_space(sq_rows: np.ndarray, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
     size = layer.shape[0] * layer.shape[1]
     return {
@@ -522,6 +518,16 @@ def _weight_space(sq_rows: np.ndarray, layer: CompressedLayer, x_saliency: Salie
         "density": layer.density,
         "effective_bits_per_weight": layer.effective_bits_per_weight,
     }
+
+
+def _row_squares(read: BlockSource, layer: CompressedLayer) -> np.ndarray:
+    """Sum of squares of each row of the residual ``E = w - corrected_weight``,
+    made one row block of :func:`_residual` at a time."""
+    sq = np.empty(layer.shape[0])
+    for rows in row_blocks(layer.shape):
+        e = _residual(read, layer.weights, layer.channel_scaling, layer.adapter, rows)
+        sq[rows] = np.einsum("ij,ij->i", e, e)
+    return sq
 
 
 def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -> dict:
@@ -536,11 +542,7 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
         ShapeMismatch: ``w`` or ``x_saliency`` disagrees with the layer.
     """
     read = _checked_weight(w, layer, x_saliency)
-    sq = np.empty(layer.shape[0])
-    for rows in row_blocks(layer.shape):
-        e = _residual(read, layer.weights, layer.channel_scaling, layer.adapter, rows)
-        sq[rows] = np.einsum("ij,ij->i", e, e)
-    return _weight_space(sq, layer, x_saliency)
+    return _weight_space(_row_squares(read, layer), layer, x_saliency)
 
 
 def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) -> ErrorReport:
@@ -556,15 +558,25 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
     ``R + (x_eval @ left) @ right``; without an adapter it equals
     ``output_mse``. The layer's arrays are left as they were.
 
-    No array the size of the weight is made. E is made one row block at a
-    time, as :func:`weight_space_report` makes it (so the weight fields
-    have its bits), into one product block: a run of E's rows of about
-    :data:`~slim.tensor.PRODUCT_ELEMENTS` entries. Each run's product with
-    its columns of ``x_eval`` (only those widened to float64) is added
-    into R, which starts at zeros, a chunk of R's columns at a time, and
-    ``x_eval @ left`` is summed the same way, so the output fields differ
-    from the whole product's in the last places. ``w`` is taken as
-    :func:`compress_layer` takes it.
+    No array the size of the weight is made, and none the size of R when
+    the weight is wide. The weight fields have the bits of
+    :func:`weight_space_report`: E's rows are squared one row block at a
+    time. The output fields are summed by blocks of E of about
+    :data:`~slim.tensor.PRODUCT_ELEMENTS` ``// 4`` entries, so they differ
+    from the whole product's in the last places:
+
+    - a wide weight (fewer rows than columns) by blocks of E's columns,
+      each made a row block at a time, multiplied by ``x_eval`` (widened to
+      float64 once) and squared, then dropped; the weight fields take
+      their own row-block pass.
+    - a tall or square one, whose R is no larger than ``x_eval`` widened,
+      by runs of E's rows, the same row blocks that give the weight
+      fields. Each run's product with its columns of ``x_eval`` (only those
+      widened) is added into R, which starts at zeros, a chunk of R's
+      columns at a time (:func:`_add_product`), and ``x_eval @ left`` is
+      summed the same way.
+
+    ``w`` is taken as :func:`compress_layer` takes it.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -574,10 +586,54 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
     read = _checked_weight(w, layer, x_saliency)
+    output = _column_sums if d_in < d_out else _row_run_sums
+    sq, total, no_adapter = output(read, layer, xe, tensor.PRODUCT_ELEMENTS // 4)
+    size = xe.shape[0] * d_out
+    return ErrorReport(
+        output_mse=total / size,
+        output_mse_no_adapter=no_adapter / size,
+        **_weight_space(sq, layer, x_saliency),
+    )
 
+
+def _sum_square(a: np.ndarray) -> float:
+    return float(np.einsum("ij,ij->", a, a))
+
+
+def _column_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
+    """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
+    ``R**2`` with the adapter term put back, for a wide weight: R by blocks
+    of E's columns, never whole."""
+    d_in, d_out = layer.shape
     a = layer.adapter
-    per_block = next(row_blocks(layer.shape)).stop  # the rows of weight_space_report's blocks
-    runs = list(_spans(d_in, d_out, tensor.PRODUCT_ELEMENTS, unit=per_block))
+    x = xe.astype(np.float64, copy=False)  # a float64 x_eval is read in place
+    xl = None if a is None else x @ a.left
+    spans = list(_spans(d_out, d_in, elements))
+    block = np.empty((d_in, min(d_out, spans[0].stop)))  # one column block of E
+    total = no_adapter = 0.0
+    for cols in spans:
+        e = block[:, : min(cols.stop, d_out) - cols.start]
+        for rows in row_blocks(e):
+            e[rows] = _residual(read, layer.weights, layer.channel_scaling, a, rows, cols)
+        r = x @ e  # R's columns
+        square = _sum_square(r)
+        total += square
+        if a is not None:
+            _add_product(r, xl, a.right[:, cols])
+            square = _sum_square(r)
+        no_adapter += square
+        del r  # before the next block's is made
+    return _row_squares(read, layer), total, no_adapter
+
+
+def _row_run_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
+    """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
+    ``R**2`` with the adapter term put back, for a tall or square weight:
+    R whole, E by runs of its rows."""
+    d_in, d_out = layer.shape
+    a = layer.adapter
+    per_block = next(row_blocks(layer.shape)).stop  # the rows of _row_squares's blocks
+    runs = list(_spans(d_in, d_out, elements, unit=per_block))
     block = np.empty((min(d_in, runs[0].stop), d_out))  # one run of E's rows
     sq = np.empty(d_in)
     r = np.zeros((xe.shape[0], d_out))
@@ -585,20 +641,15 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
     for run in runs:
         xp = xe[:, run].astype(np.float64, copy=False)  # a float64 x_eval is read in place
         e = block[: xp.shape[1]]
-        for at in row_blocks(e):  # weight_space_report's blocks, as the run starts on one
+        for at in row_blocks(e):  # _row_squares's blocks, as the run starts on one
             rows = slice(run.start + at.start, run.start + at.stop)
             e[at] = _residual(read, layer.weights, layer.channel_scaling, a, rows)
             sq[rows] = np.einsum("ij,ij->i", e[at], e[at])
         _add_product(r, xp, e)
         if a is not None:
             xl += xp @ a.left[run]
-    output_mse = _mean_square(r)
-    no_adapter = output_mse
+    total = no_adapter = _sum_square(r)
     if a is not None:
         _add_product(r, xl, a.right)
-        no_adapter = _mean_square(r)
-    return ErrorReport(
-        output_mse=output_mse,
-        output_mse_no_adapter=no_adapter,
-        **_weight_space(sq, layer, x_saliency),
-    )
+        no_adapter = _sum_square(r)
+    return sq, total, no_adapter

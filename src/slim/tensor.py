@@ -12,8 +12,9 @@ of its own widened blocks (:func:`_block_source`). The blocks give the
 bits of the source's float64 copy, which is never made. Every blocked pass
 (row blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`),
 mask blocks, artifact chunks, the product blocks of
-:data:`PRODUCT_ELEMENTS` and the adapter fit's blocks of
-:data:`GRAM_ELEMENTS`) takes its boundaries from one rule, :func:`_spans`.
+:data:`PRODUCT_ELEMENTS` (a quarter of it in the error report) and the
+adapter fit's blocks of :data:`GRAM_ELEMENTS`) takes its boundaries from
+one rule, :func:`_spans`.
 :func:`as_float_matrix` is the one check of a matrix (its shape by
 :func:`_check_shape`, which checks every source's shape too, then finite
 one row block at a time) and keeps a float source's buffer;
@@ -66,9 +67,10 @@ BLOCK_ELEMENTS = 1 << 16
 # with 2**21). Nothing changes up to k = 1448, where k * k / 2 reaches 2**20.
 GRAM_ELEMENTS = 1 << 20
 
-# Blocked matrix products (the error report's x @ D, the forward pass's
-# x @ W) take about this many weight elements at a time: 32 MiB as float64,
-# the smallest size measured to multiply as fast as the whole matrix.
+# The forward pass's blocked product x @ W takes about this many weight
+# elements at a time: 32 MiB as float64, the smallest size measured to
+# multiply as fast as the whole matrix. The error report sums x @ E over
+# blocks of a quarter of it (8 MiB), as its product is not kept.
 PRODUCT_ELEMENTS = 1 << 22
 
 

@@ -129,6 +129,11 @@ class TestValidation:
         with pytest.raises(ConfigInvalid):
             ArchConfig(d=8, n=1, vocab=10, ffn_ratio=0.5)
 
+    @pytest.mark.parametrize("ffn_ratio", [float("nan"), float("inf")])
+    def test_arch_ffn_ratio_must_be_finite(self, ffn_ratio):
+        with pytest.raises(ConfigInvalid):
+            ArchConfig(d=8, n=1, vocab=10, ffn_ratio=ffn_ratio)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -139,6 +144,9 @@ class TestValidation:
             {"rank_ratio": 1.0},
             {"rank_ratio": -0.1},
             {"sparsity_metadata_bits": -1.0},
+            {"sparsity_metadata_bits": float("nan")},  # passed a bare `< 0` check
+            {"sparsity_metadata_bits": float("inf")},
+            {"sparsity_metadata_bits": float("-inf")},
         ],
     )
     def test_scheme_validation(self, kwargs):

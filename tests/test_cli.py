@@ -692,6 +692,23 @@ class TestBudget:
         assert out == ""
         assert err.startswith(f"error: bad architecture description in {p}")
 
+    @pytest.mark.parametrize("meta_bits", ["nan", "inf"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_non_finite_meta_bits_data_error(self, capsys, meta_bits, as_json):
+        code, out, err = run(capsys, "budget", "--arch", "opt-125m", "--meta-bits", meta_bits,
+                             *(["--json"] if as_json else []))
+        assert code == 2
+        assert out == ""
+        assert "sparsity_metadata_bits must be finite" in err
+
+    def test_arch_file_non_finite_ffn_ratio_data_error(self, tmp_path, capsys):
+        p = tmp_path / "arch.json"
+        p.write_text('{"d": 768, "n": 12, "vocab": 50272, "ffn_ratio": NaN}')
+        code, out, err = run(capsys, "budget", "--arch", str(p))
+        assert code == 2
+        assert out == ""
+        assert "ffn_ratio must be finite" in err
+
     def test_unknown_preset_data_error(self, capsys):
         code, _, _ = run(capsys, "budget", "--arch", "opt-9000t")
         assert code == 2

@@ -632,6 +632,7 @@ class TestTensorSource:
             (everything, slice(cols - 3, cols + 9)),        # ragged last columns
             (slice(1, rows), slice(2, 4)),                  # rows and columns
             (slice(rows, rows + 3), everything),            # past the end: no rows
+            (everything, slice(cols, cols + 2)),            # past the end: no columns
         ]
         got_shape, got = file_blocks(p, name, blocks)
         assert got_shape == shape

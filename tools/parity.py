@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare what two trees of ``src/`` compute, case by case.
 
-    tools/parity.py --base REF [--allow FIELD=RTOL ...]
+    tools/parity.py --base REF [--allow FIELD[.KEY]=RTOL ...]
 
 REF's ``src/`` is exported with ``git archive`` (no network needed) into a
 temporary directory. One fixed-seed matrix of layers runs in that tree and
@@ -41,6 +41,12 @@ arrays (the stored weight, the keep mask and the adapter factors, each
 relative to its largest entry), and infinite when their shapes, config or
 provenance differ. Each case with a difference beyond its ``--allow`` is
 listed, and the tool then exits 1.
+
+``--allow FIELD=RTOL`` accepts differences in any part of FIELD up to RTOL.
+``--allow error_report.output_mse=RTOL`` accepts them in that one key of a
+report field (``weight_space_report`` or ``error_report``), so every other
+key of the report must still be equal; a key's own ``--allow`` takes the
+place of its field's.
 """
 
 from __future__ import annotations
@@ -212,40 +218,53 @@ def spawn(tree: Path) -> subprocess.Popen:
     )
 
 
-def difference(field: str, a, b) -> float:
-    """0 for equal values, else the largest relative difference (inf where
-    the two are not numbers of the same kind)."""
+def differences(field: str, a, b) -> dict[str, float]:
+    """The largest relative difference of each part of a field: 0 where
+    equal, inf where the two are not numbers of the same kind. A report's
+    parts are its keys; any other field is one part, named ``""``."""
     if a == b:
-        return 0.0
+        return {"": 0.0}
     if field == "artifact" and isinstance(a, dict) and isinstance(b, dict):
         (meta_a, arrays_a), (meta_b, arrays_b) = _decoded(a["bytes"]), _decoded(b["bytes"])
         if meta_a != meta_b or len(arrays_a) != len(arrays_b):
-            return float("inf")
-        return _largest_relative(zip(arrays_a, arrays_b))
+            return {"": float("inf")}
+        return {"": _largest_relative(zip(arrays_a, arrays_b))}
     if field == "layer_output" and isinstance(a, list) and isinstance(b, list):
-        return _largest_relative((np.frombuffer(base64.b64decode(x)), np.frombuffer(base64.b64decode(y)))
-                                 for x, y in zip(a, b))
+        return {"": _largest_relative((np.frombuffer(base64.b64decode(x)), np.frombuffer(base64.b64decode(y)))
+                                      for x, y in zip(a, b))}
     if field.endswith("report") and isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return max((abs(a[k] - b[k]) / abs(b[k]) if b[k] else float("inf"))
-                   for k in a if a[k] != b[k])
-    return float("inf")
+        return {k: (abs(a[k] - b[k]) / abs(b[k]) if b[k] else float("inf")) for k in a if a[k] != b[k]}
+    return {"": float("inf")}
 
 
 def parse_allow(items: list[str]) -> dict[str, float]:
+    """``FIELD=RTOL`` or ``FIELD.KEY=RTOL`` (a key of a report field) to a
+    map from ``FIELD`` or ``FIELD.KEY`` to its tolerance."""
     allow = {}
     for item in items:
-        field, _, rtol = item.partition("=")
+        name, _, rtol = item.partition("=")
+        field, dot, key = name.partition(".")
         if field not in FIELDS:
             raise SystemExit(f"--allow: unknown field {field!r}; fields are {', '.join(FIELDS)}")
-        allow[field] = float(rtol)
+        if dot and not (key and field.endswith("report")):
+            raise SystemExit(f"--allow: {name!r} names no report key, as in error_report.output_mse")
+        allow[name] = float(rtol)
     return allow
+
+
+def within_allow(field: str, parts: dict[str, float], allow: dict[str, float]) -> bool:
+    """Whether every part's difference is within its tolerance: a report
+    key's own ``--allow``, else its field's."""
+    return all(diff <= allow.get(f"{field}.{key}" if key else field, allow.get(field, -1.0))
+               for key, diff in parts.items() if diff)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision to compare the working tree against")
-    parser.add_argument("--allow", action="append", default=[], metavar="FIELD=RTOL",
-                        help="accept differences in FIELD up to this relative size")
+    parser.add_argument("--allow", action="append", default=[], metavar="FIELD[.KEY]=RTOL",
+                        help="accept differences in FIELD, or in KEY of a report FIELD, up to this "
+                             "relative size")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -270,9 +289,10 @@ def main(argv=None) -> int:
             for field in FIELDS:
                 if field not in new and field not in old:  # no forward pass in a command-line case
                     continue
-                diff = difference(field, new.get(field), old.get(field))
+                parts = differences(field, new.get(field), old.get(field))
+                diff = max(parts.values())
                 count = counts[field]
-                kind = 0 if diff == 0 else 1 if diff <= allow.get(field, -1.0) else 2
+                kind = 0 if diff == 0 else 1 if within_allow(field, parts, allow) else 2
                 count[kind] += 1
                 count[3] = max(count[3], diff)
                 if kind == 2:
