@@ -76,7 +76,7 @@ def _describe(part) -> tuple:
     if isinstance(part, QuantizedTensor):
         return part.shape, (part.bits, part.group_size)
     if isinstance(part, SparsityMask):
-        return part.keep.shape, _PACKED
+        return part.shape, _PACKED
     return np.shape(part), None
 
 
@@ -142,19 +142,18 @@ def _unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     return codes.reshape(-1)[:count]
 
 
-def _kept(stored: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The entries of ``stored`` that ``keep`` keeps, row-major, gathered a
-    :data:`~slim.tensor.BLOCK_ELEMENTS` chunk at a time.
+def _kept(stored: np.ndarray, mask: SparsityMask) -> np.ndarray:
+    """The entries of ``stored`` that ``mask`` keeps, row-major, gathered a
+    row block at a time.
 
     Raises:
         SchemaViolation: an entry the mask drops is nonzero, so storing the
             kept entries only would lose it.
     """
-    flat, mask = stored.reshape(-1), keep.reshape(-1)
-    kept = np.empty(np.count_nonzero(mask), stored.dtype)
+    kept = np.empty(mask.kept, stored.dtype)
     done = 0
-    for chunk in tensor._spans(flat.size):  # a chunk's index at a time, as in _scatter
-        part = np.compress(mask[chunk], flat[chunk])  # ~3x faster than flat[mask]
+    for rows in tensor.row_blocks(stored):  # as in _scatter
+        part = np.compress(mask.rows(rows).reshape(-1), stored[rows])  # ~3x faster than a bool index
         kept[done:done + part.size] = part
         done += part.size
     if np.count_nonzero(kept) != np.count_nonzero(stored):
@@ -162,20 +161,49 @@ def _kept(stored: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _scatter(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Zeros shaped like ``keep`` with ``values`` at its kept entries,
+def _scatter(values: np.ndarray, mask: SparsityMask) -> np.ndarray:
+    """Zeros shaped like ``mask`` with ``values`` at its kept entries,
     row-major; inverse of :func:`_kept`.
 
-    Indexes the mask a :data:`~slim.tensor.BLOCK_ELEMENTS` chunk at a time, so
-    no weight-sized index array is built; several times faster than ``out[keep] = values``.
+    Indexes the mask a row block at a time, so no weight-sized index array
+    is built; several times faster than ``out[keep] = values``.
     """
-    out = np.zeros(keep.size, values.dtype)
-    flat, done = keep.reshape(-1), 0
-    for chunk in tensor._spans(flat.size):
-        idx = np.flatnonzero(flat[chunk])
-        out[chunk][idx] = values[done:done + idx.size]
+    out = np.zeros(mask.shape, values.dtype)
+    done = 0
+    for rows in tensor.row_blocks(out):
+        idx = np.flatnonzero(mask.rows(rows))
+        out[rows].reshape(-1)[idx] = values[done:done + idx.size]
         done += idx.size
-    return out.reshape(keep.shape)
+    return out
+
+
+def _flat_bits(mask: SparsityMask) -> np.ndarray:
+    """The mask's flags row-major, 8 to a byte, as ``np.packbits`` packs the
+    flat keep matrix: its held bytes when d_out is a multiple of 8, else
+    repacked a row block of whole bytes at a time."""
+    d_in, d_out = mask.shape
+    if d_out % 8 == 0:
+        return mask.bits.reshape(-1)
+    flat = np.empty(-(-d_in * d_out // 8), np.uint8)
+    for rows in tensor.row_blocks(mask.shape, align=8):
+        packed = np.packbits(mask.rows(rows))
+        flat[rows.start * d_out // 8:][:packed.size] = packed
+    return flat
+
+
+def _row_bits(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of :func:`_flat_bits`: the mask's rows, each padded to whole
+    bytes with zero bits. The pad bits of ``flat``'s last byte are
+    dropped, whatever they hold."""
+    d_in, d_out = shape
+    if d_out % 8 == 0:  # d_in * d_out bits fill every byte
+        return flat.reshape(d_in, d_out // 8)
+    bits = np.empty((d_in, -(-d_out // 8)), np.uint8)
+    for rows in tensor.row_blocks(shape, align=8):
+        count = (min(rows.stop, d_in) - rows.start) * d_out
+        run = flat[rows.start * d_out // 8:][:-(-count // 8)]
+        bits[rows] = np.packbits(np.unpackbits(run, count=count).reshape(-1, d_out), axis=1)
+    return bits
 
 
 def layer_to_tensors(layer: CompressedLayer) -> dict:
@@ -191,11 +219,11 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
         codec = _describe(part)[1]
         names = _tensor_names(name, codec)
         if codec == _PACKED:
-            tensors[names[0]] = np.packbits(part.keep.reshape(-1))
+            tensors[names[0]] = _flat_bits(part)
             continue
         values = part if codec is None else part.codes
         if name == "weights" and layer.mask is not None:
-            values = _kept(values, layer.mask.keep)
+            values = _kept(values, layer.mask)
         if codec is None:
             tensors[name] = np.asarray(values, dtype=np.float32).reshape(-1)
         else:
@@ -254,22 +282,22 @@ def _tensor(tensors: dict, name: str, dtype, size: int | None = None) -> np.ndar
     return arr
 
 
-def _decode(tensors: dict, name: str, shape: tuple, codec, keep: np.ndarray | None):
-    """One part from its flat container tensors. ``keep`` is the decoded
+def _decode(tensors: dict, name: str, shape: tuple, codec, mask: SparsityMask | None):
+    """One part from its flat container tensors. ``mask`` is the decoded
     mask when the part stores only the entries it keeps."""
     names = _tensor_names(name, codec)
     total = shape[0] * shape[1]
     if codec == _PACKED:
         packed = _tensor(tensors, names[0], np.uint8, -(-total // 8))
-        return SparsityMask(np.unpackbits(packed, count=total).astype(bool).reshape(shape))
-    count = total if keep is None else int(np.count_nonzero(keep))
+        return SparsityMask._of_bits(_row_bits(packed, shape), shape)
+    count = total if mask is None else mask.kept
     if codec is None:
         values = _tensor(tensors, names[0], np.float32, count)  # the layer widens it
     else:
         bits, group_size = codec
         packed = _tensor(tensors, names[0], np.uint8, -(-count * code_field_bits(bits) // 8))
         values = _unpack_codes(packed, bits, count)
-    values = values.reshape(shape) if keep is None else _scatter(values, keep)
+    values = values.reshape(shape) if mask is None else _scatter(values, mask)
     if codec is None:
         return values
     scales = _tensor(tensors, names[1], np.float32).reshape(-1)
@@ -291,8 +319,8 @@ def layer_from_tensors(tensors: dict) -> CompressedLayer:
             )
         parts = {}
         for name, (shape, codec) in layout.items():  # the mask decodes first
-            keep = parts["mask"].keep if name == "weights" and "mask" in parts else None
-            parts[name] = _decode(tensors, name, shape, codec, keep)
+            mask = parts.get("mask") if name == "weights" else None
+            parts[name] = _decode(tensors, name, shape, codec, mask)
 
         adapter = None
         if "adapter_left" in parts:

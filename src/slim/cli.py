@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adapter rank / min(dim) (default 0.1 when --lora is set)")
     p.add_argument("--quantize-lora", action="store_true", help="store adapters 4-bit grouped")
     p.add_argument("--input-fp8", action="store_true", help="snap inputs to 8-bit float at inference")
-    p.add_argument("--report", help="write a JSON report here")
+    p.add_argument("--report", help="write a JSON report here; its weighted_weight_mse is "
+                   "weighted by the saliency of --calib (unit weights without --calib)")
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("eval", help="error report for an artifact against the original")
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compressed", required=True, help="compressed-layer artifact")
     p.add_argument("--inputs", required=True, help="container with evaluation activations")
     p.add_argument("--tensor", help="tensor name inside --original")
-    p.add_argument("--report", help="write the JSON report here")
+    p.add_argument("--report", help="write the JSON report here; its weighted_weight_mse is "
+                   "weighted by the saliency of --inputs")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("budget", help="analytic memory and FLOP reduction")

@@ -283,7 +283,7 @@ class CompressedLayer:
         record and each tensor's padding to whole bytes are not charged.
         """
         d_in, d_out = self.shape
-        kept = d_in * d_out if self.mask is None else int(np.count_nonzero(self.mask.keep))
+        kept = d_in * d_out if self.mask is None else self.mask.kept
         bits = _stored_bits(self.weights, kept)
         if self.mask is not None:
             bits += d_in * d_out
@@ -366,20 +366,15 @@ def compress_layer(w, stats: CalibrationStats | None, cfg: LayerCompressionConfi
     quantized weight, adapter fit against the total remaining error
     (in the caller's coordinates), optional adapter quantization.
 
-    ``w`` is read only through its :class:`~slim.tensor.BlockSource`: no
-    float64 weight-sized array is made (except the raw values of
-    ``quant_method="none"``, rounded to f32 in place once the adapter is
-    fitted), and no copy of ``w``. The codes
-    (or raw values) are pruned in place. Channel scaling only
-    chooses the rows to boost; the quantizer reads the scaled weight one
-    row block at a time, made from ``w`` (:func:`_quantize_weights`). The
-    pruning scores are never held whole: the mask ranks one block at a
-    time (:func:`~slim.prune.build_mask`), each block's scores made from
-    the codes with the arithmetic of the dequantized weight in the
-    caller's coordinates. The adapter fit reads the weighted error a block
-    at a time (:func:`~slim.tensor.svd_truncated`), each block the residual
-    ``w - w_c`` of :func:`_residual` (no adapter yet) times the saliency:
-    the arithmetic of :func:`~slim.lora.slim_lora` on the dequantized weight.
+    ``w`` is read only through its :class:`~slim.tensor.BlockSource`; no
+    copy of it and no float64 weight-sized array is made (but the raw
+    values of ``quant_method="none"``). Each stage reads a block at a time:
+    the quantizer the scaled weight (:func:`_quantize_weights`), the mask
+    the scores made from the codes in the caller's coordinates
+    (:func:`~slim.prune.build_mask`; it holds its flags as bits), and the
+    adapter fit the residual ``w - w_c`` (:func:`_residual`) times the
+    saliency (:func:`~slim.tensor.svd_truncated`), the arithmetic of
+    :func:`~slim.lora.slim_lora`. The codes (or raw values) are pruned in place.
 
     Args:
         w: Weight matrix, input channels as rows, checked for NaN and Inf
@@ -425,7 +420,7 @@ def compress_layer(w, stats: CalibrationStats | None, cfg: LayerCompressionConfi
         mask = prune_mod.build_mask(BlockSource(scores, shape), cfg.sparsity)
         values = stored.codes if isinstance(stored, QuantizedTensor) else stored
         for rows in row_blocks(values):  # the layer's own values, zeroed in place
-            np.copyto(values[rows], 0, where=~mask.keep[rows])
+            np.copyto(values[rows], 0, where=~mask.rows(rows))
 
     # 4. Adapter against the total error left after steps 1-3.
     adapter = None
@@ -491,11 +486,11 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
 
 
 def _add_product(out: np.ndarray, x: np.ndarray, m: np.ndarray) -> None:
-    """``out += x @ m``, a chunk of about :data:`~slim.tensor.PRODUCT_ELEMENTS`
-    ``// 16`` entries of ``out``'s columns at a time, with one chunk-sized
+    """``out += x @ m``, a chunk of about :data:`~slim.tensor.CHUNK_ELEMENTS`
+    entries of ``out``'s columns at a time, with one chunk-sized
     temporary and none the size of ``out``; the bits may differ from the
     whole product's in the last place."""
-    for cols in _spans(out.shape[1], out.shape[0], tensor.PRODUCT_ELEMENTS // 16):
+    for cols in _spans(out.shape[1], out.shape[0], tensor.CHUNK_ELEMENTS):
         out[:, cols] += x @ m[:, cols]
 
 
@@ -560,21 +555,11 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
 
     No array the size of the weight is made, and none the size of R when
     the weight is wide. The weight fields have the bits of
-    :func:`weight_space_report`: E's rows are squared one row block at a
-    time. The output fields are summed by blocks of E of about
-    :data:`~slim.tensor.PRODUCT_ELEMENTS` ``// 4`` entries, so they differ
-    from the whole product's in the last places:
-
-    - a wide weight (fewer rows than columns) by blocks of E's columns,
-      each made a row block at a time, multiplied by ``x_eval`` (widened to
-      float64 once) and squared, then dropped; the weight fields take
-      their own row-block pass.
-    - a tall or square one, whose R is no larger than ``x_eval`` widened,
-      by runs of E's rows, the same row blocks that give the weight
-      fields. Each run's product with its columns of ``x_eval`` (only those
-      widened) is added into R, which starts at zeros, a chunk of R's
-      columns at a time (:func:`_add_product`), and ``x_eval @ left`` is
-      summed the same way.
+    :func:`weight_space_report`. The output fields are summed over blocks
+    of E of about :data:`~slim.tensor.SUM_ELEMENTS` entries, so they
+    differ from the whole product's in the last places: blocks of a wide
+    weight's columns (:func:`_column_sums`), or runs of a tall or square
+    weight's rows (:func:`_row_run_sums`).
 
     ``w`` is taken as :func:`compress_layer` takes it.
 
@@ -587,7 +572,7 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
     read = _checked_weight(w, layer, x_saliency)
     output = _column_sums if d_in < d_out else _row_run_sums
-    sq, total, no_adapter = output(read, layer, xe, tensor.PRODUCT_ELEMENTS // 4)
+    sq, total, no_adapter = output(read, layer, xe, tensor.SUM_ELEMENTS)
     size = xe.shape[0] * d_out
     return ErrorReport(
         output_mse=total / size,
@@ -602,8 +587,10 @@ def _sum_square(a: np.ndarray) -> float:
 
 def _column_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
     """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
-    ``R**2`` with the adapter term put back, for a wide weight: R by blocks
-    of E's columns, never whole."""
+    ``R**2`` with the adapter term put back, for a wide weight: each block
+    of E's columns made a row block at a time, multiplied by ``x_eval``
+    (widened to float64 once) and squared, so R is never whole; the row
+    squares take their own row-block pass."""
     d_in, d_out = layer.shape
     a = layer.adapter
     x = xe.astype(np.float64, copy=False)  # a float64 x_eval is read in place
@@ -628,8 +615,11 @@ def _column_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elem
 
 def _row_run_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
     """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
-    ``R**2`` with the adapter term put back, for a tall or square weight:
-    R whole, E by runs of its rows."""
+    ``R**2`` with the adapter term put back, for a tall or square weight,
+    whose R is no larger than ``x_eval`` widened: each run of E's rows (the
+    row blocks of the row squares) times its columns of ``x_eval`` (only
+    those widened) is added into R (:func:`_add_product`), and ``x_eval @
+    left`` is summed the same way."""
     d_in, d_out = layer.shape
     a = layer.adapter
     per_block = next(row_blocks(layer.shape)).stop  # the rows of _row_squares's blocks

@@ -91,22 +91,56 @@ class SparsityPattern:
         return f"{self.n}:{self.m}"
 
 
-@dataclass(frozen=True)
 class SparsityMask:
-    """Boolean keep/drop matrix produced by a masking rule."""
+    """Keep/drop flags of a d_in x d_out matrix, held at one bit a flag.
 
-    keep: np.ndarray
+    ``bits`` is ``np.packbits(keep, axis=1)``: uint8, d_in x ceil(d_out / 8),
+    most significant bit first, each row padded to whole bytes with zero
+    bits, read-only (the artifact writer hands them out as they are);
+    ``shape`` is (d_in, d_out). ``SparsityMask(keep)`` packs a bool matrix.
+    A reader takes the flags of one row block (:meth:`rows`); ``keep``
+    unpacks the whole matrix into a new bool array on each access. Masks
+    compare equal by shape and bits.
+    """
 
-    def __post_init__(self):
-        keep = np.asarray(self.keep, dtype=bool)
-        object.__setattr__(self, "keep", keep)
+    def __init__(self, keep):
+        keep = np.asarray(keep, dtype=bool)
         if keep.ndim != 2:
             raise ShapeMismatch(f"mask must be 2-D, got shape {keep.shape}")
+        self.bits, self.shape = np.packbits(keep, axis=1), keep.shape
+        self.bits.flags.writeable = False
+
+    @classmethod
+    def _of_bits(cls, bits: np.ndarray, shape: tuple[int, int]) -> "SparsityMask":
+        """The mask of the packed rows ``bits`` (pad bits zero), held as they are."""
+        mask = cls.__new__(cls)
+        mask.bits, mask.shape = bits.view(), tuple(shape)
+        mask.bits.flags.writeable = False
+        return mask
+
+    def __eq__(self, other):
+        same = isinstance(other, SparsityMask) and self.shape == other.shape
+        return same and np.array_equal(self.bits, other.bits)
+
+    def rows(self, rows: slice) -> np.ndarray:
+        """The flags of ``rows`` as a new bool array."""
+        return np.unpackbits(self.bits[rows], axis=1, count=self.shape[1]).view(bool)
+
+    @property
+    def keep(self) -> np.ndarray:
+        """All flags as a new d_in x d_out bool array."""
+        return self.rows(slice(None))
+
+    @property
+    def kept(self) -> int:
+        """Number of kept entries, counted a row block of flags at a time."""
+        return sum(np.count_nonzero(self.rows(rows)) for rows in tensor.row_blocks(self.shape))
 
     @property
     def density(self) -> float:
-        """Kept fraction."""
-        return float(self.keep.mean()) if self.keep.size else 1.0
+        """Kept fraction; 1.0 for an empty mask."""
+        size = self.shape[0] * self.shape[1]
+        return self.kept / size if size else 1.0
 
 
 def wanda_scores(w, stats: CalibrationStats) -> np.ndarray:
@@ -211,10 +245,8 @@ def apply_mask(w, mask: SparsityMask) -> np.ndarray:
     arr = np.asarray(w)
     if not np.issubdtype(arr.dtype, np.integer):
         arr = as_matrix(arr, "w")
-    if arr.shape != mask.keep.shape:
-        raise ShapeMismatch(
-            f"weight shape {arr.shape} does not match mask {mask.keep.shape}"
-        )
+    if arr.shape != mask.shape:
+        raise ShapeMismatch(f"weight shape {arr.shape} does not match mask {mask.shape}")
     return np.where(mask.keep, arr, arr.dtype.type(0))
 
 
@@ -224,8 +256,9 @@ def build_mask(scores, pattern: SparsityPattern) -> SparsityMask:
     ``scores``, a matrix or a :class:`~slim.tensor.BlockSource`, are read
     and ranked in blocks of about :data:`~slim.tensor.BLOCK_ELEMENTS`:
     whole columns for an unstructured pattern, which ranks each column, and
-    whole groups of ``m`` rows for a semi-structured one. No score-sized
-    array is made besides the mask.
+    whole groups of ``m`` rows for a semi-structured one; each block's flags
+    go straight into the mask's packed bits (whole bytes of every row for
+    an unstructured block), and no score-sized array is made.
 
     Raises:
         IndivisibleDimension: a semi-structured pattern's ``m`` does not
@@ -239,15 +272,16 @@ def build_mask(scores, pattern: SparsityPattern) -> SparsityMask:
     if pattern.kind == "unstructured":
         k = int(np.ceil((1.0 - pattern.ratio) * d_in))
         if k == d_in:  # k >= 1: d_in >= 1 and ratio < 1
-            return SparsityMask(np.ones(shape, dtype=bool))
-    keep = np.empty(shape, dtype=bool)
+            return SparsityMask._of_bits(np.tile(np.packbits(np.ones(d_out, bool)), (d_in, 1)), shape)
+    bits = np.empty((d_in, -(-d_out // 8)), dtype=np.uint8)
     if pattern.kind == "unstructured":
-        for cols in tensor._spans(d_out, d_in):
-            keep[:, cols] = _top_k(scores(everything, cols), k)
+        for cols in tensor._spans(d_out, d_in, unit=8):  # whole bytes of every row
+            keep = np.ascontiguousarray(_top_k(scores(everything, cols), k))  # packs ~3x faster
+            bits[:, cols.start // 8: cols.stop // 8] = np.packbits(keep, axis=1)
     else:
         n, m = pattern.n, pattern.m
         if d_in % m != 0:
             raise IndivisibleDimension(f"input dim {d_in} not divisible by m = {m}")
         for rows in tensor._spans(d_in, d_out, unit=m):
-            keep[rows] = _n_of_m(scores(rows, everything), n, m)
-    return SparsityMask(keep)
+            bits[rows] = np.packbits(_n_of_m(scores(rows, everything), n, m), axis=1)
+    return SparsityMask._of_bits(bits, shape)

@@ -270,8 +270,7 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
         return out
     first = np.arange(d_in)[rows, None] * d_out  # row-major index of each row's first code
     col = np.arange(d_out)[cols]
-    # quarter blocks: the index and the steps take 16 bytes an entry
-    for piece in tensor._spans(*out.shape, tensor.BLOCK_ELEMENTS // 4):
+    for piece in tensor._spans(*out.shape, tensor.GATHER_ELEMENTS):
         idx = first[piece] + col
         idx //= g
         steps = t.scales[idx]

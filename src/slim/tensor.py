@@ -10,11 +10,12 @@ scaling, mask, adapter fit, reports) takes the matrix, or a
 from it; a matrix, checked by :func:`as_float_matrix`, becomes the source
 of its own widened blocks (:func:`_block_source`). The blocks give the
 bits of the source's float64 copy, which is never made. Every blocked pass
-(row blocks of about :data:`BLOCK_ELEMENTS` elements (:func:`row_blocks`),
-mask blocks, artifact chunks, the product blocks of
-:data:`PRODUCT_ELEMENTS` (a quarter of it in the error report) and the
-adapter fit's blocks of :data:`GRAM_ELEMENTS`) takes its boundaries from
-one rule, :func:`_spans`.
+takes its boundaries from one rule, :func:`_spans`, and its budget from
+one of five names below: row blocks (:func:`row_blocks`), mask blocks and
+artifact chunks of :data:`BLOCK_ELEMENTS`, the grouped dequantize's
+gathers of :data:`GATHER_ELEMENTS`, the output chunks of
+:data:`CHUNK_ELEMENTS`, the adapter fit's and the error report's blocks
+of :data:`SUM_ELEMENTS`, and the forward pass's of :data:`PRODUCT_ELEMENTS`.
 :func:`as_float_matrix` is the one check of a matrix (its shape by
 :func:`_check_shape`, which checks every source's shape too, then finite
 one row block at a time) and keeps a float source's buffer;
@@ -57,20 +58,23 @@ GRAM_SAFE_EXPONENT = 400
 # whatever the size of the matrix.
 BLOCK_ELEMENTS = 1 << 16
 
-# svd_truncated reads its matrix in blocks of about this many entries
-# (8 MiB as float64), or k * k / 2 when that is more, once for each of its
-# two passes, so each block's k x k product sums at least k / 2 rows.
+GATHER_ELEMENTS = 1 << 14  # a grouped dequantize's gather: its index and steps take 16 bytes an entry
+CHUNK_ELEMENTS = 1 << 18  # a product added into an output, by its columns (2 MiB as float64)
+
+# Blocks multiplied, summed into a small result and dropped (8 MiB as
+# float64): the error report's blocks of E, and svd_truncated's (k * k / 2
+# entries when that is more, so each block's k x k product sums at least
+# k / 2 rows), read once for each of its two passes.
 # Measured on a 2:4, rank-0.1 adapter compress with one BLAS thread:
 # smaller blocks slow the Gram sum (2048x8192: 5.3 s with 2**18, 3.9 s
 # with 2**20, 3.6 s with 2**21 = k * k / 2), and larger ones raise the
 # peak for no time gained at k = 1024 (1024x4096: 32 MiB with 2**20, 40
 # with 2**21). Nothing changes up to k = 1448, where k * k / 2 reaches 2**20.
-GRAM_ELEMENTS = 1 << 20
+SUM_ELEMENTS = 1 << 20
 
 # The forward pass's blocked product x @ W takes about this many weight
 # elements at a time: 32 MiB as float64, the smallest size measured to
-# multiply as fast as the whole matrix. The error report sums x @ E over
-# blocks of a quarter of it (8 MiB), as its product is not kept.
+# multiply as fast as the whole matrix.
 PRODUCT_ELEMENTS = 1 << 22
 
 
@@ -278,7 +282,7 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     non-negative.
 
     ``m`` is a matrix or a :class:`BlockSource`, read in two passes over blocks of about
-    :data:`GRAM_ELEMENTS` entries (k * k / 2 when that is more,
+    :data:`SUM_ELEMENTS` entries (k * k / 2 when that is more,
     k = min(rows, cols)), row blocks of a tall or square ``m`` and
     column blocks of a wide one, and no array of its size is made.
 
@@ -313,7 +317,7 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     long, k = (rows, cols) if tall else (cols, rows)
 
     def blocks():  # (span, block): row blocks of m, or of m.T when m is wide
-        for span in _spans(long, k, max(GRAM_ELEMENTS, k * k // 2)):
+        for span in _spans(long, k, max(SUM_ELEMENTS, k * k // 2)):
             yield span, (m(span, everything) if tall else m(everything, span).T)
 
     # Pass 1: the Gram matrix and the largest magnitude. The Gram matrix

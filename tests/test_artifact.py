@@ -209,6 +209,29 @@ class TestMaskPacking:
         back = layer_from_tensors(tensors)
         assert np.array_equal(back.mask.keep, keep)
 
+    def test_pad_bits_of_the_last_byte_are_dropped_on_read(self):
+        # 5 x 7 = 35 flags: the last stored byte holds 3 flags and 5 pad
+        # bits; set, they change neither the layer nor its kept count
+        keep = np.random.default_rng(4).random((5, 7)) < 0.5
+        layer = CompressedLayer(
+            weights=np.where(keep, 1.5, 0.0),
+            mask=SparsityMask(keep),
+            adapter=None,
+            channel_scaling=None,
+            config=LayerCompressionConfig(
+                quant_method="none", sparsity=SparsityPattern.unstructured(0.5)
+            ),
+            provenance=Provenance(rows=5, cols=7),
+        )
+        canonical = layer_to_tensors(layer)
+        dirty = dict(canonical, mask_packed=canonical["mask_packed"] | np.array([0, 0, 0, 0, 0x1F], np.uint8))
+        back = layer_from_tensors(dirty)
+        assert back.mask == layer.mask and back.density == layer.density
+        assert back.mask.bits.tobytes() == np.packbits(keep, axis=1).tobytes()
+        assert_same_bits(back, layer_from_tensors(canonical))
+        assert {k: v.tobytes() for k, v in layer_to_tensors(back).items()} == \
+            {k: v.tobytes() for k, v in canonical.items()}
+
 
 class TestPackedCodes:
     @settings(max_examples=120, deadline=None)

@@ -14,6 +14,7 @@ from slim import (
     Provenance,
     QuantizedTensor,
     ShapeMismatch,
+    SparsityMask,
     SparsityPattern,
     absmax_alpha,
     compress_layer,
@@ -37,9 +38,12 @@ STATS = compute_calibration([X])
 
 
 def layer_arrays(obj) -> list:
-    """Every array a layer holds, through its dataclass fields and tuples."""
+    """Every array a layer holds, through its dataclass fields and tuples,
+    and a mask's bits."""
     if isinstance(obj, np.ndarray):
         return [obj]
+    if isinstance(obj, SparsityMask):
+        return [obj.bits]
     if dataclasses.is_dataclass(obj):
         return [a for f in dataclasses.fields(obj) for a in layer_arrays(getattr(obj, f.name))]
     if isinstance(obj, tuple):

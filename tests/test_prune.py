@@ -1,3 +1,6 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +18,11 @@ from slim import (
     magnitude_scores,
     semistructured_mask,
     unstructured_mask,
+    tensor,
     wanda_scores,
 )
+from slim.artifact import layer_from_tensors, layer_to_tensors
+from slim.pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from slim.prune import build_mask
 
 from oracles import nm_group_mask, topk_column_mask
@@ -132,6 +138,71 @@ class TestMaskParity:
     def test_semistructured_matches_exhaustive_oracle(self, n, m, groups, d_out, kind, seed):
         s = scores_of_kind(kind, (groups * m, d_out), seed)
         assert np.array_equal(semistructured_mask(s, n, m).keep, nm_group_mask(s, n, m))
+
+
+class TestPackedMask:
+    """A mask holds ``np.packbits(keep, axis=1)``; ``keep`` is made on demand."""
+
+    def test_bits_are_the_rows_packed(self):
+        keep = np.random.default_rng(3).random((5, 13)) < 0.5
+        mask = SparsityMask(keep)
+        assert mask.shape == (5, 13) and mask.bits.dtype == np.uint8
+        assert mask.bits.tobytes() == np.packbits(keep, axis=1).tobytes()
+        assert (mask.kept, mask.density) == (int(keep.sum()), float(keep.mean()))
+        assert np.array_equal(mask.rows(slice(1, 3)), keep[1:3])
+
+    def test_keep_is_a_new_array_on_each_access_and_the_bits_are_read_only(self):
+        mask = SparsityMask(np.ones((3, 4), bool))
+        keep = mask.keep
+        keep[:] = False
+        assert mask.keep.all() and mask.keep is not mask.keep
+        for bits in (mask.bits, build_mask(np.ones((3, 4)), SparsityPattern.unstructured(0.5)).bits):
+            with pytest.raises(ValueError):
+                bits[0, 0] = 0
+
+    def test_masks_compare_by_shape_and_bits(self):
+        keep = np.eye(4, 9, dtype=bool)
+        assert SparsityMask(keep) == SparsityMask(keep.copy())
+        assert SparsityMask(keep) != SparsityMask(~keep)
+        assert SparsityMask(np.zeros((2, 1), bool)) != SparsityMask(np.zeros((2, 2), bool))  # same bits
+
+    def test_an_empty_mask_is_dense(self):
+        assert SparsityMask(np.zeros((0, 3), bool)).density == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        groups=st.integers(1, 6),
+        d_out=st.integers(1, 24),  # every d_out % 8
+        kind=st.sampled_from(SCORE_KINDS),
+        pattern=st.sampled_from(["unstructured:0.0", "unstructured:0.5", "unstructured:0.99",
+                                 "1:4", "2:4", "3:4"]),
+        block=st.sampled_from([1, 7, 64, tensor.BLOCK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(groups=3, d_out=13, kind="all_equal", pattern="unstructured:0.0", block=7, seed=0)  # k = d_in
+    def test_bit_masks_match_the_oracles_and_round_trip(self, groups, d_out, kind, pattern, block, seed):
+        # blocks of one byte of columns and more; each layer's artifact
+        # stores np.packbits of the flat mask and reads back to its bytes
+        s = scores_of_kind(kind, (4 * groups, d_out), seed)
+        p = SparsityPattern.parse(pattern)
+        want = topk_column_mask(s, p.ratio) if p.kind == "unstructured" else nm_group_mask(s, p.n, p.m)
+        layer = CompressedLayer(
+            weights=np.where(want, s, 0.0), mask=None, adapter=None, channel_scaling=None,
+            config=LayerCompressionConfig(quant_method="none", sparsity=p),
+            provenance=Provenance(rows=4 * groups, cols=d_out),
+        )
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            mask = build_mask(s, p)
+            layer = dataclasses.replace(layer, mask=mask)
+            tensors = layer_to_tensors(layer)
+            back = layer_from_tensors(tensors)
+            again = layer_to_tensors(back)
+        assert np.array_equal(mask.keep, want)
+        assert mask.bits.tobytes() == np.packbits(want, axis=1).tobytes()  # pad bits zero
+        assert (mask.kept, mask.density) == (int(want.sum()), float(want.mean()))
+        assert tensors["mask_packed"].tobytes() == np.packbits(want.reshape(-1)).tobytes()
+        assert back.mask == mask and np.array_equal(back.weights, layer.weights)
+        assert {k: v.tobytes() for k, v in again.items()} == {k: v.tobytes() for k, v in tensors.items()}
 
 
 class TestUnstructuredMask:

@@ -141,7 +141,8 @@ class TestDequantize:
         # 40 and 1 elements give grouped pieces (quarter blocks) of two rows
         # or one
         for block in (tensor.BLOCK_ELEMENTS, 100, 40, 1):
-            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
+                    mock.patch.object(tensor, "GATHER_ELEMENTS", block // 4):
                 new = dequantize(t)
                 assert new.dtype == np.float64 and new.shape == codes.shape
                 assert np.array_equal(new, old) and new.tobytes("A") == old.tobytes("A")

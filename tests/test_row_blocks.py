@@ -636,10 +636,11 @@ class TestSpans:
     def test_row_blocks_keep_their_old_steps(self, rows, cols, align, block):
         unit = align // int(np.gcd(cols, align))
         whole = max(unit, block // cols // unit * unit)  # the formula row_blocks had
-        quarter = max(1, block // 4 // cols)  # its parts=4 form, for grouped dequantize
-        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+        quarter = max(1, block // 4 // cols)  # its parts=4 form, now GATHER_ELEMENTS
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
+                mock.patch.object(tensor, "GATHER_ELEMENTS", block // 4):
             got = list(row_blocks(np.empty((rows, cols)), align))
-            quarters = list(tensor._spans(rows, cols, tensor.BLOCK_ELEMENTS // 4))
+            quarters = list(tensor._spans(rows, cols, tensor.GATHER_ELEMENTS))
         assert [s.start for s in got] == list(range(0, rows, whole))
         assert [s.start for s in quarters] == list(range(0, rows, quarter))
 
@@ -648,11 +649,11 @@ class TestSpans:
         rows=st.integers(1, 40),
         cols=st.integers(1, 30),
         block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
-        product=st.sampled_from([1, 9, 100, 1000, 1 << 22]),
+        budget=st.sampled_from([0, 2, 25, 250, 1 << 20]),
     )
-    def test_error_report_blocks_follow_their_budget(self, rows, cols, block, product):
+    def test_error_report_blocks_follow_their_budget(self, rows, cols, block, budget):
         # E is summed into the output fields by blocks of about
-        # PRODUCT_ELEMENTS // 4 entries: runs of whole row blocks of a tall or
+        # SUM_ELEMENTS entries: runs of whole row blocks of a tall or
         # square weight, each added into R, and blocks of a wide weight's
         # columns, each made a row block at a time, beside the row blocks of
         # the weight fields' own pass
@@ -671,7 +672,7 @@ class TestSpans:
             return residual(*args)
 
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
-                mock.patch.object(tensor, "PRODUCT_ELEMENTS", product), \
+                mock.patch.object(tensor, "SUM_ELEMENTS", budget), \
                 mock.patch.object(pipeline, "_add_product", recording_add), \
                 mock.patch.object(pipeline, "_residual", recording_residual):
             error_report(w, layer, np.ones((2, rows)), saliency_vector(compute_calibration([w.T])))
@@ -679,11 +680,11 @@ class TestSpans:
         whole_rows = [r.start for r, *c in residuals if not c]
         assert whole_rows == list(range(0, rows, step))
         if rows >= cols:
-            run = max(1, product // 4 // (cols * step)) * step
+            run = max(1, budget // (cols * step)) * step
             assert [sum(heights[:i]) for i in range(len(heights))] == list(range(0, rows, run))
             assert sum(heights) == rows and len(residuals) == len(whole_rows)
         else:
-            width = max(1, product // 4 // rows)
+            width = max(1, budget // rows)
             blocks = [(r, c[0]) for r, *c in residuals if c]
             starts = list(range(0, cols, width))
             assert heights == []
@@ -1002,7 +1003,8 @@ class TestBlockedProducts:
         )
         layer = compress_layer(w, stats, cfg)
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
-                mock.patch.object(tensor, "PRODUCT_ELEMENTS", product):
+                mock.patch.object(tensor, "SUM_ELEMENTS", product // 4), \
+                mock.patch.object(tensor, "CHUNK_ELEMENTS", product // 16):
             got = error_report(w, layer, x, sal).to_dict()
             weight = weight_space_report(w, layer, sal)
         assert {k: got[k] for k in weight} == weight  # one producer: the same bits
@@ -1031,7 +1033,8 @@ class TestBlockedProducts:
             rank_ratio=None if adapter[0] == "none" else 0.25,
         )
         layer = compress_layer(w, compute_calibration([x]), cfg)
-        with mock.patch.object(tensor, "PRODUCT_ELEMENTS", product):
+        with mock.patch.object(tensor, "PRODUCT_ELEMENTS", product), \
+                mock.patch.object(tensor, "CHUNK_ELEMENTS", product // 16):
             got = layer_output(x, layer)
         xa = fp8_fake_quantize(x)[0] if fp8 else x
         ref = compensate_activations(xa, layer.channel_scaling) @ layer.stored_weight()
@@ -1052,14 +1055,15 @@ class TestBlockedProducts:
     def test_layer_output_adds_the_adapter_term_by_column_chunks(self, rows, cols, tokens, quantized,
                                                                  product, seed):
         # (x @ L) @ R is added a chunk of the output's columns at a time (one
-        # column when PRODUCT_ELEMENTS is 16), so the output may move from
+        # column when CHUNK_ELEMENTS is 1), so the output may move from
         # the whole product's in the last place: LAYER_OUTPUT_RTOL holds it
         w = source("normal", (rows, cols), "float32", seed)
         x = np.random.default_rng(seed).normal(size=(tokens, rows))
         cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4), adapter_method="slim",
                                      rank_ratio=0.25, quantize_adapters=quantized)
         layer = compress_layer(w, compute_calibration([x]), cfg)
-        with mock.patch.object(tensor, "PRODUCT_ELEMENTS", product):
+        with mock.patch.object(tensor, "PRODUCT_ELEMENTS", product), \
+                mock.patch.object(tensor, "CHUNK_ELEMENTS", product // 16):
             got = layer_output(x, layer)
         ref = x @ layer.corrected_weight()
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=LAYER_OUTPUT_RTOL * np.abs(ref).max())
@@ -1122,33 +1126,34 @@ class TestMemory:
 
     @staticmethod
     def compress_peak(sparsity: SparsityPattern, scores: str = "wanda") -> tuple[int, int]:
-        """Peak bytes of a no-adapter compress of a 1024x1024 f32 weight, and
-        the weight's entry count."""
-        w = source("normal", (1024, 1024), "float32", 9)
-        stats = compute_calibration([np.random.default_rng(10).normal(size=(32, 1024))])
+        """Peak bytes of a no-adapter compress of a 2048x2048 f32 weight, and
+        the weight's entry count (large enough that a bool mask passes the
+        block bound)."""
+        w = source("normal", (2048, 2048), "float32", 9)
+        stats = compute_calibration([np.random.default_rng(10).normal(size=(32, 2048))])
         cfg = LayerCompressionConfig(sparsity=sparsity, prune_scores=scores)
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
         return peak, w.size
 
-    # The codes and the mask take one byte an entry each, and the codes are
-    # masked in place; the scores exist one block at a time. A masked copy
-    # of the codes, a float64 weight-sized array (8 bytes an entry:
-    # dequantized weight, whole score matrix or a copy of w) or a
-    # transposed copy of the mask fails.
+    # The codes take one byte an entry and the mask one bit, and the codes
+    # are masked in place; the scores exist one block at a time. A bool
+    # mask, a masked copy of the codes, a float64 weight-sized array (8
+    # bytes an entry: dequantized weight, whole score matrix or a copy of
+    # w) or a transposed copy of the mask fails.
 
     def test_compress_layer_f32_no_adapter(self):
         peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5))
-        assert peak <= 2 * entries + BLOCK_BOUND
+        assert peak <= 1.125 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_magnitude_ties_in_every_column(self):
         # 4-bit codes give 8 magnitudes, so each column's k-th score is tied
         # many times over and the tie fill runs on every column
         peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5), "magnitude")
-        assert peak <= 2 * entries + BLOCK_BOUND
+        assert peak <= 1.125 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_semistructured(self):
         peak, entries = self.compress_peak(SparsityPattern.semistructured(2, 4))
-        assert peak <= 2 * entries + BLOCK_BOUND
+        assert peak <= 1.125 * entries + BLOCK_BOUND
 
     def test_reports_make_no_float64_copy_of_w(self):
         w = source("normal", (512, 1024), "float32", 11)
@@ -1207,11 +1212,22 @@ class TestMemory:
         payload = layer_to_bytes(compress_layer(w, None, cfg))
         layer, peak = traced_peak(lambda: layer_from_bytes(payload))
         a = layer.adapter
-        held = (layer.mask.keep.nbytes + layer.weights.codes.nbytes + a.left.nbytes + a.right.nbytes
+        held = (layer.mask.bits.nbytes + layer.weights.codes.nbytes + a.left.nbytes + a.right.nbytes
                 + sum(q.codes.nbytes + q.scales.nbytes for q in a.quantized))
         # about held + 2.2 MiB; a second dequantized copy of the factors
         # (4 MiB) fails
         assert peak <= held + 3 * 2**20
+
+    @pytest.mark.parametrize("sparsity", ["unstructured:0.5", "2:4"])
+    def test_layer_from_bytes_of_a_pruned_layer_holds_the_mask_as_bits(self, sparsity):
+        w = source("normal", (1024, 4096), "float32", 43)
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.parse(sparsity), prune_scores="magnitude")
+        payload = layer_to_bytes(compress_layer(w, None, cfg))
+        layer, peak = traced_peak(lambda: layer_from_bytes(payload))
+        held = layer.mask.bits.nbytes + layer.weights.codes.nbytes
+        # about held + 3.7 MiB: the unpacked kept codes (one byte each, 2
+        # MiB) and a block's temporaries; a bool mask (4 MiB) fails
+        assert peak <= held + layer.mask.kept + BLOCK_BOUND // 2
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_raw_weight_rounds_to_f32_a_row_block_at_a_time(self, scaled):
@@ -1232,9 +1248,9 @@ class TestMemory:
                                      sparsity=None if sparsity is None else SparsityPattern.parse(sparsity))
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
         # the stored values (8 bytes an entry), filled from the scaled
-        # reader a row block at a time, and the keep mask (1 byte); a
+        # reader a row block at a time, and the keep mask (1 bit); a
         # second float64 weight, scaled or not, fails
-        assert peak <= 9 * w.size + BLOCK_BOUND
+        assert peak <= 8.125 * w.size + BLOCK_BOUND
 
     def test_fp8_peak_is_its_output_plus_4_mib(self):
         x = fp8_source("mixed", (512, 3072), 13)
@@ -1278,15 +1294,15 @@ class TestMemory:
     def test_compress_layer_f32_scaled_holds_no_float64_weight(self, method):
         # slim-o on its own, and scaling forced on the two AbsMax quantizers:
         # the quantizer reads the scaled weight a row block at a time, so
-        # the peak is an unscaled layer's (codes and mask); a scaled float64
-        # copy (8 bytes an entry) fails
+        # the peak is an unscaled layer's (codes and mask bits); a scaled
+        # float64 copy (8 bytes an entry) fails
         w = source("normal", (1024, 4096), "float32", 36)
         stats = compute_calibration([np.random.default_rng(37).normal(size=(16, 1024))])
         cfg = LayerCompressionConfig(quant_method=method, channel_scaling=True,
                                      sparsity=SparsityPattern.semistructured(2, 4),
                                      prune_scores="magnitude")
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
-        assert peak <= 2 * w.size + BLOCK_BOUND
+        assert peak <= 1.125 * w.size + BLOCK_BOUND
 
     @staticmethod
     def product_case(adapter: str = "none", shape: tuple = (2048, 4096)):
@@ -1306,7 +1322,7 @@ class TestMemory:
         # about 14 MiB: x widened to float64 (4 MiB), one block of E's
         # columns (8 MiB), and a row block, that block's columns of R and
         # x @ left; R (8 MiB) beside a run of E's rows (old: 44 MiB) fails
-        column_block = 8 * (tensor.PRODUCT_ELEMENTS // 4)
+        column_block = 8 * tensor.SUM_ELEMENTS
         assert peak <= x.size * 8 + column_block + BLOCK_BOUND
 
     @pytest.mark.parametrize("adapter", ["none", "slim"])
@@ -1318,7 +1334,7 @@ class TestMemory:
         # row block, a chunk of R's columns and x @ left; a run of 32 MiB
         # (old: 38 MiB) fails
         r_bytes = x.shape[0] * w.shape[1] * 8
-        assert peak <= r_bytes + 8 * (tensor.PRODUCT_ELEMENTS // 4) + BLOCK_BOUND
+        assert peak <= r_bytes + 8 * tensor.SUM_ELEMENTS + BLOCK_BOUND
 
     @pytest.mark.parametrize("shape", [(2048, 4096), (4096, 2048)])
     def test_layer_output_peak_is_its_output_plus_a_product_block(self, shape):
@@ -1379,7 +1395,7 @@ class TestFileSource:
                                      channel_scaling=scaled)
         # several row blocks, and column blocks of the wide weight in the adapter fit
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", 4096), \
-                mock.patch.object(tensor, "GRAM_ELEMENTS", 96 * 100):
+                mock.patch.object(tensor, "SUM_ELEMENTS", 96 * 100):
             layer = compress_layer(w, stats, cfg)
             expected = (layer_to_bytes(layer), weight_space_report(w, layer, sal),
                         error_report(w, layer, x, sal))
@@ -1397,11 +1413,12 @@ class TestFileSource:
         cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4))  # wanda, 4-bit
         with container._tensor_source(path, "w") as read:
             _, peak = traced_peak(lambda: compress_layer(read, stats, cfg))
-        # about 4.7 MiB: the codes and the keep mask (2 MiB each), zeroed in
-        # place, and one block's temporaries; the weight read whole (8 MiB)
-        # fails, and so does a masked copy of the codes (2 MiB more)
+        # about 3.5 MiB: the codes (2 MiB), zeroed in place, the mask bits
+        # (0.25 MiB) and one block's temporaries; the weight read whole (8
+        # MiB) fails, and so does a bool mask or a masked copy of the codes
+        # (2 MiB more)
         assert peak < w.nbytes
-        assert peak <= 2 * w.size + 2**20
+        assert peak <= 1.125 * w.size + 1.5 * 2**20
 
     def test_adapter_compress_from_a_file_peaks_as_from_the_array(self, tmp_path):
         w = source("normal", (1024, 4096), "float32", 41)
@@ -1454,7 +1471,7 @@ class TestBlockSource:
         layer = compress_layer(w, SOURCE_STATS, SOURCE_CFG)
         # several row blocks, and several blocks of the adapter fit
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", 64), \
-                mock.patch.object(tensor, "GRAM_ELEMENTS", 100):
+                mock.patch.object(tensor, "SUM_ELEMENTS", 100):
             assert SOURCE_CALLS[name](float64_blocks(w), layer) == SOURCE_CALLS[name](w, layer)
 
     @pytest.mark.parametrize("shape, error", [

@@ -239,7 +239,7 @@ class TestSvdTruncatedBlocks:
         rows=st.integers(1, 40),
         cols=st.integers(1, 40),
         kind=st.sampled_from(["normal", "deficient", "zero"]),
-        block=st.sampled_from([1, 7, 64, 300, tensor.GRAM_ELEMENTS]),
+        block=st.sampled_from([1, 7, 64, 300, tensor.SUM_ELEMENTS]),
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -257,7 +257,7 @@ class TestSvdTruncatedBlocks:
             m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
         r = int(rng.integers(1, k + 1)) if data is None else data.draw(st.integers(1, k), "r")
         seen = []
-        with mock.patch.object(tensor, "GRAM_ELEMENTS", block):
+        with mock.patch.object(tensor, "SUM_ELEMENTS", block):
             left, right = svd_truncated(m, r)
             blocked = svd_truncated(block_source(m, seen), r)
         assert np.array_equal(left, blocked[0]) and np.array_equal(right, blocked[1])
@@ -282,12 +282,12 @@ class TestSvdTruncatedBlocks:
 
     @pytest.mark.parametrize("shape", [(64, 16), (16, 64)])
     def test_blocks_sum_at_least_half_of_k_rows(self, shape):
-        # k = 16 and GRAM_ELEMENTS below k * k / 2 = 128 entries: each block
+        # k = 16 and SUM_ELEMENTS below k * k / 2 = 128 entries: each block
         # holds 8 rows (columns of a wide m) of the 64, whatever the budget
         m = np.random.default_rng(14).standard_normal(shape)
         for budget in (1, 100):
             seen = []
-            with mock.patch.object(tensor, "GRAM_ELEMENTS", budget):
+            with mock.patch.object(tensor, "SUM_ELEMENTS", budget):
                 blocked = svd_truncated(block_source(m, seen), 3)
             long = 0 if shape[1] <= shape[0] else 1
             assert [b[long] for b in seen] == [8] * 16  # two passes of 8 blocks
@@ -306,7 +306,7 @@ class TestSvdTruncatedBlocks:
         m[-1, -1] = 3.0  # the largest entry is in the last block
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with mock.patch.object(tensor, "GRAM_ELEMENTS", 24):
+            with mock.patch.object(tensor, "SUM_ELEMENTS", 24):
                 left, right = svd_truncated(block_source(np.ldexp(m, exponent)), 3)
         resid = np.linalg.norm(m - np.ldexp(left, -exponent) @ right)
         assert resid == pytest.approx(best_rank_r_residual(m, 3), rel=1e-12)
@@ -320,7 +320,7 @@ class TestSvdTruncatedBlocks:
         m[-4:] = np.ldexp(m[-4:], 500)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with mock.patch.object(tensor, "GRAM_ELEMENTS", 12):
+            with mock.patch.object(tensor, "SUM_ELEMENTS", 12):
                 left, right = svd_truncated(block_source(m), 2)
                 exp = int(np.frexp(np.abs(m).max())[1])
                 expected = svd_truncated(np.ldexp(m, -exp), 2)
