@@ -8,11 +8,9 @@ provenance and channel scaling. The configuration alone decides which
 tensors exist and how they decode (see :func:`_layout`).
 
 Every part is stored flat, row-major; its shape follows from the config.
-Codes are two's-complement bit fields of :func:`~slim.quant.code_field_bits`
-width (2, 4 or 8 bits), packed into u8 low field first. A pruned weight
-stores only the entries its mask keeps; their count is the mask's
-popcount. The mask packs 8 entries per byte, most significant bit first.
-Only version 3 is read.
+Codes and mask flags are packed as the layer holds them (:mod:`slim.tensor`)
+but with no padding between rows. A pruned weight stores only the entries
+its mask keeps; their count is the mask's popcount. Only version 3 is read.
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ from .errors import SchemaViolation, SlimError
 from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from .prune import SparsityMask, SparsityPattern
-from .quant import ChannelScaling, QuantizedTensor, _scaled_channel_count, code_field_bits
+from .quant import (_CODES, ChannelScaling, QuantizedTensor, _pack_codes, _packed, _scaled_channel_count,
+                    _unpack_codes, code_field_bits)
 
 __all__ = ["serialize_compressed_layer", "deserialize_compressed_layer"]
 
@@ -113,68 +112,66 @@ def _checked_parts(layer: CompressedLayer) -> dict:
     return parts
 
 
-def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """``codes`` (any shape, row-major) as two's-complement fields of
-    ``code_field_bits(bits)`` width, packed into u8 low field first, a
-    :data:`~slim.tensor.BLOCK_ELEMENTS` bytes' worth of codes at a time."""
-    width = code_field_bits(bits)
-    per_byte = 8 // width
-    flat = codes.reshape(-1)
-    packed = np.zeros(-(-flat.size // per_byte), np.uint8)
-    for chunk in tensor._spans(flat.size, elements=tensor.BLOCK_ELEMENTS * per_byte, unit=per_byte):
-        fields = flat[chunk].astype(np.uint8)  # two's complement of int8
-        fields &= (1 << width) - 1
-        out = packed[chunk.start // per_byte:]  # whole bytes: chunk.start is a multiple of per_byte
-        for j in range(per_byte):
-            field = fields[j::per_byte]
-            out[:field.size] |= field << (j * width)
-    return packed
+def _runs(values, mask: SparsityMask | None, shape: tuple[int, int]):
+    """Each row block's stored entries, row-major: ``values(rows)`` of the
+    block, flattened, or only the entries ``mask`` keeps (SchemaViolation
+    if a dropped entry is nonzero, as storing the kept ones would lose it)."""
+    for rows in tensor.row_blocks(shape):  # as in _placed
+        block = values(rows).reshape(-1)
+        if mask is not None:
+            kept = np.compress(mask.rows(rows).reshape(-1), block)  # ~3x faster than a bool index
+            if np.count_nonzero(kept) != np.count_nonzero(block):
+                raise SchemaViolation("stored weights are nonzero where the mask drops them")
+            block = kept
+        yield block
 
 
-def _unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """The first ``count`` int8 codes of :func:`_pack_codes` output."""
-    width = code_field_bits(bits)
-    per_byte = 8 // width
-    codes = np.empty((packed.size, per_byte), np.int8)
-    for j in range(per_byte):
-        # field j to the top of the byte, then back down with sign extension
-        codes[:, j] = (packed << (8 - width * (j + 1))).view(np.int8) >> (8 - width)
-    return codes.reshape(-1)[:count]
-
-
-def _kept(stored: np.ndarray, mask: SparsityMask) -> np.ndarray:
-    """The entries of ``stored`` that ``mask`` keeps, row-major, gathered a
-    row block at a time.
-
-    Raises:
-        SchemaViolation: an entry the mask drops is nonzero, so storing the
-            kept entries only would lose it.
-    """
-    kept = np.empty(mask.kept, stored.dtype)
+def _placed(take, mask: SparsityMask | None, shape: tuple[int, int], dtype):
+    """Inverse of :func:`_runs`: ``(rows, block)`` for each row block, its
+    run ``take(start, count)`` of the stored entries put at the entries
+    ``mask`` keeps, zeros elsewhere, or at all of them. The mask is indexed
+    a row block at a time, so no weight-sized index array is made."""
+    d_in, d_out = shape
     done = 0
-    for rows in tensor.row_blocks(stored):  # as in _scatter
-        part = np.compress(mask.rows(rows).reshape(-1), stored[rows])  # ~3x faster than a bool index
-        kept[done:done + part.size] = part
-        done += part.size
-    if np.count_nonzero(kept) != np.count_nonzero(stored):
-        raise SchemaViolation("stored weights are nonzero where the mask drops them")
+    for rows in tensor.row_blocks(shape):  # as in _runs
+        keep = None if mask is None else mask.rows(rows)
+        count = (min(rows.stop, d_in) - rows.start) * d_out if keep is None else np.count_nonzero(keep)
+        block = take(done, count)
+        if keep is not None:
+            block, run = np.zeros(keep.shape, dtype), block
+            block.reshape(-1)[np.flatnonzero(keep)] = run
+        done += count
+        yield rows, block.reshape(-1, d_out)
+
+
+def _stream(t: QuantizedTensor, mask: SparsityMask | None) -> np.ndarray:
+    """The stored codes of ``t`` (all, or those ``mask`` keeps) as one
+    row-major run of fields: the held bytes when every row is whole bytes
+    and nothing is pruned, else each row block's run packed after the last."""
+    width = code_field_bits(t.bits)
+    table, per = _CODES[width], 8 // width
+    if mask is None and t.shape[1] * width % 8 == 0:
+        return t.fields.reshape(-1)
+    stream = np.zeros(-(-(t.shape[0] * t.shape[1] if mask is None else mask.kept) // per), np.uint8)
+    done = 0
+    for run in _runs(lambda rows: _unpack_codes(t.fields[rows], t.shape[1], slice(None), table), mask, t.shape):
+        lead = np.zeros(done % per, np.int8)  # the fields of the shared byte already written
+        packed = _pack_codes(np.concatenate((lead, run))[None], width)[0]
+        stream[done // per:][:packed.size] |= packed
+        done += run.size
+    return stream
+
+
+def _kept_values(values: np.ndarray, mask: SparsityMask | None) -> np.ndarray:
+    """Raw values as stored: all of them, or those ``mask`` keeps, row-major, as f32."""
+    if mask is None:
+        return np.asarray(values, dtype=np.float32).reshape(-1)
+    kept = np.empty(mask.kept, np.float32)
+    done = 0
+    for run in _runs(lambda rows: values[rows], mask, values.shape):
+        kept[done:done + run.size] = run
+        done += run.size
     return kept
-
-
-def _scatter(values: np.ndarray, mask: SparsityMask) -> np.ndarray:
-    """Zeros shaped like ``mask`` with ``values`` at its kept entries,
-    row-major; inverse of :func:`_kept`.
-
-    Indexes the mask a row block at a time, so no weight-sized index array
-    is built; several times faster than ``out[keep] = values``.
-    """
-    out = np.zeros(mask.shape, values.dtype)
-    done = 0
-    for rows in tensor.row_blocks(out):
-        idx = np.flatnonzero(mask.rows(rows))
-        out[rows].reshape(-1)[idx] = values[done:done + idx.size]
-        done += idx.size
-    return out
 
 
 def _flat_bits(mask: SparsityMask) -> np.ndarray:
@@ -218,16 +215,13 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
     for name, part in _checked_parts(layer).items():
         codec = _describe(part)[1]
         names = _tensor_names(name, codec)
+        mask = layer.mask if name == "weights" else None
         if codec == _PACKED:
             tensors[names[0]] = _flat_bits(part)
-            continue
-        values = part if codec is None else part.codes
-        if name == "weights" and layer.mask is not None:
-            values = _kept(values, layer.mask)
-        if codec is None:
-            tensors[name] = np.asarray(values, dtype=np.float32).reshape(-1)
+        elif codec is None:
+            tensors[name] = _kept_values(part, mask)
         else:
-            tensors[names[0]] = _pack_codes(values, part.bits)
+            tensors[names[0]] = _stream(part, mask)
             tensors[names[1]] = part.scales.astype(np.float32)
     scaling = layer.channel_scaling
     meta = {
@@ -293,15 +287,24 @@ def _decode(tensors: dict, name: str, shape: tuple, codec, mask: SparsityMask | 
     count = total if mask is None else mask.kept
     if codec is None:
         values = _tensor(tensors, names[0], np.float32, count)  # the layer widens it
-    else:
-        bits, group_size = codec
-        packed = _tensor(tensors, names[0], np.uint8, -(-count * code_field_bits(bits) // 8))
-        values = _unpack_codes(packed, bits, count)
-    values = values.reshape(shape) if mask is None else _scatter(values, mask)
-    if codec is None:
-        return values
+        if mask is None:
+            return values.reshape(shape)
+        out = np.empty(shape, np.float32)
+        for rows, block in _placed(lambda at, n: values[at:at + n], mask, shape, np.float32):
+            out[rows] = block
+        return out
+    bits, group_size = codec
+    width = code_field_bits(bits)
+    stream = _tensor(tensors, names[0], np.uint8, -(-count * width // 8))
     scales = _tensor(tensors, names[1], np.float32).reshape(-1)
-    return QuantizedTensor(values, scales, group_size=group_size, bits=bits)
+    if mask is None and shape[1] * width % 8 == 0:  # rows of whole bytes: the stored bytes as they are
+        fields = stream.reshape(shape[0], -1)
+    else:  # each row block's run unpacked, scattered and packed again; the last byte's pad fields dropped
+        def run(at: int, n: int) -> np.ndarray:
+            return _unpack_codes(stream[None], stream.size * 8 // width, slice(at, at + n), _CODES[width])[0]
+
+        fields = _packed(shape, bits, _placed(run, mask, shape, np.int8))
+    return QuantizedTensor._of_fields(fields, shape, scales, group_size, bits)
 
 
 def layer_from_tensors(tensors: dict) -> CompressedLayer:

@@ -76,14 +76,11 @@ def compute_calibration(x_batches) -> CalibrationStats:
     concatenation) in float64, so any partition of the same token stream
     produces identical statistics up to last-bit rounding.
 
-    A batch is read as it is stored (an f32 batch stays f32), one block of
-    its columns of about :data:`~slim.tensor.BLOCK_ELEMENTS` entries at a
-    time, into a float64 buffer of the block in the batch's layout: first
+    A batch is read as it is stored, one block of its columns at a time
+    (:mod:`slim.tensor`), into a float64 buffer in the batch's layout:
     ``|x|``, summed over tokens, then ``x**2``. No block is one column wide
-    unless the batch is, since numpy sums a one-column buffer pairwise and
-    a wider row-major one a row at a time. So each column's sums are those
-    of the whole-batch temporaries, bit for bit, and no buffer is the size
-    of the batch.
+    unless the batch is (numpy sums a one-column buffer pairwise), so each
+    column's sums have the bits of the whole-batch temporaries.
 
     Raises:
         EmptyInput: No batches, or zero tokens in total.

@@ -23,10 +23,7 @@ into its own array. Files and bytes in memory share one writer, which
 streams each tensor from its own buffer, and one reader.
 
 A weight need not be read whole: :func:`_tensor_source` opens one 2-D
-tensor of a file as a :class:`~slim.tensor.BlockSource`, which reads each
-block from the file as it is asked for, a row block at a time through one
-buffer of the stored dtype (whole rows in one read, a block of columns one
-row's span at a time), and checks it for NaN and Inf.
+tensor of a file as a :class:`~slim.tensor.BlockSource`.
 
 The header, the JSON records stored alongside the tensors (artifact and
 calibration metadata) and architecture files are parsed by
@@ -359,13 +356,10 @@ def _tensor_source(path, name: str):
     """The :class:`~slim.tensor.BlockSource` of the 2-D tensor ``name`` of
     the container file at ``path``, with the file open until the ``with``
     block ends. The header is checked as :func:`read_container` checks it.
-    Each block is a new float64 array, filled one row block of about
-    :data:`~slim.tensor.BLOCK_ELEMENTS` entries at a time: the row block is
-    read from the file into one buffer of the stored dtype (whole rows in
-    one seek and read, other columns one row's span at a time), checked for
-    NaN and Inf, and widened into the result, so the block is never held
-    twice. Errors name the tensor ``w``, as
-    :func:`~slim.tensor.as_float_matrix` names a weight.
+    Each block is a new float64 array, filled a row block at a time through
+    one buffer of the stored dtype (whole rows in one read, other columns
+    one row's span at a time), each checked for NaN and Inf. Errors name
+    the tensor ``w``, as :func:`~slim.tensor.as_float_matrix` names a weight.
 
     Raises:
         IoError: the file cannot be opened or read.

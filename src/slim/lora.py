@@ -10,10 +10,8 @@ an exact truncated factorization of the weighted error
 (:func:`slim.tensor.svd_truncated`, which takes the leading singular
 subspace from the smaller-side Gram matrix), so optimality in the
 weighted norm is the Eckart-Young optimum of that factorization. The fit
-never holds the weighted error whole: the factorization reads it twice, a
-block at a time, each block made on request from ``w`` and ``w_c`` (by
-:func:`~slim.pipeline.compress_layer`, from the codes), so besides its
-inputs the fit holds the Gram matrix, one block and the factors.
+reads the weighted error by blocks (:mod:`slim.tensor`), each made on
+request from ``w`` and ``w_c``, and never holds it whole.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -194,9 +194,7 @@ def _dense(
     """Float64 ``[rows, cols]`` block (the whole matrix by default; ``rows``
     of step 1) of a stored weight in a new buffer of its own: codes by
     :func:`dequantize` of the block, raw values widened. With ``scaling``,
-    the block is mapped back to the caller's coordinates by the same
-    reader that scaled the weight (:func:`~slim.quant._scale_rows`), which
-    divides only the boosted rows that fall in the block."""
+    the block's boosted rows are divided again (:func:`~slim.quant._scale_rows`)."""
     w = (dequantize(weights, rows, cols) if isinstance(weights, QuantizedTensor)
          else weights[rows, cols].astype(np.float64))
     return _scale_rows(w, scaling, rows, undo=True)
@@ -234,7 +232,9 @@ def _at_f32(part: QuantizedTensor | np.ndarray, name: str) -> QuantizedTensor | 
     with np.errstate(over="ignore"):  # past f32's range rounds to inf, refused below
         if isinstance(part, QuantizedTensor):
             rounded = part.scales.astype(np.float32).astype(np.float64)
-            return part if np.array_equal(rounded, part.scales) else replace(part, scales=rounded)
+            if np.array_equal(rounded, part.scales):
+                return part
+            return QuantizedTensor._of_fields(part.fields, part.shape, rounded, part.group_size, part.bits)
         arr = as_float_matrix(part, name, allow_empty=True)
         if arr.dtype != np.float64 or not all(
             np.array_equal(arr[rows].astype(np.float32), arr[rows]) for rows in row_blocks(arr)
@@ -333,13 +333,9 @@ class ErrorReport:
 
 def _quantize_weights(read: BlockSource, scaling: ChannelScaling | None, cfg: LayerCompressionConfig):
     """Quantize the weight whose blocks ``read`` makes with the boosted
-    rows of ``scaling`` multiplied by its factor; returns (stored, alpha).
-
-    Every pass reads the scaled weight one new float64 row block at a time,
-    the block of ``read`` scaled by :func:`~slim.quant._scale_rows`, so the
-    blocks hold the bits of a whole scaled float64 copy that is never made.
-    The raw method stores the scaled weight: one float64 array of its own,
-    filled a row block at a time."""
+    rows of ``scaling`` multiplied by its factor (:func:`~slim.quant._scale_rows`
+    of each row block); returns (stored, alpha). The raw method stores the
+    scaled weight in one float64 array of its own."""
     method = cfg.quant_method
 
     scaled = BlockSource(lambda rows, cols: _scale_rows(read(rows, cols), scaling, rows), read.shape)
@@ -360,21 +356,16 @@ def _quantize_weights(read: BlockSource, scaling: ChannelScaling | None, cfg: La
 
 
 def compress_layer(w, stats: CalibrationStats | None, cfg: LayerCompressionConfig) -> CompressedLayer:
-    """Run the full pipeline on one weight matrix.
+    """Run the full pipeline, in the module's order, on one weight matrix.
 
-    Order: optional channel scaling, quantization, pruning of the
-    quantized weight, adapter fit against the total remaining error
-    (in the caller's coordinates), optional adapter quantization.
-
-    ``w`` is read only through its :class:`~slim.tensor.BlockSource`; no
-    copy of it and no float64 weight-sized array is made (but the raw
-    values of ``quant_method="none"``). Each stage reads a block at a time:
-    the quantizer the scaled weight (:func:`_quantize_weights`), the mask
-    the scores made from the codes in the caller's coordinates
-    (:func:`~slim.prune.build_mask`; it holds its flags as bits), and the
+    ``w`` is read only by blocks (:mod:`slim.tensor`); no float64
+    weight-sized array is made but the raw values of
+    ``quant_method="none"``. The quantizer reads the scaled weight
+    (:func:`_quantize_weights`), the mask the scores made from the codes in
+    the caller's coordinates (:func:`~slim.prune.build_mask`), and the
     adapter fit the residual ``w - w_c`` (:func:`_residual`) times the
-    saliency (:func:`~slim.tensor.svd_truncated`), the arithmetic of
-    :func:`~slim.lora.slim_lora`. The codes (or raw values) are pruned in place.
+    saliency, the arithmetic of :func:`~slim.lora.slim_lora`. The packed
+    codes (or raw values) are pruned in place.
 
     Args:
         w: Weight matrix, input channels as rows, checked for NaN and Inf
@@ -418,9 +409,11 @@ def compress_layer(w, stats: CalibrationStats | None, cfg: LayerCompressionConfi
                                      None if norms is None else norms[rows])
 
         mask = prune_mod.build_mask(BlockSource(scores, shape), cfg.sparsity)
-        values = stored.codes if isinstance(stored, QuantizedTensor) else stored
-        for rows in row_blocks(values):  # the layer's own values, zeroed in place
-            np.copyto(values[rows], 0, where=~mask.rows(rows))
+        if isinstance(stored, QuantizedTensor):  # the layer's own values, zeroed in place
+            stored._keep_only(mask.bits)
+        else:
+            for rows in row_blocks(stored):
+                np.copyto(stored[rows], 0, where=~mask.rows(rows))
 
     # 4. Adapter against the total error left after steps 1-3.
     adapter = None
@@ -451,14 +444,11 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     compensated copy. A power-of-two factor (the default 2.0) gives the
     bits of the compensated activations times the stored weight; another
     factor may differ from them in the last place. Neither the dense
-    weight nor L @ R is materialized. The main product takes the weight
-    one block of about :data:`~slim.tensor.PRODUCT_ELEMENTS` entries at a
-    time, dequantized from the stored codes, along its longer side: a wide
-    (or square) weight by blocks of columns, each product written into its
-    columns of the output, and a tall one by blocks of rows, each product
-    added to the output, so the inputs are read once per block of the
-    shorter side. The adapter adds ``(x' @ L) @ R`` a chunk of the output's columns at a
-    time (:func:`_add_product`), with no output-sized temporary.
+    weight nor L @ R is made: W is dequantized a
+    :data:`~slim.tensor.PRODUCT_ELEMENTS` block at a time (columns of a
+    wide or square weight, written into the output's columns; rows of a
+    tall one, added to the output), and ``(x' @ L) @ R`` is added by
+    :func:`_add_product`.
 
     Raises:
         EmptyTensor / NonFinite: ``x`` has no elements, or NaN or Inf.
@@ -555,13 +545,10 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
 
     No array the size of the weight is made, and none the size of R when
     the weight is wide. The weight fields have the bits of
-    :func:`weight_space_report`. The output fields are summed over blocks
-    of E of about :data:`~slim.tensor.SUM_ELEMENTS` entries, so they
-    differ from the whole product's in the last places: blocks of a wide
-    weight's columns (:func:`_column_sums`), or runs of a tall or square
-    weight's rows (:func:`_row_run_sums`).
-
-    ``w`` is taken as :func:`compress_layer` takes it.
+    :func:`weight_space_report`; the output fields are summed over
+    :data:`~slim.tensor.SUM_ELEMENTS` blocks of E (:mod:`slim.tensor`), so
+    they may differ from the whole product's in the last places. ``w`` is
+    taken as :func:`compress_layer` takes it.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -587,10 +574,8 @@ def _sum_square(a: np.ndarray) -> float:
 
 def _column_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
     """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
-    ``R**2`` with the adapter term put back, for a wide weight: each block
-    of E's columns made a row block at a time, multiplied by ``x_eval``
-    (widened to float64 once) and squared, so R is never whole; the row
-    squares take their own row-block pass."""
+    ``R**2`` with the adapter term put back, for a wide weight: by column
+    blocks of E, each times ``x_eval`` (widened once), so R is never whole."""
     d_in, d_out = layer.shape
     a = layer.adapter
     x = xe.astype(np.float64, copy=False)  # a float64 x_eval is read in place
@@ -616,10 +601,8 @@ def _column_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elem
 def _row_run_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
     """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
     ``R**2`` with the adapter term put back, for a tall or square weight,
-    whose R is no larger than ``x_eval`` widened: each run of E's rows (the
-    row blocks of the row squares) times its columns of ``x_eval`` (only
-    those widened) is added into R (:func:`_add_product`), and ``x_eval @
-    left`` is summed the same way."""
+    whose R is no larger than ``x_eval``: by runs of E's row blocks, each
+    times its columns of ``x_eval`` added into R, as ``x_eval @ left`` is."""
     d_in, d_out = layer.shape
     a = layer.adapter
     per_block = next(row_blocks(layer.shape)).stop  # the rows of _row_squares's blocks

@@ -94,13 +94,10 @@ class SparsityPattern:
 class SparsityMask:
     """Keep/drop flags of a d_in x d_out matrix, held at one bit a flag.
 
-    ``bits`` is ``np.packbits(keep, axis=1)``: uint8, d_in x ceil(d_out / 8),
-    most significant bit first, each row padded to whole bytes with zero
-    bits, read-only (the artifact writer hands them out as they are);
-    ``shape`` is (d_in, d_out). ``SparsityMask(keep)`` packs a bool matrix.
-    A reader takes the flags of one row block (:meth:`rows`); ``keep``
-    unpacks the whole matrix into a new bool array on each access. Masks
-    compare equal by shape and bits.
+    ``bits`` is ``np.packbits(keep, axis=1)``, packed rows (:mod:`slim.tensor`),
+    read-only; ``shape`` is (d_in, d_out). ``SparsityMask(keep)`` packs a
+    bool matrix. :meth:`rows` unpacks one row block, ``keep`` all of them,
+    into a new bool array. Masks compare equal by shape and bits.
     """
 
     def __init__(self, keep):
@@ -174,9 +171,7 @@ def unstructured_mask(scores, ratio: float) -> SparsityMask:
     Selection, not sorting: a partition finds each column's k-th largest
     score, every score above it is kept, and the scores equal to it fill the
     remaining places, lowest input index first: the first k entries of a
-    stable descending sort. Columns are ranked in blocks of about
-    :data:`~slim.tensor.BLOCK_ELEMENTS` scores (:func:`build_mask`).
-    ``ratio`` = 0 keeps everything.
+    stable descending sort. ``ratio`` = 0 keeps everything.
 
     Raises:
         ConfigInvalid: ``ratio`` outside [0, 1).
@@ -254,11 +249,9 @@ def build_mask(scores, pattern: SparsityPattern) -> SparsityMask:
     """The mask ``pattern`` names over a d_in x d_out score matrix.
 
     ``scores``, a matrix or a :class:`~slim.tensor.BlockSource`, are read
-    and ranked in blocks of about :data:`~slim.tensor.BLOCK_ELEMENTS`:
-    whole columns for an unstructured pattern, which ranks each column, and
-    whole groups of ``m`` rows for a semi-structured one; each block's flags
-    go straight into the mask's packed bits (whole bytes of every row for
-    an unstructured block), and no score-sized array is made.
+    and ranked by blocks (:mod:`slim.tensor`): of whole columns for an
+    unstructured pattern, of whole groups of ``m`` rows for a
+    semi-structured one; each block's flags go straight into the bits.
 
     Raises:
         IndivisibleDimension: a semi-structured pattern's ``m`` does not

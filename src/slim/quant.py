@@ -11,17 +11,13 @@ against resolution, instead of AbsMax's clip-nothing choice alpha = max|w|.
 Also here: the AbsMax and grouped-AbsMax baselines, activation-aware
 channel scaling (pre-quantization outlier damping that inference undoes by
 dividing the boosted rows again), and 8-bit floating-point fake
-quantization for inputs. The quantizers and the FP8 snap (whose format
-comes from the input's max and min) read their input one row block
-(:func:`~slim.tensor.row_blocks`) at a time into a single output array.
-The quantizers, :func:`absmax_alpha` and :func:`activation_aware_scale`
-take ``w`` as a matrix or a :class:`~slim.tensor.BlockSource`, and read
-each float64 row block of it once per pass, so an f32 ``w`` gives the
-results of its float64 copy. :func:`_scale_rows` is the one routine that
-scales (or unscales) the boosted rows of a block.
-:func:`dequantize` is the one formula that turns codes into floats, for the
-whole matrix or any block of it; grouped codes gather their steps a
-quarter block at a time.
+quantization for inputs. Every pass reads its input by row blocks
+(:mod:`slim.tensor`), so an f32 ``w`` gives the results of its float64
+copy, and the quantizers pack each block's codes straight into their
+fields (:func:`_pack_codes`, the one codec with :func:`_unpack_codes`).
+:func:`dequantize` is the one formula that turns codes into floats, for
+any block; :func:`_scale_rows` the one routine that scales (or unscales)
+the boosted rows of a block.
 """
 
 from __future__ import annotations
@@ -93,56 +89,132 @@ def _round_half_away(v: np.ndarray) -> np.ndarray:
     return np.trunc(v + np.copysign(0.5, v))
 
 
-@dataclass(frozen=True)
+def _pack_codes(codes: np.ndarray, width: int) -> np.ndarray:
+    """The rows of the integer matrix ``codes`` as new packed rows of
+    ``width``-bit fields (:mod:`slim.tensor`); :func:`_unpack_codes` reads
+    them back."""
+    per = 8 // width
+    v = np.zeros((len(codes), -(-codes.shape[1] // per) * per), np.int8)  # rows padded with zero codes
+    v[:, :codes.shape[1]] = codes
+    x = v.view(f"<u{per}")  # one output byte's codes, the first in the low byte
+    out = x & ((1 << width) - 1)
+    for j in range(1, per):  # code j's low bits, from bit 8 * j down to bit width * j
+        out |= (x >> (j * (8 - width))) & (((1 << width) - 1) << (j * width))
+    return out.astype(np.uint8, copy=False)
+
+
+# By field width: each byte's int8 codes, low field first (the decode table),
+# and each byte of 8 MSB-first keep flags as w bytes of fields, ones where kept.
+_CODES = {w: np.stack([(np.arange(256, dtype=np.uint8) << (8 - w * (j + 1))).view(np.int8) >> (8 - w)
+                       for j in range(8 // w)], axis=1) for w in (2, 4, 8)}
+_KEEPS = {w: _pack_codes(-np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8), w)
+          for w in (2, 4, 8)}
+
+
+def _unpack_codes(fields: np.ndarray, d_out: int, cols: slice, table: np.ndarray) -> np.ndarray:
+    """The codes ``[:, cols]`` of the packed rows ``fields`` of a d_out wide
+    matrix through ``table`` (:data:`_CODES` of their width, or its values),
+    a new C-ordered array made a row block at a time from the bytes of ``cols``."""
+    start, stop, step = cols.indices(d_out)
+    if step != 1:
+        return np.ascontiguousarray(_unpack_codes(fields, d_out, slice(None), table)[:, cols])
+    per = table.shape[1]
+    n = max(stop - start, 0)
+    first, skip = divmod(start, per)
+    out = np.empty((len(fields), n), table.dtype)
+    for piece in row_blocks(out):
+        b, dst = fields[piece, first: -(-(start + n) // per)], out[piece]
+        if skip == 0 and b.size * per == dst.size:  # whole bytes: straight into out
+            np.take(table, b, axis=0, out=dst.reshape(*b.shape, per), mode="clip")
+        else:
+            dst[...] = np.take(table, b, axis=0, mode="clip").reshape(len(b), -1)[:, skip: skip + n]
+    return out
+
+
 class QuantizedTensor:
-    """Integer codes plus scale(s) for a symmetric q-bit tensor.
+    """Integer codes plus scale(s) for a symmetric q-bit tensor, the codes
+    held at their field width.
 
-    ``group_size is None`` means one scale for the whole tensor with
-    dequantization ``code * scale * 2**(1 - bits)``. Otherwise scales apply
-    to contiguous row-major runs of ``group_size`` elements and
-    dequantization is ``code * scale / (2**(bits - 1) - 1)``.
-
-    Attributes:
-        codes: int8 matrix of quantized codes.
-        scales: float64 vector; length 1 for whole-tensor scaling, else
-            ``ceil(codes.size / group_size)``.
-        group_size: Elements per scale group, or None for whole-tensor.
-        bits: Code bit width q; codes lie in [-2**(q-1), 2**(q-1) - 1].
+    ``fields`` are the codes as packed rows (:mod:`slim.tensor`) of w =
+    :func:`code_field_bits` bits: uint8, d_in x ceil(d_out * w / 8),
+    read-only; ``shape`` is (d_in, d_out). ``QuantizedTensor(codes, scales,
+    group_size, bits)`` packs an integer matrix of values in [-2**(q-1),
+    2**(q-1) - 1] (else UnsupportedBitwidth); ``codes`` unpacks them into a
+    new int8 matrix on each access. Holders compare equal by shape, fields,
+    scales (float64), group size and bits. ``group_size is None`` means one
+    scale, and ``code * scale * 2**(1 - bits)``; otherwise a scale for each
+    row-major run of ``group_size`` codes, and ``code * scale / (2**(bits -
+    1) - 1)``.
     """
 
-    codes: np.ndarray
-    scales: np.ndarray
-    group_size: int | None
-    bits: int
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int8)
-        scales = np.asarray(self.scales, dtype=np.float64)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "scales", scales)
-        q = _check_bits(self.bits)
+    def __init__(self, codes, scales, group_size: int | None, bits: int):
+        codes = np.asarray(codes)
+        q = _check_bits(bits)
+        if codes.dtype.kind not in "iu":
+            raise UnsupportedBitwidth(f"codes must be integers, got dtype {codes.dtype}")
         if codes.ndim != 2:
             raise ShapeMismatch(f"codes must be 2-D, got shape {codes.shape}")
         lo, hi = -(1 << (q - 1)), (1 << (q - 1)) - 1
         if codes.size and (codes.min() < lo or codes.max() > hi):
             raise UnsupportedBitwidth(f"codes exceed the {q}-bit range [{lo}, {hi}]")
-        if not np.isfinite(scales).all() or (scales <= 0).any():
+        fields = _packed(codes.shape, q, ((rows, codes[rows]) for rows in row_blocks(codes)))
+        self._hold(fields, codes.shape, scales, group_size, q)
+
+    @classmethod
+    def _of_fields(cls, fields: np.ndarray, shape: tuple[int, int], scales, group_size: int | None,
+                   bits: int) -> "QuantizedTensor":
+        """The holder of the packed rows ``fields`` as they are, each field
+        checked in the code's range a row block at a time."""
+        q, t = _check_bits(bits), cls.__new__(cls)
+        width, lo, hi = code_field_bits(q), -(1 << (q - 1)), (1 << (q - 1)) - 1
+        bad = ((_CODES[width] < lo) | (_CODES[width] > hi)).any(axis=1)  # the bytes a bad field is in
+        if bad.any() and any(np.take(bad, fields[rows], mode="clip").any() for rows in row_blocks(fields)):
+            raise UnsupportedBitwidth(f"codes exceed the {q}-bit range [{lo}, {hi}]")
+        t._hold(fields, shape, scales, group_size, q)
+        return t
+
+    def _hold(self, fields, shape, scales, group_size, q):
+        self.fields, self.shape, self.scales = fields.view(), tuple(shape), np.asarray(scales, np.float64)
+        self.group_size, self.bits = group_size, q
+        self.fields.flags.writeable = False
+        if not np.isfinite(self.scales).all() or (self.scales <= 0).any():
             raise NonPositiveAlpha("scales must be positive and finite")
-        if self.group_size is None:
-            if scales.shape != (1,):
-                raise ShapeMismatch("whole-tensor quantization takes exactly one scale")
-        else:
-            if self.group_size < 1:
-                raise ConfigInvalid(f"group_size must be >= 1, got {self.group_size}")
-            expected = -(-codes.size // self.group_size)
-            if scales.shape != (expected,):
-                raise ShapeMismatch(
-                    f"expected {expected} group scales, got {scales.shape[0]}"
-                )
+        if group_size is not None and group_size < 1:
+            raise ConfigInvalid(f"group_size must be >= 1, got {group_size}")
+        expected = 1 if group_size is None else -(-shape[0] * shape[1] // group_size)
+        if self.scales.shape != (expected,):
+            raise ShapeMismatch(f"expected {expected} scales, got shape {self.scales.shape}")
+
+    def __eq__(self, other):
+        same = isinstance(other, QuantizedTensor) and (self.shape, self.group_size, self.bits) == (
+            other.shape, other.group_size, other.bits)
+        return same and np.array_equal(self.scales, other.scales) and np.array_equal(self.fields, other.fields)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.codes.shape
+    def codes(self) -> np.ndarray:
+        return _unpack_codes(self.fields, self.shape[1], slice(None), _CODES[code_field_bits(self.bits)])
+
+    def _keep_only(self, flags: np.ndarray) -> None:
+        """Zero in place, a row block at a time, the codes whose keep flag in
+        the packed rows ``flags`` is 0: for the maker of a new holder, before
+        anything else reads it."""
+        fields, keeps = self.fields, _KEEPS[code_field_bits(self.bits)]
+        fields.flags.writeable = True
+        for rows in row_blocks(fields):
+            keep = np.take(keeps, flags[rows], axis=0, mode="clip")  # each flag byte as w bytes of fields
+            fields[rows] &= keep.reshape(len(keep), -1)[:, :fields.shape[1]]
+        fields.flags.writeable = False
+
+
+def _packed(shape: tuple[int, int], q: int, blocks) -> np.ndarray:
+    """New packed rows of a ``shape`` matrix of ``q``-bit codes, from the
+    ``(rows, codes)`` of each row block."""
+    width = code_field_bits(q)
+    fields = np.empty((shape[0], -(-shape[1] * width // 8)), np.uint8)
+    for rows, codes in blocks:
+        fields[rows] = _pack_codes(codes, width)
+        del codes  # before the next block is made
+    return fields
 
 
 @dataclass(frozen=True)
@@ -215,58 +287,44 @@ def quantize_symmetric(w, alpha: float, q: int) -> QuantizedTensor:
     q = _check_bits(q)
     if not np.isfinite(alpha) or alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
-    step = alpha * 2.0 ** (1 - q)
-    lo, hi = -(1 << (q - 1)), (1 << (q - 1)) - 1
-    codes = np.empty(read.shape, dtype=np.int8)
-    for rows in row_blocks(read):
+    step, lo, hi = alpha * 2.0 ** (1 - q), -(1 << (q - 1)), (1 << (q - 1)) - 1
+
+    def codes(rows: slice):
         block = read(rows, slice(None))
         block /= step
-        codes[rows] = np.clip(_round_half_away(block), lo, hi)
-    return QuantizedTensor(codes=codes, scales=np.array([alpha]), group_size=None, bits=q)
+        return rows, np.clip(_round_half_away(block), lo, hi)
+
+    fields = _packed(read.shape, q, map(codes, row_blocks(read)))
+    return QuantizedTensor._of_fields(fields, read.shape, np.array([alpha]), None, q)
 
 
 def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
     """Map the codes ``[rows, cols]`` (all of them by default) back to float
-    values in a new float64 array; a block is made from its own codes only.
+    values in a new float64 array, made a row block at a time from the
+    bytes of its own codes only (:func:`_unpack_codes`).
 
-    Whole-tensor: ``code * scale * 2**(1 - q)``. Grouped: each code times
-    its group's step ``scale / (2**(q-1) - 1)``, a piece of rows at a time,
-    so no temporary grows with the matrix or the group count. A piece of
-    whole rows is one row-major run of codes: its whole groups are scaled
-    by a broadcast, and only the partial groups at its two ends apart. A
-    block of columns that starts and ends on group boundaries of every row
-    (the group length divides the row length) is also scaled by a broadcast
-    over whole groups; any other block of columns gathers each code's step
-    by its row-major index.
+    Whole-tensor: ``code * scale * 2**(1 - q)``, each byte's fields looked
+    up in a table of those products. Grouped: each code times its group's
+    step ``scale / (2**(q-1) - 1)``, by a broadcast over whole groups when
+    the block's columns start and end on group boundaries of every row (the
+    group length divides the row length), else by a gather of each code's
+    step a :data:`~slim.tensor.GATHER_ELEMENTS` piece at a time.
     """
-    codes = t.codes[rows, cols]
-    if t.group_size is None:
-        out = codes.astype(np.float64)  # the product runs in place on this new buffer
-        out *= float(t.scales[0]) * 2.0 ** (1 - t.bits)
-        return out
     d_in, d_out = t.shape
+    width = code_field_bits(t.bits)
+    fields = t.fields[rows]
+    if t.group_size is None:  # float(code) * step: the product of the int8 code widened
+        return _unpack_codes(fields, d_out, cols, _CODES[width] * (float(t.scales[0]) * 2.0 ** (1 - t.bits)))
     g, qmax = t.group_size, float((1 << (t.bits - 1)) - 1)
-    out = np.empty(codes.shape)
-    first_row, _, row_step = rows.indices(d_in)
-    if row_step == 1 and cols.indices(d_out) == (0, d_out, 1):
-        for piece in row_blocks(out):
-            src, dst = codes[piece].reshape(-1), out[piece].reshape(-1)
-            start = (first_row + piece.start) * d_out
-            steps = t.scales[start // g: -(-(start + dst.size) // g)] / qmax
-            lead = min(dst.size, -start % g)  # the codes before the first group boundary
-            k, m = int(lead > 0), (dst.size - lead) // g
-            end = lead + m * g
-            np.multiply(src[:lead], steps[:k], out=dst[:lead])
-            np.multiply(src[lead:end].reshape(m, g), steps[k: k + m, None],
-                        out=dst[lead:end].reshape(m, g))
-            np.multiply(src[end:], steps[k + m:], out=dst[end:])
-        return out
     start, stop, col_step = cols.indices(d_out)
+    out = np.empty((len(fields), len(range(start, stop, col_step))))
     if d_out % g == 0 and col_step == 1 and start % g == 0 and stop % g == 0:
         # whole groups of every row: each group's step by a broadcast
         steps = t.scales.reshape(d_in, d_out // g)[rows, start // g: stop // g] / qmax
-        np.multiply(codes.reshape(*steps.shape, g), steps[..., None],
-                    out=out.reshape(*steps.shape, g))
+        for piece in row_blocks(out):
+            shape = (*steps[piece].shape, g)
+            codes = _unpack_codes(fields[piece], d_out, cols, _CODES[width])
+            np.multiply(codes.reshape(shape), steps[piece, :, None], out=out[piece].reshape(shape))
         return out
     first = np.arange(d_in)[rows, None] * d_out  # row-major index of each row's first code
     col = np.arange(d_out)[cols]
@@ -275,7 +333,7 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
         idx //= g
         steps = t.scales[idx]
         steps /= qmax
-        np.multiply(codes[piece], steps, out=out[piece])
+        np.multiply(_unpack_codes(fields[piece], d_out, cols, _CODES[width]), steps, out=out[piece])
     return out
 
 
@@ -307,11 +365,12 @@ def group_absmax_quantize(w, group_size: int = DEFAULT_GROUP_SIZE, q: int = 4) -
     if group_size < 1:
         raise ConfigInvalid(f"group_size must be >= 1, got {group_size}")
     qmax = (1 << (q - 1)) - 1
-    codes = np.empty(read.shape, dtype=np.int8)
-    scales = np.empty(-(-codes.size // group_size))
-    for rows in row_blocks(read, group_size):
+    d_in, d_out = read.shape
+    scales = np.empty(-(-d_in * d_out // group_size))
+
+    def codes(rows: slice):  # and the block's scales
         v = read(rows, slice(None)).reshape(-1)  # a copy unless the block is C-ordered
-        start = rows.start * codes.shape[1]  # a multiple of group_size
+        start = rows.start * d_out  # a multiple of group_size
         s = np.maximum.reduceat(np.abs(v), np.arange(0, v.size, group_size))
         s[s == 0.0] = 1.0
         scales[start // group_size: start // group_size + s.size] = s
@@ -321,8 +380,10 @@ def group_absmax_quantize(w, group_size: int = DEFAULT_GROUP_SIZE, q: int = 4) -
         groups /= s[: full // group_size, None]
         if full < v.size:
             v[full:] /= s[-1]
-        codes.reshape(-1)[start: start + v.size] = np.clip(_round_half_away(v), -qmax, qmax)
-    return QuantizedTensor(codes=codes, scales=scales, group_size=group_size, bits=q)
+        return rows, np.clip(_round_half_away(v), -qmax, qmax).reshape(-1, d_out)
+
+    fields = _packed(read.shape, q, map(codes, row_blocks(read, group_size)))
+    return QuantizedTensor._of_fields(fields, read.shape, scales, group_size, q)
 
 
 def _grid_error_terms(centers: np.ndarray, probs: np.ndarray, alphas: np.ndarray, q: int) -> np.ndarray:
@@ -428,9 +489,8 @@ def activation_aware_scale(
     names the top ``ceil(fraction * d_in)`` channels and the factor ``s``:
     the scaled weight has those rows multiplied by ``s``, and dividing the
     rows again (or the matching activation channels) restores the original
-    product. No scaled weight is made here: readers apply the scaling to
-    one row block at a time (:func:`_scale_rows`), and the row means read
-    ``w`` one float64 row block at a time.
+    product. No scaled weight is made: readers scale each row block
+    (:func:`_scale_rows`).
 
     Raises:
         ShapeMismatch: ``stats.d_in`` differs from the weight row count.

@@ -1,25 +1,37 @@
-"""Dense-matrix helpers shared by every other module.
+"""Dense-matrix helpers shared by every other module, and the block model
+that every pass over a weight follows.
 
 A "matrix" throughout this package is simply a 2-D :class:`numpy.ndarray`
 of finite floats. Arithmetic runs in float64; a compressed layer holds its
-scales, raw values and adapter factors at the f32 precision its artifact stores.
-
-Every pass that touches each weight (histogram, quantizers, channel
-scaling, mask, adapter fit, reports) takes the matrix, or a
-:class:`BlockSource` of it, in one argument and reads new float64 blocks
-from it; a matrix, checked by :func:`as_float_matrix`, becomes the source
-of its own widened blocks (:func:`_block_source`). The blocks give the
-bits of the source's float64 copy, which is never made. Every blocked pass
-takes its boundaries from one rule, :func:`_spans`, and its budget from
-one of five names below: row blocks (:func:`row_blocks`), mask blocks and
-artifact chunks of :data:`BLOCK_ELEMENTS`, the grouped dequantize's
-gathers of :data:`GATHER_ELEMENTS`, the output chunks of
-:data:`CHUNK_ELEMENTS`, the adapter fit's and the error report's blocks
-of :data:`SUM_ELEMENTS`, and the forward pass's of :data:`PRODUCT_ELEMENTS`.
-:func:`as_float_matrix` is the one check of a matrix (its shape by
+scales, raw values and adapter factors at the f32 precision its artifact
+stores. :func:`as_float_matrix` is the one check of a matrix (its shape by
 :func:`_check_shape`, which checks every source's shape too, then finite
 one row block at a time) and keeps a float source's buffer;
 :func:`as_matrix` widens its result to float64.
+
+**Blocks.** No pass makes a float64 array the size of a weight. Each reads
+new float64 blocks of the matrix or its :class:`BlockSource` (a matrix is
+the source of its own widened blocks, :func:`_block_source`; a file's
+weight is read from the file, :func:`~slim.container._tensor_source`), so
+the blocks give the bits of a float64 copy that is never made. One rule,
+:func:`_spans`, cuts every range, with one of five budgets:
+:data:`BLOCK_ELEMENTS` for the row blocks (:func:`row_blocks`) of every
+elementwise pass and codec, and an unstructured mask's column blocks;
+:data:`GATHER_ELEMENTS` for a grouped dequantize's gathered steps;
+:data:`CHUNK_ELEMENTS` for a product added into an output by its columns;
+:data:`SUM_ELEMENTS` for blocks multiplied and summed into a small result
+(the adapter fit's and error report's: row blocks of a tall or square
+matrix, column blocks of a wide one); :data:`PRODUCT_ELEMENTS` for the
+forward pass's weight blocks (the same sides). An elementwise pass keeps
+the bits of its whole-matrix form; a blocked sum may differ from the whole
+one in the last places.
+
+**Packed rows.** The keep mask and the quantized codes are held as uint8
+rows, d_in x ceil(d_out * w / 8), each padded to whole bytes with zero
+fields: the mask's flags at w = 1, most significant bit first (as
+``np.packbits`` packs them), the codes as two's-complement fields of w =
+2, 4 or 8 bits, low field first. A block of rows is a slice of them, and a
+block of columns reads only the bytes that cover it.
 """
 
 from __future__ import annotations
@@ -53,18 +65,13 @@ ELEMENTS_PER_BIN = 1000
 # stay well inside float64's normal range (about 2**+-1022).
 GRAM_SAFE_EXPONENT = 400
 
-# Row-blocked passes read about this many source elements at a time (at
-# least one row), so their float64 working copies stay near 512 KiB
-# whatever the size of the matrix.
-BLOCK_ELEMENTS = 1 << 16
+BLOCK_ELEMENTS = 1 << 16  # about 512 KiB as float64, at least one row
 
 GATHER_ELEMENTS = 1 << 14  # a grouped dequantize's gather: its index and steps take 16 bytes an entry
 CHUNK_ELEMENTS = 1 << 18  # a product added into an output, by its columns (2 MiB as float64)
 
-# Blocks multiplied, summed into a small result and dropped (8 MiB as
-# float64): the error report's blocks of E, and svd_truncated's (k * k / 2
-# entries when that is more, so each block's k x k product sums at least
-# k / 2 rows), read once for each of its two passes.
+# 8 MiB as float64; svd_truncated's blocks take k * k / 2 entries when that
+# is more, so each block's k x k product sums at least k / 2 rows.
 # Measured on a 2:4, rank-0.1 adapter compress with one BLAS thread:
 # smaller blocks slow the Gram sum (2048x8192: 5.3 s with 2**18, 3.9 s
 # with 2**20, 3.6 s with 2**21 = k * k / 2), and larger ones raise the
@@ -281,25 +288,16 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     is fixed so the first nonzero entry of each right-factor row is
     non-negative.
 
-    ``m`` is a matrix or a :class:`BlockSource`, read in two passes over blocks of about
-    :data:`SUM_ELEMENTS` entries (k * k / 2 when that is more,
-    k = min(rows, cols)), row blocks of a tall or square ``m`` and
-    column blocks of a wide one, and no array of its size is made.
-
     Method: the top-r eigenvectors of the Gram matrix on the smaller side
-    (``m.T @ m`` when cols <= rows, else ``m @ m.T``) span the leading
-    singular subspace, so projecting ``m`` onto them is the exact
-    Eckart-Young optimum without computing all min(rows, cols) singular
-    triplets. The first pass sums the Gram matrix over the blocks (a
-    matrix of one block gives the whole product's bits; more blocks sum in
-    another order). For a tall or square ``m`` with right singular vectors
-    V, ``right = V.T`` and the second pass makes ``left = m @ V`` a row
-    block at a time. For a wide ``m`` with left singular vectors U, the
-    second pass makes ``m.T @ U = Q R``, which gives ``right = Q.T`` and
-    ``left = U @ R.T``; no singular value is divided by, so the right rows
-    stay orthonormal even when ``m`` is rank-deficient or zero. The cost
-    is one rows*cols*k Gram product and one k x k symmetric
-    eigendecomposition, k = min(rows, cols).
+    (k = min(rows, cols)) span the leading singular subspace, so projecting
+    ``m`` onto them is the exact Eckart-Young optimum. ``m`` is read in two
+    passes over :data:`SUM_ELEMENTS` blocks (k * k / 2 when that is more;
+    see the module docstring). Pass 1 sums the Gram matrix. Pass 2 makes
+    ``left = m @ V`` and ``right = V.T`` for a tall or square ``m``, or
+    ``m.T @ U = Q R`` for a wide one, giving ``right = Q.T`` and ``left =
+    U @ R.T``: no singular value is divided by, so the right rows stay
+    orthonormal even when ``m`` is rank-deficient or zero. The cost is one
+    rows*cols*k Gram product and one k x k symmetric eigendecomposition.
 
     Args:
         m: Matrix to approximate, or its :class:`BlockSource`.

@@ -233,48 +233,106 @@ class TestMaskPacking:
             {k: v.tobytes() for k, v in canonical.items()}
 
 
+def code_layer(bits: int, keep: np.ndarray, pruned: bool, seed: int, group_size=None) -> CompressedLayer:
+    """A layer of random ``bits``-bit codes, zero where ``keep`` drops them,
+    whole-tensor or grouped, pruned by ``keep`` or not."""
+    rng = np.random.default_rng(seed)
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    codes = np.where(keep, rng.integers(lo, hi + 1, keep.shape), 0).astype(np.int8)
+    scales = rng.uniform(0.1, 2.0, 1 if group_size is None else -(-codes.size // group_size))
+    return CompressedLayer(
+        weights=QuantizedTensor(codes, scales, group_size=group_size, bits=bits),
+        mask=SparsityMask(keep) if pruned else None,
+        adapter=None,
+        channel_scaling=None,
+        config=LayerCompressionConfig(
+            quant_method="absmax" if group_size is None else "group_absmax", weight_bits=bits,
+            group_size=group_size or 128, sparsity=SparsityPattern.unstructured(0.5) if pruned else None,
+        ),
+        provenance=Provenance(*keep.shape),
+    )
+
+
 class TestPackedCodes:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         bits=st.integers(2, 8),
         rows=st.integers(1, 9),
-        cols=st.integers(1, 9),
+        cols=st.integers(1, 19),
         kept=st.sampled_from(["random", "all", "none", "unpruned"]),
+        group_size=st.sampled_from([None, 3, 8]),
+        block=st.sampled_from([tensor.BLOCK_ELEMENTS, 5, 1]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(bits=4, rows=1, cols=3, kept="all", seed=0)  # 3 nibbles: half a last byte
-    @example(bits=2, rows=5, cols=1, kept="all", seed=0)  # 5 2-bit fields: 1 in the last byte
-    @example(bits=3, rows=3, cols=3, kept="unpruned", seed=0)
-    def test_pack_unpack_round_trip(self, bits, rows, cols, kept, seed):
-        rng = np.random.default_rng(seed)
+    @example(bits=4, rows=1, cols=3, kept="all", group_size=None, block=5, seed=0)  # 3 nibbles: half a last byte
+    @example(bits=2, rows=5, cols=1, kept="all", group_size=None, block=5, seed=0)  # 5 2-bit fields: 1 in the last byte
+    @example(bits=3, rows=3, cols=3, kept="unpruned", group_size=None, block=5, seed=0)
+    @example(bits=5, rows=4, cols=7, kept="random", group_size=8, block=1, seed=0)
+    def test_pack_unpack_round_trip(self, bits, rows, cols, kept, group_size, block, seed):
+        # odd widths give rows that end inside a byte, and small blocks give
+        # runs of the stream that start inside one; the layer comes back
+        # and writes the same bytes again
         keep = {
-            "random": rng.random((rows, cols)) < 0.5,
+            "random": np.random.default_rng(seed).random((rows, cols)) < 0.5,
             "none": np.zeros((rows, cols), dtype=bool),
         }.get(kept, np.ones((rows, cols), dtype=bool))
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        codes = np.where(keep, rng.integers(lo, hi + 1, (rows, cols)), 0).astype(np.int8)
         pruned = kept != "unpruned"
-        layer = CompressedLayer(
-            weights=QuantizedTensor(codes, np.array([0.5]), group_size=None, bits=bits),
-            mask=SparsityMask(keep) if pruned else None,
-            adapter=None,
-            channel_scaling=None,
-            config=LayerCompressionConfig(
-                quant_method="absmax", weight_bits=bits,
-                sparsity=SparsityPattern.unstructured(0.5) if pruned else None,
-            ),
-            provenance=Provenance(rows=rows, cols=cols),
-        )
-        tensors = layer_to_tensors(layer)
-        count = int(keep.sum())
-        assert tensors["codes"].dtype == np.uint8
-        assert tensors["codes"].shape == (-(-count * code_field_bits(bits) // 8),)
-        back = layer_from_tensors(tensors)
-        assert np.array_equal(back.weights.codes, codes)
+        layer = code_layer(bits, keep, pruned, seed, group_size)
+        codes = layer.weights.codes
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+            tensors = layer_to_tensors(layer)
+            count = int(keep.sum())
+            assert tensors["codes"].dtype == np.uint8
+            assert tensors["codes"].shape == (-(-count * code_field_bits(bits) // 8),)
+            back = layer_from_tensors(tensors)
+            again = layer_to_tensors(back)
+        assert np.array_equal(back.weights.codes, codes) and back.weights == layer.weights
+        assert {k: v.tobytes() for k, v in again.items()} == {k: v.tobytes() for k, v in tensors.items()}
         if pruned:
             assert np.array_equal(back.mask.keep, keep)
         else:
             assert back.mask is None
+
+    @staticmethod
+    def with_field(stream: np.ndarray, index: int, width: int, value: int) -> np.ndarray:
+        """A copy of ``stream`` whose field ``index`` holds ``value``."""
+        per = 8 // width
+        shift = index % per * width
+        out = stream.copy()
+        out[index // per] &= ~np.uint8(((1 << width) - 1) << shift)
+        out[index // per] |= np.uint8((value & ((1 << width) - 1)) << shift)
+        return out
+
+    @pytest.mark.parametrize("bits, value", [(3, -8), (3, 4), (5, -128), (6, 32), (7, 64)])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_a_field_past_the_code_range_is_refused(self, bits, value, pruned):
+        # a field wider than its code can hold a value no code has: the
+        # reader refuses it wherever it is, here the last stored code of an
+        # odd-width weight
+        keep = np.random.default_rng(5).random((3, 5)) < 0.6
+        tensors = layer_to_tensors(code_layer(bits, keep, pruned, 6))
+        count = int(keep.sum()) if pruned else keep.size
+        tensors["codes"] = self.with_field(tensors["codes"], count - 1, code_field_bits(bits), value)
+        with pytest.raises(SchemaViolation, match=f"{bits}-bit range"):
+            layer_from_tensors(tensors)
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_pad_fields_of_the_last_byte_are_dropped_on_read(self, pruned):
+        # 3-bit codes in nibbles: an odd count of stored codes leaves a pad
+        # nibble in the last byte; set to a value no code has, it changes
+        # neither the layer nor the bytes it writes again
+        keep = np.ones((3, 5), bool)
+        keep[0, 0] = not pruned  # 13 stored codes when pruned, 15 when not
+        keep[1, 1] = False
+        layer = code_layer(3, keep, pruned, 7)
+        canonical = layer_to_tensors(layer)
+        count = int(keep.sum()) if pruned else keep.size
+        assert count % 2 == 1
+        dirty = dict(canonical, codes=self.with_field(canonical["codes"], count, 4, -8))
+        back = layer_from_tensors(dirty)
+        assert back.weights == layer.weights
+        assert {k: v.tobytes() for k, v in layer_to_tensors(back).items()} == \
+            {k: v.tobytes() for k, v in canonical.items()}
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -546,7 +604,7 @@ class TestSchemaViolations:
         w = layer.weights
         stored = (w.codes if tensor == "codes" else w).copy()
         stored.reshape(-1)[np.flatnonzero(~layer.mask.keep)[-1]] = 3
-        bad = dataclasses.replace(w, codes=stored) if tensor == "codes" else stored
+        bad = QuantizedTensor(stored, w.scales, w.group_size, w.bits) if tensor == "codes" else stored
         path = tmp_path / "layer.slim"
         with pytest.raises(SchemaViolation):
             serialize_compressed_layer(dataclasses.replace(layer, weights=bad), path)

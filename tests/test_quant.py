@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim import (
     AbsHistogram,
@@ -13,6 +15,7 @@ from slim import (
     ShapeMismatch,
     UnsupportedBitwidth,
     absmax_alpha,
+    code_field_bits,
     activation_aware_scale,
     build_abs_histogram,
     dequantize,
@@ -145,7 +148,10 @@ class TestDequantize:
                     mock.patch.object(tensor, "GATHER_ELEMENTS", block // 4):
                 new = dequantize(t)
                 assert new.dtype == np.float64 and new.shape == codes.shape
-                assert np.array_equal(new, old) and new.tobytes("A") == old.tobytes("A")
+                # a new C-ordered array whatever the codes' layout: the holder
+                # packs them by rows
+                assert new.flags.c_contiguous
+                assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
                 for rows, cols in [(slice(None), slice(2, 7)), (slice(3, 11), slice(None)),
                                    (slice(1, 12), slice(4, 9)), (slice(5, 6), slice(8, 9))]:
                     got = dequantize(t, rows, cols)
@@ -170,6 +176,85 @@ class TestDequantize:
                 assert got.dtype == np.float64 and got.shape == whole[rows, cols].shape
                 assert np.array_equal(got.view(np.uint64), whole[rows, cols].view(np.uint64))
         assert np.array_equal(t.codes, codes)
+
+
+def int8_dequantize(codes: np.ndarray, scales: np.ndarray, group_size, q: int) -> np.ndarray:
+    """The dequantize of an int8 code matrix: each code widened, times its step."""
+    if group_size is None:
+        return codes.astype(np.float64) * (float(scales[0]) * 2.0 ** (1 - q))
+    flat = codes.astype(np.float64).ravel()
+    flat *= np.repeat(scales / float((1 << (q - 1)) - 1), group_size)[: flat.size]
+    return flat.reshape(codes.shape)
+
+
+class TestQuantizedTensor:
+    def test_codes_are_checked_before_they_narrow(self):
+        # 200 is -56 as an int8
+        with pytest.raises(UnsupportedBitwidth, match="8-bit range"):
+            QuantizedTensor(np.array([[200, 3]]), [1.0], None, 8)
+
+    @pytest.mark.parametrize("codes", [[[1.7, 3.0]], [[1.0, 3.0]], [[True, False]]])
+    def test_codes_must_be_integers(self, codes):
+        with pytest.raises(UnsupportedBitwidth, match="integers"):
+            QuantizedTensor(np.array(codes), [1.0], None, 4)
+
+    @pytest.mark.parametrize("bits, codes, fields", [
+        (4, [[1, -2, 7], [-8, 0, 3]], [[0xE1, 0x07], [0x08, 0x03]]),  # each row padded to whole bytes
+        (2, [[1, -1, 0, -2, 1]], [[0b10_00_11_01, 0b01]]),
+        (3, [[-4, 3]], [[0x3C]]),  # 3-bit codes in 4-bit fields
+        (8, [[-128, 127]], [[0x80, 0x7F]]),
+    ])
+    def test_held_layout(self, bits, codes, fields):
+        t = QuantizedTensor(np.array(codes), [1.0], None, bits)
+        assert t.fields.dtype == np.uint8 and t.fields.tolist() == fields
+        assert t.shape == np.shape(codes) and not t.fields.flags.writeable
+        assert t.codes.dtype == np.int8 and t.codes.tolist() == codes
+
+    def test_equality_is_shape_fields_scales_group_and_bits(self):
+        codes = np.array([[1, -2, 3, 0]])
+        t = QuantizedTensor(codes, [1.0, 2.0], 2, 4)
+        assert t == QuantizedTensor(codes.astype(np.int64), [1.0, 2.0], 2, 4)
+        assert t != QuantizedTensor(codes.reshape(2, 2), [1.0, 2.0], 2, 4)
+        assert t != QuantizedTensor(codes, [1.0, 3.0], 2, 4)
+        assert t != QuantizedTensor(codes, [1.0], None, 4)
+        assert t != QuantizedTensor(codes, [1.0, 2.0], 2, 5)
+        assert t != QuantizedTensor(-codes, [1.0, 2.0], 2, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bits=st.integers(2, 8),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 19),
+        group_size=st.sampled_from([None, 1, 3, 4, 8, 16]),
+        block=st.sampled_from([tensor.BLOCK_ELEMENTS, 7, 1]),
+        data=st.data(),
+    )
+    @example(bits=4, rows=3, cols=5, group_size=None, block=7, data=None)  # odd d_out, 4-bit fields
+    @example(bits=2, rows=2, cols=7, group_size=4, block=1, data=None)
+    def test_round_trip_and_blocks_match_the_int8_codes(self, bits, rows, cols, group_size, block, data):
+        # the held fields give back the codes, and any block of the
+        # dequantize, unaligned column starts included, has the bits of the
+        # int8 codes' products
+        seed = 0 if data is None else data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        codes = rng.integers(lo, hi + 1, (rows, cols)).astype(np.int8)
+        n = 1 if group_size is None else -(-codes.size // group_size)
+        t = QuantizedTensor(codes, rng.uniform(0.01, 3.0, n), group_size, bits)
+        assert t.fields.shape == (rows, -(-cols * code_field_bits(bits) // 8))
+        ref = int8_dequantize(codes, t.scales, group_size, bits)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
+                mock.patch.object(tensor, "GATHER_ELEMENTS", max(block // 4, 1)):
+            assert np.array_equal(t.codes, codes) and t.codes.dtype == np.int8
+            spans = [(0, rows, 0, cols), (0, rows, 1, cols), (1, rows, 0, cols - 1)]
+            if data is not None:
+                r0, c0 = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+                spans.append((r0, data.draw(st.integers(r0, rows)), c0, data.draw(st.integers(c0, cols))))
+            for r0, r1, c0, c1 in spans:
+                got = dequantize(t, slice(r0, r1), slice(c0, c1))
+                want = ref[r0:r1, c0:c1]
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestAbsMax:

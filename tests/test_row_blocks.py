@@ -12,7 +12,6 @@ No pass may hold a matrix-sized temporary besides its result.
 """
 
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -568,7 +567,8 @@ def reference_layer(w, stats, cfg: LayerCompressionConfig):
         norms = stats.l2_norm if cfg.prune_scores == "wanda" else None
         mask = build_mask(reference_scores(weights, scaling, norms), cfg.sparsity)
         if isinstance(weights, QuantizedTensor):
-            stored = replace(weights, codes=apply_mask(weights.codes, mask))
+            stored = QuantizedTensor(apply_mask(weights.codes, mask), weights.scales,
+                                     weights.group_size, weights.bits)
         else:
             stored = apply_mask(weights, mask)
         w_c = apply_mask(w_c, mask)
@@ -1122,7 +1122,7 @@ class TestMemory:
     def test_quantize_peak_is_the_codes_plus_a_block_bound(self, shape):
         w = source("normal", shape, "float32", 8)
         qt, peak = traced_peak(lambda: quantize_symmetric(w, ALPHA, Q))
-        assert peak < qt.codes.nbytes + BLOCK_BOUND
+        assert peak < qt.fields.nbytes + BLOCK_BOUND
 
     @staticmethod
     def compress_peak(sparsity: SparsityPattern, scores: str = "wanda") -> tuple[int, int]:
@@ -1135,25 +1135,26 @@ class TestMemory:
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
         return peak, w.size
 
-    # The codes take one byte an entry and the mask one bit, and the codes
-    # are masked in place; the scores exist one block at a time. A bool
-    # mask, a masked copy of the codes, a float64 weight-sized array (8
-    # bytes an entry: dequantized weight, whole score matrix or a copy of
-    # w) or a transposed copy of the mask fails.
+    # The 4-bit codes take half a byte an entry and the mask one bit, and
+    # the codes are masked in place; the scores exist one block at a time.
+    # int8 codes (one byte an entry), a bool mask, a masked copy of the
+    # codes, a float64 weight-sized array (8 bytes an entry: dequantized
+    # weight, whole score matrix or a copy of w) or a transposed copy of
+    # the mask fails.
 
     def test_compress_layer_f32_no_adapter(self):
         peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5))
-        assert peak <= 1.125 * entries + BLOCK_BOUND
+        assert peak <= 0.625 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_magnitude_ties_in_every_column(self):
         # 4-bit codes give 8 magnitudes, so each column's k-th score is tied
         # many times over and the tie fill runs on every column
         peak, entries = self.compress_peak(SparsityPattern.unstructured(0.5), "magnitude")
-        assert peak <= 1.125 * entries + BLOCK_BOUND
+        assert peak <= 0.625 * entries + BLOCK_BOUND
 
     def test_compress_layer_f32_semistructured(self):
         peak, entries = self.compress_peak(SparsityPattern.semistructured(2, 4))
-        assert peak <= 1.125 * entries + BLOCK_BOUND
+        assert peak <= 0.625 * entries + BLOCK_BOUND
 
     def test_reports_make_no_float64_copy_of_w(self):
         w = source("normal", (512, 1024), "float32", 11)
@@ -1181,7 +1182,7 @@ class TestMemory:
         cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4),
                                      adapter_method=method, rank_ratio=0.1, quantize_adapters=quantized)
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
-        # 1.0x the float64 weight: the codes and the mask (0.25x), and the
+        # 0.93x the float64 weight: the codes and the mask (0.08x), the
         # fit's Gram matrix, one block's product and one block of the
         # weighted error (0.25x each); a weight-sized error (1x) fails
         assert peak < 1.25 * w.size * 8
@@ -1199,10 +1200,11 @@ class TestMemory:
         pattern = None if sparsity is None else SparsityPattern.parse(sparsity)
         layer = compress_layer(w, None, LayerCompressionConfig(sparsity=pattern, prune_scores="magnitude"))
         tensors, peak = traced_peak(lambda: layer_to_tensors(layer))
-        # besides its output: the kept codes (one byte each, 2 MiB when
-        # pruned) and one chunk's fields; a weight-sized index of the kept
-        # entries (8 bytes each) or whole-array packing temporaries fail
-        assert peak <= sum(t.nbytes for t in tensors.values()) + BLOCK_BOUND
+        # besides its output: one row block's codes, kept run and fields
+        # (about 0.04 MiB); int8 kept codes (one byte each, 2 MiB when
+        # pruned), a weight-sized index of the kept entries (8 bytes each)
+        # or whole-array packing temporaries fail
+        assert peak <= sum(t.nbytes for t in tensors.values()) + BLOCK_BOUND // 8
 
     def test_layer_from_bytes_dequantizes_the_adapter_once(self):
         w = source("normal", (1024, 4096), "float32", 24)
@@ -1212,8 +1214,8 @@ class TestMemory:
         payload = layer_to_bytes(compress_layer(w, None, cfg))
         layer, peak = traced_peak(lambda: layer_from_bytes(payload))
         a = layer.adapter
-        held = (layer.mask.bits.nbytes + layer.weights.codes.nbytes + a.left.nbytes + a.right.nbytes
-                + sum(q.codes.nbytes + q.scales.nbytes for q in a.quantized))
+        held = (layer.mask.bits.nbytes + layer.weights.fields.nbytes + a.left.nbytes + a.right.nbytes
+                + sum(q.fields.nbytes + q.scales.nbytes for q in a.quantized))
         # about held + 2.2 MiB; a second dequantized copy of the factors
         # (4 MiB) fails
         assert peak <= held + 3 * 2**20
@@ -1224,10 +1226,11 @@ class TestMemory:
         cfg = LayerCompressionConfig(sparsity=SparsityPattern.parse(sparsity), prune_scores="magnitude")
         payload = layer_to_bytes(compress_layer(w, None, cfg))
         layer, peak = traced_peak(lambda: layer_from_bytes(payload))
-        held = layer.mask.bits.nbytes + layer.weights.codes.nbytes
-        # about held + 3.7 MiB: the unpacked kept codes (one byte each, 2
-        # MiB) and a block's temporaries; a bool mask (4 MiB) fails
-        assert peak <= held + layer.mask.kept + BLOCK_BOUND // 2
+        held = layer.mask.bits.nbytes + layer.weights.fields.nbytes
+        # held plus one row block's run of kept codes, unpacked, scattered
+        # and packed again; the kept codes unpacked at once (one byte each,
+        # 2 MiB), int8 codes (4 MiB) or a bool mask (4 MiB) fail
+        assert peak <= held + BLOCK_BOUND // 2
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_raw_weight_rounds_to_f32_a_row_block_at_a_time(self, scaled):
@@ -1263,7 +1266,7 @@ class TestMemory:
     def test_group_absmax_peak_is_the_codes_plus_8_mib(self, shape):
         w = source("normal", shape, "float32", 17)
         qt, peak = traced_peak(lambda: group_absmax_quantize(w, 128, 4))
-        assert peak <= qt.codes.nbytes + qt.scales.nbytes + 8 * 2**20
+        assert peak <= qt.fields.nbytes + qt.scales.nbytes + 8 * 2**20
 
     def test_grouped_dequantize_peak_is_its_output_plus_8_mib(self):
         qt = group_absmax_quantize(source("normal", (1024, 2048), "float32", 18), 128, 4)
@@ -1275,7 +1278,7 @@ class TestMemory:
         w = source("normal", (1024, 2048), "float32", 19)
         cfg = LayerCompressionConfig(quant_method="group_absmax")
         layer, peak = traced_peak(lambda: compress_layer(w, None, cfg))
-        assert peak <= layer.weights.codes.nbytes + layer.weights.scales.nbytes + 8 * 2**20
+        assert peak <= layer.weights.fields.nbytes + layer.weights.scales.nbytes + 8 * 2**20
 
     @pytest.mark.parametrize("shape", [(256, 2048), (1024, 2048)])
     def test_absmax_alpha_peak_does_not_grow_with_the_shape(self, shape):
@@ -1294,15 +1297,15 @@ class TestMemory:
     def test_compress_layer_f32_scaled_holds_no_float64_weight(self, method):
         # slim-o on its own, and scaling forced on the two AbsMax quantizers:
         # the quantizer reads the scaled weight a row block at a time, so
-        # the peak is an unscaled layer's (codes and mask bits); a scaled
-        # float64 copy (8 bytes an entry) fails
+        # the peak is an unscaled layer's (4-bit codes and mask bits); a
+        # scaled float64 copy (8 bytes an entry) or int8 codes fail
         w = source("normal", (1024, 4096), "float32", 36)
         stats = compute_calibration([np.random.default_rng(37).normal(size=(16, 1024))])
         cfg = LayerCompressionConfig(quant_method=method, channel_scaling=True,
                                      sparsity=SparsityPattern.semistructured(2, 4),
                                      prune_scores="magnitude")
         _, peak = traced_peak(lambda: compress_layer(w, stats, cfg))
-        assert peak <= 1.125 * w.size + BLOCK_BOUND
+        assert peak <= 0.625 * w.size + BLOCK_BOUND
 
     @staticmethod
     def product_case(adapter: str = "none", shape: tuple = (2048, 4096)):
@@ -1413,12 +1416,12 @@ class TestFileSource:
         cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4))  # wanda, 4-bit
         with container._tensor_source(path, "w") as read:
             _, peak = traced_peak(lambda: compress_layer(read, stats, cfg))
-        # about 3.5 MiB: the codes (2 MiB), zeroed in place, the mask bits
-        # (0.25 MiB) and one block's temporaries; the weight read whole (8
-        # MiB) fails, and so does a bool mask or a masked copy of the codes
-        # (2 MiB more)
+        # about 2.5 MiB: the 4-bit codes (1 MiB), zeroed in place, the mask
+        # bits (0.25 MiB) and one block's temporaries; the weight read whole
+        # (8 MiB) fails, and so do int8 codes, a bool mask or a masked copy
+        # of the codes (1 MiB or more beyond)
         assert peak < w.nbytes
-        assert peak <= 1.125 * w.size + 1.5 * 2**20
+        assert peak <= 0.625 * w.size + 1.5 * 2**20
 
     def test_adapter_compress_from_a_file_peaks_as_from_the_array(self, tmp_path):
         w = source("normal", (1024, 4096), "float32", 41)
