@@ -8,9 +8,11 @@ provenance and channel scaling. The configuration alone decides which
 tensors exist and how they decode (see :func:`_layout`).
 
 Every part is stored flat, row-major; its shape follows from the config.
-Codes and mask flags are packed as the layer holds them (:mod:`slim.tensor`)
-but with no padding between rows. A pruned weight stores only the entries
-its mask keeps; their count is the mask's popcount. Only version 3 is read.
+One codec writes and reads every part (:func:`_write`, :func:`_read`): the
+mask's flags and the codes packed as the layer holds them
+(:mod:`slim.tensor`) but with no padding between rows, raw values as f32.
+A pruned weight stores only the entries its mask keeps; their count is the
+mask's popcount. Only version 3 is read.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .errors import SchemaViolation, SlimError
 from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
 from .pipeline import CompressedLayer, LayerCompressionConfig, Provenance
 from .prune import SparsityMask, SparsityPattern
-from .quant import (_CODES, ChannelScaling, QuantizedTensor, _pack_codes, _packed, _scaled_channel_count,
-                    _unpack_codes, code_field_bits)
+from .quant import (_CODES, ChannelScaling, QuantizedTensor, _pack_codes, _scaled_channel_count, _unpack_codes,
+                    code_field_bits)
 
 __all__ = ["serialize_compressed_layer", "deserialize_compressed_layer"]
 
@@ -112,95 +114,74 @@ def _checked_parts(layer: CompressedLayer) -> dict:
     return parts
 
 
-def _runs(values, mask: SparsityMask | None, shape: tuple[int, int]):
-    """Each row block's stored entries, row-major: ``values(rows)`` of the
-    block, flattened, or only the entries ``mask`` keeps (SchemaViolation
-    if a dropped entry is nonzero, as storing the kept ones would lose it)."""
-    for rows in tensor.row_blocks(shape):  # as in _placed
-        block = values(rows).reshape(-1)
-        if mask is not None:
-            kept = np.compress(mask.rows(rows).reshape(-1), block)  # ~3x faster than a bool index
-            if np.count_nonzero(kept) != np.count_nonzero(block):
-                raise SchemaViolation("stored weights are nonzero where the mask drops them")
-            block = kept
-        yield block
+def _codec(codec) -> tuple:
+    """``(per, dtype, pack, unpack)`` of a codec as :func:`_layout` names it:
+    ``per`` entries in each stored item of ``dtype``; ``pack(entries)`` the
+    2-D entries as new packed rows, as the layer holds them; and
+    ``unpack(rows, n)`` the first ``n`` entries of each packed row. A flat
+    run is packed and unpacked as one row."""
+    if codec == _PACKED:  # the keep-mask's flags, most significant bit first
+        return 8, np.uint8, lambda e: np.packbits(e, axis=1), lambda b, n: np.unpackbits(b, axis=1, count=n)
+    if codec is None:  # raw f32 values
+        return 1, np.float32, lambda e: e.astype(np.float32, copy=False), lambda b, n: b
+    width = code_field_bits(codec[0])
+    return (8 // width, np.uint8, lambda e: _pack_codes(e, width),
+            lambda b, n: _unpack_codes(b, n, slice(None), _CODES[width]))
 
 
-def _placed(take, mask: SparsityMask | None, shape: tuple[int, int], dtype):
-    """Inverse of :func:`_runs`: ``(rows, block)`` for each row block, its
-    run ``take(start, count)`` of the stored entries put at the entries
-    ``mask`` keeps, zeros elsewhere, or at all of them. The mask is indexed
-    a row block at a time, so no weight-sized index array is made."""
+def _write(held: np.ndarray, codec, shape: tuple[int, int], mask: SparsityMask | None) -> np.ndarray:
+    """The stored stream of a part whose packed rows are ``held``: each row
+    block's entries, or only those ``mask`` keeps (SchemaViolation if a
+    dropped one is nonzero, as storing the kept ones would lose it), packed
+    after the last run. A run that starts inside an item shares it with the
+    run before. Rows of whole items with nothing pruned are stored as held."""
+    per, dtype, pack, unpack = _codec(codec)
     d_in, d_out = shape
+    if mask is None and d_out % per == 0:
+        return np.asarray(held, dtype).reshape(-1)
+    # each item is set by the first run in it before a later run reads it
+    stream = np.empty(-(-(d_in * d_out if mask is None else mask.kept) // per), dtype)
     done = 0
-    for rows in tensor.row_blocks(shape):  # as in _runs
-        keep = None if mask is None else mask.rows(rows)
-        count = (min(rows.stop, d_in) - rows.start) * d_out if keep is None else np.count_nonzero(keep)
-        block = take(done, count)
-        if keep is not None:
-            block, run = np.zeros(keep.shape, dtype), block
-            block.reshape(-1)[np.flatnonzero(keep)] = run
-        done += count
-        yield rows, block.reshape(-1, d_out)
-
-
-def _stream(t: QuantizedTensor, mask: SparsityMask | None) -> np.ndarray:
-    """The stored codes of ``t`` (all, or those ``mask`` keeps) as one
-    row-major run of fields: the held bytes when every row is whole bytes
-    and nothing is pruned, else each row block's run packed after the last."""
-    width = code_field_bits(t.bits)
-    table, per = _CODES[width], 8 // width
-    if mask is None and t.shape[1] * width % 8 == 0:
-        return t.fields.reshape(-1)
-    stream = np.zeros(-(-(t.shape[0] * t.shape[1] if mask is None else mask.kept) // per), np.uint8)
-    done = 0
-    for run in _runs(lambda rows: _unpack_codes(t.fields[rows], t.shape[1], slice(None), table), mask, t.shape):
-        lead = np.zeros(done % per, np.int8)  # the fields of the shared byte already written
-        packed = _pack_codes(np.concatenate((lead, run))[None], width)[0]
-        stream[done // per:][:packed.size] |= packed
+    for rows in tensor.row_blocks(shape):
+        run = unpack(held[rows], d_out).reshape(-1)
+        if mask is not None:
+            kept = np.compress(mask.rows(rows).reshape(-1), run)  # ~3x faster than a bool index
+            if np.count_nonzero(kept) != np.count_nonzero(run):
+                raise SchemaViolation("stored weights are nonzero where the mask drops them")
+            run = kept
+        lead = done % per  # entries of the shared item already written
+        packed = pack((np.concatenate((np.zeros(lead, run.dtype), run)) if lead else run)[None])[0]
+        if lead:
+            packed[0] |= stream[done // per]
+        stream[done // per:][:packed.size] = packed
         done += run.size
     return stream
 
 
-def _kept_values(values: np.ndarray, mask: SparsityMask | None) -> np.ndarray:
-    """Raw values as stored: all of them, or those ``mask`` keeps, row-major, as f32."""
-    if mask is None:
-        return np.asarray(values, dtype=np.float32).reshape(-1)
-    kept = np.empty(mask.kept, np.float32)
-    done = 0
-    for run in _runs(lambda rows: values[rows], mask, values.shape):
-        kept[done:done + run.size] = run
-        done += run.size
-    return kept
-
-
-def _flat_bits(mask: SparsityMask) -> np.ndarray:
-    """The mask's flags row-major, 8 to a byte, as ``np.packbits`` packs the
-    flat keep matrix: its held bytes when d_out is a multiple of 8, else
-    repacked a row block of whole bytes at a time."""
-    d_in, d_out = mask.shape
-    if d_out % 8 == 0:
-        return mask.bits.reshape(-1)
-    flat = np.empty(-(-d_in * d_out // 8), np.uint8)
-    for rows in tensor.row_blocks(mask.shape, align=8):
-        packed = np.packbits(mask.rows(rows))
-        flat[rows.start * d_out // 8:][:packed.size] = packed
-    return flat
-
-
-def _row_bits(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`_flat_bits`: the mask's rows, each padded to whole
-    bytes with zero bits. The pad bits of ``flat``'s last byte are
-    dropped, whatever they hold."""
+def _read(stream: np.ndarray, codec, shape: tuple[int, int], mask: SparsityMask | None) -> np.ndarray:
+    """Inverse of :func:`_write`: the packed rows of a part, each row block's
+    run of ``stream`` put at the entries ``mask`` keeps, zeros elsewhere, or
+    at all of them. The pad entries of the last item are dropped, whatever
+    they hold, and the mask is read a row block at a time."""
+    per, dtype, pack, unpack = _codec(codec)
     d_in, d_out = shape
-    if d_out % 8 == 0:  # d_in * d_out bits fill every byte
-        return flat.reshape(d_in, d_out // 8)
-    bits = np.empty((d_in, -(-d_out // 8)), np.uint8)
-    for rows in tensor.row_blocks(shape, align=8):
-        count = (min(rows.stop, d_in) - rows.start) * d_out
-        run = flat[rows.start * d_out // 8:][:-(-count // 8)]
-        bits[rows] = np.packbits(np.unpackbits(run, count=count).reshape(-1, d_out), axis=1)
-    return bits
+    if mask is None and d_out % per == 0:
+        return stream.reshape(d_in, -1)
+    out = np.empty((d_in, -(-d_out // per)), dtype)
+    done = 0
+    for rows in tensor.row_blocks(shape):
+        keep = None if mask is None else mask.rows(rows)
+        count = (min(rows.stop, d_in) - rows.start) * d_out if keep is None else np.count_nonzero(keep)
+        lead = done % per
+        run = unpack(stream[done // per: -(-(done + count) // per)][None], lead + count)[0, lead:]
+        if keep is None:
+            block = run.reshape(-1, d_out)
+        else:
+            block = np.zeros(keep.shape, run.dtype)
+            block.reshape(-1)[np.flatnonzero(keep)] = run
+        out[rows] = pack(block)
+        done += count
+    return out
 
 
 def layer_to_tensors(layer: CompressedLayer) -> dict:
@@ -213,15 +194,11 @@ def layer_to_tensors(layer: CompressedLayer) -> dict:
     """
     tensors = {}
     for name, part in _checked_parts(layer).items():
-        codec = _describe(part)[1]
+        shape, codec = _describe(part)
         names = _tensor_names(name, codec)
-        mask = layer.mask if name == "weights" else None
-        if codec == _PACKED:
-            tensors[names[0]] = _flat_bits(part)
-        elif codec is None:
-            tensors[name] = _kept_values(part, mask)
-        else:
-            tensors[names[0]] = _stream(part, mask)
+        held = part.bits if codec == _PACKED else part if codec is None else part.fields
+        tensors[names[0]] = _write(held, codec, shape, layer.mask if name == "weights" else None)
+        if len(names) == 2:
             tensors[names[1]] = part.scales.astype(np.float32)
     scaling = layer.channel_scaling
     meta = {
@@ -280,31 +257,15 @@ def _decode(tensors: dict, name: str, shape: tuple, codec, mask: SparsityMask | 
     """One part from its flat container tensors. ``mask`` is the decoded
     mask when the part stores only the entries it keeps."""
     names = _tensor_names(name, codec)
-    total = shape[0] * shape[1]
+    per, dtype = _codec(codec)[:2]
+    count = shape[0] * shape[1] if mask is None else mask.kept
+    held = _read(_tensor(tensors, names[0], dtype, -(-count // per)), codec, shape, mask)
     if codec == _PACKED:
-        packed = _tensor(tensors, names[0], np.uint8, -(-total // 8))
-        return SparsityMask._of_bits(_row_bits(packed, shape), shape)
-    count = total if mask is None else mask.kept
+        return SparsityMask._of_bits(held, shape)
     if codec is None:
-        values = _tensor(tensors, names[0], np.float32, count)  # the layer widens it
-        if mask is None:
-            return values.reshape(shape)
-        out = np.empty(shape, np.float32)
-        for rows, block in _placed(lambda at, n: values[at:at + n], mask, shape, np.float32):
-            out[rows] = block
-        return out
-    bits, group_size = codec
-    width = code_field_bits(bits)
-    stream = _tensor(tensors, names[0], np.uint8, -(-count * width // 8))
+        return held  # the layer widens it
     scales = _tensor(tensors, names[1], np.float32).reshape(-1)
-    if mask is None and shape[1] * width % 8 == 0:  # rows of whole bytes: the stored bytes as they are
-        fields = stream.reshape(shape[0], -1)
-    else:  # each row block's run unpacked, scattered and packed again; the last byte's pad fields dropped
-        def run(at: int, n: int) -> np.ndarray:
-            return _unpack_codes(stream[None], stream.size * 8 // width, slice(at, at + n), _CODES[width])[0]
-
-        fields = _packed(shape, bits, _placed(run, mask, shape, np.int8))
-    return QuantizedTensor._of_fields(fields, shape, scales, group_size, bits)
+    return QuantizedTensor._of_fields(held, shape, scales, codec[1], codec[0])
 
 
 def layer_from_tensors(tensors: dict) -> CompressedLayer:

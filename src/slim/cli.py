@@ -30,7 +30,7 @@ from .errors import SlimError
 from .lora import SaliencyVector, saliency_vector
 from .pipeline import LayerCompressionConfig, compress_layer, error_report, weight_space_report
 from .prune import SparsityPattern
-from .quant import estimate_error, slimquant_search
+from .quant import MAX_BITS, MIN_BITS, estimate_error, slimquant_search
 from .container import _read_shapes, _tensor_source, read_container, write_container
 from .tensor import _check_shape, build_abs_histogram
 
@@ -96,14 +96,16 @@ def _fits_a_file_name(name: str) -> bool:
     return "\0" not in name and "/" not in name
 
 
-def _tensor_name(path, prefer: str | None = None) -> str:
+def _tensor_name(flag: str, path, prefer: str | None = None) -> str:
     """``prefer``, or without it the only tensor not named ``__*`` of the
-    container at ``path``, found from its header alone."""
+    container at ``path``, found from its header alone. Errors name the
+    path by its ``flag``; only ``--inputs`` has no ``--tensor`` to pick one."""
     if prefer is not None:
         return prefer
     named = [n for n in _read_shapes(path) if not n.startswith("__")]
     if len(named) != 1:
-        raise SlimError(f"{path} holds {len(named)} tensors; pass --tensor to pick one")
+        fix = "it must hold one" if flag == "--inputs" else "pass --tensor to pick one"
+        raise SlimError(f"{flag} {path} holds {len(named)} tensors; {fix}")
     return named[0]
 
 
@@ -184,9 +186,9 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with _tensor_source(args.original, _tensor_name(args.original, args.tensor)) as w:
+    with _tensor_source(args.original, _tensor_name("--original", args.original, args.tensor)) as w:
         layer = deserialize_compressed_layer(args.compressed)
-        name = _tensor_name(args.inputs)
+        name = _tensor_name("--inputs", args.inputs)
         x_eval = read_container(args.inputs, [name])[name]  # the activations, read whole
         sal = saliency_vector(compute_calibration([x_eval]))
         rep = error_report(w, layer, x_eval, sal)
@@ -230,7 +232,11 @@ def cmd_budget(args) -> int:
 def cmd_oracle_alpha(args) -> int:
     if args.grid_points < 100:
         raise UsageError(f"--grid-points must be >= 100, got {args.grid_points}")
-    with _tensor_source(args.weights, _tensor_name(args.weights, args.tensor)) as w:
+    if not MIN_BITS <= args.wbits <= MAX_BITS:
+        raise UsageError(f"--wbits must be in [{MIN_BITS}, {MAX_BITS}], got {args.wbits}")
+    if args.bins is not None and args.bins < 1:
+        raise UsageError(f"--bins must be >= 1, got {args.bins}")
+    with _tensor_source(args.weights, _tensor_name("--weights", args.weights, args.tensor)) as w:
         hist = build_abs_histogram(w, args.bins)
     m = hist.max_abs
     if m == 0.0:

@@ -233,20 +233,26 @@ class TestMaskPacking:
             {k: v.tobytes() for k, v in canonical.items()}
 
 
-def code_layer(bits: int, keep: np.ndarray, pruned: bool, seed: int, group_size=None) -> CompressedLayer:
-    """A layer of random ``bits``-bit codes, zero where ``keep`` drops them,
-    whole-tensor or grouped, pruned by ``keep`` or not."""
+def code_layer(bits: int | None, keep: np.ndarray, pruned: bool, seed: int, group_size=None) -> CompressedLayer:
+    """A layer of random ``bits``-bit codes (raw f32 values for None), zero
+    where ``keep`` drops them, whole-tensor or grouped, pruned by ``keep``
+    or not."""
     rng = np.random.default_rng(seed)
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    codes = np.where(keep, rng.integers(lo, hi + 1, keep.shape), 0).astype(np.int8)
-    scales = rng.uniform(0.1, 2.0, 1 if group_size is None else -(-codes.size // group_size))
+    if bits is None:
+        weights, method = np.where(keep, rng.standard_normal(keep.shape), 0).astype(np.float32), "none"
+    else:
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        codes = np.where(keep, rng.integers(lo, hi + 1, keep.shape), 0).astype(np.int8)
+        scales = rng.uniform(0.1, 2.0, 1 if group_size is None else -(-codes.size // group_size))
+        weights = QuantizedTensor(codes, scales, group_size=group_size, bits=bits)
+        method = "absmax" if group_size is None else "group_absmax"
     return CompressedLayer(
-        weights=QuantizedTensor(codes, scales, group_size=group_size, bits=bits),
+        weights=weights,
         mask=SparsityMask(keep) if pruned else None,
         adapter=None,
         channel_scaling=None,
         config=LayerCompressionConfig(
-            quant_method="absmax" if group_size is None else "group_absmax", weight_bits=bits,
+            quant_method=method, weight_bits=bits or 4,
             group_size=group_size or 128, sparsity=SparsityPattern.unstructured(0.5) if pruned else None,
         ),
         provenance=Provenance(*keep.shape),
@@ -256,7 +262,7 @@ def code_layer(bits: int, keep: np.ndarray, pruned: bool, seed: int, group_size=
 class TestPackedCodes:
     @settings(max_examples=150, deadline=None)
     @given(
-        bits=st.integers(2, 8),
+        bits=st.none() | st.integers(2, 8),
         rows=st.integers(1, 9),
         cols=st.integers(1, 19),
         kept=st.sampled_from(["random", "all", "none", "unpruned"]),
@@ -268,27 +274,38 @@ class TestPackedCodes:
     @example(bits=2, rows=5, cols=1, kept="all", group_size=None, block=5, seed=0)  # 5 2-bit fields: 1 in the last byte
     @example(bits=3, rows=3, cols=3, kept="unpruned", group_size=None, block=5, seed=0)
     @example(bits=5, rows=4, cols=7, kept="random", group_size=8, block=1, seed=0)
+    @example(bits=None, rows=7, cols=3, kept="random", group_size=None, block=5, seed=0)  # raw f32 values
     def test_pack_unpack_round_trip(self, bits, rows, cols, kept, group_size, block, seed):
         # odd widths give rows that end inside a byte, and small blocks give
-        # runs of the stream that start inside one; the layer comes back
-        # and writes the same bytes again
+        # runs of the stream (the mask's too) that start inside one; each
+        # part is stored as an independent packing of its kept entries,
+        # row-major, and the layer comes back and writes the same bytes again
         keep = {
             "random": np.random.default_rng(seed).random((rows, cols)) < 0.5,
             "none": np.zeros((rows, cols), dtype=bool),
         }.get(kept, np.ones((rows, cols), dtype=bool))
         pruned = kept != "unpruned"
         layer = code_layer(bits, keep, pruned, seed, group_size)
-        codes = layer.weights.codes
+        held = layer.weights if bits is None else layer.weights.codes
         with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
             tensors = layer_to_tensors(layer)
-            count = int(keep.sum())
-            assert tensors["codes"].dtype == np.uint8
-            assert tensors["codes"].shape == (-(-count * code_field_bits(bits) // 8),)
             back = layer_from_tensors(tensors)
             again = layer_to_tensors(back)
-        assert np.array_equal(back.weights.codes, codes) and back.weights == layer.weights
+        stored = held[keep]  # keep is all ones when unpruned
+        if bits is None:
+            assert tensors["weights"].dtype == np.float32 and np.array_equal(tensors["weights"], stored)
+            assert np.array_equal(back.weights, held)
+        else:
+            width = code_field_bits(bits)
+            per = 8 // width
+            fields = np.zeros(-(-stored.size // per) * per, np.int64)
+            fields[:stored.size] = stored.astype(np.int64) & ((1 << width) - 1)
+            packed = (fields.reshape(-1, per) << (width * np.arange(per))).sum(axis=1)  # low field first
+            assert tensors["codes"].dtype == np.uint8 and np.array_equal(tensors["codes"], packed)
+            assert np.array_equal(back.weights.codes, held) and back.weights == layer.weights
         assert {k: v.tobytes() for k, v in again.items()} == {k: v.tobytes() for k, v in tensors.items()}
         if pruned:
+            assert np.array_equal(tensors["mask_packed"], np.packbits(keep.reshape(-1)))
             assert np.array_equal(back.mask.keep, keep)
         else:
             assert back.mask is None

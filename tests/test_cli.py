@@ -607,6 +607,21 @@ class TestEval:
                          "--tensor", "a")
         assert code == 0
 
+    def test_inputs_of_two_tensors_name_the_inputs_flag(self, workspace, tmp_path, capsys):
+        # --tensor picks inside --original, so it cannot settle ambiguous
+        # --inputs: the error names --inputs and what it needs
+        out = workspace["dir"] / "x2"
+        main(["compress", "--weights", str(workspace["weights"]), "--out", str(out), "--quant", "none"])
+        inputs = tmp_path / "x2.slim"
+        acts = read_container(workspace["acts"])["acts"]
+        write_container(inputs, {"a": acts, "b": acts})
+        capsys.readouterr()
+        code, _, err = run(capsys, "eval", "--original", str(workspace["weights"]),
+                           "--compressed", str(out.parent / "x2.weights.slim"),
+                           "--inputs", str(inputs), "--tensor", "weights")
+        assert code == 2
+        assert err == f"error: --inputs {inputs} holds 2 tensors; it must hold one\n"
+
     def test_missing_tensor_data_error(self, workspace, capsys):
         out = workspace["dir"] / "mt"
         main(["compress", "--weights", str(workspace["weights"]), "--out", str(out),
@@ -755,14 +770,18 @@ class TestOracleAlpha:
         assert "alpha=1 error=0" in out
         assert self.get_ratio(out) == 1.0
 
-    def test_grid_points_minimum(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--grid-points", "99"), ("--wbits", "9"), ("--wbits", "1"),
+                                             ("--bins", "0"), ("--bins", "-3")])
+    def test_grid_points_minimum(self, tmp_path, capsys, monkeypatch, flag, value):
+        # an out-of-range flag is a usage error, found before the weight is read
         w = tmp_path / "g2.slim"
         main(["gen-fixture", "--dist", "gaussian", "--shape", "10x10",
               "--seed", "22", "--out", str(w)])
         capsys.readouterr()
-        code, _, _ = run(capsys, "oracle-alpha", "--weights", str(w),
-                         "--grid-points", "99")
+        returned = record_reads(monkeypatch)
+        code, _, err = run(capsys, "oracle-alpha", "--weights", str(w), flag, value)
         assert code == 1
+        assert err.startswith(f"error: {flag} must be") and returned == []
 
     def test_missing_tensor_data_error(self, tmp_path, capsys, monkeypatch):
         w = tmp_path / "g3.slim"

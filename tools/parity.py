@@ -15,7 +15,11 @@ both by wanda and by magnitude) and four adapters (none, naive, slim,
 4-bit slim). On the four small shapes it also crosses channel scaling
 forced on for absmax, group_absmax, slim_quant and none (factors 2.0 and
 3.0), and slim_quant_o with factor 3.0, with the same dtypes, sparsities
-and adapters; these cases follow the others.
+and adapters; these cases follow the others. Every case so far takes
+4-bit weights. Then, on the same small shapes, the four quant methods that
+store codes run with 2-, 3- and 8-bit weights (2-bit fields, 3-bit codes
+in nibbles, whole-byte fields), crossed with the dtypes, sparsities and
+adapters.
 
 Each case records four fields:
 
@@ -80,6 +84,7 @@ ADAPTERS = [("none", False), ("naive", False), ("slim", False), ("slim", True)]
 DEFAULT_SCALING = (None, 2.0)
 SCALED = [(q, (True, f)) for q in ("absmax", "group_absmax", "slim_quant", "none") for f in (2.0, 3.0)]
 SCALED.append(("slim_quant_o", (None, 3.0)))
+BITS = [2, 3, 8]  # weight bits besides the default 4
 # 96 tokens split R = x_eval @ D of the 4100-wide shape into two column
 # chunks; 4100x264 sums its adapter's Gram matrix over two row blocks
 TOKENS = 96
@@ -94,12 +99,14 @@ CLI_FLAGS = [
 
 
 def cases():
-    plain = [(shape, dtype, quant, sparsity, adapter, DEFAULT_SCALING) for shape, dtype, quant, sparsity, adapter
+    plain = [(shape, dtype, quant, sparsity, adapter, DEFAULT_SCALING, 4) for shape, dtype, quant, sparsity, adapter
              in itertools.product(SHAPES, DTYPES, QUANT, SPARSITY, ADAPTERS)]
-    scaled = [(shape, dtype, quant, sparsity, adapter, scaling) for shape, dtype, (quant, scaling), sparsity, adapter
+    scaled = [(shape, dtype, quant, sparsity, adapter, scaling, 4) for shape, dtype, (quant, scaling), sparsity, adapter
               in itertools.product(SHAPES[:4], DTYPES, SCALED, SPARSITY, ADAPTERS)]
+    bits = [(shape, dtype, quant, sparsity, adapter, DEFAULT_SCALING, b) for b, shape, dtype, quant, sparsity, adapter
+            in itertools.product(BITS, SHAPES[:4], DTYPES, QUANT[:4], SPARSITY, ADAPTERS)]
     cli = [("cli", flags, name) for flags in CLI_FLAGS for name in CLI_TENSORS]
-    return plain + scaled + cli
+    return plain + scaled + bits + cli
 
 
 def _encode(payload: bytes) -> str:
@@ -137,13 +144,13 @@ def _largest_relative(pairs) -> float:
 
 
 def run_case(slim, index: int, case) -> dict:
-    (shape, dtype, quant, (sparsity, scores), (adapter, quantized), (scaled, factor)) = case
+    (shape, dtype, quant, (sparsity, scores), (adapter, quantized), (scaled, factor), bits) = case
     rng = np.random.default_rng(index)
     w = rng.standard_normal(shape).astype(dtype)
     x = rng.standard_normal((TOKENS, shape[0]))
     stats = slim.compute_calibration([rng.standard_normal((64, shape[0]))])
     cfg = slim.LayerCompressionConfig(
-        quant_method=quant, sparsity=None if sparsity is None else slim.SparsityPattern.parse(sparsity),
+        quant_method=quant, weight_bits=bits, sparsity=None if sparsity is None else slim.SparsityPattern.parse(sparsity),
         prune_scores=scores, adapter_method=adapter, quantize_adapters=quantized,
         rank_ratio=None if adapter == "none" else 0.1, channel_scaling=scaled, scale_factor=factor,
     )
