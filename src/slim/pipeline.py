@@ -190,28 +190,29 @@ def _dense(
     scaling: ChannelScaling | None = None,
     rows: slice = slice(None),
     cols: slice = slice(None),
+    adapter: LowRankAdapter | None = None,
 ) -> np.ndarray:
     """Float64 ``[rows, cols]`` block (the whole matrix by default; ``rows``
     of step 1) of a stored weight in a new buffer of its own: codes by
     :func:`dequantize` of the block, raw values widened. With ``scaling``,
-    the block's boosted rows are divided again (:func:`~slim.quant._scale_rows`)."""
+    the block's boosted rows are divided again (:func:`~slim.quant._scale_rows`).
+    With ``adapter``, ``left[rows] @ right[:, cols]`` is added by
+    :func:`_add_product`, which may round it apart from ``left @ right``."""
     w = (dequantize(weights, rows, cols) if isinstance(weights, QuantizedTensor)
          else weights[rows, cols].astype(np.float64))
-    return _scale_rows(w, scaling, rows, undo=True)
+    w = _scale_rows(w, scaling, rows, undo=True)
+    if adapter is not None:
+        _add_product(w, adapter.left[rows], adapter.right[:, cols])
+    return w
 
 
 def _residual(read: BlockSource, weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None,
               adapter: LowRankAdapter | None, rows: slice, cols: slice = slice(None)) -> np.ndarray:
     """The ``[rows, cols]`` block of ``w - (w_c + left @ right)`` in a new
     float64 array: ``w``'s block made by ``read``, so an f32 ``w`` widens
-    element by element, and ``w_c`` the stored weight in the caller's
-    coordinates (:func:`_dense`), with no adapter term when ``adapter`` is
-    None.
-    ``left[rows] @ right[:, cols]`` may round apart from the same block of
-    ``left @ right`` in the last place."""
-    e = _dense(weights, scaling, rows, cols)
-    if adapter is not None:
-        e += adapter.left[rows] @ adapter.right[:, cols]
+    element by element, and ``w_c + left @ right`` the block of
+    :func:`_dense`, with no adapter term when ``adapter`` is None."""
+    e = _dense(weights, scaling, rows, cols, adapter)
     return np.subtract(read(rows, cols), e, out=e)
 
 
@@ -435,20 +436,18 @@ def compress_layer(w, stats: CalibrationStats | None, cfg: LayerCompressionConfi
 
 
 def layer_output(x, layer: CompressedLayer) -> np.ndarray:
-    """Forward pass through a compressed layer.
+    """Forward pass through a compressed layer: ``x' @ (W + L @ R)``.
 
-    Computes ``x' @ W + (x' @ L) @ R`` where x' is the input after
-    optional 8-bit float fake quantization and W the stored weight in the
-    caller's coordinates: each block of it has its boosted rows divided by
-    the scale factor (:func:`_dense`), so ``x'`` is used as it is, with no
-    compensated copy. A power-of-two factor (the default 2.0) gives the
-    bits of the compensated activations times the stored weight; another
-    factor may differ from them in the last place. Neither the dense
-    weight nor L @ R is made: W is dequantized a
-    :data:`~slim.tensor.PRODUCT_ELEMENTS` block at a time (columns of a
-    wide or square weight, written into the output's columns; rows of a
-    tall one, added to the output), and ``(x' @ L) @ R`` is added by
-    :func:`_add_product`.
+    x' is ``x`` after the optional 8-bit float snap, and W the stored
+    weight in the caller's coordinates, a forward block at a time
+    (:mod:`slim.tensor`) of :func:`_dense`: for a power-of-two scale
+    factor (the default 2.0) its division of the boosted rows gives the
+    bits of compensated x' times W. The adapter term takes the cheaper
+    order, as ``numpy.linalg.multi_dot`` would. Adding L @ R into each
+    block costs ``d_in * r * d_out`` and ``(x' @ L) @ R`` costs
+    ``tokens * r * (d_in + d_out)``, so the blocks take L @ R when
+    ``tokens * (d_in + d_out) >= d_in * d_out``. A row's bits may differ
+    in the last place between batch sizes on either side of that threshold.
 
     Raises:
         EmptyTensor / NonFinite: ``x`` has no elements, or NaN or Inf.
@@ -461,17 +460,18 @@ def layer_output(x, layer: CompressedLayer) -> np.ndarray:
     d_in, d_out = layer.shape
     if xa.shape[1] != d_in:
         raise ShapeMismatch(f"x has {xa.shape[1]} columns, layer expects {d_in}")
-    weights, scaling = layer.weights, layer.channel_scaling
+    weights, scaling, a = layer.weights, layer.channel_scaling, layer.adapter
+    fold = a if xa.shape[0] * (d_in + d_out) >= d_in * d_out else None  # no x @ L is made
     if d_in <= d_out:  # column blocks, each product written into its columns of y
         y = np.empty((xa.shape[0], d_out))
         for cols in _spans(d_out, d_in, tensor.PRODUCT_ELEMENTS):
-            np.matmul(xa, _dense(weights, scaling, cols=cols), out=y[:, cols])
+            np.matmul(xa, _dense(weights, scaling, cols=cols, adapter=fold), out=y[:, cols])
     else:  # row blocks, so the long x is read once: one y-sized product at a time
         y = np.zeros((xa.shape[0], d_out))
         for rows in _spans(d_in, d_out, tensor.PRODUCT_ELEMENTS):
-            y += xa[:, rows] @ _dense(weights, scaling, rows=rows)
-    if layer.adapter is not None:
-        _add_product(y, xa @ layer.adapter.left, layer.adapter.right)
+            y += xa[:, rows] @ _dense(weights, scaling, rows=rows, adapter=fold)
+    if a is not None and fold is None:
+        _add_product(y, xa @ a.left, a.right)
     return y
 
 

@@ -539,6 +539,28 @@ class TestEval:
         assert code == 2
         assert err == "error: x_eval has 48 columns, layer expects 64\n"
 
+    @pytest.mark.parametrize("defect, message", [("no_tokens", "has zero elements"),
+                                                 ("nan", "contains NaN or Inf")])
+    def test_bad_inputs_are_named_not_blamed_on_calibration(self, workspace, tmp_path, capsys,
+                                                            defect, message):
+        # eval's saliency is made from --inputs, so a batch it cannot use is
+        # reported as --inputs and its path, not as calibration's batch
+        out = workspace["dir"] / "bi"
+        main(["compress", "--weights", str(workspace["weights"]), "--out", str(out), "--quant", "absmax"])
+        x = read_container(workspace["acts"])["acts"]
+        if defect == "no_tokens":
+            x = x[:0]
+        else:
+            x[3, 5] = np.nan
+        acts = tmp_path / f"{defect}.slim"
+        write_container(acts, {"acts": x})
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "eval", "--original", str(workspace["weights"]),
+                                "--compressed", str(out.parent / "bi.weights.slim"), "--inputs", str(acts))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --inputs {acts} {message}\n"
+
     @pytest.mark.parametrize("defect", ["adapter_rows", "scaling_index"])
     def test_artifact_inconsistent_with_shape_data_error(self, workspace, capsys, defect):
         out = workspace["dir"] / "bad"

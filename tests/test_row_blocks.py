@@ -1068,6 +1068,35 @@ class TestBlockedProducts:
         ref = x @ layer.corrected_weight()
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=LAYER_OUTPUT_RTOL * np.abs(ref).max())
 
+    @pytest.mark.parametrize("shape", [(36, 100), (64, 64), (100, 36)], ids=["wide", "square", "tall"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_layer_output_folds_the_adapter_from_its_threshold_on(self, shape, offset):
+        # L @ R goes into the weight blocks once tokens * (d_in + d_out)
+        # reaches d_in * d_out, and (x @ L) @ R is added to y below that
+        d_in, d_out = shape
+        tokens = -(-d_in * d_out // (d_in + d_out)) + offset  # the threshold, ceiled, plus offset
+        folded = offset >= 0
+        assert (tokens * (d_in + d_out) >= d_in * d_out) == folded
+        w = source("normal", shape, "float32", 40)
+        x = np.random.default_rng(41).normal(size=(tokens, d_in))
+        cfg = LayerCompressionConfig(sparsity=SparsityPattern.semistructured(2, 4), adapter_method="slim",
+                                     rank_ratio=0.25)
+        layer = compress_layer(w, compute_calibration([x]), cfg)
+        outs = []
+
+        def spy(out, x, m):
+            outs.append(out)
+            add_product(out, x, m)
+
+        add_product = pipeline._add_product
+        with mock.patch.object(pipeline, "_add_product", spy):
+            got = layer_output(x, layer)
+        # one product block: the whole weight, with L @ R in it, or y
+        assert (outs[0] is got) != folded
+        assert outs[0].shape == (shape if folded else got.shape)
+        ref = x @ layer.corrected_weight()
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=LAYER_OUTPUT_RTOL * np.abs(ref).max())
+
     @settings(max_examples=100, deadline=None)
     @given(
         tokens=st.lists(st.integers(0, 30), min_size=1, max_size=3),
@@ -1352,15 +1381,28 @@ class TestMemory:
         products = 1 if shape[0] <= shape[1] else 2
         assert peak <= products * y.nbytes + 8 * tensor.PRODUCT_ELEMENTS + BLOCK_BOUND
 
-    def test_layer_output_adapter_term_adds_no_output_sized_temporary(self):
-        x = np.random.default_rng(35).normal(size=(2048, 1024))
+    def adapter_peaks(self, shape: tuple, tokens: int) -> dict:
+        """layer_output's peak on ``tokens`` rows, without and with a slim adapter."""
+        x = np.random.default_rng(35).normal(size=(tokens, shape[0]))
         peaks = {}
         for adapter in ("none", "slim"):
-            _, layer, _ = self.product_case(adapter, shape=(1024, 4096))
+            _, layer, _ = self.product_case(adapter, shape=shape)
             _, peaks[adapter] = traced_peak(lambda: layer_output(x, layer))
-        # about 96 MiB each: the output and one product block. The adapter
-        # term takes x @ L (1.6 MiB) and one column chunk of its product
-        # (2 MiB) after the block is freed; a whole (x @ L) @ R (64 MiB) fails
+        return peaks
+
+    def test_layer_output_adapter_term_adds_no_output_sized_temporary(self):
+        peaks = self.adapter_peaks((1024, 4096), 2048)
+        # about 96 MiB each: the output and one product block. At 2048
+        # tokens L @ R is added into each column block, one column chunk of
+        # it (2 MiB) at a time (98 MiB); a whole (x @ L) @ R (64 MiB), or a
+        # whole block of L @ R (32 MiB), fails
+        assert peaks["slim"] <= peaks["none"] + BLOCK_BOUND
+
+    def test_layer_output_adapter_term_of_a_tall_weight_adds_no_output_sized_temporary(self):
+        peaks = self.adapter_peaks((4096, 1024), 2048)
+        # about 64 MiB each: y, the one row block (the whole weight) and
+        # its product. L @ R is added into the block, a 2 MiB column chunk
+        # at a time; a whole L @ R (32 MiB) beside the block fails
         assert peaks["slim"] <= peaks["none"] + BLOCK_BOUND
 
     @pytest.mark.parametrize("order", ["C", "F"])

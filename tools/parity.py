@@ -26,7 +26,10 @@ Each case records four fields:
 - ``artifact``: the sha256 and the bytes of ``layer_to_bytes``;
 - ``weight_space_report`` and ``error_report``: their JSON values;
 - ``layer_output``: the forward pass of the layer and of its decoded
-  artifact.
+  artifact. At ``TOKENS = 96`` an adapter's L @ R is added into the
+  weight blocks of 640x96 and 96x640, and ``(x @ L) @ R`` is added to the
+  output of 256x256, 300x233, 1032x4100 and 4100x264 (the order
+  ``slim.layer_output`` picks), so both orders run on wide and tall weights.
 
 Last come the command-line cases: ``slim compress`` of a two-tensor f32
 container (a wide and a tall weight, so two input widths) with each of
