@@ -18,7 +18,7 @@ import numpy as np
 
 from .container import _from_fields, _parse_json, read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
-from .tensor import _spans, as_float_matrix
+from .tensor import BlockSource, _spans, as_float_matrix, row_blocks
 
 __all__ = [
     "CalibrationStats",
@@ -71,54 +71,74 @@ class CalibrationStats:
 def compute_calibration(x_batches) -> CalibrationStats:
     """Accumulate channel statistics over a sequence of activation batches.
 
-    Each batch is a (tokens, d_in) matrix; batches may have different token
+    Each batch is a (tokens, d_in) matrix or its
+    :class:`~slim.tensor.BlockSource`; batches may have different token
     counts but must agree on d_in. Accumulation is streaming (one pass, no
     concatenation) in float64, so any partition of the same token stream
-    produces identical statistics up to last-bit rounding.
-
-    A batch is read as it is stored, one block of its columns at a time
-    (:mod:`slim.tensor`), into a float64 buffer in the batch's layout:
-    ``|x|``, summed over tokens, then ``x**2``. No block is one column wide
-    unless the batch is (numpy sums a one-column buffer pairwise), so each
-    column's sums have the bits of the whole-batch temporaries.
+    produces identical statistics up to last-bit rounding. Each batch's
+    sums have the bits of its whole float64 ``|x|`` and ``x**2`` summed
+    over tokens (:func:`_batch_sums`).
 
     Raises:
         EmptyInput: No batches, or zero tokens in total.
         ShapeMismatch: Batches disagree on the channel count.
     """
-    sum_abs = None
-    sum_sq = None
+    sums = None
     d_in = None
     tokens = 0
     for batch in x_batches:
-        arr = as_float_matrix(batch, "activation batch", allow_empty=True)
+        if not isinstance(batch, BlockSource):
+            batch = as_float_matrix(batch, "activation batch", allow_empty=True)
         if d_in is None:
-            d_in = arr.shape[1]
-            sum_abs = np.zeros(d_in, dtype=np.float64)
-            sum_sq = np.zeros(d_in, dtype=np.float64)
-        elif arr.shape[1] != d_in:
+            d_in = batch.shape[1]
+            sums = np.zeros((2, d_in))  # of |x|, then of x**2
+        elif batch.shape[1] != d_in:
             raise ShapeMismatch(
-                f"batch has {arr.shape[1]} channels, expected {d_in}"
+                f"batch has {batch.shape[1]} channels, expected {d_in}"
             )
-        if arr.shape[0] == 0:
+        if batch.shape[0] == 0:
             continue
-        spans = list(_spans(d_in, arr.shape[0], unit=2))
-        if len(spans) > 1 and spans[-1].start == d_in - 1:  # a lone last column joins the block before
-            spans[-2:] = [slice(spans[-2].start, d_in)]
-        for cols in spans:
-            buf = np.empty_like(arr[:, cols], dtype=np.float64)  # the batch's layout
-            for fill, total in ((np.abs, sum_abs), (np.square, sum_sq)):
-                fill(arr[:, cols], out=buf, dtype=np.float64)
-                total[cols] += buf.sum(axis=0)
-        tokens += arr.shape[0]
+        sums += _batch_sums(batch)
+        tokens += batch.shape[0]
     if d_in is None or d_in == 0 or tokens == 0:
         raise EmptyInput("no calibration tokens provided")
     return CalibrationStats(
         d_in=d_in,
-        mean_abs=sum_abs / tokens,
-        l2_norm=np.sqrt(sum_sq),
+        mean_abs=sums[0] / tokens,
+        l2_norm=np.sqrt(sums[1]),
         token_count=tokens,
     )
+
+
+def _batch_sums(batch) -> np.ndarray:
+    """Sums over tokens of ``|x|`` and ``x**2`` of a batch with tokens. A
+    source two or more columns wide is summed down its rows (numpy adds a
+    C-ordered buffer one row at a time), a row block at a time below the
+    sums so far. A matrix, or a source read whole, is read by column blocks
+    (:mod:`slim.tensor`) into a float64 buffer in its layout, none one
+    column wide unless the batch is (numpy sums that pairwise)."""
+    d_in = batch.shape[1]
+    sums = np.zeros((2, d_in))
+    if isinstance(batch, BlockSource) and d_in == 1:
+        batch = batch(slice(None), slice(None))
+    if isinstance(batch, BlockSource):
+        for rows in row_blocks(batch):
+            x = batch(rows, slice(None))
+            buf = np.empty((len(x) + 1, d_in))
+            for fill, total in zip((np.abs, np.square), sums):
+                buf[0] = total
+                fill(x, out=buf[1:])
+                buf.sum(axis=0, out=total)
+        return sums
+    spans = list(_spans(d_in, batch.shape[0], unit=2))
+    if len(spans) > 1 and spans[-1].start == d_in - 1:  # a lone last column joins the block before
+        spans[-2:] = [slice(spans[-2].start, d_in)]
+    for cols in spans:
+        buf = np.empty_like(batch[:, cols], dtype=np.float64)  # the batch's layout
+        for fill, total in zip((np.abs, np.square), sums):
+            fill(batch[:, cols], out=buf, dtype=np.float64)
+            total[cols] = buf.sum(axis=0)
+    return sums
 
 
 def save_calibration(path, stats: CalibrationStats) -> None:
@@ -126,18 +146,20 @@ def save_calibration(path, stats: CalibrationStats) -> None:
 
     Layout: f32 tensors "mean_abs" and "l2_norm" plus a "__meta__" tensor
     of UTF-8 JSON bytes holding ``d_in`` and ``token_count``.
+
+    Raises:
+        NonFinite: a statistic rounds to inf at f32; nothing is written.
     """
     meta = json.dumps(
         {"d_in": stats.d_in, "token_count": stats.token_count}, sort_keys=True
     ).encode("utf-8")
-    write_container(
-        path,
-        {
-            "mean_abs": stats.mean_abs.astype(np.float32),
-            "l2_norm": stats.l2_norm.astype(np.float32),
-            "__meta__": np.frombuffer(meta, dtype=np.uint8),
-        },
-    )
+    tensors = {}
+    for name in ("mean_abs", "l2_norm"):
+        with np.errstate(over="ignore"):  # past f32's range rounds to inf, refused here
+            tensors[name] = getattr(stats, name).astype(np.float32)
+        if not np.isfinite(tensors[name]).all():
+            raise NonFinite(f"{name} is past the float32 range a calibration container stores")
+    write_container(path, {**tensors, "__meta__": np.frombuffer(meta, dtype=np.uint8)})
 
 
 def load_calibration(path) -> CalibrationStats:

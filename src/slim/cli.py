@@ -32,7 +32,7 @@ from .pipeline import LayerCompressionConfig, compress_layer, error_report, weig
 from .prune import SparsityPattern
 from .quant import MAX_BITS, MIN_BITS, estimate_error, slimquant_search
 from .container import _read_shapes, _tensor_source, read_container, write_container
-from .tensor import _check_shape, as_float_matrix, build_abs_histogram
+from .tensor import _check_shape, build_abs_histogram
 
 logger = logging.getLogger(__name__)
 
@@ -189,9 +189,9 @@ def cmd_eval(args) -> int:
     with _tensor_source(args.original, _tensor_name("--original", args.original, args.tensor)) as w:
         layer = deserialize_compressed_layer(args.compressed)
         name = _tensor_name("--inputs", args.inputs)
-        x_eval = as_float_matrix(read_container(args.inputs, [name])[name], f"--inputs {args.inputs}")
-        sal = saliency_vector(compute_calibration([x_eval]))
-        rep = error_report(w, layer, x_eval, sal)
+        with _tensor_source(args.inputs, name, f"--inputs {args.inputs}") as x_eval:
+            sal = saliency_vector(compute_calibration([x_eval]))  # every block read and checked
+            rep = error_report(w, layer, x_eval, sal)
     if args.report is not None:
         Path(args.report).write_text(rep.to_json())
     print(

@@ -22,8 +22,8 @@ header entry, then reads only the tensors it was asked for, each straight
 into its own array. Files and bytes in memory share one writer, which
 streams each tensor from its own buffer, and one reader.
 
-A weight need not be read whole: :func:`_tensor_source` opens one 2-D
-tensor of a file as a :class:`~slim.tensor.BlockSource`.
+A weight or an input batch need not be read whole: :func:`_tensor_source`
+opens one 2-D tensor of a file as a :class:`~slim.tensor.BlockSource`.
 
 The header, the JSON records stored alongside the tensors (artifact and
 calibration metadata) and architecture files are parsed by
@@ -53,7 +53,7 @@ from .errors import (
     TruncatedData,
     UnsupportedVersion,
 )
-from .tensor import BlockSource, row_blocks
+from .tensor import BlockSource, _check_shape, row_blocks
 
 __all__ = [
     "MAGIC",
@@ -204,12 +204,9 @@ def _checked_header(f) -> tuple[int, list[tuple]]:
 
 
 def _read_tensors(f, names) -> dict:
-    """Tensors of the container in the seekable binary stream ``f``.
-
-    The whole header is checked before any tensor is read; then only the
-    tensors in ``names`` (all when None) are read, each straight into its
-    own array.
-    """
+    """Tensors of the container in the seekable binary stream ``f``: the
+    whole header is checked, then only the tensors in ``names`` (all when
+    None) are read, each straight into its own array."""
     data_start, entries = _checked_header(f)
     wanted = None if names is None else set(names)
     tensors = {}
@@ -352,14 +349,14 @@ def _reading(path, read):
 
 
 @contextmanager
-def _tensor_source(path, name: str):
+def _tensor_source(path, name: str, label: str = "w"):
     """The :class:`~slim.tensor.BlockSource` of the 2-D tensor ``name`` of
     the container file at ``path``, with the file open until the ``with``
     block ends. The header is checked as :func:`read_container` checks it.
     Each block is a new float64 array, filled a row block at a time through
     one buffer of the stored dtype (whole rows in one read, other columns
-    one row's span at a time), each checked for NaN and Inf. Errors name
-    the tensor ``w``, as :func:`~slim.tensor.as_float_matrix` names a weight.
+    one row's span at a time), each checked for NaN and Inf. Shape and
+    value errors name the tensor ``label`` (a weight's default, ``w``).
 
     Raises:
         IoError: the file cannot be opened or read.
@@ -402,10 +399,10 @@ def _tensor_source(path, name: str):
                 block = stage[: len(out[piece])]
                 checked(lambda: fill(block, r0 + piece.start, c0))
                 if not np.isfinite(block).all():
-                    raise NonFinite("w contains NaN or Inf")
+                    raise NonFinite(f"{label} contains NaN or Inf")
                 out[piece] = block
             return out
 
-        source = BlockSource(read, shape)  # ShapeMismatch / EmptyTensor unless 2-D and non-empty
+        source = BlockSource(read, _check_shape(shape, label))  # ShapeMismatch / EmptyTensor
         n_rows, n_cols = source.shape  # the checked shape, which read and fill use
         yield source

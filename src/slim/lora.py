@@ -128,9 +128,6 @@ def naive_lora(w, w_c, r: int) -> LowRankAdapter:
     """Best rank-r correction in the unweighted Frobenius norm:
     :func:`slim_lora` at unit saliency.
 
-    Truncated SVD of the compression error w - w_c; minimizes
-    ``||(w - w_c) - L @ R||_F`` over all rank-r pairs.
-
     Raises:
         ShapeMismatch: operand shapes differ.
         RankOutOfRange: invalid ``r``.

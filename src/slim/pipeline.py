@@ -208,10 +208,8 @@ def _dense(
 
 def _residual(read: BlockSource, weights: QuantizedTensor | np.ndarray, scaling: ChannelScaling | None,
               adapter: LowRankAdapter | None, rows: slice, cols: slice = slice(None)) -> np.ndarray:
-    """The ``[rows, cols]`` block of ``w - (w_c + left @ right)`` in a new
-    float64 array: ``w``'s block made by ``read``, so an f32 ``w`` widens
-    element by element, and ``w_c + left @ right`` the block of
-    :func:`_dense`, with no adapter term when ``adapter`` is None."""
+    """The new float64 ``[rows, cols]`` block of ``w - (w_c + left @ right)``:
+    ``read``'s block of ``w`` less :func:`_dense`'s (no adapter when None)."""
     e = _dense(weights, scaling, rows, cols, adapter)
     return np.subtract(read(rows, cols), e, out=e)
 
@@ -311,12 +309,9 @@ class CompressedLayer:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Reconstruction-quality summary for one compressed layer.
-
-    All mean-squared errors are normalized per element; ``density`` and
-    ``effective_bits_per_weight`` are the layer's own (see
-    :class:`CompressedLayer`).
-    """
+    """Reconstruction-quality summary for one compressed layer: mean-squared
+    errors per element, and the layer's own ``density`` and
+    ``effective_bits_per_weight`` (see :class:`CompressedLayer`)."""
 
     weight_mse: float
     weighted_weight_mse: float
@@ -373,9 +368,8 @@ def compress_layer(w, stats: CalibrationStats | None, cfg: LayerCompressionConfi
             before any stage runs; or a :class:`~slim.tensor.BlockSource`,
             such as :func:`~slim.container._tensor_source`'s, which checks
             each block as it reads it.
-        stats: Calibration statistics; required whenever the configuration
-            uses them (channel scaling, activation-weighted scores, or the
-            saliency-weighted adapter), otherwise may be None.
+        stats: Calibration statistics, or None when ``cfg.needs_stats()``
+            is False.
         cfg: Pipeline configuration.
 
     Raises:
@@ -544,17 +538,19 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
     ``output_mse``. The layer's arrays are left as they were.
 
     No array the size of the weight is made, and none the size of R when
-    the weight is wide. The weight fields have the bits of
-    :func:`weight_space_report`; the output fields are summed over
-    :data:`~slim.tensor.SUM_ELEMENTS` blocks of E (:mod:`slim.tensor`), so
-    they may differ from the whole product's in the last places. ``w`` is
-    taken as :func:`compress_layer` takes it.
+    the weight is wide. ``w`` and ``x_eval`` are each a matrix or its
+    :class:`~slim.tensor.BlockSource`, which gives the same float64
+    operands and so the same bits; ``x_eval`` is read whole for a wide
+    weight, else one run of its columns at a time. The weight fields have
+    the bits of :func:`weight_space_report`; the output fields are summed
+    over :data:`~slim.tensor.SUM_ELEMENTS` blocks of E, so they may differ
+    from the whole product's in the last places.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
     """
     d_in, d_out = layer.shape
-    xe = as_float_matrix(x_eval, "x_eval")
+    xe = x_eval if isinstance(x_eval, BlockSource) else as_float_matrix(x_eval, "x_eval")
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
     read = _checked_weight(w, layer, x_saliency)
@@ -572,13 +568,19 @@ def _sum_square(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, a))
 
 
-def _column_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
+def _x_columns(xe: BlockSource | np.ndarray, cols: slice) -> np.ndarray:
+    """``x_eval[:, cols]`` as float64: read from a source, or an array's own
+    (a float64 array's read in place)."""
+    return xe(slice(None), cols) if isinstance(xe, BlockSource) else xe[:, cols].astype(np.float64, copy=False)
+
+
+def _column_sums(read: BlockSource, layer: CompressedLayer, xe: BlockSource | np.ndarray, elements: int):
     """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
     ``R**2`` with the adapter term put back, for a wide weight: by column
     blocks of E, each times ``x_eval`` (widened once), so R is never whole."""
     d_in, d_out = layer.shape
     a = layer.adapter
-    x = xe.astype(np.float64, copy=False)  # a float64 x_eval is read in place
+    x = _x_columns(xe, slice(None))
     xl = None if a is None else x @ a.left
     spans = list(_spans(d_out, d_in, elements))
     block = np.empty((d_in, min(d_out, spans[0].stop)))  # one column block of E
@@ -598,7 +600,7 @@ def _column_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elem
     return _row_squares(read, layer), total, no_adapter
 
 
-def _row_run_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, elements: int):
+def _row_run_sums(read: BlockSource, layer: CompressedLayer, xe: BlockSource | np.ndarray, elements: int):
     """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
     ``R**2`` with the adapter term put back, for a tall or square weight,
     whose R is no larger than ``x_eval``: by runs of E's row blocks, each
@@ -612,7 +614,7 @@ def _row_run_sums(read: BlockSource, layer: CompressedLayer, xe: np.ndarray, ele
     r = np.zeros((xe.shape[0], d_out))
     xl = None if a is None else np.zeros((xe.shape[0], a.rank))  # x_eval @ left
     for run in runs:
-        xp = xe[:, run].astype(np.float64, copy=False)  # a float64 x_eval is read in place
+        xp = _x_columns(xe, run)
         e = block[: xp.shape[1]]
         for at in row_blocks(e):  # _row_squares's blocks, as the run starts on one
             rows = slice(run.start + at.start, run.start + at.stop)

@@ -219,12 +219,9 @@ def _packed(shape: tuple[int, int], q: int, blocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelScaling:
-    """Record of which input channels were boosted before quantization.
-
-    Inference divides the boosted rows of each stored weight block by
-    ``factor`` again (:func:`_scale_rows`), so the activations are used as
-    they are.
-    """
+    """Input channels boosted by ``factor`` before quantization. Inference
+    divides those rows of each stored weight block by it again
+    (:func:`_scale_rows`), so the activations are used as they are."""
 
     channel_indices: np.ndarray
     factor: float
@@ -234,7 +231,8 @@ class ChannelScaling:
         object.__setattr__(self, "channel_indices", idx)
         if idx.ndim != 1:
             raise ShapeMismatch("channel_indices must be 1-D")
-        if idx.size and (np.unique(idx).size != idx.size or idx.min() < 0):
+        s = np.sort(idx)  # np.unique would import numpy.ma under numpy 2
+        if idx.size and ((s[1:] == s[:-1]).any() or s[0] < 0):
             raise ConfigInvalid("channel indices must be unique and non-negative")
         if not (self.factor > 1.0) or not np.isfinite(self.factor):
             raise ConfigInvalid(f"scaling factor must be > 1, got {self.factor}")
@@ -534,13 +532,10 @@ def _scale_rows(block: np.ndarray, scaling: ChannelScaling | None, rows: slice,
 
 
 def _fp8_snap(x: np.ndarray, fmt: Fp8Format) -> np.ndarray:
-    """Round ``x`` to the nearest value representable in ``fmt``.
-
-    Ties round to the value with even integer mantissa, matching IEEE
-    round-to-nearest-even on the format's grid. Magnitudes beyond the
-    format maximum clamp to the maximum. Rows are snapped one block at a
-    time, in place in the output.
-    """
+    """Round ``x`` to the nearest value representable in ``fmt``, ties to
+    the even integer mantissa (IEEE round-to-nearest-even on the format's
+    grid); magnitudes beyond the format maximum clamp to it. Rows are
+    snapped one block at a time, in place in the output."""
     mbits = fmt.mantissa_bits
     emin = fmt.min_normal_exponent
     out = np.empty_like(x)

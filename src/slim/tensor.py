@@ -12,19 +12,14 @@ one row block at a time) and keeps a float source's buffer;
 **Blocks.** No pass makes a float64 array the size of a weight. Each reads
 new float64 blocks of the matrix or its :class:`BlockSource` (a matrix is
 the source of its own widened blocks, :func:`_block_source`; a file's
-weight is read from the file, :func:`~slim.container._tensor_source`), so
+tensor is read from the file, :func:`~slim.container._tensor_source`), so
 the blocks give the bits of a float64 copy that is never made. One rule,
-:func:`_spans`, cuts every range, with one of five budgets:
-:data:`BLOCK_ELEMENTS` for the row blocks (:func:`row_blocks`) of every
-elementwise pass and codec, and an unstructured mask's column blocks;
-:data:`GATHER_ELEMENTS` for a grouped dequantize's gathered steps;
-:data:`CHUNK_ELEMENTS` for a product added into an output by its columns;
-:data:`SUM_ELEMENTS` for blocks multiplied and summed into a small result
-(the adapter fit's and error report's: row blocks of a tall or square
-matrix, column blocks of a wide one); :data:`PRODUCT_ELEMENTS` for the
-forward pass's weight blocks (the same sides). An elementwise pass keeps
-the bits of its whole-matrix form; a blocked sum may differ from the whole
-one in the last places.
+:func:`_spans`, cuts every range, with one of the five ``*_ELEMENTS``
+budgets below, each named for its use; :data:`SUM_ELEMENTS` and
+:data:`PRODUCT_ELEMENTS` cut row blocks of a tall or square matrix and
+column blocks of a wide one. An elementwise pass keeps the bits of its
+whole-matrix form; a blocked sum may differ from the whole one in the last
+places.
 
 **Packed rows.** The keep mask and the quantized codes are held as uint8
 rows, d_in x ceil(d_out * w / 8), each padded to whole bytes with zero
@@ -65,13 +60,16 @@ ELEMENTS_PER_BIN = 1000
 # stay well inside float64's normal range (about 2**+-1022).
 GRAM_SAFE_EXPONENT = 400
 
-BLOCK_ELEMENTS = 1 << 16  # about 512 KiB as float64, at least one row
+# Every elementwise pass's and codec's row blocks (row_blocks), and an
+# unstructured mask's column blocks: about 512 KiB as float64.
+BLOCK_ELEMENTS = 1 << 16
 
 GATHER_ELEMENTS = 1 << 14  # a grouped dequantize's gather: its index and steps take 16 bytes an entry
 CHUNK_ELEMENTS = 1 << 18  # a product added into an output, by its columns (2 MiB as float64)
 
-# 8 MiB as float64; svd_truncated's blocks take k * k / 2 entries when that
-# is more, so each block's k x k product sums at least k / 2 rows.
+# Blocks multiplied and summed into a small result (the adapter fit's and
+# the error report's), 8 MiB as float64; svd_truncated's take k * k / 2
+# entries when that is more, so each block's k x k product sums >= k / 2 rows.
 # Measured on a 2:4, rank-0.1 adapter compress with one BLAS thread:
 # smaller blocks slow the Gram sum (2048x8192: 5.3 s with 2**18, 3.9 s
 # with 2**20, 3.6 s with 2**21 = k * k / 2), and larger ones raise the
@@ -118,12 +116,7 @@ def as_float_matrix(w, name: str = "matrix", allow_empty: bool = False) -> np.nd
     A float16, float32 or float64 source keeps its dtype and buffer; any
     other input is converted to float64. Finiteness is checked one row
     block at a time. Callers widen each block to float64 before any
-    arithmetic on it.
-
-    Args:
-        w: Array-like input; 2-D.
-        name: Label used in error messages.
-        allow_empty: Permit zero-element matrices.
+    arithmetic on it. Errors name the matrix ``name``.
 
     Raises:
         ShapeMismatch: If the input is not 2-D.
@@ -237,18 +230,11 @@ def default_num_bins(num_elements: int) -> int:
 
 
 def build_abs_histogram(w, num_bins: int | None = None) -> AbsHistogram:
-    """Histogram the magnitudes of a matrix.
-
-    Args:
-        w: Source matrix, 2-D with at least one element, or a
-            :class:`BlockSource`. It is read twice in row blocks, for the
-            largest magnitude and for the counts.
-        num_bins: Bin count; defaults to :func:`default_num_bins` of the
-            element count.
-
-    Returns:
-        An :class:`AbsHistogram` over [0, max|w|]. A magnitude of exactly
-        max|w| is counted in the last bin.
+    """The :class:`AbsHistogram` of the magnitudes of ``w`` over [0, max|w|]
+    in ``num_bins`` bins (default :func:`default_num_bins` of the element
+    count); max|w| itself is counted in the last bin. ``w``, a matrix or a
+    :class:`BlockSource`, is read twice in row blocks, for the largest
+    magnitude and for the counts.
 
     Raises:
         EmptyTensor: If ``w`` has no elements.
@@ -282,7 +268,8 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Best rank-r factorization in the Frobenius norm.
 
     Returns ``(left, right)`` with shapes (rows, r) and (r, cols) such that
-    ``left @ right`` is a Frobenius-optimal rank-<=r approximation of ``m``.
+    ``left @ right`` is a Frobenius-optimal rank-<=r approximation of ``m``,
+    a matrix or its :class:`BlockSource`, for 1 <= r <= min(rows, cols).
     Singular values are folded into the left factor; the right factor has
     orthonormal rows. Output is deterministic: the sign of each component
     is fixed so the first nonzero entry of each right-factor row is
@@ -298,10 +285,6 @@ def svd_truncated(m, r: int) -> tuple[np.ndarray, np.ndarray]:
     U @ R.T``: no singular value is divided by, so the right rows stay
     orthonormal even when ``m`` is rank-deficient or zero. The cost is one
     rows*cols*k Gram product and one k x k symmetric eigendecomposition.
-
-    Args:
-        m: Matrix to approximate, or its :class:`BlockSource`.
-        r: Target rank, 1 <= r <= min(rows, cols).
 
     Raises:
         RankOutOfRange: If ``r`` is outside the valid range.

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from slim import (
     write_container,
     SchemeConfig,
 )
-from slim.artifact import layer_to_bytes
+from slim.artifact import layer_to_bytes, layer_to_tensors
 from slim import cli, container
 from slim.cli import main
 
@@ -39,10 +40,11 @@ def run(capsys, *argv):
 
 def record_reads(monkeypatch) -> list:
     """The sorted tensor names of each container read of the CLI, in order:
-    those a whole read (``read_container``) returns, or the one a weight's
-    block source (``_tensor_source``) opens. A source opened while another
-    is open fails the test: the CLI reads one weight at a time."""
-    returned, open_sources = [], []
+    those a whole read (``read_container``) returns, or the one a block
+    source (``_tensor_source``) opens. A source opened in a container
+    while another source of that container is open fails the test: the CLI
+    reads one weight at a time (eval keeps ``--inputs`` open beside it)."""
+    returned, open_paths = [], []
 
     def recording_read(path, names=None):
         tensors = read_container(path, names)
@@ -50,15 +52,15 @@ def record_reads(monkeypatch) -> list:
         return tensors
 
     @contextlib.contextmanager
-    def recording_source(path, name):
-        assert not open_sources, f"{name!r} opened while {open_sources} is open"
-        with container._tensor_source(path, name) as source:
+    def recording_source(path, name, *args, **kwargs):
+        assert path not in open_paths, f"{name!r} opened while another tensor of {path} is open"
+        with container._tensor_source(path, name, *args, **kwargs) as source:
             returned.append([name])
-            open_sources.append(name)
+            open_paths.append(path)
             try:
                 yield source
             finally:
-                open_sources.remove(name)
+                open_paths.remove(path)
 
     monkeypatch.setattr(cli, "read_container", recording_read)
     monkeypatch.setattr(cli, "_tensor_source", recording_source)
@@ -670,6 +672,36 @@ class TestEval:
         assert code == 0
         assert returned == [["b"], ["acts"]]
 
+    def test_inputs_are_never_held_whole(self, tmp_path, capsys):
+        # a tall weight and 8192-wide inputs: the report reads them one run
+        # of 1024 columns at a time, the saliency a row block at a time, so
+        # the inputs add less than their own f32 size to the peak
+        d_in, d_out, tokens = 8192, 1024, 256
+        rng = np.random.default_rng(90)
+        weights, artifact = tmp_path / "w.slim", tmp_path / "c.slim"
+        w = rng.standard_normal((d_in, d_out), dtype=np.float32)
+        write_container(weights, {"w": w})
+        write_container(artifact, layer_to_tensors(
+            compress_layer(w, None, LayerCompressionConfig(quant_method="absmax"))))
+        del w
+
+        def eval_peak(n: int) -> int:
+            inputs = tmp_path / f"x{n}.slim"
+            write_container(inputs, {"x": rng.standard_normal((n, d_in), dtype=np.float32)})
+            tracemalloc.start()
+            try:
+                code = main(["eval", "--original", str(weights), "--compressed", str(artifact),
+                             "--inputs", str(inputs)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            capsys.readouterr()
+            return peak
+
+        no_inputs = eval_peak(1)
+        assert eval_peak(tokens) - no_inputs < tokens * d_in * 4
+
 
 class TestBudget:
     def test_opt125m_reference_values(self, capsys):
@@ -866,6 +898,19 @@ class TestCalib:
         concat = calib_by_concatenation(arrays)
         assert np.allclose(st.mean_abs, concat["mean_abs"], rtol=1e-12)
         assert np.allclose(st.l2_norm, concat["l2_norm"], rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_statistics_past_the_f32_range_are_refused(self, tmp_path, capsys):
+        # every entry at 3e38: the l2 norm over 8 tokens passes f32's maximum,
+        # which no reader of the file would accept
+        acts, out = tmp_path / "big.slim", tmp_path / "c.slim"
+        write_container(acts, {"x": np.full((8, 16), 3e38, np.float32)})
+        code, stdout, err = run(capsys, "calib", "--inputs", str(acts), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: l2_norm is past the float32 range a calibration container stores\n"
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.slim"]
 
     def test_no_usable_tensors_data_error(self, tmp_path, capsys):
         p = tmp_path / "e.slim"

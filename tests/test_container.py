@@ -685,6 +685,20 @@ class TestTensorSource:
                 with pytest.raises(NonFinite, match="^w contains NaN or Inf$"):
                     read(rows, cols)
 
+    def test_errors_name_the_label(self, tmp_path):
+        x = np.ones((3, 4), np.float32)
+        x[2, 1] = np.inf
+        p = tmp_path / "c.slim"
+        write_container(p, {"x": x, "flat": np.ones(4, np.float32), "none": np.ones((0, 4), np.float32)})
+        with container._tensor_source(p, "x", "--inputs c") as read:
+            with pytest.raises(NonFinite, match="^--inputs c contains NaN or Inf$"):
+                read(slice(None), slice(None))
+        for name, error, message in [("flat", ShapeMismatch, r"--inputs c must be 2-D, got shape \(4,\)"),
+                                     ("none", EmptyTensor, "--inputs c has zero elements")]:
+            with pytest.raises(error, match=f"^{message}$"):
+                with container._tensor_source(p, name, "--inputs c"):
+                    pass
+
     def test_reads_only_the_tensor(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(88)
         p = tmp_path / "c.slim"

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from slim import (
     AbsHistogram,
     CalibrationStats,
+    ChannelScaling,
     ConfigInvalid,
     EmptyTensor,
     NonPositiveAlpha,
@@ -24,6 +28,7 @@ from slim import (
     quantize_symmetric,
     slimquant_search,
 )
+import slim
 from slim import tensor
 from slim.quant import _scale_rows
 
@@ -393,6 +398,31 @@ class TestSlimquantSearch:
             _, err = slimquant_search(h, 4)
             absmax_err = estimate_error(h, absmax_alpha(w), 4)
             assert err <= absmax_err + 1e-15
+
+
+class TestChannelScaling:
+    @pytest.mark.parametrize("idx", [[3, 1, 3], [0, -2], [5, 5], [-1]])
+    def test_duplicate_or_negative_indices_refused(self, idx):
+        with pytest.raises(ConfigInvalid, match="unique and non-negative"):
+            ChannelScaling(np.array(idx), 2.0)
+
+    def test_valid_indices_kept_in_order(self):
+        assert ChannelScaling(np.array([4, 0, 2]), 2.0).channel_indices.tolist() == [4, 0, 2]
+        assert ChannelScaling(np.array([], dtype=np.int64), 2.0).channel_indices.size == 0
+
+    def test_does_not_load_numpy_ma(self):
+        # numpy 2 imports numpy.ma on the first np.unique, 8-13 ms of every
+        # scaled compress and eval process
+        code = ("import sys, numpy; ma = 'numpy.ma' in sys.modules; "
+                "from slim import ChannelScaling; ChannelScaling(numpy.array([2, 0, 5]), 2.0); "
+                "print(ma, 'numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(slim.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout.split()
+        if out[0] == "True":
+            pytest.skip("import numpy alone loads numpy.ma here (numpy 1.x)")
+        assert out == ["False", "False"]
 
 
 class TestActivationAwareScale:

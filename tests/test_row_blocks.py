@@ -11,6 +11,9 @@ the forward pass must give the whole products within stated tolerances.
 No pass may hold a matrix-sized temporary besides its result.
 """
 
+import contextlib
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -1127,6 +1130,61 @@ class TestBlockedProducts:
         assert stats.mean_abs.tobytes() == (ref_abs / sum(tokens)).tobytes()
         assert stats.l2_norm.tobytes() == np.sqrt(ref_sq).tobytes()
         assert stats.token_count == sum(tokens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tokens=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+        d_in=st.one_of(st.just(1), st.just(2), st.integers(1, 40)),
+        block=st.sampled_from([1, 7, 64, BLOCK_ELEMENTS]),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tokens=[300], d_in=1, block=7, mixed=False, seed=0)  # one column: summed pairwise
+    @example(tokens=[300, 17], d_in=2, block=7, mixed=False, seed=1)
+    @example(tokens=[257, 1, 40], d_in=33, block=64, mixed=True, seed=2)
+    def test_calibration_of_file_batches_matches_the_arrays(self, tokens, d_in, block, mixed, seed):
+        # a file batch is summed a row block at a time below the rows before
+        # it, which gives the bits of the whole batch only if numpy adds a
+        # C-ordered buffer down its rows one row at a time
+        batches = [source("normal", (n, d_in), "float32", seed + i) for i, n in enumerate(tokens)]
+        with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+            read = []
+            for i, batch in enumerate(batches):
+                path = os.path.join(tmp, f"x{i}.slim")
+                write_container(path, {"x": batch})
+                read.append(batch if mixed and i % 2 else
+                            stack.enter_context(container._tensor_source(path, "x", "x")))
+            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+                got = compute_calibration(read)
+                arrays = compute_calibration(batches)
+        ref_abs, ref_sq = reference_calibration(batches)
+        for stats in (got, arrays):
+            assert stats.mean_abs.tobytes() == (ref_abs / sum(tokens)).tobytes()
+            assert stats.l2_norm.tobytes() == np.sqrt(ref_sq).tobytes()
+            assert stats.token_count == sum(tokens)
+
+    @pytest.mark.parametrize("shape", [(24, 40), (40, 24), (32, 32)], ids=["wide", "tall", "square"])
+    @pytest.mark.parametrize("adapter", [("none", False), ("slim", False), ("slim", True)],
+                             ids=["no-adapter", "slim", "slim-4bit"])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_error_report_of_file_inputs_matches_the_array(self, tmp_path, shape, adapter, scaled):
+        w = source("normal", shape, "float32", 60)
+        x = np.random.default_rng(61).normal(size=(9, shape[0])).astype(np.float32)
+        cfg = LayerCompressionConfig(
+            sparsity=SparsityPattern.semistructured(2, 4), adapter_method=adapter[0],
+            quantize_adapters=adapter[1], rank_ratio=None if adapter[0] == "none" else 0.25,
+            channel_scaling=scaled,
+        )
+        stats = compute_calibration([x])
+        layer = compress_layer(w, stats, cfg)
+        sal = saliency_vector(stats)
+        path = tmp_path / "x.slim"
+        write_container(path, {"x": x})
+        # several runs of E's rows (tall, square) or column blocks (wide)
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", 64), mock.patch.object(tensor, "SUM_ELEMENTS", 200):
+            with container._tensor_source(path, "x", "x_eval") as read:
+                got = error_report(w, layer, read, sal).to_dict()
+            assert got == error_report(w, layer, x, sal).to_dict()
 
 
 def traced_peak(call) -> tuple[object, int]:
