@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import tensor
-from .container import (_from_fields, _json_typed, _parse_json, container_from_bytes,
+from .container import (_from_fields, _json_typed, _parse_json, _tensor, container_from_bytes,
                         container_to_bytes, read_container, write_container)
 from .errors import SchemaViolation, SlimError
 from .lora import ADAPTER_QUANT_BITS, LowRankAdapter, default_rank
@@ -133,8 +133,9 @@ def _write(held: np.ndarray, codec, shape: tuple[int, int], mask: SparsityMask |
     """The stored stream of a part whose packed rows are ``held``: each row
     block's entries, or only those ``mask`` keeps (SchemaViolation if a
     dropped one is nonzero, as storing the kept ones would lose it), packed
-    after the last run. A run that starts inside an item shares it with the
-    run before. Rows of whole items with nothing pruned are stored as held."""
+    after the last run. A pruned weight's run may start inside an item and
+    share it with the run before; an unpruned part's blocks are whole items,
+    and its rows are stored as held when they are too."""
     per, dtype, pack, unpack = _codec(codec)
     d_in, d_out = shape
     if mask is None and d_out % per == 0:
@@ -142,7 +143,7 @@ def _write(held: np.ndarray, codec, shape: tuple[int, int], mask: SparsityMask |
     # each item is set by the first run in it before a later run reads it
     stream = np.empty(-(-(d_in * d_out if mask is None else mask.kept) // per), dtype)
     done = 0
-    for rows in tensor.row_blocks(shape):
+    for rows in tensor.row_blocks(shape, per if mask is None else 1):
         run = unpack(held[rows], d_out).reshape(-1)
         if mask is not None:
             kept = np.compress(mask.rows(rows).reshape(-1), run)  # ~3x faster than a bool index
@@ -169,7 +170,7 @@ def _read(stream: np.ndarray, codec, shape: tuple[int, int], mask: SparsityMask 
         return stream.reshape(d_in, -1)
     out = np.empty((d_in, -(-d_out // per)), dtype)
     done = 0
-    for rows in tensor.row_blocks(shape):
+    for rows in tensor.row_blocks(shape, per if mask is None else 1):
         keep = None if mask is None else mask.rows(rows)
         count = (min(rows.stop, d_in) - rows.start) * d_out if keep is None else np.count_nonzero(keep)
         lead = done % per
@@ -240,17 +241,6 @@ def _records(meta) -> tuple:
             and _json_typed(factor, "float")):
         raise SchemaViolation("scaling must hold a list of int indices and a number factor")
     return cfg, prov, ChannelScaling(np.asarray(indices, dtype=np.int64), float(factor))
-
-
-def _tensor(tensors: dict, name: str, dtype, size: int | None = None) -> np.ndarray:
-    """``tensors[name]``, checked to be of ``dtype`` and, given ``size``,
-    to hold that many entries in one dimension."""
-    arr = tensors[name]
-    if arr.dtype != dtype:
-        raise SchemaViolation(f"{name} has dtype {arr.dtype}, not {np.dtype(dtype)}")
-    if size is not None and arr.shape != (size,):
-        raise SchemaViolation(f"{name} has shape {arr.shape}, need ({size},)")
-    return arr
 
 
 def _decode(tensors: dict, name: str, shape: tuple, codec, mask: SparsityMask | None):

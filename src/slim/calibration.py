@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import _from_fields, _parse_json, read_container, write_container
+from .container import _from_fields, _parse_json, _tensor, read_container, write_container
 from .errors import EmptyInput, NonFinite, SchemaViolation, ShapeMismatch
-from .tensor import BlockSource, _spans, as_float_matrix, row_blocks
+from .tensor import BlockSource, _array_source, as_float_matrix, row_blocks
 
 __all__ = [
     "CalibrationStats",
@@ -51,11 +51,9 @@ class CalibrationStats:
         object.__setattr__(self, "l2_norm", l2_norm)
         if self.d_in <= 0 or self.token_count <= 0:
             raise EmptyInput("statistics require d_in > 0 and token_count > 0")
-        if mean_abs.shape != (self.d_in,) or l2_norm.shape != (self.d_in,):
-            raise ShapeMismatch(
-                f"statistics vectors must have length d_in={self.d_in}"
-            )
         for name, v in (("mean_abs", mean_abs), ("l2_norm", l2_norm)):
+            if v.shape != (self.d_in,):
+                raise ShapeMismatch(f"{name} has shape {v.shape}, need ({self.d_in},)")
             if not np.isfinite(v).all():
                 raise NonFinite(f"{name} contains NaN or Inf")
             if (v < 0).any():
@@ -74,10 +72,9 @@ def compute_calibration(x_batches) -> CalibrationStats:
     Each batch is a (tokens, d_in) matrix or its
     :class:`~slim.tensor.BlockSource`; batches may have different token
     counts but must agree on d_in. Accumulation is streaming (one pass, no
-    concatenation) in float64, so any partition of the same token stream
-    produces identical statistics up to last-bit rounding. Each batch's
-    sums have the bits of its whole float64 ``|x|`` and ``x**2`` summed
-    over tokens (:func:`_batch_sums`).
+    concatenation) in float64, each batch in token order through its source
+    (:func:`_batch_sums`): the same bits in every layout, array or file, and
+    any partition of the token stream gives them up to last-bit rounding.
 
     Raises:
         EmptyInput: No batches, or zero tokens in total.
@@ -96,9 +93,9 @@ def compute_calibration(x_batches) -> CalibrationStats:
             raise ShapeMismatch(
                 f"batch has {batch.shape[1]} channels, expected {d_in}"
             )
-        if batch.shape[0] == 0:
+        if 0 in batch.shape:
             continue
-        sums += _batch_sums(batch)
+        sums += _batch_sums(batch if isinstance(batch, BlockSource) else _array_source(batch))
         tokens += batch.shape[0]
     if d_in is None or d_in == 0 or tokens == 0:
         raise EmptyInput("no calibration tokens provided")
@@ -110,34 +107,20 @@ def compute_calibration(x_batches) -> CalibrationStats:
     )
 
 
-def _batch_sums(batch) -> np.ndarray:
-    """Sums over tokens of ``|x|`` and ``x**2`` of a batch with tokens. A
-    source two or more columns wide is summed down its rows (numpy adds a
-    C-ordered buffer one row at a time), a row block at a time below the
-    sums so far. A matrix, or a source read whole, is read by column blocks
-    (:mod:`slim.tensor`) into a float64 buffer in its layout, none one
-    column wide unless the batch is (numpy sums that pairwise)."""
-    d_in = batch.shape[1]
-    sums = np.zeros((2, d_in))
-    if isinstance(batch, BlockSource) and d_in == 1:
-        batch = batch(slice(None), slice(None))
-    if isinstance(batch, BlockSource):
-        for rows in row_blocks(batch):
-            x = batch(rows, slice(None))
-            buf = np.empty((len(x) + 1, d_in))
-            for fill, total in zip((np.abs, np.square), sums):
-                buf[0] = total
-                fill(x, out=buf[1:])
-                buf.sum(axis=0, out=total)
-        return sums
-    spans = list(_spans(d_in, batch.shape[0], unit=2))
-    if len(spans) > 1 and spans[-1].start == d_in - 1:  # a lone last column joins the block before
-        spans[-2:] = [slice(spans[-2].start, d_in)]
-    for cols in spans:
-        buf = np.empty_like(batch[:, cols], dtype=np.float64)  # the batch's layout
-        for fill, total in zip((np.abs, np.square), sums):
-            fill(batch[:, cols], out=buf, dtype=np.float64)
-            total[cols] = buf.sum(axis=0)
+def _batch_sums(read: BlockSource) -> np.ndarray:
+    """Sums over tokens of ``|x|`` and ``x**2`` of a batch's source, in
+    token order: each row block (:mod:`slim.tensor`) is summed down its
+    rows, the sums so far added into its first, and numpy adds a C-ordered
+    block down its rows one row at a time, so the bits are those of the
+    whole batch in every layout. A one-column batch, which numpy sums
+    pairwise, is read whole."""
+    sums = np.zeros((2, read.shape[1]))
+    for rows in row_blocks(read) if read.shape[1] > 1 else [slice(None)]:
+        x = read(rows, slice(None))
+        np.abs(x, out=x)
+        for part, total in zip((x, np.square(x)), sums):  # |x| squares to the bits of x**2
+            part[0] += total
+            part.sum(axis=0, out=total)
     return sums
 
 
@@ -166,18 +149,17 @@ def load_calibration(path) -> CalibrationStats:
     """Inverse of :func:`save_calibration`.
 
     Raises:
-        SchemaViolation: the container lacks the expected tensors, the
-            metadata does not hold exactly an int ``d_in`` and an int
-            ``token_count``, or it is inconsistent with the tensors.
+        SchemaViolation: a tensor is missing, the metadata does not hold
+            exactly an int ``d_in`` and an int ``token_count``, or a
+            statistic is not 1-D f32, ``d_in`` long, finite and >= 0.
     """
     tensors = read_container(path)
     for name in ("mean_abs", "l2_norm", "__meta__"):
         if name not in tensors:
             raise SchemaViolation(f"calibration container is missing {name!r}")
     meta = _parse_json(tensors["__meta__"].tobytes(), SchemaViolation, "calibration metadata")
-    mean_abs = np.asarray(tensors["mean_abs"], dtype=np.float64).reshape(-1)
-    l2_norm = np.asarray(tensors["l2_norm"], dtype=np.float64).reshape(-1)
+    vectors = {name: _tensor(tensors, name, np.float32) for name in ("mean_abs", "l2_norm")}
     try:
-        return _from_fields(CalibrationStats, meta, mean_abs=mean_abs, l2_norm=l2_norm)
+        return _from_fields(CalibrationStats, meta, **vectors)
     except (EmptyInput, ShapeMismatch, NonFinite) as exc:
         raise SchemaViolation(f"calibration container invalid: {exc}") from exc

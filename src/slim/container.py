@@ -290,6 +290,17 @@ def _from_fields(cls, raw, ignored=(), **values):
     return cls(**{n: raw[n] for n in names}, **values)
 
 
+def _tensor(tensors: dict, name: str, dtype, size: int | None = None) -> np.ndarray:
+    """``tensors[name]``, checked to be of ``dtype`` and, given ``size``,
+    to hold that many entries in one dimension."""
+    arr = tensors[name]
+    if arr.dtype != dtype:
+        raise SchemaViolation(f"{name} has dtype {arr.dtype}, not {np.dtype(dtype)}")
+    if size is not None and arr.shape != (size,):
+        raise SchemaViolation(f"{name} has shape {arr.shape}, need ({size},)")
+    return arr
+
+
 def write_container(path, tensors: dict) -> None:
     """Write tensors to ``path`` in the container format.
 

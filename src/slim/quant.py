@@ -306,7 +306,7 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
     step ``scale / (2**(q-1) - 1)``, by a broadcast over whole groups when
     the block's columns start and end on group boundaries of every row (the
     group length divides the row length), else by a gather of each code's
-    step a :data:`~slim.tensor.GATHER_ELEMENTS` piece at a time.
+    step, a row block at a time too.
     """
     d_in, d_out = t.shape
     width = code_field_bits(t.bits)
@@ -325,13 +325,14 @@ def dequantize(t: QuantizedTensor, rows: slice = slice(None), cols: slice = slic
             np.multiply(codes.reshape(shape), steps[piece, :, None], out=out[piece].reshape(shape))
         return out
     first = np.arange(d_in)[rows, None] * d_out  # row-major index of each row's first code
+    lo, hi = first.min(initial=d_in * d_out) // g, (first.max(initial=0) + d_out - 1) // g + 1
+    steps = t.scales[lo:hi] / qmax  # the steps of the rows' groups, from group lo
+    first -= lo * g
     col = np.arange(d_out)[cols]
-    for piece in tensor._spans(*out.shape, tensor.GATHER_ELEMENTS):
+    for piece in row_blocks(out):
         idx = first[piece] + col
         idx //= g
-        steps = t.scales[idx]
-        steps /= qmax
-        np.multiply(_unpack_codes(fields[piece], d_out, cols, _CODES[width]), steps, out=out[piece])
+        np.multiply(_unpack_codes(fields[piece], d_out, cols, _CODES[width]), steps[idx], out=out[piece])
     return out
 
 

@@ -14,12 +14,12 @@ new float64 blocks of the matrix or its :class:`BlockSource` (a matrix is
 the source of its own widened blocks, :func:`_block_source`; a file's
 tensor is read from the file, :func:`~slim.container._tensor_source`), so
 the blocks give the bits of a float64 copy that is never made. One rule,
-:func:`_spans`, cuts every range, with one of the five ``*_ELEMENTS``
+:func:`_spans`, cuts every range, with one of the four ``*_ELEMENTS``
 budgets below, each named for its use; :data:`SUM_ELEMENTS` and
 :data:`PRODUCT_ELEMENTS` cut row blocks of a tall or square matrix and
 column blocks of a wide one. An elementwise pass keeps the bits of its
 whole-matrix form; a blocked sum may differ from the whole one in the last
-places.
+places, except a sum over rows added in row order, as calibration's are.
 
 **Packed rows.** The keep mask and the quantized codes are held as uint8
 rows, d_in x ceil(d_out * w / 8), each padded to whole bytes with zero
@@ -64,7 +64,6 @@ GRAM_SAFE_EXPONENT = 400
 # unstructured mask's column blocks: about 512 KiB as float64.
 BLOCK_ELEMENTS = 1 << 16
 
-GATHER_ELEMENTS = 1 << 14  # a grouped dequantize's gather: its index and steps take 16 bytes an entry
 CHUNK_ELEMENTS = 1 << 18  # a product added into an output, by its columns (2 MiB as float64)
 
 # Blocks multiplied and summed into a small result (the adapter fit's and
@@ -163,13 +162,14 @@ class BlockSource:
 
 
 def _block_source(w, name: str = "w") -> BlockSource:
-    """``w`` itself when it is a :class:`BlockSource`; otherwise the source
-    of the matrix ``w``, checked by :func:`as_float_matrix` (errors naming
-    it ``name``) and widened a block at a time (an f32 block would divide
-    in f32)."""
-    if isinstance(w, BlockSource):
-        return w
-    arr = as_float_matrix(w, name)
+    """``w`` itself when it is a :class:`BlockSource`; otherwise the
+    :func:`_array_source` of the matrix ``w``, checked by
+    :func:`as_float_matrix` (errors naming it ``name``)."""
+    return w if isinstance(w, BlockSource) else _array_source(as_float_matrix(w, name))
+
+
+def _array_source(arr: np.ndarray) -> BlockSource:
+    """A checked float matrix's source: each block widened (f32 would divide in f32)."""
     return BlockSource(lambda rows, cols: arr[rows, cols].astype(np.float64, order="C"), arr.shape)
 
 

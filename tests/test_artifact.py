@@ -273,13 +273,15 @@ class TestPackedCodes:
     @example(bits=4, rows=1, cols=3, kept="all", group_size=None, block=5, seed=0)  # 3 nibbles: half a last byte
     @example(bits=2, rows=5, cols=1, kept="all", group_size=None, block=5, seed=0)  # 5 2-bit fields: 1 in the last byte
     @example(bits=3, rows=3, cols=3, kept="unpruned", group_size=None, block=5, seed=0)
+    @example(bits=4, rows=3, cols=3, kept="all", group_size=None, block=5, seed=2)  # runs share bytes
     @example(bits=5, rows=4, cols=7, kept="random", group_size=8, block=1, seed=0)
     @example(bits=None, rows=7, cols=3, kept="random", group_size=None, block=5, seed=0)  # raw f32 values
     def test_pack_unpack_round_trip(self, bits, rows, cols, kept, group_size, block, seed):
         # odd widths give rows that end inside a byte, and small blocks give
-        # runs of the stream (the mask's too) that start inside one; each
-        # part is stored as an independent packing of its kept entries,
-        # row-major, and the layer comes back and writes the same bytes again
+        # a pruned weight's runs of the stream that start inside one (an
+        # unpruned part's blocks hold whole bytes); each part is stored as an
+        # independent packing of its kept entries, row-major, and the layer
+        # comes back and writes the same bytes again
         keep = {
             "random": np.random.default_rng(seed).random((rows, cols)) < 0.5,
             "none": np.zeros((rows, cols), dtype=bool),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,25 @@ class TestSaveLoad:
         write_container(p2, tensors)
         with pytest.raises(SchemaViolation):
             load_calibration(p2)
+
+    @pytest.mark.parametrize("mean_abs, message", [
+        (np.arange(4, dtype=np.uint8).reshape(2, 2), "mean_abs has dtype uint8, not float32"),
+        (np.ones((2, 2), np.float32), "mean_abs has shape (2, 2), need (4,)"),
+        (np.ones(3, np.float32), "mean_abs has shape (3,), need (4,)"),
+    ], ids=["u8", "2-D", "short"])
+    def test_statistics_not_1d_f32_of_d_in_rejected(self, tmp_path, mean_abs, message):
+        # save_calibration writes each statistic as a 1-D f32 tensor of d_in
+        # entries; any other is refused, not flattened or cast
+        import json
+
+        from slim import write_container
+
+        p = tmp_path / "calib.slim"
+        meta = json.dumps({"d_in": 4, "token_count": 3}).encode()
+        write_container(p, {"mean_abs": mean_abs, "l2_norm": np.ones((2, 2), np.float32),
+                            "__meta__": np.frombuffer(meta, dtype=np.uint8)})
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_calibration(p)
 
     @pytest.mark.parametrize("blob", [b"[" * 100_000, b'{"d_in": 3, "d_in": 3, "token_count": 4}'],
                              ids=["deeply_nested", "duplicate_key"])

@@ -304,6 +304,21 @@ class TestCompress:
         )
         assert code == 2
 
+    def test_calib_statistics_of_another_form_refused(self, workspace, tmp_path, capsys):
+        # a u8 mean_abs of 16 entries, held 4x4, is not the 1-D f32 tensor
+        # save_calibration writes: refused, not read as 0, 1, 2, ...
+        calib = tmp_path / "u8_calib.slim"
+        meta = json.dumps({"d_in": 16, "token_count": 3}).encode()
+        write_container(calib, {"mean_abs": np.arange(16, dtype=np.uint8).reshape(4, 4),
+                                "l2_norm": np.ones((4, 4), np.float32),
+                                "__meta__": np.frombuffer(meta, dtype=np.uint8)})
+        code, out, err = run(capsys, "compress", "--weights", str(workspace["weights"]),
+                             "--calib", str(calib), "--out", str(tmp_path / "OUT"), "--quant", "slim-o")
+        assert code == 2
+        assert out == ""
+        assert err == "error: mean_abs has dtype uint8, not float32\n"
+        assert sorted(tmp_path.glob("OUT*")) == []
+
     def test_failed_run_leaves_no_artifacts(self, workspace, tmp_path, capsys):
         # "b" (32 rows) does not match the 16-channel stats; the failed run
         # must leave no artifact, for "a" (16 rows) or any other tensor.

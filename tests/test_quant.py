@@ -146,11 +146,10 @@ class TestDequantize:
             per_elem = np.repeat(t.scales / float((1 << (q - 1)) - 1), group_size)[: flat.size]
             old = (flat * per_elem).reshape(codes.shape)
         # 9 columns: groups of 5, 12 and 64 straddle rows, and blocks of 100,
-        # 40 and 1 elements give grouped pieces (quarter blocks) of two rows
-        # or one
-        for block in (tensor.BLOCK_ELEMENTS, 100, 40, 1):
-            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
-                    mock.patch.object(tensor, "GATHER_ELEMENTS", block // 4):
+        # 18 and 1 elements give gathered row blocks of eleven rows, two or
+        # one
+        for block in (tensor.BLOCK_ELEMENTS, 100, 18, 1):
+            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
                 new = dequantize(t)
                 assert new.dtype == np.float64 and new.shape == codes.shape
                 # a new C-ordered array whatever the codes' layout: the holder
@@ -248,8 +247,7 @@ class TestQuantizedTensor:
         t = QuantizedTensor(codes, rng.uniform(0.01, 3.0, n), group_size, bits)
         assert t.fields.shape == (rows, -(-cols * code_field_bits(bits) // 8))
         ref = int8_dequantize(codes, t.scales, group_size, bits)
-        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
-                mock.patch.object(tensor, "GATHER_ELEMENTS", max(block // 4, 1)):
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
             assert np.array_equal(t.codes, codes) and t.codes.dtype == np.int8
             spans = [(0, rows, 0, cols), (0, rows, 1, cols), (1, rows, 0, cols - 1)]
             if data is not None:

@@ -639,13 +639,9 @@ class TestSpans:
     def test_row_blocks_keep_their_old_steps(self, rows, cols, align, block):
         unit = align // int(np.gcd(cols, align))
         whole = max(unit, block // cols // unit * unit)  # the formula row_blocks had
-        quarter = max(1, block // 4 // cols)  # its parts=4 form, now GATHER_ELEMENTS
-        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block), \
-                mock.patch.object(tensor, "GATHER_ELEMENTS", block // 4):
+        with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
             got = list(row_blocks(np.empty((rows, cols)), align))
-            quarters = list(tensor._spans(rows, cols, tensor.GATHER_ELEMENTS))
         assert [s.start for s in got] == list(range(0, rows, whole))
-        assert [s.start for s in quarters] == list(range(0, rows, quarter))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -957,13 +953,22 @@ def reference_output_fields(w, layer, x) -> dict:
 
 
 def reference_calibration(batches) -> tuple[np.ndarray, np.ndarray]:
-    """The sums compute_calibration made from whole-batch temporaries:
-    each batch widened to float64 in its own layout, then |x| and x**2."""
+    """The sums of |x| and x**2 that compute_calibration makes: each batch
+    widened to float64 and added one token after another, whatever its
+    layout; a one-column batch summed whole, as numpy sums a column
+    (pairwise). The batches' sums are then added in turn."""
     sum_abs = sum_sq = 0.0
     for b in batches:
         a = np.asarray(b).astype(np.float64)
-        sum_abs = sum_abs + np.abs(a).sum(axis=0)
-        sum_sq = sum_sq + np.square(a).sum(axis=0)
+        if a.shape[1] == 1:
+            batch_abs, batch_sq = np.abs(a).sum(axis=0), np.square(a).sum(axis=0)
+        else:
+            batch_abs = batch_sq = np.zeros(a.shape[1])
+            for row in a:
+                batch_abs = batch_abs + np.abs(row)
+                batch_sq = batch_sq + np.square(row)
+        sum_abs = sum_abs + batch_abs
+        sum_sq = sum_sq + batch_sq
     return sum_abs, sum_sq
 
 
@@ -1162,6 +1167,29 @@ class TestBlockedProducts:
             assert stats.mean_abs.tobytes() == (ref_abs / sum(tokens)).tobytes()
             assert stats.l2_norm.tobytes() == np.sqrt(ref_sq).tobytes()
             assert stats.token_count == sum(tokens)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "float16"])
+    @pytest.mark.parametrize("shape", [(300, 2), (257, 33), (40, 1)], ids=["two", "many", "one"])
+    def test_calibration_is_the_same_in_every_layout(self, tmp_path, shape, dtype, block):
+        # one batch as a C-ordered, F-ordered and strided array, and as a
+        # file source (f32 and f16 only: a container holds f32), is summed
+        # in token order: the same bits in every form, whatever the blocks
+        tokens, d_in = shape
+        base = source("normal", (tokens, 2 * d_in), dtype, 62)
+        batches = {"C": np.ascontiguousarray(base[:, ::2]), "F": np.asfortranarray(base[:, ::2]),
+                   "strided": base[:, ::2]}
+        with contextlib.ExitStack() as stack:
+            if dtype != "float64":
+                path = tmp_path / "x.slim"
+                write_container(path, {"x": batches["C"]})
+                batches["file"] = stack.enter_context(container._tensor_source(path, "x", "x"))
+            with mock.patch.object(tensor, "BLOCK_ELEMENTS", block):
+                got = {form: compute_calibration([batch]) for form, batch in batches.items()}
+        ref_abs, ref_sq = reference_calibration([batches["C"]])
+        for form, stats in got.items():
+            assert stats.mean_abs.tobytes() == (ref_abs / tokens).tobytes(), form
+            assert stats.l2_norm.tobytes() == np.sqrt(ref_sq).tobytes(), form
 
     @pytest.mark.parametrize("shape", [(24, 40), (40, 24), (32, 32)], ids=["wide", "tall", "square"])
     @pytest.mark.parametrize("adapter", [("none", False), ("slim", False), ("slim", True)],
