@@ -109,6 +109,13 @@ def _tensor_name(flag: str, path, prefer: str | None = None) -> str:
     return named[0]
 
 
+def _flag_source(flag: str, path, prefer: str | None):
+    """The :func:`~slim.container._tensor_source` of :func:`_tensor_name`'s
+    tensor, whose shape and value errors name the flag, path and tensor."""
+    name = _tensor_name(flag, path, prefer)
+    return _tensor_source(path, name, f"{flag} {path} tensor {name!r}")
+
+
 def _build_compress_config(args) -> LayerCompressionConfig:
     sparsity = SparsityPattern.parse(args.sparsity)
     return LayerCompressionConfig(
@@ -186,7 +193,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with _tensor_source(args.original, _tensor_name("--original", args.original, args.tensor)) as w:
+    with _flag_source("--original", args.original, args.tensor) as w:
         layer = deserialize_compressed_layer(args.compressed)
         name = _tensor_name("--inputs", args.inputs)
         with _tensor_source(args.inputs, name, f"--inputs {args.inputs}") as x_eval:
@@ -236,7 +243,7 @@ def cmd_oracle_alpha(args) -> int:
         raise UsageError(f"--wbits must be in [{MIN_BITS}, {MAX_BITS}], got {args.wbits}")
     if args.bins is not None and args.bins < 1:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
-    with _tensor_source(args.weights, _tensor_name("--weights", args.weights, args.tensor)) as w:
+    with _flag_source("--weights", args.weights, args.tensor) as w:
         hist = build_abs_histogram(w, args.bins)
     m = hist.max_abs
     if m == 0.0:
@@ -257,11 +264,23 @@ def cmd_oracle_alpha(args) -> int:
     return EXIT_OK
 
 
+def _batches(paths):
+    """Each tensor not named ``__*`` of each ``--inputs`` container, in
+    order: its block source, open while the batch is summed, or the array
+    of an empty 2-D one (a source cannot be empty)."""
+    for path in paths:
+        for name, shape in _read_shapes(path).items():
+            if name.startswith("__"):
+                continue
+            if len(shape) == 2 and 0 in shape:
+                yield read_container(path, [name])[name]
+            else:
+                with _flag_source("--inputs", path, name) as batch:
+                    yield batch
+
+
 def cmd_calib(args) -> int:
-    stats = compute_calibration(  # a generator: one container read at a time
-        value for path in args.inputs
-        for name, value in read_container(path).items() if not name.startswith("__")
-    )
+    stats = compute_calibration(_batches(args.inputs))
     save_calibration(args.out, stats)
     print(f"{stats.token_count} tokens x {stats.d_in} channels -> {args.out}")
     return EXIT_OK

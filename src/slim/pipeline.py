@@ -527,24 +527,16 @@ def weight_space_report(w, layer: CompressedLayer, x_saliency: SaliencyVector) -
 def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) -> ErrorReport:
     """Compare a compressed layer against the original weight.
 
-    Every field but ``density`` and ``effective_bits_per_weight`` comes
-    from one residual ``E = w - corrected_weight`` (:func:`_residual`).
-    ``weight_mse`` is the mean of ``E**2``; ``weighted_weight_mse`` scales
-    each input row of E by ``x_saliency`` first. ``output_mse`` is the mean
-    of ``R**2`` for ``R = x_eval @ E``, the per-element squared difference
-    between ``x_eval @ w`` and ``x_eval @ W_reconstructed``.
-    ``output_mse_no_adapter`` puts the adapter term back into R, as
-    ``R + (x_eval @ left) @ right``; without an adapter it equals
-    ``output_mse``. The layer's arrays are left as they were.
-
-    No array the size of the weight is made, and none the size of R when
-    the weight is wide. ``w`` and ``x_eval`` are each a matrix or its
-    :class:`~slim.tensor.BlockSource`, which gives the same float64
-    operands and so the same bits; ``x_eval`` is read whole for a wide
-    weight, else one run of its columns at a time. The weight fields have
-    the bits of :func:`weight_space_report`; the output fields are summed
-    over :data:`~slim.tensor.SUM_ELEMENTS` blocks of E, so they may differ
-    from the whole product's in the last places.
+    From the residual ``E = w - corrected_weight``: ``weight_mse`` is the
+    mean of ``E**2`` and ``weighted_weight_mse`` that of each row of E
+    times its ``x_saliency``, both with :func:`weight_space_report`'s bits;
+    ``output_mse`` is the mean of ``R**2`` for ``R = x_eval @ E``, and
+    ``output_mse_no_adapter`` that of ``R + (x_eval @ left) @ right``
+    (``output_mse`` without an adapter). ``w`` and ``x_eval`` are each a
+    matrix or its :class:`~slim.tensor.BlockSource`, with the same bits. R
+    is summed over the error report's tiles of E (:mod:`slim.tensor`), so
+    the output fields may differ from the whole product's in the last
+    places; no weight-sized array is made, and the layer is left as it was.
 
     Raises:
         ShapeMismatch: any operand disagrees on dimensions.
@@ -554,8 +546,7 @@ def error_report(w, layer: CompressedLayer, x_eval, x_saliency: SaliencyVector) 
     if xe.shape[1] != d_in:
         raise ShapeMismatch(f"x_eval has {xe.shape[1]} columns, layer expects {d_in}")
     read = _checked_weight(w, layer, x_saliency)
-    output = _column_sums if d_in < d_out else _row_run_sums
-    sq, total, no_adapter = output(read, layer, xe, tensor.SUM_ELEMENTS)
+    sq, total, no_adapter = _output_sums(read, layer, xe)
     size = xe.shape[0] * d_out
     return ErrorReport(
         output_mse=total / size,
@@ -568,63 +559,46 @@ def _sum_square(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, a))
 
 
-def _x_columns(xe: BlockSource | np.ndarray, cols: slice) -> np.ndarray:
-    """``x_eval[:, cols]`` as float64: read from a source, or an array's own
-    (a float64 array's read in place)."""
-    return xe(slice(None), cols) if isinstance(xe, BlockSource) else xe[:, cols].astype(np.float64, copy=False)
-
-
-def _column_sums(read: BlockSource, layer: CompressedLayer, xe: BlockSource | np.ndarray, elements: int):
+def _output_sums(read: BlockSource, layer: CompressedLayer, xe: BlockSource | np.ndarray):
     """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
-    ``R**2`` with the adapter term put back, for a wide weight: by column
-    blocks of E, each times ``x_eval`` (widened once), so R is never whole."""
+    ``R**2`` with the adapter term put back, by the tiles of E that
+    :mod:`slim.tensor`'s rule cuts: each tile times its run of ``x_eval``'s
+    columns goes into its block of R's columns, summed once every run is in."""
     d_in, d_out = layer.shape
-    a = layer.adapter
-    x = _x_columns(xe, slice(None))
-    xl = None if a is None else x @ a.left
-    spans = list(_spans(d_out, d_in, elements))
-    block = np.empty((d_in, min(d_out, spans[0].stop)))  # one column block of E
+    a, wide = layer.adapter, d_in < d_out
+    if wide:  # all rows, by blocks of R's columns, each one product: R is never whole
+        runs, blocks = [slice(0, d_in)], list(_spans(d_out, d_in, tensor.SUM_ELEMENTS))
+    else:  # runs of _row_squares's row blocks, each added into R, as into x_eval @ left
+        unit = next(row_blocks(layer.shape)).stop
+        runs, blocks = list(_spans(d_in, d_out, tensor.SUM_ELEMENTS, unit=unit)), [slice(None)]
+    tile = np.empty((min(d_in, runs[0].stop), len(range(d_out)[blocks[0]])))
+    sq = None if wide else np.empty(d_in)
+    r = None if wide else np.zeros((xe.shape[0], d_out))
+    xl = None if wide or a is None else np.zeros((xe.shape[0], a.rank))  # x_eval @ left
     total = no_adapter = 0.0
-    for cols in spans:
-        e = block[:, : min(cols.stop, d_out) - cols.start]
-        for rows in row_blocks(e):
-            e[rows] = _residual(read, layer.weights, layer.channel_scaling, a, rows, cols)
-        r = x @ e  # R's columns
-        square = _sum_square(r)
-        total += square
-        if a is not None:
-            _add_product(r, xl, a.right[:, cols])
-            square = _sum_square(r)
-        no_adapter += square
-        del r  # before the next block's is made
-    return _row_squares(read, layer), total, no_adapter
-
-
-def _row_run_sums(read: BlockSource, layer: CompressedLayer, xe: BlockSource | np.ndarray, elements: int):
-    """:func:`error_report`'s row squares of E, sum of ``R**2`` and sum of
-    ``R**2`` with the adapter term put back, for a tall or square weight,
-    whose R is no larger than ``x_eval``: by runs of E's row blocks, each
-    times its columns of ``x_eval`` added into R, as ``x_eval @ left`` is."""
-    d_in, d_out = layer.shape
-    a = layer.adapter
-    per_block = next(row_blocks(layer.shape)).stop  # the rows of _row_squares's blocks
-    runs = list(_spans(d_in, d_out, elements, unit=per_block))
-    block = np.empty((min(d_in, runs[0].stop), d_out))  # one run of E's rows
-    sq = np.empty(d_in)
-    r = np.zeros((xe.shape[0], d_out))
-    xl = None if a is None else np.zeros((xe.shape[0], a.rank))  # x_eval @ left
     for run in runs:
-        xp = _x_columns(xe, run)
-        e = block[: xp.shape[1]]
-        for at in row_blocks(e):  # _row_squares's blocks, as the run starts on one
-            rows = slice(run.start + at.start, run.start + at.stop)
-            e[at] = _residual(read, layer.weights, layer.channel_scaling, a, rows)
-            sq[rows] = np.einsum("ij,ij->i", e[at], e[at])
-        _add_product(r, xp, e)
+        # x_eval's columns of the run as float64 (a float64 array's own, in place)
+        xp = xe(slice(None), run) if isinstance(xe, BlockSource) else xe[:, run].astype(np.float64, copy=False)
         if a is not None:
-            xl += xp @ a.left[run]
-    total = no_adapter = _sum_square(r)
-    if a is not None:
-        _add_product(r, xl, a.right)
-        no_adapter = _sum_square(r)
-    return sq, total, no_adapter
+            xl = xp @ a.left if wide else np.add(xl, xp @ a.left[run], out=xl)
+        for cols in blocks:
+            e = tile[: xp.shape[1], : len(range(d_out)[cols])]
+            for at in row_blocks(e):
+                rows = slice(run.start + at.start, run.start + at.stop)
+                if wide:
+                    e[at] = _residual(read, layer.weights, layer.channel_scaling, a, rows, cols)
+                else:  # whole rows, whose squares are the weight fields'
+                    e[at] = _residual(read, layer.weights, layer.channel_scaling, a, rows)
+                    sq[rows] = np.einsum("ij,ij->i", e[at], e[at])
+            if wide:
+                r = xp @ e
+            else:
+                _add_product(r, xp, e)
+            if run.stop >= d_in:  # every run is in R's block
+                total += (square := _sum_square(r))
+                if a is not None:
+                    _add_product(r, xl, a.right[:, cols])
+                    square = _sum_square(r)
+                no_adapter += square
+                r = None  # freed before the next block's is made
+    return _row_squares(read, layer) if wide else sq, total, no_adapter

@@ -17,7 +17,11 @@ the blocks give the bits of a float64 copy that is never made. One rule,
 :func:`_spans`, cuts every range, with one of the four ``*_ELEMENTS``
 budgets below, each named for its use; :data:`SUM_ELEMENTS` and
 :data:`PRODUCT_ELEMENTS` cut row blocks of a tall or square matrix and
-column blocks of a wide one. An elementwise pass keeps the bits of its
+column blocks of a wide one. So the error report's tiles of its residual E
+are a wide weight's :data:`SUM_ELEMENTS` column blocks, each times the
+whole ``x_eval`` (read once) into R's columns, or a tall or square one's
+runs of whole row blocks of about as many entries, each times its columns
+of ``x_eval`` added into R. An elementwise pass keeps the bits of its
 whole-matrix form; a blocked sum may differ from the whole one in the last
 places, except a sum over rows added in row order, as calibration's are.
 

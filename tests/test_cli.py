@@ -486,8 +486,21 @@ class TestEval:
         )
         assert code == 2
         assert stdout == ""
-        assert err == "error: w contains NaN or Inf\n"
+        assert err == f"error: --original {original} tensor 'weights' contains NaN or Inf\n"
         assert not report.exists()
+
+    def test_original_not_2d_is_named(self, workspace, tmp_path, capsys):
+        out = workspace["dir"] / "3d"
+        main(["compress", "--weights", str(workspace["weights"]), "--out", str(out), "--quant", "absmax"])
+        original = tmp_path / "3d-original.slim"
+        write_container(original, {"w3": np.ones((3, 4, 2), np.float32)})
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "eval", "--original", str(original),
+                                "--compressed", str(out.parent / "3d.weights.slim"),
+                                "--inputs", str(workspace["acts"]))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --original {original} tensor 'w3' must be 2-D, got shape (3, 4, 2)\n"
 
     def test_identity_artifact_zero_report(self, workspace, capsys):
         out = workspace["dir"] / "id2"
@@ -852,6 +865,21 @@ class TestOracleAlpha:
         assert code == 1
         assert err.startswith(f"error: {flag} must be") and returned == []
 
+    @pytest.mark.parametrize("defect, message", [
+        ("nan", "contains NaN or Inf"),
+        ("3d", "must be 2-D, got shape (3, 4, 2)"),
+    ])
+    def test_bad_weight_is_named(self, tmp_path, capsys, defect, message):
+        # the error names the flag, the path and the tensor, not a bare "w"
+        w = tmp_path / f"{defect}.slim"
+        bad = np.ones((10, 10), np.float32)
+        bad[4, 7] = np.nan
+        write_container(w, {"fc1": bad if defect == "nan" else np.ones((3, 4, 2), np.float32)})
+        code, stdout, err = run(capsys, "oracle-alpha", "--weights", str(w))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --weights {w} tensor 'fc1' {message}\n"
+
     def test_missing_tensor_data_error(self, tmp_path, capsys, monkeypatch):
         w = tmp_path / "g3.slim"
         write_container(w, {"weights": np.ones((10, 10), dtype=np.float32),
@@ -933,6 +961,52 @@ class TestCalib:
         code, _, _ = run(capsys, "calib", "--inputs", str(p),
                          "--out", str(tmp_path / "c.slim"))
         assert code == 2
+
+    def test_integer_and_empty_batches_are_taken_as_before(self, tmp_path, capsys):
+        # i8 and u8 batches are summed as their float64 values, and a
+        # batch with no tokens is skipped
+        rng = np.random.default_rng(25)
+        tensors = {"a": rng.integers(-128, 128, (7, 6)).astype(np.int8),
+                   "b": np.zeros((0, 6), np.float32),
+                   "c": rng.integers(0, 256, (5, 6)).astype(np.uint8),
+                   "d": rng.standard_normal((4, 6)).astype(np.float32)}
+        p = tmp_path / "mixed.slim"
+        write_container(p, {**tensors, "__note__": np.zeros(3, np.uint8)})
+        code, stdout, _ = run(capsys, "calib", "--inputs", str(p), "--out", str(tmp_path / "c.slim"))
+        assert code == 0
+        assert "16 tokens x 6 channels" in stdout
+        st = load_calibration(tmp_path / "c.slim")
+        ref = compute_calibration([np.float64(t) for t in tensors.values()])
+        assert np.array_equal(st.mean_abs, ref.mean_abs.astype(np.float32))
+        assert np.array_equal(st.l2_norm, ref.l2_norm.astype(np.float32))
+
+    def test_batch_not_2d_names_the_inputs(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.slim", tmp_path / "bad.slim"
+        write_container(good, {"x": np.ones((4, 5), np.float32)})
+        write_container(bad, {"x": np.ones((3, 5), np.float32), "y": np.ones(5, np.float32)})
+        out = tmp_path / "c.slim"
+        code, stdout, err = run(capsys, "calib", "--inputs", str(good), str(bad), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --inputs {bad} tensor 'y' must be 2-D, got shape (5,)\n"
+        assert not out.exists()
+
+    def test_batches_are_never_held_whole(self, tmp_path, capsys):
+        # each batch is read from its file a row block at a time: the run
+        # peaks below the 32 MiB one 1024x8192 f32 batch takes
+        acts, out = tmp_path / "x.slim", tmp_path / "c.slim"
+        x = np.random.default_rng(26).standard_normal((1024, 8192), dtype=np.float32)
+        write_container(acts, {"x": x})
+        del x
+        tracemalloc.start()
+        try:
+            code = main(["calib", "--inputs", str(acts), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        assert peak < 1024 * 8192 * 4
 
 
 class TestTopLevel:

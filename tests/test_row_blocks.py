@@ -1454,6 +1454,17 @@ class TestMemory:
         r_bytes = x.shape[0] * w.shape[1] * 8
         assert peak <= r_bytes + 8 * tensor.SUM_ELEMENTS + BLOCK_BOUND
 
+    @pytest.mark.parametrize("adapter", ["none", "slim"])
+    def test_error_report_of_a_square_weight_is_r_plus_a_run(self, adapter):
+        w, layer, sal = self.product_case(adapter, shape=(1024, 1024))
+        x = np.random.default_rng(32).normal(size=(512, 1024))
+        _, peak = traced_peak(lambda: error_report(w, layer, x, sal))
+        # a square weight takes the tall path: R (4 MiB, each run added
+        # in two chunks), one run of E's rows (here all 8 MiB of them), and
+        # a row block, a chunk of R's columns and x @ left
+        r_bytes = x.shape[0] * w.shape[1] * 8
+        assert peak <= r_bytes + 8 * tensor.SUM_ELEMENTS + BLOCK_BOUND
+
     @pytest.mark.parametrize("shape", [(2048, 4096), (4096, 2048)])
     def test_layer_output_peak_is_its_output_plus_a_product_block(self, shape):
         w, layer, _ = self.product_case(shape=shape)
